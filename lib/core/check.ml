@@ -83,25 +83,25 @@ let check_servers (r : Refiner.t) acc =
    through protocols); memory behaviors hold the storage and are the only
    legal place for those names. *)
 let check_no_direct_access (original : Ast.program) (r : Refiner.t) acc =
-  let program_vars = Program.var_names original in
+  let program_vars = Names.Set.of_list (Program.var_names original) in
   let memory_scope =
-    List.concat_map
-      (fun m ->
+    List.fold_left
+      (fun s m ->
         match Program.lookup_behavior r.Refiner.rf_program m with
-        | Some b -> Behavior.names b
-        | None -> [])
-      r.Refiner.rf_memories
+        | Some b -> Names.Set.union s (Names.Set.of_list (Behavior.names b))
+        | None -> s)
+      Names.Set.empty r.Refiner.rf_memories
   in
   Behavior.fold
     (fun acc b ->
-      if List.mem b.Ast.b_name memory_scope then acc
+      if Names.Set.mem b.Ast.b_name memory_scope then acc
       else
         match b.Ast.b_body with
         | Ast.Leaf stmts ->
           let touched =
             List.filter
               (fun x ->
-                List.mem x program_vars
+                Names.Set.mem x program_vars
                 && not
                      (List.exists
                         (fun v -> String.equal v.Ast.v_name x)

@@ -4,10 +4,14 @@
     name already present in the specification. *)
 
 module Sset = Set.Make (String)
+module Smap = Spec.Names.Map
 
-type t = { mutable used : Sset.t }
+(* [next] maps a base to the first suffix [fresh] has not yet seen
+   taken: [used] only grows, so every smaller suffix is still taken and
+   the next search can start there. *)
+type t = { mutable used : Sset.t; mutable next : int Smap.t }
 
-let of_names names = { used = Sset.of_list names }
+let of_names names = { used = Sset.of_list names; next = Smap.empty }
 
 (** All names occurring in a program: behaviors, variables (program-level
     and local), signals, procedures, parameters. *)
@@ -38,10 +42,14 @@ let fresh t base =
     if not (Sset.mem base t.used) then base
     else
       let rec go i =
-        let candidate = Printf.sprintf "%s_%d" base i in
-        if Sset.mem candidate t.used then go (i + 1) else candidate
+        let candidate = base ^ "_" ^ string_of_int i in
+        if Sset.mem candidate t.used then go (i + 1)
+        else begin
+          t.next <- Smap.add base (i + 1) t.next;
+          candidate
+        end
       in
-      go 2
+      go (Option.value (Smap.find_opt base t.next) ~default:2)
   in
   t.used <- Sset.add name t.used;
   name

@@ -107,13 +107,13 @@ let width_requirements p =
     | _ -> Hashtbl.replace reqs key bits
   in
   (* scope: (name, ty, locus), innermost first *)
-  let tys scope = List.map (fun (n, t, _) -> (n, t)) scope in
   let resolve scope x =
     List.find_opt (fun (n, _, _) -> String.equal n x) scope
   in
   let check_stmts scope stmts =
+    let ty_of x = Option.map (fun (_, t, _) -> t) (resolve scope x) in
     let narrowing dest e =
-      match (dest, Width.width_of (tys scope) e) with
+      match (dest, Width.width_of ty_of e) with
       | Some dw, Some sw when sw > dw -> Some sw
       | _ -> None
     in

@@ -100,7 +100,7 @@ let rec calls_of_stmts acc stmts =
 type binding = Bvar of string  (** decl key *) | Bsig
 
 let site_of scope ~path ~region ~server name stmts ~extra_reads =
-  let resolve x = List.assoc_opt x scope in
+  let resolve x = Names.Map.find_opt x scope in
   let var_reads = ref [] and sig_reads = ref [] in
   let var_writes = ref [] and sig_writes = ref [] in
   List.iter
@@ -138,16 +138,21 @@ let site_of scope ~path ~region ~server name stmts ~extra_reads =
 
 let make_ctx ~phase ?flow (p : program) =
   let base_scope =
-    List.map (fun (v : var_decl) -> (v.v_name, Bvar v.v_name)) p.p_vars
-    @ List.map (fun (s : sig_decl) -> (s.s_name, Bsig)) p.p_signals
+    Names.bind
+      (List.map (fun (v : var_decl) -> (v.v_name, Bvar v.v_name)) p.p_vars)
+      (Names.bind
+         (List.map (fun (s : sig_decl) -> (s.s_name, Bsig)) p.p_signals)
+         Names.Map.empty)
   in
   let rec walk scope path region server b acc =
-    let server = server || List.mem b.b_name p.p_servers in
+    let server = server || Program.is_server p b.b_name in
     let scope =
-      List.map
-        (fun (v : var_decl) -> (v.v_name, Bvar (b.b_name ^ "." ^ v.v_name)))
-        b.b_vars
-      @ scope
+      Names.bind
+        (List.map
+           (fun (v : var_decl) ->
+             (v.v_name, Bvar (b.b_name ^ "." ^ v.v_name)))
+           b.b_vars)
+        scope
     in
     let path = path @ [ b.b_name ] in
     match b.b_body with

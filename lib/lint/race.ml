@@ -34,14 +34,16 @@ let codes =
       (litmus evidence)");
   ]
 
-(* Accesses of the non-server sites under one child subtree, as
-   (decl key -> display name) maps for readers and writers.  With a
+(* Accesses of the non-server sites under one child subtree, as maps
+   from decl key to (display name, leaf) for readers and writers, and
+   from signal to leaf for drivers; the first access found wins.  With a
    flow summary, a leaf site contributes only the accesses at CFG nodes
    the interval analysis proves reachable — two accesses race only when
    both can actually execute; TOC guard reads are kept as-is. *)
 let child_accesses ?flow sites child =
   let in_child s =
-    (not s.Pass.st_server) && List.mem child s.Pass.st_path
+    (not s.Pass.st_server)
+    && List.exists (String.equal child) s.Pass.st_path
   in
   let sites = List.filter in_child sites in
   let accesses (s : Pass.site) =
@@ -54,29 +56,33 @@ let child_accesses ?flow sites child =
     | _ -> (s.Pass.st_var_reads, s.Pass.st_var_writes, s.Pass.st_sig_writes)
   in
   let sites = List.map (fun s -> (s, accesses s)) sites in
-  let vars acc field =
+  let first key v m =
+    if Names.Map.mem key m then m else Names.Map.add key v m
+  in
+  let vars field =
     List.fold_left
       (fun acc (s, acs) ->
         List.fold_left
-          (fun acc (key, name) ->
-            if List.mem_assoc key acc then acc
-            else (key, (name, s.Pass.st_behavior)) :: acc)
+          (fun acc (key, name) -> first key (name, s.Pass.st_behavior) acc)
           acc (field acs))
-      acc sites
+      Names.Map.empty sites
   in
-  let reads = vars [] (fun (r, _, _) -> r) in
-  let writes = vars [] (fun (_, w, _) -> w) in
+  let reads = vars (fun (r, _, _) -> r) in
+  let writes = vars (fun (_, w, _) -> w) in
   let sig_writes =
     List.fold_left
       (fun acc (s, (_, _, sw)) ->
-        List.fold_left
-          (fun acc x ->
-            if List.mem_assoc x acc then acc
-            else (x, s.Pass.st_behavior) :: acc)
-          acc sw)
-      [] sites
+        List.fold_left (fun acc x -> first x s.Pass.st_behavior acc) acc sw)
+      Names.Map.empty sites
   in
   (reads, writes, sig_writes)
+
+(* The keys of the given maps, sorted and without duplicates. *)
+let key_union maps =
+  Names.Set.elements
+    (List.fold_left
+       (fun acc m -> Names.Map.fold (fun k _ acc -> Names.Set.add k acc) m acc)
+       Names.Set.empty maps)
 
 let run (ctx : Pass.t) =
   let severity = Pass.severity_for_phase ctx.Pass.lc_phase in
@@ -95,10 +101,9 @@ let run (ctx : Pass.t) =
         (* Variable races: a writer in one child, any accessor in
            another. *)
         let keys =
-          List.sort_uniq String.compare
+          key_union
             (List.concat_map
-               (fun (_, (reads, writes, _)) ->
-                 List.map fst reads @ List.map fst writes)
+               (fun (_, (reads, writes, _)) -> [ reads; writes ])
                per_child)
         in
         let acc =
@@ -107,24 +112,25 @@ let run (ctx : Pass.t) =
               let accessors =
                 List.filter
                   (fun (_, (reads, writes, _)) ->
-                    List.mem_assoc key reads || List.mem_assoc key writes)
+                    Names.Map.mem key reads || Names.Map.mem key writes)
                   per_child
               in
               let writers =
                 List.filter
-                  (fun (_, (_, writes, _)) -> List.mem_assoc key writes)
+                  (fun (_, (_, writes, _)) -> Names.Map.mem key writes)
                   per_child
               in
               match (writers, accessors) with
               | (wc, (_, ww, _)) :: _, _ :: _ :: _ ->
-                let name, writer_leaf = List.assoc key ww in
+                let name, writer_leaf = Names.Map.find key ww in
                 let other =
                   List.find_map
                     (fun (c, (reads, writes, _)) ->
                       if String.equal c wc then None
                       else
                         match
-                          (List.assoc_opt key reads, List.assoc_opt key writes)
+                          ( Names.Map.find_opt key reads,
+                            Names.Map.find_opt key writes )
                         with
                         | Some (_, leaf), _ | None, Some (_, leaf) ->
                           Some (c, leaf)
@@ -147,16 +153,13 @@ let run (ctx : Pass.t) =
         in
         (* Signal races: two concurrent drivers. *)
         let signals =
-          List.sort_uniq String.compare
-            (List.concat_map
-               (fun (_, (_, _, sw)) -> List.map fst sw)
-               per_child)
+          key_union (List.map (fun (_, (_, _, sw)) -> sw) per_child)
         in
         List.fold_left
           (fun acc x ->
             let drivers =
               List.filter
-                (fun (_, (_, _, sw)) -> List.mem_assoc x sw)
+                (fun (_, (_, _, sw)) -> Names.Map.mem x sw)
                 per_child
             in
             match drivers with
@@ -165,7 +168,7 @@ let run (ctx : Pass.t) =
                 ~path:[ b.b_name ] ~loc:x
                 "signal %s is driven from branches %s (%s) and %s (%s) of \
                  parallel composition %s"
-                x c1 (List.assoc x sw1) c2 (List.assoc x sw2) b.b_name
+                x c1 (Names.Map.find x sw1) c2 (Names.Map.find x sw2) b.b_name
               :: acc
             | _ -> acc)
           acc signals

@@ -31,37 +31,39 @@ let bits_for n =
   let rec go acc v = if v = 0 then max acc 1 else go (acc + 1) (v lsr 1) in
   go 0 n
 
-(* scope: name -> ty, innermost first *)
-let rec width_of scope e =
+let rec width_of lookup e =
   match e with
   | Const (VInt n) -> Some (bits_for n)
   | Const (VBool _) -> None
   | Ref x ->
-    (match List.assoc_opt x scope with
+    (match lookup x with
     | Some (TInt w) -> Some w
     | Some (TBool | TArray _) | None -> None)
   | Index (x, _) ->
-    (match List.assoc_opt x scope with
+    (match lookup x with
     | Some (TArray (w, _)) -> Some w
     | Some (TBool | TInt _) | None -> None)
-  | Unop (Neg, a) -> width_of scope a
+  | Unop (Neg, a) -> width_of lookup a
   | Unop (Not, _) -> None
   | Binop (Mod, _, Const (VInt k)) when k > 0 -> Some (bits_for (k - 1))
   | Binop ((Add | Sub | Mul | Div | Mod), a, b) ->
-    (match (width_of scope a, width_of scope b) with
+    (match (width_of lookup a, width_of lookup b) with
     | Some wa, Some wb -> Some (max wa wb)
     | Some w, None | None, Some w -> Some w
     | None, None -> None)
   | Binop ((Eq | Neq | Lt | Le | Gt | Ge | And | Or), _, _) -> None
 
+(* scope: name -> declared type of the innermost binding *)
 let dest_width scope x =
-  match List.assoc_opt x scope with Some (TInt w) -> Some w | _ -> None
+  match Names.Map.find_opt x scope with Some (TInt w) -> Some w | _ -> None
 
 let elem_width scope x =
-  match List.assoc_opt x scope with Some (TArray (w, _)) -> Some w | _ -> None
+  match Names.Map.find_opt x scope with
+  | Some (TArray (w, _)) -> Some w
+  | _ -> None
 
 let narrowing scope ~dest e =
-  match (dest, width_of scope e) with
+  match (dest, width_of (fun x -> Names.Map.find_opt x scope) e) with
   | Some dw, Some sw when sw > dw -> Some (sw, dw)
   | _ -> None
 
@@ -142,9 +144,12 @@ let run (ctx : Pass.t) =
       | Some _ -> ())
     | If _ | While _ | For _ | Wait_until _ | Emit _ | Skip -> ()
   in
+  let var_decls = List.map (fun (v : var_decl) -> (v.v_name, v.v_ty)) in
   let base_scope =
-    List.map (fun (v : var_decl) -> (v.v_name, v.v_ty)) p.p_vars
-    @ List.map (fun (s : sig_decl) -> (s.s_name, s.s_ty)) p.p_signals
+    Names.bind (var_decls p.p_vars)
+      (Names.bind
+         (List.map (fun (s : sig_decl) -> (s.s_name, s.s_ty)) p.p_signals)
+         Names.Map.empty)
   in
   (match ctx.Pass.lc_flow with
   | None ->
@@ -164,9 +169,7 @@ let run (ctx : Pass.t) =
         ()
     in
     let rec walk scope path b =
-      let scope =
-        List.map (fun (v : var_decl) -> (v.v_name, v.v_ty)) b.b_vars @ scope
-      in
+      let scope = Names.bind (var_decls b.b_vars) scope in
       let path = path @ [ b.b_name ] in
       match b.b_body with
       | Leaf stmts -> check_stmts scope path stmts
@@ -177,9 +180,10 @@ let run (ctx : Pass.t) =
     List.iter
       (fun pr ->
         let scope =
-          List.map (fun (v : var_decl) -> (v.v_name, v.v_ty)) pr.prc_vars
-          @ List.map (fun prm -> (prm.prm_name, prm.prm_ty)) pr.prc_params
-          @ base_scope
+          Names.bind (var_decls pr.prc_vars)
+            (Names.bind
+               (List.map (fun prm -> (prm.prm_name, prm.prm_ty)) pr.prc_params)
+               base_scope)
         in
         check_stmts scope [ "procedure " ^ pr.prc_name ] pr.prc_body)
       p.p_procs
@@ -187,12 +191,14 @@ let run (ctx : Pass.t) =
     (* Flow mode: walk the CFGs — only reachable, hand-written nodes,
        each with its interval environment. *)
     let ty_scope scope =
-      List.map
-        (fun (name, b) ->
-          match b with
-          | Flow.Fvar { ty; _ } -> (name, ty)
-          | Flow.Fsig { ty; _ } -> (name, ty))
-        scope
+      Names.bind
+        (List.map
+           (fun (name, b) ->
+             match b with
+             | Flow.Fvar { ty; _ } -> (name, ty)
+             | Flow.Fsig { ty; _ } -> (name, ty))
+           scope)
+        Names.Map.empty
     in
     let check_cfg scope path cfg reach env =
       Array.iteri

@@ -9,12 +9,12 @@
 val bits_for : int -> int
 (** Bits needed to represent the magnitude of [n] (at least 1). *)
 
-val width_of : (string * Spec.Ast.ty) list -> Spec.Ast.expr -> int option
-(** Structural width inference against a scope of declared types
-    (innermost first): constants take the bits they need, references
-    their declared width, arithmetic the widest operand; [None] for
-    boolean-valued or unresolvable expressions.  Shared with {!Fixer},
-    which widens destinations until this inference reports no
+val width_of : (string -> Spec.Ast.ty option) -> Spec.Ast.expr -> int option
+(** Structural width inference against a lookup of declared types (the
+    innermost binding of each name): constants take the bits they need,
+    references their declared width, arithmetic the widest operand;
+    [None] for boolean-valued or unresolvable expressions.  Shared with
+    {!Fixer}, which widens destinations until this inference reports no
     narrowing. *)
 
 val pass : Pass.pass

@@ -10,8 +10,8 @@
       preorder (so scheduling order — and therefore every observable
       artifact — matches the polling kernel bit for bit);
     - {e sensitivity sets}: a leaf blocking on [wait until c] is parked
-      under the interned ids of the signals [c] reads (from the memoized
-      {!Spec.Expr.refs}), and each signal keeps a wait-set of parked
+      under the interned ids of the signals [c] reads ({!Spec.Expr.refs},
+      once per wait site), and each signal keeps a wait-set of parked
       leaves; a delta-cycle commit wakes only the leaves sensitive to a
       signal that actually changed.  A condition that reads frame
       {e variables} (which can change without any commit) keeps its leaf

@@ -146,55 +146,18 @@ let eval_const e =
   | v -> Some v
   | exception Eval_error _ -> None
 
-let refs_uncached e =
+let refs e =
   (* Deduplicated on the fly: one entry per name, first occurrence first,
      however many times the name occurs in the expression. *)
+  let add x acc = if List.exists (String.equal x) acc then acc else x :: acc in
   let rec go acc = function
     | Const _ -> acc
-    | Ref x -> if List.mem x acc then acc else x :: acc
-    | Index (x, i) ->
-      let acc = if List.mem x acc then acc else x :: acc in
-      go acc i
+    | Ref x -> add x acc
+    | Index (x, i) -> go (add x acc) i
     | Binop (_, a, b) -> go (go acc a) b
     | Unop (_, a) -> go acc a
   in
   List.rev (go [] e)
-
-(* [refs] is on the hot path of both the simulator (sensitivity sets of
-   blocked waits) and the lint passes, which call it repeatedly on the
-   same physical AST nodes; memoize per node.  Keys are compared
-   physically — [Hashtbl.hash] is structural, so physically equal keys
-   land in the same bucket — and the table is dropped wholesale when it
-   grows past a bound, so it cannot leak across many programs.  The memo
-   is domain-local: the explore sweeps run simulations on a domain pool,
-   and a shared table would be a data race. *)
-module Phys_tbl = Hashtbl.Make (struct
-  type t = expr
-
-  let equal = ( == )
-  let hash = Hashtbl.hash
-end)
-
-let refs_memo_key : string list Phys_tbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Phys_tbl.create 1024)
-
-let refs_memo_limit = 65_536
-
-let refs e =
-  match e with
-  | Const _ -> []
-  | Ref x -> [ x ]
-  | Index _ | Binop _ | Unop _ ->
-    let refs_memo = Domain.DLS.get refs_memo_key in
-    begin match Phys_tbl.find_opt refs_memo e with
-    | Some names -> names
-    | None ->
-      if Stdlib.( >= ) (Phys_tbl.length refs_memo) refs_memo_limit then
-        Phys_tbl.reset refs_memo;
-      let names = refs_uncached e in
-      Phys_tbl.replace refs_memo e names;
-      names
-    end
 
 let rec rename f = function
   | Const v -> Const v

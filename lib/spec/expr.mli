@@ -87,9 +87,10 @@ val as_int : value -> int
 
 val refs : expr -> string list
 (** All referenced names (including indexed array bases), in order of
-    first occurrence, without duplicates.  Memoized per physical
-    expression node: the simulator's sensitivity sets and the lint passes
-    ask for the same node's references over and over. *)
+    first occurrence, without duplicates.  Computed afresh on every call:
+    the simulator does not ask twice for the same wait condition, because
+    the bytecode VM classifies each wait site at compile time and the
+    tree engine caches the classification per site. *)
 
 val rename : (string -> string) -> expr -> expr
 (** [rename f e] replaces every [Ref x] with [Ref (f x)]. *)

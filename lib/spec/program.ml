@@ -21,28 +21,30 @@ let lookup_proc p x =
 let lookup_behavior p x = Behavior.find x p.p_top
 let behavior_names p = Behavior.names p.p_top
 let var_names p = List.map (fun v -> v.v_name) p.p_vars
-let is_server p x = List.mem x p.p_servers
+let is_server p x = List.exists (String.equal x) p.p_servers
 
 (* --- validation ------------------------------------------------------- *)
 
+(* Scope = set of names visible as readable/writable data (variables,
+   signals, parameters).  Scoping is by name; shadowing is allowed. *)
+module Scope = Names.Set
+
+(* Names occurring more than once, each reported once, in order of its
+   second occurrence. *)
 let duplicates names =
-  let rec go seen dups = function
-    | [] -> List.rev dups
+  let rec go seen reported = function
+    | [] -> []
     | x :: rest ->
-      if List.mem x seen then
-        if List.mem x dups then go seen dups rest else go seen (x :: dups) rest
-      else go (x :: seen) dups rest
+      if not (Scope.mem x seen) then go (Scope.add x seen) reported rest
+      else if Scope.mem x reported then go seen reported rest
+      else x :: go seen (Scope.add x reported) rest
   in
-  go [] [] names
+  go Scope.empty Scope.empty names
 
 let check_unique what names errs =
   List.fold_left
     (fun errs d -> Printf.sprintf "duplicate %s name: %s" what d :: errs)
     errs (duplicates names)
-
-(* Scope = set of names visible as readable/writable data (variables,
-   signals, parameters).  Scoping is by name; shadowing is allowed. *)
-module Scope = Set.Make (String)
 
 let scope_of_decls vars signals =
   let s = List.fold_left (fun s v -> Scope.add v.v_name s) Scope.empty vars in

@@ -63,9 +63,10 @@ let dedup names =
   let rec go seen = function
     | [] -> []
     | x :: rest ->
-      if List.mem x seen then go seen rest else x :: go (x :: seen) rest
+      if Names.Set.mem x seen then go seen rest
+      else x :: go (Names.Set.add x seen) rest
   in
-  go [] names
+  go Names.Set.empty names
 
 let reads stmts =
   dedup (List.rev (fold_exprs (fun acc e -> List.rev_append (Expr.refs e) acc) [] stmts))

@@ -23,27 +23,25 @@ let class_name = function Cbool -> "bool" | Cint -> "int" | Carray -> "array"
 let class_of_value = function VBool _ -> Cbool | VInt _ -> Cint
 
 (* Scoped environment: name -> (type class, kind).  Shadowing = closest
-   binding wins.  Signals and variables live in one namespace for
-   reading; assignment statements check the kind of the innermost
-   binding. *)
+   binding wins, and within one declaration list the first entry wins.
+   Signals and variables live in one namespace for reading; assignment
+   statements check the kind of the innermost binding. *)
 type kind = Kvar | Ksignal
 
 type env = {
-  bindings : (string * (ty_class * kind)) list;  (** innermost first *)
+  bindings : (ty_class * kind) Names.Map.t;
   procs : proc_decl list;
   path : string list;  (** behavior path, for diagnostic locations *)
 }
 
-let lookup env x = Option.map fst (List.assoc_opt x env.bindings)
-let lookup_kind env x = Option.map snd (List.assoc_opt x env.bindings)
+let lookup env x = Option.map fst (Names.Map.find_opt x env.bindings)
+let lookup_kind env x = Option.map snd (Names.Map.find_opt x env.bindings)
+
+let var_bindings vars =
+  List.map (fun v -> (v.v_name, (class_of_ty v.v_ty, Kvar))) vars
 
 let bind_vars env vars =
-  {
-    env with
-    bindings =
-      List.map (fun v -> (v.v_name, (class_of_ty v.v_ty, Kvar))) vars
-      @ env.bindings;
-  }
+  { env with bindings = Names.bind (var_bindings vars) env.bindings }
 
 type error = string
 
@@ -113,14 +111,15 @@ let rec infer env errs e =
     (Some Cbool, errs)
 
 and expect env errs want e what =
-  let got, errs = infer env errs e in
-  match got with
-  | Some got when got <> want ->
-    errf env ~code:"TYPE002" ~loc:(Expr.to_string e)
-      "%s %s has type %s, expected %s" what (Expr.to_string e)
-      (class_name got) (class_name want)
-    :: errs
-  | Some _ | None -> errs
+  match infer env errs e with
+  | Some got, errs when got <> want ->
+    class_mismatch env e ~what ~got ~want :: errs
+  | _, errs -> errs
+
+and class_mismatch env e ~what ~got ~want =
+  errf env ~code:"TYPE002" ~loc:(Expr.to_string e)
+    "%s %s has type %s, expected %s" what (Expr.to_string e)
+    (class_name got) (class_name want)
 
 let check_assignable env errs ~what x e =
   match lookup env x with
@@ -225,8 +224,13 @@ and check_stmt env errs = function
             let want = class_of_ty prm.prm_ty in
             match (prm.prm_mode, arg) with
             | Mode_in, Arg_expr e ->
-              expect env errs want e
-                (Printf.sprintf "argument %s of %s" prm.prm_name name)
+              begin match infer env errs e with
+              | Some got, errs when got <> want ->
+                class_mismatch env e ~got ~want
+                  ~what:(Printf.sprintf "argument %s of %s" prm.prm_name name)
+                :: errs
+              | _, errs -> errs
+              end
             | Mode_in, Arg_var x | Mode_out, Arg_var x ->
               begin match lookup env x with
               | Some got when got <> want ->
@@ -275,10 +279,11 @@ let check_proc env errs pr =
     {
       env with
       bindings =
-        List.map
-          (fun prm -> (prm.prm_name, (class_of_ty prm.prm_ty, Kvar)))
-          pr.prc_params
-        @ env.bindings;
+        Names.bind
+          (List.map
+             (fun prm -> (prm.prm_name, (class_of_ty prm.prm_ty, Kvar)))
+             pr.prc_params)
+          env.bindings;
     }
   in
   let env = bind_vars env pr.prc_vars in
@@ -325,10 +330,12 @@ let diagnostics (p : program) : Diagnostic.t list =
   let base =
     {
       bindings =
-        List.map (fun v -> (v.v_name, (class_of_ty v.v_ty, Kvar))) p.p_vars
-        @ List.map
-            (fun s -> (s.s_name, (class_of_ty s.s_ty, Ksignal)))
-            p.p_signals;
+        Names.bind (var_bindings p.p_vars)
+          (Names.bind
+             (List.map
+                (fun s -> (s.s_name, (class_of_ty s.s_ty, Ksignal)))
+                p.p_signals)
+             Names.Map.empty);
       procs = p.p_procs;
       path = [];
     }

@@ -53,6 +53,44 @@ let test_naming_of_program () =
   Alcotest.(check bool) "fresh avoids" true
     (Core.Naming.fresh n "sample" <> "sample")
 
+(* [fresh] against a naive reference that searches suffixes from [_2]
+   on every call, over random interleavings of fresh and reserved names
+   (reservations land in the middle of suffix runs). *)
+let prop_naming_fresh_naive =
+  let module S = Set.Make (String) in
+  let op =
+    QCheck.Gen.(
+      pair bool
+        (oneofl [ "x"; "y"; "x_2"; "x_3"; "x_5"; "y_2"; "x_2_2"; "x_9" ]))
+  in
+  QCheck.Test.make ~count:200 ~name:"fresh matches a naive suffix search"
+    QCheck.(
+      make
+        ~print:
+          (Print.list (fun (f, n) -> (if f then "fresh " else "reserve ") ^ n))
+        Gen.(list_size (int_bound 40) op))
+    (fun ops ->
+      let t = Core.Naming.of_names [ "x" ] in
+      let used = ref (S.singleton "x") in
+      let naive base =
+        let rec go i =
+          let c = Printf.sprintf "%s_%d" base i in
+          if S.mem c !used then go (i + 1) else c
+        in
+        let name = if S.mem base !used then go 2 else base in
+        used := S.add name !used;
+        name
+      in
+      List.for_all
+        (fun (is_fresh, n) ->
+          if is_fresh then String.equal (Core.Naming.fresh t n) (naive n)
+          else begin
+            Core.Naming.reserve t n;
+            used := S.add n !used;
+            true
+          end)
+        ops)
+
 (* --- Address ----------------------------------------------------------------- *)
 
 let test_address_assignment () =
@@ -737,7 +775,11 @@ let () =
           tc "of_string" test_model_of_string;
         ] );
       ( "naming",
-        [ tc "fresh" test_naming_fresh; tc "of_program" test_naming_of_program ] );
+        [
+          tc "fresh" test_naming_fresh;
+          tc "of_program" test_naming_of_program;
+          QCheck_alcotest.to_alcotest prop_naming_fresh_naive;
+        ] );
       ( "address",
         [
           tc "assignment" test_address_assignment;

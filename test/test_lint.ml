@@ -267,6 +267,84 @@ let test_width_codes () =
   Alcotest.(check bool) "width findings are warnings in any phase" false
     (Diagnostic.has_errors (Lint.Registry.run ~phase:Lint.Registry.Post (parse width_src)))
 
+(* Exact width findings under shadowing, structural and flow-sensitive:
+   a behavior local beats a program variable, a parameter beats a
+   global, a procedure local beats its parameter, and within one
+   declaration list the first entry wins. *)
+let width_shadow_src =
+  "program wshadow is\n\
+  \  var x : int<16> := 0;\n\
+  \  var a : int<4> := 0;\n\
+  \  var b : int<8> := 0;\n\
+  \  procedure f (a : in int<16>; c : in int<8>) is\n\
+  \    var c : int<2> := 0;\n\
+  \  begin\n\
+  \    b := a;\n\
+  \    c := 7;\n\
+  \  end procedure;\n\
+  \  behavior TOP : seq is\n\
+  \  begin\n\
+  \    behavior LOCAL : leaf is\n\
+  \      var x : int<4> := 0;\n\
+  \      var y : int<4> := 0;\n\
+  \      var y : int<16> := 0;\n\
+  \    begin\n\
+  \      x := 200;\n\
+  \      y := 100;\n\
+  \    end behavior\n\
+  \    -> complete;\n\
+  \    behavior GLOBAL : leaf is\n\
+  \    begin\n\
+  \      x := 200;\n\
+  \      b := x;\n\
+  \      call f(x, 1);\n\
+  \    end behavior\n\
+  \    -> complete;\n\
+  \  end behavior\n\
+   end program"
+
+let test_width_shadowing () =
+  let findings ~flow =
+    Lint.Registry.run ~phase:Lint.Registry.Pre ~typecheck:false
+      ~passes:[ Lint.Width.pass ] ~flow (parse width_shadow_src)
+    |> List.map (fun d ->
+           ( d.Diagnostic.d_code,
+             Diagnostic.path_string d,
+             d.Diagnostic.d_message ))
+  in
+  let t = Alcotest.(list (triple string string string)) in
+  let in_proc =
+    [
+      ( "WIDTH001", "procedure f",
+        "assignment to b narrows a 16-bit value to 8 bits" );
+      ( "WIDTH001", "procedure f",
+        "assignment to c narrows a 3-bit value to 2 bits" );
+    ]
+  in
+  Alcotest.check t "structural"
+    ([
+       ( "WIDTH001", "TOP/GLOBAL",
+         "assignment to b narrows a 16-bit value to 8 bits" );
+       ( "WIDTH001", "TOP/LOCAL",
+         "assignment to x narrows a 8-bit value to 4 bits" );
+       ( "WIDTH001", "TOP/LOCAL",
+         "assignment to y narrows a 7-bit value to 4 bits" );
+     ]
+    @ in_proc)
+    (findings ~flow:false);
+  (* With flow on, the interval analysis proves both [b] transfers fit
+     ([x] is never written, so it stays 0), and the flow scope of a
+     procedure lists parameters before locals, so [c] resolves to the
+     8-bit parameter and [c := 7] fits. *)
+  Alcotest.check t "flow"
+    [
+      ( "WIDTH001", "TOP/LOCAL",
+        "assignment to x narrows a 8-bit value to 4 bits" );
+      ( "WIDTH001", "TOP/LOCAL",
+        "assignment to y narrows a 7-bit value to 4 bits" );
+    ]
+    (findings ~flow:true)
+
 (* --- flow-sensitive mode ------------------------------------------------ *)
 
 let pairs ds = List.map (fun d -> (d.Diagnostic.d_code, d.Diagnostic.d_loc)) ds
@@ -652,6 +730,7 @@ let () =
         [
           tc "liveness codes" test_liveness_codes;
           tc "width codes" test_width_codes;
+          tc "width shadowing" test_width_shadowing;
         ] );
       ( "flow",
         [

@@ -875,25 +875,49 @@ let test_max_pending_backpressure () =
   let session = Serve.Session.create () in
   (* A tiny admission cap: saturating it must turn submits away with a
      retry hint, and an idempotent resubmit of an admitted id must
-     bypass admission.  The cap is 4 so the queue cannot drain to below
-     it in the microseconds between the saturating and the overflow
-     submit. *)
+     bypass admission.  The single worker is held on a sweep of 12,000
+     short candidates — far too long to finish on its own, yet
+     cancellable between any two of them — so no queued job can drain
+     between the saturating and the overflow submit. *)
   let scheduler = Serve.Scheduler.create ~jobs:1 ~max_pending:4 session in
+  let blocker =
+    Serve.Protocol.Obj
+      [ ("kind", Serve.Protocol.String "explore");
+        ("spec", Serve.Protocol.String fig2_src);
+        ("steps", Serve.Protocol.Int 20_000);
+        ("retries", Serve.Protocol.Int 0);
+        ( "seeds",
+          Serve.Protocol.List
+            (List.init 1000 (fun i -> Serve.Protocol.Int (i + 1))) ) ]
+  in
+  (match Serve.Scheduler.submit scheduler ~id:"blocker" blocker with
+  | Ok _ -> ()
+  | Error r -> Alcotest.fail r.Serve.Scheduler.rj_reason);
+  let state id =
+    match Serve.Scheduler.status scheduler id with
+    | Some v -> v.Serve.Scheduler.v_state
+    | None -> Alcotest.failf "job %s lost" id
+  in
+  let give_up = Unix.gettimeofday () +. 30.0 in
+  while state "blocker" <> Serve.Protocol.Running do
+    if Unix.gettimeofday () > give_up then
+      Alcotest.fail "blocker never started";
+    Thread.delay 0.001
+  done;
   let job =
     Serve.Protocol.Obj
       [ ("kind", Serve.Protocol.String "refine");
         ("spec", Serve.Protocol.String fig1_src) ]
   in
   let rec fill n =
-    (* saturate queue + running so depth >= max_pending *)
+    (* saturate the queue behind the running blocker *)
     if n < 64 then
       match Serve.Scheduler.submit scheduler ~id:(Printf.sprintf "f%d" n) job with
       | Ok _ -> fill (n + 1)
       | Error _ -> n
     else n
   in
-  let admitted = fill 0 in
-  Alcotest.(check bool) "queue saturates" true (admitted < 64);
+  Alcotest.(check int) "three queue behind the blocker" 3 (fill 0);
   (match Serve.Scheduler.submit scheduler ~id:"overflow" job with
   | Ok _ -> Alcotest.fail "submit admitted past max_pending"
   | Error r ->
@@ -907,6 +931,11 @@ let test_max_pending_backpressure () =
   (match Serve.Scheduler.submit scheduler ~id:"f0" job with
   | Ok _ -> ()
   | Error r -> Alcotest.fail r.Serve.Scheduler.rj_reason);
+  Alcotest.(check bool) "blocker still running" true
+    (state "blocker" = Serve.Protocol.Running);
+  (match Serve.Scheduler.cancel scheduler "blocker" with
+  | Ok _ -> ()
+  | Error msg -> Alcotest.fail msg);
   Serve.Scheduler.shutdown scheduler
 
 (* --- jobs: lint fix field handling -------------------------------------- *)

@@ -572,6 +572,114 @@ let test_analysis_shadowing () =
   Alcotest.(check int) "shadowed: no accesses" 0
     (List.length (Analysis.accesses_of p "l"))
 
+(* qcheck: [Expr.refs], [Stmt.reads] and [Stmt.writes] against naive
+   references — every occurrence in source order, then the first
+   occurrence of each name kept. *)
+let rec nub = function
+  | [] -> []
+  | x :: rest -> x :: nub (List.filter (fun y -> not (String.equal x y)) rest)
+
+let rec naive_occurrences = function
+  | Const _ -> []
+  | Ref x -> [ x ]
+  | Index (x, i) -> x :: naive_occurrences i
+  | Binop (_, a, b) -> naive_occurrences a @ naive_occurrences b
+  | Unop (_, a) -> naive_occurrences a
+
+let rec naive_exprs stmts = List.concat_map naive_stmt_exprs stmts
+
+and naive_stmt_exprs = function
+  | Assign (_, e) | Signal_assign (_, e) | Wait_until e | Emit (_, e) -> [ e ]
+  | Assign_idx (_, i, e) -> [ i; e ]
+  | If (branches, els) ->
+    List.concat_map (fun (c, body) -> c :: naive_exprs body) branches
+    @ naive_exprs els
+  | While (c, body) -> c :: naive_exprs body
+  | For (_, lo, hi, body) -> lo :: hi :: naive_exprs body
+  | Call (_, args) ->
+    List.filter_map (function Arg_expr e -> Some e | Arg_var _ -> None) args
+  | Skip -> []
+
+let rec naive_writes stmts = List.concat_map naive_stmt_writes stmts
+
+and naive_stmt_writes = function
+  | Assign (x, _) | Assign_idx (x, _, _) -> [ x ]
+  | If (branches, els) ->
+    List.concat_map (fun (_, body) -> naive_writes body) branches
+    @ naive_writes els
+  | While (_, body) -> naive_writes body
+  | For (i, _, _, body) -> i :: naive_writes body
+  | Call (_, args) ->
+    List.filter_map (function Arg_var x -> Some x | Arg_expr _ -> None) args
+  | Signal_assign _ | Wait_until _ | Emit _ | Skip -> []
+
+let gen_stmts =
+  let open QCheck.Gen in
+  let name = oneofl [ "a"; "b"; "c"; "d"; "e"; "f" ] in
+  let expr =
+    sized_size (int_bound 6)
+    @@ fix (fun self n ->
+           let leaf =
+             oneof [ map Expr.int (int_range 0 9); map Expr.ref_ name ]
+           in
+           if n <= 0 then leaf
+           else
+             oneof
+               [
+                 leaf;
+                 map2 (fun x i -> Index (x, i)) name (self (n - 1));
+                 map2 (fun a b -> Expr.(a + b)) (self (n / 2)) (self (n / 2));
+                 map2 (fun a b -> Expr.(a < b)) (self (n / 2)) (self (n / 2));
+                 map Expr.neg (self (n - 1));
+               ])
+  in
+  let arg =
+    oneof [ map (fun e -> Arg_expr e) expr; map (fun x -> Arg_var x) name ]
+  in
+  let stmt =
+    sized_size (int_bound 4)
+    @@ fix (fun self n ->
+           let body = list_size (int_bound 3) (self (n - 1)) in
+           let simple =
+             [
+               map2 (fun x e -> Assign (x, e)) name expr;
+               map3 (fun x i e -> Assign_idx (x, i, e)) name expr expr;
+               map2 (fun x e -> Signal_assign (x, e)) name expr;
+               map (fun e -> Wait_until e) expr;
+               map (fun e -> Emit ("t", e)) expr;
+               map (fun args -> Call ("p", args)) (list_size (int_bound 3) arg);
+               return Skip;
+             ]
+           in
+           let compound =
+             [
+               map2
+                 (fun branches els -> If (branches, els))
+                 (list_size (int_range 1 2) (pair expr body))
+                 body;
+               map2 (fun c b -> While (c, b)) expr body;
+               map4 (fun i lo hi b -> For (i, lo, hi, b)) name expr expr body;
+             ]
+           in
+           oneof (if n <= 0 then simple else simple @ compound))
+  in
+  list_size (int_bound 4) stmt
+
+let prop_names_match_naive =
+  QCheck.Test.make ~count:500
+    ~name:"refs, reads and writes match a naive first-occurrence reference"
+    (QCheck.make gen_stmts ~print:Printer.stmts_to_string)
+    (fun stmts ->
+      let exprs = naive_exprs stmts in
+      let no_dups l = List.length (nub l) = List.length l in
+      List.for_all
+        (fun e ->
+          let r = Expr.refs e in
+          r = nub (naive_occurrences e) && no_dups r)
+        exprs
+      && Stmt.reads stmts = nub (List.concat_map naive_occurrences exprs)
+      && Stmt.writes stmts = nub (naive_writes stmts))
+
 let test_var_users () =
   let users = Analysis.var_users Workloads.Smallspecs.fig1 in
   Alcotest.(check (list string)) "x users" [ "A"; "B"; "C" ]
@@ -607,6 +715,7 @@ let () =
           tc "map_stmts splice" test_stmt_map_stmts;
           tc "map_exprs" test_stmt_map_exprs;
           tc "fold order" test_fold_exprs_order;
+          QCheck_alcotest.to_alcotest prop_names_match_naive;
         ] );
       ( "behavior",
         [

@@ -117,6 +117,74 @@ let test_shadowing_changes_class () =
   in
   ok prog
 
+(* Exact diagnostics of an ill-typed spec under shadowing: the innermost
+   binding decides both the class and the kind of a name, a procedure
+   local beats its parameter, a parameter beats a global, a program
+   variable beats a signal of the same name, and within one declaration
+   list the first entry wins. *)
+let shadow_src =
+  "program shadow is\n\
+  \  var g : bool := false;\n\
+  \  var both : int<8> := 0;\n\
+  \  var twice : int<8> := 0;\n\
+  \  var twice : bool := false;\n\
+  \  signal s : bool := false;\n\
+  \  signal both : bool := false;\n\
+  \  procedure f (g : in int<8>; h : in int<8>) is\n\
+  \    var h : bool;\n\
+  \  begin\n\
+  \    g := true;\n\
+  \    h := 1;\n\
+  \  end procedure;\n\
+  \  behavior TOP : seq is\n\
+  \  begin\n\
+  \    behavior LOCAL : leaf is\n\
+  \      var s : int<8> := 0;\n\
+  \      var d : int<8> := 0;\n\
+  \      var d : bool := false;\n\
+  \    begin\n\
+  \      s := 1;\n\
+  \      s <= 2;\n\
+  \      d := true;\n\
+  \    end behavior\n\
+  \    -> complete;\n\
+  \    behavior GLOBAL : leaf is\n\
+  \    begin\n\
+  \      s := true;\n\
+  \      both := 1;\n\
+  \      twice := true;\n\
+  \      call f(g, 1);\n\
+  \    end behavior\n\
+  \    -> complete;\n\
+  \  end behavior\n\
+   end program"
+
+let test_shadowing_diagnostics () =
+  let ds = Typecheck.diagnostics (Parser.program_of_string_exn shadow_src) in
+  Alcotest.(check (list (triple string string string)))
+    "diagnostics"
+    [
+      ( "TYPE002", "TOP/GLOBAL",
+        "argument g of f g has type bool, expected int" );
+      ( "TYPE002", "TOP/GLOBAL",
+        "assignment: twice is int but the value is bool" );
+      ("TYPE002", "TOP/LOCAL", "assignment: d is int but the value is bool");
+      ( "TYPE002", "procedure f",
+        "procedure f: assignment: g is int but the value is bool" );
+      ( "TYPE002", "procedure f",
+        "procedure f: assignment: h is bool but the value is int" );
+      ( "TYPE004", "TOP/GLOBAL",
+        "variable assignment to signal s (use <=)" );
+      ( "TYPE004", "TOP/LOCAL",
+        "signal assignment to variable s (use :=)" );
+    ]
+    (List.map
+       (fun d ->
+         ( d.Diagnostic.d_code,
+           Diagnostic.path_string d,
+           d.Diagnostic.d_message ))
+       ds)
+
 let test_transition_condition_class () =
   let prog =
     Program.make ~vars:[ iv "x" ] "t"
@@ -216,6 +284,7 @@ let () =
           tc "procedure body" test_proc_body_checked;
           tc "array rules" test_array_rules;
           tc "fir refined well typed" test_fir_well_typed;
+          tc "shadowing diagnostics" test_shadowing_diagnostics;
         ] );
       ( "properties",
         [
