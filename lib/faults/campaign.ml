@@ -8,8 +8,9 @@
     - {!Survived} — same observable behavior, no recovery action needed;
     - {!Detected_recovered} — same observable behavior, reached through
       watchdog retries or TMR repairs (reserved-marker count grew);
-    - {!Deadlock} — the design hung (including deliberate [WDG_ABORT]
-      fail-stops of the hardened protocol);
+    - {!Deadlock} — the design hung or stopped: deliberate [WDG_ABORT]
+      fail-stops of the hardened protocol, and runs halted by an
+      evaluation error (reported with 0 deltas);
     - {!Silent_corruption} — the design completed but its filtered trace
       or final memory state differs from the golden run: the worst case;
     - {!Step_limit} — the budget ran out before an outcome was reached.
@@ -470,18 +471,28 @@ let run ?(config = default_config) ?(simulate = engine_simulate) ?journal
               (match replayed with
               | Some rn -> Some rn
               | None ->
-                let result =
-                  simulate ~config:budget
-                    ~hooks:(with_poll (Inject.hooks faults))
-                    ?ordering:(ordering ()) program
+                (* A fault can drive the design into an expression it
+                   cannot evaluate (a flipped divisor becoming zero): the
+                   run stops there, a fail-stop like [WDG_ABORT].  The
+                   kernel reports no delta count for it. *)
+                let outcome, deltas =
+                  match
+                    simulate ~config:budget
+                      ~hooks:(with_poll (Inject.hooks faults))
+                      ?ordering:(ordering ()) program
+                  with
+                  | result ->
+                    ( classify ~storage ~golden result,
+                      result.Sim.Engine.r_deltas )
+                  | exception Expr.Eval_error _ -> (Deadlock, 0)
                 in
                 let rn =
                   {
                     run_seed = seed;
                     run_class = cls;
                     run_faults = faults;
-                    run_outcome = classify ~storage ~golden result;
-                    run_deltas = result.Sim.Engine.r_deltas;
+                    run_outcome = outcome;
+                    run_deltas = deltas;
                   }
                 in
                 (* Only definitive outcomes checkpoint: a timed-out run

@@ -10,8 +10,10 @@ type outcome =
       (** same observable behavior, reached through watchdog retries or
           TMR repairs (the reserved-marker count grew) *)
   | Deadlock
-      (** the design hung — including deliberate [WDG_ABORT] fail-stops
-          of the hardened protocol *)
+      (** the design hung or stopped — including deliberate [WDG_ABORT]
+          fail-stops of the hardened protocol, and faulty runs halted by
+          an evaluation error such as a division by zero (their
+          [run_deltas] is 0: the kernel reports no count) *)
   | Silent_corruption
       (** completed, but the filtered trace or the (TMR-voted) final
           memory state differs from the golden run: the worst case *)
@@ -115,6 +117,8 @@ val run :
     replay without simulating and every {e definitive} new run — any
     outcome but {!Timed_out} — is checkpointed as it completes, so a
     killed campaign resumes from where it died with an identical report.
+    A faulty run that raises [Spec.Expr.Eval_error] classifies
+    {!Deadlock}; the same error in the golden run propagates.
     @raise Campaign_error when the golden run does not complete (including
     a deadline firing during the golden run). *)
 

@@ -487,18 +487,22 @@ let run_in_session ~(config : config) ~(hooks : hooks) ~ordering
       Hashtbl.replace probe_cache name res;
       res
   in
+  (* The accessors are built once per run; a commit allocates only the
+     probe record itself. *)
+  let pr_read_var name = Option.map ( ! ) (find_cell_cached name) in
+  let pr_write_var name v =
+    match find_cell_cached name with
+    | Some cell ->
+      cell := v;
+      true
+    | None -> false
+  in
   let probe () =
     {
       pr_delta = cx.Interp.cx_delta;
       pr_signals = sigs;
-      pr_read_var = (fun name -> Option.map ( ! ) (find_cell_cached name));
-      pr_write_var =
-        (fun name v ->
-          match find_cell_cached name with
-          | Some cell ->
-            cell := v;
-            true
-          | None -> false);
+      pr_read_var;
+      pr_write_var;
     }
   in
   rebuild ();

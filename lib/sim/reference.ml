@@ -67,19 +67,22 @@ let run ?(config = default_config) ?(hooks = no_hooks) ?ordering
         (Memord.release mo)
     | _ -> ()
   in
+  (* As in the event-driven kernel: accessors once per run, one probe
+     record per commit. *)
+  let pr_read_var name = Option.map ( ! ) (find_cell root_frame root name) in
+  let pr_write_var name v =
+    match find_cell root_frame root name with
+    | Some cell ->
+      cell := v;
+      true
+    | None -> false
+  in
   let probe () =
     {
       pr_delta = cx.Interp.cx_delta;
       pr_signals = cx.Interp.cx_signals;
-      pr_read_var =
-        (fun name -> Option.map ( ! ) (find_cell root_frame root name));
-      pr_write_var =
-        (fun name v ->
-          match find_cell root_frame root name with
-          | Some cell ->
-            cell := v;
-            true
-          | None -> false);
+      pr_read_var;
+      pr_write_var;
     }
   in
   while !outcome = None do

@@ -198,20 +198,33 @@ let pp_value ppf = function
   | VBool false -> Format.pp_print_string ppf "false"
   | VInt n -> Format.pp_print_int ppf n
 
-let pp ppf e =
-  let open Format in
-  let rec go ctx ppf e =
+(* Printing appends to a [Buffer] rather than going through [Format]:
+   the spec printer emits one expression per statement, and a formatter
+   per expression cost more than the text it produced. *)
+let add_value buf = function
+  | VBool true -> Buffer.add_string buf "true"
+  | VBool false -> Buffer.add_string buf "false"
+  | VInt n -> Buffer.add_string buf (string_of_int n)
+
+let add_expr buf e =
+  let rec go ctx e =
     match e with
-    | Const v -> pp_value ppf v
-    | Ref x -> pp_print_string ppf x
-    | Index (x, i) -> fprintf ppf "%s[%a]" x (go 0) i
+    | Const v -> add_value buf v
+    | Ref x -> Buffer.add_string buf x
+    | Index (x, i) ->
+      Buffer.add_string buf x;
+      Buffer.add_char buf '[';
+      go 0 i;
+      Buffer.add_char buf ']'
     | Unop (op, a) ->
       (* The operand prints at level 7 so a nested unary parenthesizes:
          [neg (neg x)] must not print as [--x], which would lex as a
          comment. *)
-      let s = match op with Neg -> "-" | Not -> "not " in
-      if Stdlib.( > ) ctx 6 then fprintf ppf "(%s%a)" s (go 7) a
-      else fprintf ppf "%s%a" s (go 7) a
+      let paren = Stdlib.( > ) ctx 6 in
+      if paren then Buffer.add_char buf '(';
+      Buffer.add_string buf (match op with Neg -> "-" | Not -> "not ");
+      go 7 a;
+      if paren then Buffer.add_char buf ')'
     | Binop (op, a, b) ->
       let p = prec_of_binop op in
       (* Arithmetic and logical operators are left associative (left child
@@ -222,13 +235,20 @@ let pp ppf e =
         | Eq | Neq | Lt | Le | Gt | Ge -> Stdlib.( + ) p 1
         | Add | Sub | Mul | Div | Mod | And | Or -> p
       in
-      let body ppf () =
-        fprintf ppf "%a %s %a" (go lctx) a (binop_symbol op)
-          (go (Stdlib.( + ) p 1)) b
-      in
-      if Stdlib.( > ) ctx p then fprintf ppf "(%a)" body ()
-      else body ppf ()
+      let paren = Stdlib.( > ) ctx p in
+      if paren then Buffer.add_char buf '(';
+      go lctx a;
+      Buffer.add_char buf ' ';
+      Buffer.add_string buf (binop_symbol op);
+      Buffer.add_char buf ' ';
+      go (Stdlib.( + ) p 1) b;
+      if paren then Buffer.add_char buf ')'
   in
-  go 0 ppf e
+  go 0 e
 
-let to_string e = Format.asprintf "%a" pp e
+let to_string e =
+  let buf = Buffer.create 32 in
+  add_expr buf e;
+  Buffer.contents buf
+
+let pp ppf e = Format.pp_print_string ppf (to_string e)

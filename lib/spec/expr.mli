@@ -103,9 +103,14 @@ val size : expr -> int
 
 (** {1 Printing} *)
 
+val add_expr : Buffer.t -> expr -> unit
+(** Append the concrete syntax, with minimal parentheses; the output
+    re-parses to the same expression. *)
+
+val add_value : Buffer.t -> value -> unit
+
 val pp : Format.formatter -> expr -> unit
-(** Concrete syntax, with minimal parentheses; the output re-parses to the
-    same expression. *)
+(** {!add_expr} on a formatter. *)
 
 val pp_value : Format.formatter -> value -> unit
 

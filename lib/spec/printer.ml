@@ -11,53 +11,59 @@ let string_of_ty = function
 
 type ctx = { buf : Buffer.t; mutable indent : int }
 
+(* Expressions print with [%a] and {!Expr.add_expr}, straight into the
+   buffer. *)
 let line ctx fmt =
-  Printf.ksprintf
-    (fun s ->
-      Buffer.add_string ctx.buf (String.make (2 * ctx.indent) ' ');
-      Buffer.add_string ctx.buf s;
-      Buffer.add_char ctx.buf '\n')
-    fmt
+  for _ = 1 to 2 * ctx.indent do
+    Buffer.add_char ctx.buf ' '
+  done;
+  Printf.kbprintf (fun buf -> Buffer.add_char buf '\n') ctx.buf fmt
 
 let with_indent ctx f =
   ctx.indent <- ctx.indent + 1;
   f ();
   ctx.indent <- ctx.indent - 1
 
-let string_of_value v = Format.asprintf "%a" Expr.pp_value v
-let string_of_expr e = Expr.to_string e
-
-let init_suffix = function
-  | None -> ""
-  | Some v -> Printf.sprintf " := %s" (string_of_value v)
+let add_init buf = function
+  | None -> ()
+  | Some v ->
+    Buffer.add_string buf " := ";
+    Expr.add_value buf v
 
 let emit_var ctx v =
-  line ctx "var %s : %s%s;" v.v_name (string_of_ty v.v_ty) (init_suffix v.v_init)
+  line ctx "var %s : %s%a;" v.v_name (string_of_ty v.v_ty) add_init v.v_init
 
 let emit_signal ctx s =
-  line ctx "signal %s : %s%s;" s.s_name (string_of_ty s.s_ty)
-    (init_suffix s.s_init)
+  line ctx "signal %s : %s%a;" s.s_name (string_of_ty s.s_ty) add_init
+    s.s_init
 
-let string_of_arg = function
-  | Arg_expr e -> string_of_expr e
-  | Arg_var x -> "out " ^ x
+let add_args buf args =
+  List.iteri
+    (fun i arg ->
+      if i > 0 then Buffer.add_string buf ", ";
+      match arg with
+      | Arg_expr e -> Expr.add_expr buf e
+      | Arg_var x ->
+        Buffer.add_string buf "out ";
+        Buffer.add_string buf x)
+    args
 
 let rec emit_stmts ctx stmts = List.iter (emit_stmt ctx) stmts
 
 and emit_stmt ctx = function
-  | Assign (x, e) -> line ctx "%s := %s;" x (string_of_expr e)
+  | Assign (x, e) -> line ctx "%s := %a;" x Expr.add_expr e
   | Assign_idx (x, i, e) ->
-    line ctx "%s[%s] := %s;" x (string_of_expr i) (string_of_expr e)
-  | Signal_assign (s, e) -> line ctx "%s <= %s;" s (string_of_expr e)
+    line ctx "%s[%a] := %a;" x Expr.add_expr i Expr.add_expr e
+  | Signal_assign (s, e) -> line ctx "%s <= %a;" s Expr.add_expr e
   | If (branches, els) ->
     begin match branches with
     | [] -> ()
     | (c0, body0) :: rest ->
-      line ctx "if %s then" (string_of_expr c0);
+      line ctx "if %a then" Expr.add_expr c0;
       with_indent ctx (fun () -> emit_stmts ctx body0);
       List.iter
         (fun (c, body) ->
-          line ctx "elsif %s then" (string_of_expr c);
+          line ctx "elsif %a then" Expr.add_expr c;
           with_indent ctx (fun () -> emit_stmts ctx body))
         rest;
       if els <> [] then begin
@@ -67,26 +73,30 @@ and emit_stmt ctx = function
       line ctx "end if;"
     end
   | While (c, body) ->
-    line ctx "while %s do" (string_of_expr c);
+    line ctx "while %a do" Expr.add_expr c;
     with_indent ctx (fun () -> emit_stmts ctx body);
     line ctx "end while;"
   | For (i, lo, hi, body) ->
-    line ctx "for %s := %s to %s do" i (string_of_expr lo) (string_of_expr hi);
+    line ctx "for %s := %a to %a do" i Expr.add_expr lo Expr.add_expr hi;
     with_indent ctx (fun () -> emit_stmts ctx body);
     line ctx "end for;"
-  | Wait_until c -> line ctx "wait until %s;" (string_of_expr c)
-  | Call (p, args) ->
-    line ctx "call %s(%s);" p (String.concat ", " (List.map string_of_arg args))
-  | Emit (tag, e) -> line ctx "emit %S %s;" tag (string_of_expr e)
+  | Wait_until c -> line ctx "wait until %a;" Expr.add_expr c
+  | Call (p, args) -> line ctx "call %s(%a);" p add_args args
+  | Emit (tag, e) -> line ctx "emit %S %a;" tag Expr.add_expr e
   | Skip -> line ctx "skip;"
 
 let string_of_target = function Goto b -> b | Complete -> "complete"
 
-let string_of_transition t =
-  match t.t_cond with
-  | None -> string_of_target t.t_target
-  | Some c ->
-    Printf.sprintf "(%s) %s" (string_of_expr c) (string_of_target t.t_target)
+let add_transitions buf ts =
+  List.iteri
+    (fun i t ->
+      if i > 0 then Buffer.add_string buf ", ";
+      match t.t_cond with
+      | None -> Buffer.add_string buf (string_of_target t.t_target)
+      | Some c ->
+        Printf.bprintf buf "(%a) %s" Expr.add_expr c
+          (string_of_target t.t_target))
+    ts
 
 let rec emit_behavior ctx b =
   let kind =
@@ -110,9 +120,7 @@ let rec emit_behavior ctx b =
             emit_behavior ctx a.a_behavior;
             match a.a_transitions with
             | [] -> line ctx ";"
-            | ts ->
-              line ctx "-> %s;"
-                (String.concat ", " (List.map string_of_transition ts)))
+            | ts -> line ctx "-> %a;" add_transitions ts)
           arms);
   line ctx "end behavior"
 

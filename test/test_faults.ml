@@ -423,6 +423,258 @@ let prop_dropped_done_never_corrupts =
       | Faults.Campaign.Timed_out ->
         QCheck.Test.fail_reportf "drop %s #%d: timed out" signal occurrence)
 
+(* --- targeted hooks ------------------------------------------------------ *)
+
+(* The injection hooks as they were before they became targeted: [decide]
+   on every update of every signal, occurrences counted for every signal,
+   the on-commit hook always installed.  The differential property holds
+   {!Faults.Inject.hooks} to exactly their behavior. *)
+let always_on_hooks faults =
+  let decide ~delta ~name ~occurrence value k =
+    let stuck =
+      List.find_map
+        (function
+          | Faults.Fault.Stuck_at f
+            when String.equal f.st_signal name && delta >= f.st_delta ->
+            Some (Sim.Sigtable.Rewrite f.st_value)
+          | _ -> None)
+        faults
+    in
+    match stuck with
+    | Some action -> action
+    | None ->
+      let transient =
+        List.find_map
+          (function
+            | Faults.Fault.Drop_update f
+              when String.equal f.du_signal name
+                   && occurrence = f.du_occurrence ->
+              Some Sim.Sigtable.Drop
+            | Faults.Fault.Delay_update f
+              when String.equal f.dl_signal name
+                   && occurrence = f.dl_occurrence ->
+              k (delta + f.dl_deltas) value;
+              Some Sim.Sigtable.Drop
+            | _ -> None)
+          faults
+      in
+      Option.value transient ~default:Sim.Sigtable.Pass
+  in
+  let occ : (string, int) Hashtbl.t = Hashtbl.create 64 in
+  let delayed = ref [] in
+  let intercept ~delta name value =
+    let n = Option.value ~default:0 (Hashtbl.find_opt occ name) + 1 in
+    Hashtbl.replace occ name n;
+    decide ~delta ~name ~occurrence:n value (fun due v ->
+        delayed := (due, name, v) :: !delayed)
+  in
+  let on_commit (probe : Sim.Engine.probe) =
+    let now = probe.Sim.Engine.pr_delta in
+    let due, keep = List.partition (fun (d, _, _) -> d <= now) !delayed in
+    delayed := keep;
+    List.iter
+      (fun (_, s, v) ->
+        ignore (Sim.Sigtable.poke probe.Sim.Engine.pr_signals s v))
+      due;
+    List.iter
+      (function
+        | Faults.Fault.Flip_bit f when f.fl_delta = now ->
+          begin match probe.Sim.Engine.pr_read_var f.fl_var with
+          | Some (Ast.VInt v) ->
+            ignore
+              (probe.Sim.Engine.pr_write_var f.fl_var
+                 (Ast.VInt (v lxor (1 lsl f.fl_bit))))
+          | Some (Ast.VBool b) ->
+            ignore (probe.Sim.Engine.pr_write_var f.fl_var (Ast.VBool (not b)))
+          | None -> ()
+          end
+        | _ -> ())
+      faults
+  in
+  {
+    Sim.Engine.h_intercept = Some intercept;
+    h_on_commit = Some on_commit;
+    h_poll = None;
+  }
+
+let flip = Faults.Fault.Flip_bit { fl_var = "i"; fl_bit = 0; fl_delta = 3 }
+let drop = Faults.Fault.Drop_update { du_signal = "go"; du_occurrence = 1 }
+
+let delay =
+  Faults.Fault.Delay_update
+    { dl_signal = "go"; dl_occurrence = 1; dl_deltas = 5 }
+
+let stuck =
+  Faults.Fault.Stuck_at
+    { st_signal = "ack"; st_value = Ast.VBool false; st_delta = 0 }
+
+let test_hooks_installed_only_when_needed () =
+  let installed faults =
+    let h = Faults.Inject.hooks faults in
+    ( Option.is_some h.Sim.Engine.h_intercept,
+      Option.is_some h.Sim.Engine.h_on_commit )
+  in
+  let check name faults expected =
+    Alcotest.(check (pair bool bool)) name expected (installed faults)
+  in
+  check "flip: no intercept" [ flip ] (false, true);
+  check "multi-flip: no intercept" [ flip; flip ] (false, true);
+  check "drop: no on-commit" [ drop ] (true, false);
+  check "stuck-at: no on-commit" [ stuck ] (true, false);
+  check "drop and stuck-at: no on-commit" [ drop; stuck ] (true, false);
+  check "delay: both" [ delay ] (true, true);
+  check "flip and drop: both" [ flip; drop ] (true, true);
+  check "no faults: neither" [] (false, false)
+
+(* The hardened medical designs, each with its golden run and targets,
+   built on first use. *)
+let hardened_cases =
+  lazy
+    (Array.of_list
+       (List.concat_map
+          (fun d ->
+            List.map
+              (fun model ->
+                let options =
+                  { Core.Refiner.default_options with harden = true }
+                in
+                let r =
+                  refine ~options Workloads.Medical.spec
+                    d.Workloads.Designs.d_partition model
+                in
+                let program = r.Core.Refiner.rf_program in
+                let hooks, occurrences = Faults.Inject.counting () in
+                let golden = Sim.Engine.run ~hooks program in
+                ( Printf.sprintf "%s/%s" d.Workloads.Designs.d_name
+                    (Core.Model.name model),
+                  program,
+                  golden,
+                  occurrences,
+                  Faults.Campaign.enumerate r occurrences ))
+              Core.Model.all)
+          Workloads.Designs.all))
+
+(* One fault of any kind, aimed at the case's targets by [pick]s. *)
+let fault_of_picks ~golden ~occurrences targets (kind, a, b, c) =
+  let nth l i = List.nth l (i mod List.length l) in
+  let signals =
+    List.map (fun s -> (s, 0)) targets.Faults.Campaign.tg_handshakes
+    @ targets.Faults.Campaign.tg_lines
+    @ List.map (fun s -> (s, 0)) targets.Faults.Campaign.tg_acks
+  in
+  let occurrence s =
+    1 + (b mod max 1 (Option.value ~default:1 (Hashtbl.find_opt occurrences s)))
+  in
+  let deltas = max 1 golden.Sim.Engine.r_deltas in
+  match kind mod 4 with
+  | 0 ->
+    let var, width = nth targets.Faults.Campaign.tg_storage a in
+    Faults.Fault.Flip_bit
+      {
+        fl_var = var;
+        fl_bit = b mod max 1 width;
+        fl_delta = 1 + (c mod deltas);
+      }
+  | 1 ->
+    let s, _ = nth signals a in
+    Faults.Fault.Drop_update { du_signal = s; du_occurrence = occurrence s }
+  | 2 ->
+    let s, _ = nth signals a in
+    Faults.Fault.Delay_update
+      {
+        dl_signal = s;
+        dl_occurrence = occurrence s;
+        dl_deltas = 1 + (c mod 200);
+      }
+  | _ ->
+    let s, width = nth signals a in
+    Faults.Fault.Stuck_at
+      {
+        st_signal = s;
+        st_value =
+          (if width = 0 then Ast.VBool (b mod 2 = 0)
+           else Ast.VInt (b mod (1 lsl min width 8)));
+        st_delta = c mod deltas;
+      }
+
+let prop_targeted_hooks_match_always_on =
+  let gen =
+    QCheck.Gen.(
+      pair (int_bound 1_000)
+        (list_size (int_range 1 3)
+           (quad (int_bound 3) (int_bound 10_000) (int_bound 10_000)
+              (int_bound 10_000))))
+  in
+  QCheck.Test.make ~count:150
+    ~name:"targeted hooks match the always-on hooks on hardened designs"
+    (QCheck.make gen)
+    (fun (case, picks) ->
+      let cases = Lazy.force hardened_cases in
+      let name, program, golden, occurrences, targets =
+        cases.(case mod Array.length cases)
+      in
+      let faults =
+        List.map (fault_of_picks ~golden ~occurrences targets) picks
+      in
+      let config =
+        {
+          Sim.Engine.default_config with
+          Sim.Engine.max_deltas = (golden.Sim.Engine.r_deltas * 10) + 50_000;
+        }
+      in
+      let simulate hooks =
+        match Sim.Engine.run ~config ~hooks program with
+        | r ->
+          Ok
+            ( r,
+              Faults.Campaign.classify
+                ~storage:targets.Faults.Campaign.tg_storage ~golden r )
+        | exception Expr.Eval_error m -> Error m
+      in
+      let targeted = simulate (Faults.Inject.hooks faults) in
+      let always_on = simulate (always_on_hooks faults) in
+      targeted = always_on
+      || QCheck.Test.fail_reportf "%s [%s]: results differ" name
+           (String.concat "; " (List.map Faults.Fault.describe faults)))
+
+(* A bit flip that turns a divisor into zero used to escape the campaign
+   as [Eval_error "division by zero"]; it is a fail-stop, classified
+   deadlock, on both kernels. *)
+let test_eval_error_classifies_deadlock () =
+  let design = List.nth Workloads.Designs.all 2 in
+  let r =
+    refine
+      ~options:{ Core.Refiner.default_options with harden = true }
+      Workloads.Medical.spec design.Workloads.Designs.d_partition
+      Core.Model.Model2
+  in
+  let config =
+    {
+      Faults.Campaign.default_config with
+      Faults.Campaign.cf_seeds = 1;
+      cf_base_seed = 156;
+      cf_classes = [ Faults.Fault.Bit_flip ];
+    }
+  in
+  let outcomes report =
+    List.map
+      (fun rn -> Faults.Campaign.outcome_name rn.Faults.Campaign.run_outcome)
+      report.Faults.Campaign.rp_runs
+  in
+  let engine = Faults.Campaign.run ~config r in
+  let reference =
+    Faults.Campaign.run ~config
+      ~simulate:(fun ~config ~hooks ?ordering p ->
+        Sim.Reference.run ~config ~hooks ?ordering p)
+      r
+  in
+  Alcotest.(check (list string)) "deadlock" [ "deadlock" ] (outcomes engine);
+  Alcotest.(check (list string)) "same on both kernels" (outcomes engine)
+    (outcomes reference);
+  Alcotest.(check (list string)) "identical JSON"
+    [ Faults.Campaign.to_json engine ]
+    [ Faults.Campaign.to_json reference ]
+
 let () =
   Alcotest.run "faults"
     [
@@ -433,6 +685,8 @@ let () =
           tc "delayed update delivers" test_delay_update_delivers;
           tc "stuck-at forces value" test_stuck_at_forces_value;
           tc "counting hooks" test_counting_hooks;
+          tc "hooks installed only when needed"
+            test_hooks_installed_only_when_needed;
         ] );
       ( "campaign",
         [
@@ -440,6 +694,8 @@ let () =
           tc "hardening improves survival" test_hardening_improves_survival;
           tc "hardened cosim equivalent" test_hardened_cosim_equivalent;
           tc "report rendering" test_report_rendering;
+          tc "evaluation error classifies deadlock"
+            test_eval_error_classifies_deadlock;
         ] );
       ( "resilience",
         [
@@ -450,5 +706,8 @@ let () =
           tc "journal meta binds config" test_campaign_journal_meta_binds_config;
         ] );
       ( "properties",
-        [ QCheck_alcotest.to_alcotest prop_dropped_done_never_corrupts ] );
+        [
+          QCheck_alcotest.to_alcotest prop_dropped_done_never_corrupts;
+          QCheck_alcotest.to_alcotest prop_targeted_hooks_match_always_on;
+        ] );
     ]

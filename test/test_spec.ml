@@ -138,6 +138,92 @@ let prop_expr_roundtrip =
     (QCheck.make gen_expr ~print:Expr.to_string)
     (fun e -> Ast.equal_expr e (Parser.expr_of_string_exn (Expr.to_string e)))
 
+(* qcheck: the buffer printer matches the [Format] printer it replaced,
+   kept here verbatim as the reference. *)
+let format_to_string e =
+  let open Format in
+  let pp_value ppf = function
+    | Ast.VBool true -> pp_print_string ppf "true"
+    | Ast.VBool false -> pp_print_string ppf "false"
+    | Ast.VInt n -> pp_print_int ppf n
+  in
+  let prec = function
+    | Ast.Or -> 1
+    | And -> 2
+    | Eq | Neq | Lt | Le | Gt | Ge -> 3
+    | Add | Sub -> 4
+    | Mul | Div | Mod -> 5
+  in
+  let rec go ctx ppf e =
+    match e with
+    | Ast.Const v -> pp_value ppf v
+    | Ref x -> pp_print_string ppf x
+    | Index (x, i) -> fprintf ppf "%s[%a]" x (go 0) i
+    | Unop (op, a) ->
+      let s = match op with Ast.Neg -> "-" | Not -> "not " in
+      if ctx > 6 then fprintf ppf "(%s%a)" s (go 7) a
+      else fprintf ppf "%s%a" s (go 7) a
+    | Binop (op, a, b) ->
+      let p = prec op in
+      let lctx =
+        match op with
+        | Eq | Neq | Lt | Le | Gt | Ge -> p + 1
+        | Add | Sub | Mul | Div | Mod | And | Or -> p
+      in
+      let body ppf () =
+        fprintf ppf "%a %s %a" (go lctx) a (Expr.binop_symbol op)
+          (go (p + 1)) b
+      in
+      if ctx > p then fprintf ppf "(%a)" body () else body ppf ()
+  in
+  asprintf "%a" (go 0) e
+
+(* Every operator, indexing, negative constants, and the shapes the
+   precedence rules care about: nested unary minus and chained
+   comparisons. *)
+let gen_printer_expr =
+  let open QCheck.Gen in
+  let binops =
+    Ast.[ Add; Sub; Mul; Div; Mod; Eq; Neq; Lt; Le; Gt; Ge; And; Or ]
+  in
+  let leaf =
+    oneof
+      [
+        map Expr.int (int_range (-1000) 1000);
+        map Expr.int (oneofl [ min_int; max_int; -1; 0 ]);
+        map Expr.ref_ (oneofl [ "x"; "y"; "long_signal_name_0" ]);
+        map Expr.bool bool;
+      ]
+  in
+  sized_size (int_range 0 40)
+  @@ fix (fun self n ->
+         if n <= 0 then leaf
+         else
+           frequency
+             [
+               (1, leaf);
+               ( 6,
+                 map3
+                   (fun op a b -> Ast.Binop (op, a, b))
+                   (oneofl binops) (self (n / 2)) (self (n / 2))
+               );
+               (2, map Expr.neg (self (n - 1)));
+               (1, map Expr.not_ (self (n - 1)));
+               (1, map (fun e -> Expr.neg (Expr.neg e)) (self (n - 1)));
+               ( 1,
+                 map3
+                   (fun a b c -> Expr.(a < b = c))
+                   (self (n / 3)) (self (n / 3)) (self (n / 3)) );
+               ( 1,
+                 map2 (fun x i -> Ast.Index (x, i)) (oneofl [ "m"; "mem" ])
+                   (self (n - 1)) );
+             ])
+
+let prop_printer_matches_format =
+  QCheck.Test.make ~count:1000 ~name:"to_string matches the Format printer"
+    (QCheck.make gen_printer_expr ~print:format_to_string)
+    (fun e -> String.equal (Expr.to_string e) (format_to_string e))
+
 (* --- statements --------------------------------------------------------- *)
 
 let sample_stmts =
@@ -703,6 +789,7 @@ let () =
           tc "size" test_expr_size;
           tc "pp/parse units" test_pp_parse_units;
           QCheck_alcotest.to_alcotest prop_expr_roundtrip;
+          QCheck_alcotest.to_alcotest prop_printer_matches_format;
         ] );
       ( "stmt",
         [
