@@ -1,7 +1,8 @@
 (** [mrefine] — command-line driver for the model-refinement flow:
     parse a specification, derive its access graph, partition it, refine
     it to one of the four implementation models, simulate, and check
-    functional equivalence. *)
+    functional equivalence.  The refine, lint, explore, faults and
+    litmus subcommands only wire their flags to a {!Command} request. *)
 
 open Cmdliner
 
@@ -37,32 +38,17 @@ let spec_arg =
     & pos 0 (some file) None
     & info [] ~docv:"SPEC" ~doc:"Specification file (textual SpecCharts-like syntax).")
 
-let model_conv =
-  let parse s =
-    match Core.Model.of_string s with
-    | Some m -> Ok m
-    | None -> Error (`Msg (Printf.sprintf "unknown model %S (use 1-4)" s))
-  in
-  let print ppf m = Format.pp_print_string ppf (Core.Model.name m) in
-  Arg.conv (parse, print)
+let conv_of parse name =
+  Arg.conv
+    ( (fun s -> Result.map_error (fun msg -> `Msg msg) (parse s)),
+      fun ppf v -> Format.pp_print_string ppf (name v) )
 
+let model_conv = conv_of Command.model_of_string Core.Model.name
 let memord_conv =
-  let parse s =
-    Result.map_error (fun msg -> `Msg msg) (Sim.Memord.policy_of_string s)
-  in
-  let print ppf p =
-    Format.pp_print_string ppf (Sim.Memord.policy_to_string p)
-  in
-  Arg.conv (parse, print)
+  conv_of Sim.Memord.policy_of_string Sim.Memord.policy_to_string
 
 let backend_conv =
-  let parse s =
-    Result.map_error (fun msg -> `Msg msg) (Sim.Runtime.backend_of_string s)
-  in
-  let print ppf b =
-    Format.pp_print_string ppf (Sim.Runtime.backend_to_string b)
-  in
-  Arg.conv (parse, print)
+  conv_of Sim.Runtime.backend_of_string Sim.Runtime.backend_to_string
 
 (* Sets the process-wide simulation backend before the command body
    runs, so every simulation the invocation performs — cosim gates,
@@ -84,53 +70,79 @@ let backend_arg =
                interpreter).  Observables are bit-identical; the tree \
                backend exists as the differential oracle."))
 
+let defaults = Command.default_design
+
 let model_arg =
   Arg.(
     value
-    & opt model_conv Core.Model.Model2
+    & opt model_conv defaults.model
     & info [ "m"; "model" ] ~docv:"MODEL"
         ~doc:"Implementation model: model1..model4 (or 1..4).")
 
-let parts_arg =
+let parts_arg default =
   Arg.(
     value
-    & opt int 2
+    & opt int default
     & info [ "p"; "parts" ] ~docv:"N" ~doc:"Number of partitions (components).")
 
-let seed_arg =
-  Arg.(
-    value
-    & opt int 42
-    & info [ "seed" ] ~docv:"SEED" ~doc:"Seed for randomized algorithms.")
+let partitioning_term =
+  let d = defaults.partitioning in
+  let seed =
+    Arg.(
+      value
+      & opt int d.seed
+      & info [ "seed" ] ~docv:"SEED" ~doc:"Seed for randomized algorithms.")
+  in
+  let algo =
+    Arg.(
+      value
+      & opt (enum Command.algos) d.algo
+      & info [ "a"; "algo" ] ~docv:"ALGO"
+          ~doc:"Automatic partitioner: greedy, kl, annealing or clustering.")
+  in
+  let assign =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "assign" ] ~docv:"ASSIGN"
+          ~doc:
+            "Manual partition, e.g. \"A=0,B=1,x=1\"; every behavior object \
+             and variable must be assigned.  Overrides $(b,--algo).")
+  in
+  Term.(
+    const (fun parts algo seed assign -> { Command.parts; algo; seed; assign })
+    $ parts_arg d.parts $ algo $ seed $ assign)
 
-let algo_arg =
-  Arg.(
-    value
-    & opt (enum
-             [ ("greedy", `Greedy); ("kl", `Kl); ("annealing", `Annealing);
-               ("clustering", `Clustering) ])
-        `Greedy
-    & info [ "a"; "algo" ] ~docv:"ALGO"
-        ~doc:"Automatic partitioner: greedy, kl, annealing or clustering.")
+let design_term =
+  let protocol =
+    Arg.(
+      value
+      & opt (enum Command.protocols) defaults.protocol
+      & info [ "protocol" ] ~docv:"PROTO"
+          ~doc:"Bus handshake: four-phase (paper Figure 5d) or two-phase.")
+  in
+  let harden =
+    Arg.(
+      value & flag
+      & info [ "harden" ]
+          ~doc:
+            "Generate the hardened protocol variant: watchdog timeouts with \
+             bounded exponential-backoff retries on every handshake, \
+             idempotent slave re-decode and triplicated memory storage \
+             with majority voting.")
+  in
+  Term.(
+    const (fun partitioning model protocol harden ->
+        { Command.partitioning; model; protocol; harden })
+    $ partitioning_term $ model_arg $ protocol $ harden)
 
-let assign_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "assign" ] ~docv:"ASSIGN"
-        ~doc:
-          "Manual partition, e.g. \"A=0,B=1,x=1\"; every behavior object and \
-           variable must be assigned.  Overrides $(b,--algo).")
-
-let protocol_arg =
-  Arg.(
-    value
-    & opt (enum
-             [ ("four-phase", Core.Protocol.Four_phase);
-               ("two-phase", Core.Protocol.Two_phase) ])
-        Core.Protocol.Four_phase
-    & info [ "protocol" ] ~docv:"PROTO"
-        ~doc:"Bus handshake: four-phase (paper Figure 5d) or two-phase.")
+(* The default protocol, unhardened: for subcommands without those
+   flags. *)
+let plain_design_term =
+  Term.(
+    const (fun partitioning model ->
+        { defaults with Command.partitioning; model })
+    $ partitioning_term $ model_arg)
 
 let output_arg =
   Arg.(
@@ -138,57 +150,14 @@ let output_arg =
     & opt (some string) None
     & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Write output to FILE.")
 
-let harden_arg =
-  Arg.(
-    value & flag
-    & info [ "harden" ]
-        ~doc:
-          "Generate the hardened protocol variant: watchdog timeouts with \
-           bounded exponential-backoff retries on every handshake, \
-           idempotent slave re-decode and triplicated memory storage with \
-           majority voting.")
+let json_arg =
+  Arg.(value & flag & info [ "json" ] ~doc:"Emit the report as JSON.")
 
-(* --- partition construction -------------------------------------------- *)
+let deadline_arg doc =
+  Arg.(value & opt (some float) None & info [ "deadline" ] ~docv:"SECONDS" ~doc)
 
-let partition_of_assign g n_parts assign =
-  let entries = String.split_on_char ',' assign in
-  let parse_entry e =
-    match String.split_on_char '=' (String.trim e) with
-    | [ name; idx ] ->
-      let name = String.trim name in
-      let idx = int_of_string (String.trim idx) in
-      let obj =
-        if List.mem name g.Agraph.Access_graph.g_objects then
-          Partitioning.Partition.Obj_behavior name
-        else if List.mem name g.Agraph.Access_graph.g_variables then
-          Partitioning.Partition.Obj_variable name
-        else failwith (Printf.sprintf "unknown object %s" name)
-      in
-      (obj, idx)
-    | _ -> failwith (Printf.sprintf "bad assignment entry %S" e)
-  in
-  match List.map parse_entry entries with
-  | assocs ->
-    let part = Partitioning.Partition.make ~n_parts assocs in
-    begin match Partitioning.Partition.complete_for g part with
-    | Ok () -> Ok part
-    | Error msgs -> Error (String.concat "; " msgs)
-    end
-  | exception Failure msg -> Error msg
-
-let make_partition g ~n_parts ~algo ~seed ~assign =
-  match assign with
-  | Some a -> partition_of_assign g n_parts a
-  | None ->
-    Ok
-      (match algo with
-      | `Greedy -> Partitioning.Greedy.run g ~n_parts
-      | `Kl -> Partitioning.Kl.run_from_scratch g ~n_parts
-      | `Annealing ->
-        Partitioning.Annealing.run
-          ~config:{ Partitioning.Annealing.default_config with seed }
-          g ~n_parts
-      | `Clustering -> Partitioning.Clustering.run g ~n_parts)
+let resume_arg doc =
+  Arg.(value & opt (some string) None & info [ "resume" ] ~docv:"JOURNAL" ~doc)
 
 let write_out output text =
   match output with
@@ -243,10 +212,10 @@ let graph_cmd =
     Term.(const run $ spec_arg $ dot $ output_arg)
 
 let partition_cmd =
-  let run spec_path n_parts algo seed assign =
+  let run spec_path partitioning =
     let p = or_die (load_spec spec_path) in
     let g = Agraph.Access_graph.of_program p in
-    let part = or_die (make_partition g ~n_parts ~algo ~seed ~assign) in
+    let part = or_die (Command.partition g partitioning) in
     Format.printf "%a@." Partitioning.Partition.pp part;
     let r = Partitioning.Classify.report g part in
     Printf.printf "local variables: %s\nglobal variables: %s\n"
@@ -257,27 +226,15 @@ let partition_cmd =
   in
   Cmd.v
     (Cmd.info "partition" ~doc:"Partition a specification and classify variables.")
-    Term.(const run $ spec_arg $ parts_arg $ algo_arg $ seed_arg $ assign_arg)
+    Term.(const run $ spec_arg $ partitioning_term)
 
 let refine_cmd =
-  let run spec_path model n_parts algo seed assign output quiet protocol harden
-      (_backend : Sim.Runtime.backend) =
+  let run spec_path design output quiet =
     let p = or_die (load_spec spec_path) in
     let g = Agraph.Access_graph.of_program p in
-    let part = or_die (make_partition g ~n_parts ~algo ~seed ~assign) in
-    let options = { Core.Refiner.default_options with protocol; harden } in
-    let r =
-      try Core.Refiner.refine ~options p g part model
-      with Core.Refiner.Refine_error msg -> or_die (Error msg)
-    in
-    begin match Core.Check.run ~original:p r with
-    | Ok () -> ()
-    | Error msgs ->
-      prerr_endline ("mrefine: check failed: " ^ String.concat "; " msgs);
-      exit 1
-    end;
+    let r = or_die (Command.Refine.run p g design) in
     if not quiet then begin
-      Printf.eprintf "model: %s\n" (Core.Model.name model);
+      Printf.eprintf "model: %s\n" (Core.Model.name design.Command.model);
       Printf.eprintf "buses: %s\n"
         (String.concat ", "
            (List.map
@@ -297,17 +254,14 @@ let refine_cmd =
         (Spec.Printer.line_count r.Core.Refiner.rf_program)
         (Core.Metrics.growth ~original:p ~refined:r.Core.Refiner.rf_program)
     end;
-    write_out output (Spec.Printer.program_to_string r.Core.Refiner.rf_program)
+    write_out output (Command.Refine.render r)
   in
   let quiet =
     Arg.(value & flag & info [ "q"; "quiet" ] ~doc:"Suppress the report.")
   in
   Cmd.v
     (Cmd.info "refine" ~doc:"Refine a partitioned specification to a model.")
-    Term.(
-      const run $ spec_arg $ model_arg $ parts_arg $ algo_arg $ seed_arg
-      $ assign_arg $ output_arg $ quiet $ protocol_arg $ harden_arg
-      $ backend_arg)
+    Term.(const run $ spec_arg $ design_term $ output_arg $ quiet)
 
 let simulate_cmd =
   let run spec_path vcd_path (_backend : Sim.Runtime.backend) =
@@ -347,20 +301,15 @@ let simulate_cmd =
     Term.(const run $ spec_arg $ vcd $ backend_arg)
 
 let cosim_cmd =
-  let run spec_path model n_parts algo seed assign protocol harden
-      (_backend : Sim.Runtime.backend) =
+  let run spec_path design (_backend : Sim.Runtime.backend) =
     let p = or_die (load_spec spec_path) in
     let g = Agraph.Access_graph.of_program p in
-    let part = or_die (make_partition g ~n_parts ~algo ~seed ~assign) in
-    let options = { Core.Refiner.default_options with protocol; harden } in
-    let r =
-      try Core.Refiner.refine ~options p g part model
-      with Core.Refiner.Refine_error msg -> or_die (Error msg)
-    in
+    let r = or_die (Command.refine p g design) in
     (* Hardened designs emit reserved watchdog/recovery markers with no
        counterpart in the original trace. *)
     let ignore_prefixes =
-      if harden then Core.Protocol.reserved_tag_prefixes else []
+      if design.Command.harden then Core.Protocol.reserved_tag_prefixes
+      else []
     in
     let v =
       Sim.Cosim.check ~ignore_prefixes ~original:p
@@ -369,7 +318,7 @@ let cosim_cmd =
     if v.Sim.Cosim.v_equivalent then begin
       Printf.printf
         "equivalent: refined %s design matches the original specification\n"
-        (Core.Model.name model);
+        (Core.Model.name design.Command.model);
       Printf.printf "(original: %d deltas; refined: %d deltas)\n"
         v.Sim.Cosim.v_original.Sim.Engine.r_deltas
         v.Sim.Cosim.v_refined.Sim.Engine.r_deltas
@@ -383,9 +332,7 @@ let cosim_cmd =
   Cmd.v
     (Cmd.info "cosim"
        ~doc:"Refine, then co-simulate original vs refined and compare.")
-    Term.(
-      const run $ spec_arg $ model_arg $ parts_arg $ algo_arg $ seed_arg
-      $ assign_arg $ protocol_arg $ harden_arg $ backend_arg)
+    Term.(const run $ spec_arg $ design_term $ backend_arg)
 
 let typecheck_cmd =
   let run spec_path =
@@ -401,19 +348,13 @@ let typecheck_cmd =
     Term.(const run $ spec_arg)
 
 let export_cmd =
-  let run spec_path backend output refine_first model n_parts algo seed assign =
+  let run spec_path backend output refine_first design =
     let p = or_die (load_spec spec_path) in
     let p =
       if not refine_first then p
-      else begin
+      else
         let g = Agraph.Access_graph.of_program p in
-        let part = or_die (make_partition g ~n_parts ~algo ~seed ~assign) in
-        let r =
-          try Core.Refiner.refine p g part model
-          with Core.Refiner.Refine_error msg -> or_die (Error msg)
-        in
-        r.Core.Refiner.rf_program
-      end
+        (or_die (Command.refine p g design)).Core.Refiner.rf_program
     in
     let code =
       match backend with
@@ -440,18 +381,15 @@ let export_cmd =
   Cmd.v
     (Cmd.info "export" ~doc:"Generate VHDL or C from a specification.")
     Term.(
-      const run $ spec_arg $ backend $ output_arg $ refine_first $ model_arg
-      $ parts_arg $ algo_arg $ seed_arg $ assign_arg)
+      const run $ spec_arg $ backend $ output_arg $ refine_first
+      $ plain_design_term)
 
 let quality_cmd =
-  let run spec_path model n_parts algo seed assign =
+  let run spec_path design =
     let p = or_die (load_spec spec_path) in
     let g = Agraph.Access_graph.of_program p in
-    let part = or_die (make_partition g ~n_parts ~algo ~seed ~assign) in
-    let r =
-      try Core.Refiner.refine p g part model
-      with Core.Refiner.Refine_error msg -> or_die (Error msg)
-    in
+    let r = or_die (Command.refine p g design) in
+    let n_parts = design.Command.partitioning.parts in
     if n_parts > 2 then
       prerr_endline
         "mrefine: note: the default allocation pairs a processor with ASICs";
@@ -466,9 +404,7 @@ let quality_cmd =
   Cmd.v
     (Cmd.info "quality"
        ~doc:"Refine and estimate quality metrics (time, size, gates, pins).")
-    Term.(
-      const run $ spec_arg $ model_arg $ parts_arg $ algo_arg $ seed_arg
-      $ assign_arg)
+    Term.(const run $ spec_arg $ plain_design_term)
 
 let demo_cmd =
   let run () =
@@ -499,66 +435,80 @@ let demo_cmd =
     Term.(const run $ const ())
 
 let explore_cmd =
-  let bias_conv =
-    let parse s =
-      match Explore.Candidate.bias_of_string s with
-      | Some b -> Ok b
-      | None ->
-        Error (`Msg (Printf.sprintf
-                       "unknown bias %S (use balanced, local or global)" s))
+  let d = Command.Explore.default in
+  let request =
+    let models =
+      Arg.(
+        value
+        & opt (list model_conv) d.models
+        & info [ "models" ] ~docv:"MODELS"
+            ~doc:"Comma-separated implementation models to sweep (default: \
+                  all four).")
     in
-    let print ppf b =
-      Format.pp_print_string ppf (Explore.Candidate.bias_name b)
+    let seeds =
+      Arg.(
+        value
+        & opt (list int) d.seeds
+        & info [ "seeds" ] ~docv:"SEEDS"
+            ~doc:"Comma-separated partition-search seeds.")
     in
-    Arg.conv (parse, print)
-  in
-  let models_arg =
-    Arg.(
-      value
-      & opt (list model_conv) Core.Model.all
-      & info [ "models" ] ~docv:"MODELS"
-          ~doc:"Comma-separated implementation models to sweep (default: all four).")
-  in
-  let seeds_arg =
-    Arg.(
-      value
-      & opt (list int) [ 1; 2; 3 ]
-      & info [ "seeds" ] ~docv:"SEEDS"
-          ~doc:"Comma-separated partition-search seeds.")
-  in
-  let biases_arg =
-    Arg.(
-      value
-      & opt (list bias_conv) Explore.Candidate.all_biases
-      & info [ "biases" ] ~docv:"BIASES"
-          ~doc:"Comma-separated local/global balance targets: balanced, \
-                local, global (default: all three).")
-  in
-  let jobs_arg =
-    Arg.(
-      value
-      & opt int 1
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:"Worker domains evaluating candidates in parallel.  The \
-                result is identical for every N.")
-  in
-  let json_arg =
-    Arg.(value & flag & info [ "json" ] ~doc:"Emit the report as JSON.")
-  in
-  let top_arg =
-    Arg.(
-      value
-      & opt int 0
-      & info [ "top" ] ~docv:"K"
-          ~doc:"Show only the first K candidate rows (0 = all).  The \
-                Pareto frontier is always printed in full.")
-  in
-  let steps_arg =
-    Arg.(
-      value
-      & opt int 4000
-      & info [ "steps" ] ~docv:"STEPS"
-          ~doc:"Annealing steps per partition search.")
+    let biases =
+      Arg.(
+        value
+        & opt
+            (list
+               (conv_of Command.bias_of_string Explore.Candidate.bias_name))
+            d.biases
+        & info [ "biases" ] ~docv:"BIASES"
+            ~doc:"Comma-separated local/global balance targets: balanced, \
+                  local, global (default: all three).")
+    in
+    let steps =
+      Arg.(
+        value
+        & opt int d.steps
+        & info [ "steps" ] ~docv:"STEPS"
+            ~doc:"Annealing steps per partition search.")
+    in
+    let jobs =
+      Arg.(
+        value
+        & opt int d.jobs
+        & info [ "j"; "jobs" ] ~docv:"N"
+            ~doc:"Worker domains evaluating candidates in parallel.  The \
+                  result is identical for every N.")
+    in
+    let top =
+      Arg.(
+        value
+        & opt int d.top
+        & info [ "top" ] ~docv:"K"
+            ~doc:"Show only the first K candidate rows (0 = all).  The \
+                  Pareto frontier is always printed in full.")
+    in
+    let deadline =
+      deadline_arg
+        "Per-candidate wall-clock budget.  A candidate exceeding it (e.g. \
+         a runaway simulation) is cancelled cooperatively and reported as \
+         timed out; the other workers are unaffected and nothing transient \
+         is cached."
+    in
+    let retries =
+      Arg.(
+        value
+        & opt int d.retries
+        & info [ "retries" ] ~docv:"N"
+            ~doc:"Supervised retries (with exponential backoff) for an \
+                  evaluation that raises, before the candidate is \
+                  quarantined as crashed.")
+    in
+    Term.(
+      const
+        (fun models seeds biases parts steps jobs top deadline retries json ->
+          { Command.Explore.models; seeds; biases; parts; steps; jobs; top;
+            deadline; retries; json })
+      $ models $ seeds $ biases $ parts_arg d.parts $ steps $ jobs $ top
+      $ deadline $ retries $ json_arg)
   in
   let cache_dir_arg =
     Arg.(
@@ -573,42 +523,15 @@ let explore_cmd =
       value & flag
       & info [ "no-cache" ] ~doc:"Do not read or write the on-disk cache.")
   in
-  let deadline_arg =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "deadline" ] ~docv:"SECONDS"
-          ~doc:"Per-candidate wall-clock budget.  A candidate exceeding it \
-                (e.g. a runaway simulation) is cancelled cooperatively and \
-                reported as timed out; the other workers are unaffected \
-                and nothing transient is cached.")
+  let resume =
+    resume_arg
+      "Checkpoint journal file (created if missing).  Every definitive \
+       evaluation is appended as it completes; rerun with the same journal \
+       after a crash or kill to replay completed candidates and continue \
+       from the frontier."
   in
-  let retries_arg =
-    Arg.(
-      value
-      & opt int 2
-      & info [ "retries" ] ~docv:"N"
-          ~doc:"Supervised retries (with exponential backoff) for an \
-                evaluation that raises, before the candidate is \
-                quarantined as crashed.")
-  in
-  let resume_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "resume" ] ~docv:"JOURNAL"
-          ~doc:"Checkpoint journal file (created if missing).  Every \
-                definitive evaluation is appended as it completes; rerun \
-                with the same journal after a crash or kill to replay \
-                completed candidates and continue from the frontier.")
-  in
-  let run spec_path models seeds biases n_parts steps jobs json top cache_dir
-      no_cache deadline retries resume output =
+  let run spec_path req cache_dir no_cache resume output =
     let p = or_die (load_spec spec_path) in
-    if jobs < 1 then or_die (Error "--jobs must be >= 1");
-    if retries < 0 then or_die (Error "--retries must be >= 0");
-    if models = [] || seeds = [] || biases = [] then
-      or_die (Error "--models, --seeds and --biases must be non-empty");
     let cache =
       if no_cache then Explore.Cache.create ()
       else
@@ -618,36 +541,8 @@ let explore_cmd =
             (Error (Printf.sprintf "cannot create cache directory %s: %s"
                       cache_dir msg))
     in
-    let config =
-      {
-        Explore.Sweep.seeds;
-        biases;
-        models;
-        n_parts;
-        steps;
-        jobs;
-        deadline_s = deadline;
-        retries;
-        backoff_s = Explore.Sweep.default_config.Explore.Sweep.backoff_s;
-      }
-    in
-    let journal =
-      match resume with
-      | None -> None
-      | Some path ->
-        (try
-           Some
-             (Checkpoint.Journal.open_ ~path
-                ~meta:(Explore.Sweep.journal_meta config p))
-         with Checkpoint.Journal.Journal_error msg -> or_die (Error msg))
-    in
-    let sw = Explore.Sweep.run ~cache ?journal config p in
-    Option.iter Checkpoint.Journal.close journal;
-    let report =
-      if json then Explore.Sweep.to_json ~top sw
-      else Explore.Sweep.to_text ~top sw
-    in
-    write_out output report
+    let sw = or_die (Command.Explore.run ~cache ?resume p req) in
+    write_out output (Command.Explore.render req sw)
   in
   Cmd.v
     (Cmd.info "explore"
@@ -660,142 +555,90 @@ let explore_cmd =
           of aborting, and $(b,--resume) checkpoints every completed \
           evaluation to a crash-safe journal.")
     Term.(
-      const run $ spec_arg $ models_arg $ seeds_arg $ biases_arg $ parts_arg
-      $ steps_arg $ jobs_arg $ json_arg $ top_arg $ cache_dir_arg
-      $ no_cache_arg $ deadline_arg $ retries_arg $ resume_arg $ output_arg)
+      const run $ spec_arg $ request $ cache_dir_arg $ no_cache_arg $ resume
+      $ output_arg)
 
 let faults_cmd =
-  let cls_conv =
-    let parse s =
-      match Faults.Fault.cls_of_name s with
-      | Some c -> Ok c
-      | None ->
-        Error
-          (`Msg
-            (Printf.sprintf "unknown fault class %S (use %s)" s
-               (String.concat ", "
-                  (List.map Faults.Fault.cls_name Faults.Fault.all_classes))))
+  let d = Command.Faults.default in
+  let request =
+    let classes =
+      Arg.(
+        value
+        & opt
+            (list (conv_of Command.fault_class_of_string Faults.Fault.cls_name))
+            d.classes
+        & info [ "faults" ] ~docv:"CLASSES"
+            ~doc:
+              "Comma-separated fault classes to inject: bit-flip, \
+               multi-bit-flip, drop-handshake, delay-handshake, stuck-line, \
+               grant-starvation (default: all).")
     in
-    let print ppf c = Format.pp_print_string ppf (Faults.Fault.cls_name c) in
-    Arg.conv (parse, print)
+    let seeds =
+      Arg.(
+        value
+        & opt int d.seeds
+        & info [ "seeds" ] ~docv:"N"
+            ~doc:"Seeded campaign rounds; each round draws one fault per \
+                  class.")
+    in
+    let base_seed =
+      Arg.(
+        value
+        & opt int d.base_seed
+        & info [ "base-seed" ] ~docv:"SEED"
+            ~doc:"Base seed of the campaign's deterministic fault draws.")
+    in
+    let deadline =
+      deadline_arg
+        "Wall-clock budget of the whole campaign: once exceeded, the \
+         running simulation is cancelled cooperatively and the remaining \
+         runs are classified timed-out instead of hanging the command."
+    in
+    let ordering =
+      Arg.(
+        value
+        & opt memord_conv d.ordering
+        & info [ "ordering" ] ~docv:"POLICY"
+            ~doc:"Port-ordering semantics of the refined multi-port memory \
+                  during the campaign: sc (default, today's sequentially \
+                  consistent commits), per-port-fifo, or relaxed[:N] \
+                  (bounded per-port reordering window).  Every run, golden \
+                  and faulty alike, executes under the same policy and \
+                  scheduler seed.")
+    in
+    Term.(
+      const
+        (fun design classes seeds base_seed json deadline ordering backend ->
+          { Command.Faults.design; classes; seeds; base_seed; deadline;
+            ordering; backend; json })
+      $ design_term $ classes $ seeds $ base_seed $ json_arg $ deadline
+      $ ordering $ backend_arg)
   in
-  let classes_arg =
-    Arg.(
-      value
-      & opt (list cls_conv) Faults.Fault.all_classes
-      & info [ "faults" ] ~docv:"CLASSES"
-          ~doc:
-            "Comma-separated fault classes to inject: bit-flip, \
-             multi-bit-flip, drop-handshake, delay-handshake, stuck-line, \
-             grant-starvation (default: all).")
+  let resume =
+    resume_arg
+      "Checkpoint journal file (created if missing).  Every classified run \
+       is appended as it completes; rerun with the same journal to replay \
+       completed runs and continue the campaign from where it stopped."
   in
-  let seeds_arg =
-    Arg.(
-      value
-      & opt int 8
-      & info [ "seeds" ] ~docv:"N"
-          ~doc:"Seeded campaign rounds; each round draws one fault per class.")
+  (* A campaign against an unhardened design: surface the contextual
+     ROBUST001 warnings so the deadlocks it reports come as no surprise. *)
+  let robust_warnings (r : Core.Refiner.t) =
+    match Lint.Registry.find_pass "robust" with
+    | None -> ()
+    | Some pass ->
+      Lint.Registry.run ~phase:Lint.Registry.Post ~typecheck:false
+        ~passes:[ pass ] r.Core.Refiner.rf_program
+      |> List.iter (fun d ->
+             prerr_endline ("mrefine: " ^ Spec.Diagnostic.to_string d))
   in
-  let base_seed_arg =
-    Arg.(
-      value
-      & opt int 1
-      & info [ "base-seed" ] ~docv:"SEED"
-          ~doc:"Base seed of the campaign's deterministic fault draws.")
-  in
-  let json_arg =
-    Arg.(value & flag & info [ "json" ] ~doc:"Emit the report as JSON.")
-  in
-  let deadline_arg =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "deadline" ] ~docv:"SECONDS"
-          ~doc:"Wall-clock budget of the whole campaign: once exceeded, \
-                the running simulation is cancelled cooperatively and the \
-                remaining runs are classified timed-out instead of \
-                hanging the command.")
-  in
-  let resume_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "resume" ] ~docv:"JOURNAL"
-          ~doc:"Checkpoint journal file (created if missing).  Every \
-                classified run is appended as it completes; rerun with the \
-                same journal to replay completed runs and continue the \
-                campaign from where it stopped.")
-  in
-  let ordering_arg =
-    Arg.(
-      value
-      & opt memord_conv Sim.Memord.Sc
-      & info [ "ordering" ] ~docv:"POLICY"
-          ~doc:"Port-ordering semantics of the refined multi-port memory \
-                during the campaign: sc (default, today's sequentially \
-                consistent commits), per-port-fifo, or relaxed[:N] \
-                (bounded per-port reordering window).  Every run, golden \
-                and faulty alike, executes under the same policy and \
-                scheduler seed.")
-  in
-  let run spec_path model n_parts algo seed assign protocol harden classes
-      seeds base_seed json deadline resume ordering output
-      (_backend : Sim.Runtime.backend) =
+  let run spec_path req resume output =
     let p = or_die (load_spec spec_path) in
-    if seeds < 1 then or_die (Error "--seeds must be >= 1");
-    if classes = [] then or_die (Error "--faults must be non-empty");
     let g = Agraph.Access_graph.of_program p in
-    let part = or_die (make_partition g ~n_parts ~algo ~seed ~assign) in
-    let options = { Core.Refiner.default_options with protocol; harden } in
-    let r =
-      try Core.Refiner.refine ~options p g part model
-      with Core.Refiner.Refine_error msg -> or_die (Error msg)
+    let on_refined r =
+      if not req.Command.Faults.design.harden then robust_warnings r
     in
-    (* A campaign against an unhardened design: surface the contextual
-       ROBUST001 warnings so the deadlocks below come as no surprise. *)
-    if not harden then begin
-      match Lint.Registry.find_pass "robust" with
-      | None -> ()
-      | Some pass ->
-        let ds =
-          Lint.Registry.run ~phase:Lint.Registry.Post ~typecheck:false
-            ~passes:[ pass ] r.Core.Refiner.rf_program
-        in
-        List.iter
-          (fun d -> prerr_endline ("mrefine: " ^ Spec.Diagnostic.to_string d))
-          ds
-    end;
-    let config =
-      {
-        Faults.Campaign.default_config with
-        Faults.Campaign.cf_seeds = seeds;
-        cf_base_seed = base_seed;
-        cf_classes = classes;
-        cf_deadline_s = deadline;
-        cf_ordering = ordering;
-      }
-    in
-    let journal =
-      match resume with
-      | None -> None
-      | Some path ->
-        (try
-           Some
-             (Checkpoint.Journal.open_ ~path
-                ~meta:(Faults.Campaign.journal_meta config r))
-         with Checkpoint.Journal.Journal_error msg -> or_die (Error msg))
-    in
-    let report =
-      try Faults.Campaign.run ~config ?journal r
-      with Faults.Campaign.Campaign_error msg ->
-        or_die (Error ("fault campaign: " ^ msg))
-    in
-    Option.iter Checkpoint.Journal.close journal;
-    let text =
-      if json then Faults.Campaign.to_json report
-      else Faults.Campaign.to_text report
-    in
-    write_out output text
+    let rp = or_die (Command.Faults.run ?resume ~on_refined p g req) in
+    write_out output (Command.Faults.render req rp)
   in
   Cmd.v
     (Cmd.info "faults"
@@ -806,94 +649,62 @@ let faults_cmd =
           starvation.  Classifies every run as survived, recovered, \
           deadlock, silent-corruption or step-limit; with $(b,--harden) \
           the design retries and repairs instead of hanging.")
-    Term.(
-      const run $ spec_arg $ model_arg $ parts_arg $ algo_arg $ seed_arg
-      $ assign_arg $ protocol_arg $ harden_arg $ classes_arg $ seeds_arg
-      $ base_seed_arg $ json_arg $ deadline_arg $ resume_arg $ ordering_arg
-      $ output_arg $ backend_arg)
+    Term.(const run $ spec_arg $ request $ resume $ output_arg)
 
 let litmus_cmd =
-  let orderings_arg =
-    Arg.(
-      value
-      & opt (list memord_conv)
-          [
-            Sim.Memord.Sc;
-            Sim.Memord.Per_port_fifo;
-            Sim.Memord.Relaxed Sim.Memord.default_window;
-          ]
-      & info [ "ordering" ] ~docv:"POLICIES"
-          ~doc:"Comma-separated port-ordering policies to run each shape \
-                under: sc, per-port-fifo, relaxed[:N] (default: all \
-                three).")
-  in
-  let shapes_arg =
-    Arg.(
-      value
-      & opt (list string) []
-      & info [ "shape" ] ~docv:"NAMES"
-          ~doc:"Comma-separated shape names to run (default: all).  \
-                Available: sb, mp, lb, co, mem, mem-tmr.")
-  in
-  let seeds_arg =
-    Arg.(
-      value
-      & opt int 4
-      & info [ "seeds" ] ~docv:"N"
-          ~doc:"Scheduler seeds 1..N per weak ordering (sc is \
-                deterministic and runs once).")
-  in
-  let faults_arg =
-    Arg.(
-      value & flag
-      & info [ "faults" ]
-          ~doc:"Also run each shape under its canned fault plans (a late \
-                bit flip pushing an observed register out of the domain, \
-                and a dropped handshake edge) from $(b,lib/faults).")
-  in
-  let json_arg =
-    Arg.(value & flag & info [ "json" ] ~doc:"Emit the report as JSON.")
-  in
-  let run orderings shapes seeds faults json output
-      (_backend : Sim.Runtime.backend) =
-    if seeds < 1 then or_die (Error "--seeds must be >= 1");
-    if orderings = [] then or_die (Error "--ordering must be non-empty");
-    let cf_shapes =
-      match shapes with
-      | [] -> Litmus.Shape.all ()
-      | names ->
-        List.map
-          (fun n ->
-            match Litmus.Shape.find n with
-            | Some s -> s
-            | None ->
-              or_die
-                (Error
-                   (Printf.sprintf
-                      "unknown litmus shape %S (use sb, mp, lb, co, mem or \
-                       mem-tmr)"
-                      n)))
-          names
+  let d = Command.Litmus.default in
+  let request =
+    let orderings =
+      Arg.(
+        value
+        & opt (list memord_conv) d.orderings
+        & info [ "ordering" ] ~docv:"POLICIES"
+            ~doc:"Comma-separated port-ordering policies to run each shape \
+                  under: sc, per-port-fifo, relaxed[:N] (default: all \
+                  three).")
     in
-    let cfg =
-      {
-        Litmus.Suite.cf_shapes;
-        cf_orderings = orderings;
-        cf_seeds = seeds;
-        cf_faults = faults;
-        (* [--backend] already set the process default; None defers to it *)
-        cf_backend = None;
-      }
+    let shapes =
+      Arg.(
+        value
+        & opt
+            (list
+               (conv_of Command.shape_of_string (fun s ->
+                    s.Litmus.Shape.sh_name)))
+            d.shapes
+        & info [ "shape" ] ~docv:"NAMES"
+            ~doc:"Comma-separated shape names to run (default: all).  \
+                  Available: sb, mp, lb, co, mem, mem-tmr.")
     in
-    let rp = Litmus.Suite.run cfg in
-    write_out output
-      (if json then Litmus.Suite.to_json rp else Litmus.Suite.to_text rp);
+    let seeds =
+      Arg.(
+        value
+        & opt int d.seeds
+        & info [ "seeds" ] ~docv:"N"
+            ~doc:"Scheduler seeds 1..N per weak ordering (sc is \
+                  deterministic and runs once).")
+    in
+    let faults =
+      Arg.(
+        value & flag
+        & info [ "faults" ]
+            ~doc:"Also run each shape under its canned fault plans (a late \
+                  bit flip pushing an observed register out of the domain, \
+                  and a dropped handshake edge) from $(b,lib/faults).")
+    in
+    Term.(
+      const (fun orderings shapes seeds faults json backend ->
+          { Command.Litmus.shapes; orderings; seeds; faults; backend; json })
+      $ orderings $ shapes $ seeds $ faults $ json_arg $ backend_arg)
+  in
+  let run req output =
+    let rp = or_die (Command.Litmus.run req) in
+    write_out output (Command.Litmus.render req rp);
     (* Forbidden outcomes, corruption outside fault injection, and kernel
        disagreements all mean the ordering model is broken — fail. *)
     let bad =
       rp.Litmus.Suite.rp_forbidden > 0
       || rp.Litmus.Suite.rp_kernel_mismatches > 0
-      || (not faults) && rp.Litmus.Suite.rp_corruption > 0
+      || (not req.Command.Litmus.faults) && rp.Litmus.Suite.rp_corruption > 0
     in
     if bad then exit 1
   in
@@ -909,29 +720,10 @@ let litmus_cmd =
           shape's enumerated allowed sets, and reports RACE003 for shapes \
           whose outcome is ordering-dependent.  Exits non-zero on any \
           forbidden outcome, fault-free corruption, or kernel mismatch.")
-    Term.(
-      const run $ orderings_arg $ shapes_arg $ seeds_arg $ faults_arg
-      $ json_arg $ output_arg $ backend_arg)
+    Term.(const run $ request $ output_arg)
 
 let lint_cmd =
-  let severity_conv =
-    let parse s =
-      match Spec.Diagnostic.severity_of_string s with
-      | Some sev -> Ok sev
-      | None ->
-        Error (`Msg (Printf.sprintf
-                       "unknown severity %S (use info, warning or error)" s))
-    in
-    let print ppf sev =
-      Format.pp_print_string ppf (Spec.Diagnostic.severity_name sev)
-    in
-    Arg.conv (parse, print)
-  in
-  let phase_conv =
-    Arg.enum
-      [ ("auto", None); ("pre", Some Lint.Registry.Pre);
-        ("post", Some Lint.Registry.Post) ]
-  in
+  let r = Command.Lint.default_report in
   let spec_opt_arg =
     Arg.(
       value
@@ -942,7 +734,10 @@ let lint_cmd =
   let severity_arg =
     Arg.(
       value
-      & opt severity_conv Spec.Diagnostic.Info
+      & opt
+          (some' ~none:r.severity
+             (conv_of Command.severity_of_string Spec.Diagnostic.severity_name))
+          None
       & info [ "severity" ] ~docv:"LEVEL"
           ~doc:"Report only diagnostics of at least this severity: info \
                 (default), warning or error.")
@@ -958,14 +753,11 @@ let lint_cmd =
   let phase_arg =
     Arg.(
       value
-      & opt phase_conv None
+      & opt (some' ~none:r.phase (enum Command.phases)) None
       & info [ "phase" ] ~docv:"PHASE"
           ~doc:"Severity policy phase: pre (unpartitioned input), post \
                 (refined output) or auto (detect from the program shape; \
                 default).")
-  in
-  let json_arg =
-    Arg.(value & flag & info [ "json" ] ~doc:"Emit the report as JSON.")
   in
   let workloads_arg =
     Arg.(
@@ -994,11 +786,14 @@ let lint_cmd =
       value & flag
       & info [ "fix" ]
           ~doc:"Rewrite the spec to fix the mechanical diagnostics \
-                (CONT001, PROTO003, WIDTH001; restrict with $(b,--code)) \
-                and print the fixed source.  Every rewrite is gated: it \
-                must re-parse, re-lint clean for the fixed code and \
-                cosimulate bit-identically with the input; refused fixes \
-                are reported on stderr with the reason.")
+                (CONT001, PROTO003, WIDTH001; restrict with $(b,--code), \
+                which must name fixable codes only) and print the fixed \
+                source.  Every rewrite is gated: it must re-parse, re-lint \
+                clean for the fixed code and cosimulate bit-identically \
+                with the input; refused fixes are reported on stderr with \
+                the reason.  The report-only options ($(b,--severity), \
+                $(b,--phase), $(b,--severity-override), $(b,--flow)) are \
+                rejected.")
   in
   let override_arg =
     Arg.(
@@ -1011,13 +806,10 @@ let lint_cmd =
                 applied before $(b,--severity) filtering and the exit \
                 code.")
   in
-  (* One lint target: a named program with an optional forced phase and,
-     for targets read from a file, the parser's source-line table. *)
-  let lint_target overrides flow (name, p, phase, locs) =
-    let ds = Lint.Registry.run ?phase ~overrides ~flow p in
-    (name, p, phase, locs, ds)
-  in
   let workload_targets () =
+    let target ?phase (t_name, t_program) =
+      { Command.Lint.t_name; t_program; t_phase = phase; t_locations = None }
+    in
     let builtin =
       [
         ("fig1", Workloads.Smallspecs.fig1);
@@ -1037,15 +829,40 @@ let lint_cmd =
                 Core.Refiner.refine Workloads.Medical.spec
                   Workloads.Medical.graph d.Workloads.Designs.d_partition m
               in
-              ( Printf.sprintf "medical/%s/%s" d.Workloads.Designs.d_name
-                  (Core.Model.name m),
-                r.Core.Refiner.rf_program,
-                Some Lint.Registry.Post ))
+              target ~phase:Lint.Registry.Post
+                ( Printf.sprintf "medical/%s/%s" d.Workloads.Designs.d_name
+                    (Core.Model.name m),
+                  r.Core.Refiner.rf_program ))
             Core.Model.all)
         Workloads.Designs.all
     in
-    List.map (fun (n, p) -> (n, p, None)) builtin @ refined
-    |> List.map (fun (n, p, ph) -> (n, p, ph, None))
+    List.map target builtin @ refined
+  in
+  let request severity codes phase json overrides flow fix =
+    if fix then
+      Command.Lint.fix ~codes ~json
+        ~given:
+          (List.filter_map
+             (fun (set, flag) -> if set then Some flag else None)
+             [ (severity <> None, "--severity"); (phase <> None, "--phase");
+               (overrides <> [], "--severity-override"); (flow, "--flow") ])
+    else
+      let overrides =
+        List.map (fun s -> or_die (Lint.Registry.parse_override s)) overrides
+      in
+      Ok
+        {
+          Command.Lint.codes;
+          json;
+          mode =
+            Report
+              {
+                severity = Option.value severity ~default:r.severity;
+                phase = Option.join phase;
+                overrides;
+                flow;
+              };
+        }
   in
   let run spec_path severity codes phase json workloads list_codes overrides
       flow fix output =
@@ -1055,119 +872,33 @@ let lint_cmd =
         Lint.Registry.code_table;
       exit 0
     end;
-    if fix then begin
-      (match spec_path with
-      | None -> or_die (Error "--fix needs a SPEC file (not --workloads)")
-      | Some path ->
-        let p, _ = or_die (load_spec_located path) in
-        let fix_codes =
-          if codes = [] then Lint.Fixer.fixable_codes
-          else begin
-            match
-              List.filter
-                (fun c -> List.mem c Lint.Fixer.fixable_codes)
-                codes
-            with
-            | [] ->
-              or_die
-                (Error
-                   (Printf.sprintf "no fixable code among %s (fixable: %s)"
-                      (String.concat ", " codes)
-                      (String.concat ", " Lint.Fixer.fixable_codes)))
-            | sel -> sel
-          end
-        in
-        let r = Lint.Fixer.fix ~codes:fix_codes p in
-        if json then begin
-          let applied =
-            List.map
-              (fun (a : Lint.Fixer.applied) ->
-                Printf.sprintf
-                  "{\"code\":\"%s\",\"loc\":\"%s\",\"note\":\"%s\"}"
-                  (Spec.Diagnostic.json_escape a.Lint.Fixer.fx_code)
-                  (Spec.Diagnostic.json_escape a.Lint.Fixer.fx_loc)
-                  (Spec.Diagnostic.json_escape a.Lint.Fixer.fx_note))
-              r.Lint.Fixer.x_applied
-          in
-          let refused =
-            List.map
-              (fun (f : Lint.Fixer.refused) ->
-                Printf.sprintf
-                  "{\"code\":\"%s\",\"loc\":\"%s\",\"reason\":\"%s\"}"
-                  (Spec.Diagnostic.json_escape f.Lint.Fixer.fr_code)
-                  (Spec.Diagnostic.json_escape f.Lint.Fixer.fr_loc)
-                  (Spec.Diagnostic.json_escape f.Lint.Fixer.fr_reason))
-              r.Lint.Fixer.x_refused
-          in
-          write_out output
-            (Printf.sprintf
-               "{\"changed\":%b,\"applied\":[%s],\"refused\":[%s],\
-                \"source\":\"%s\"}"
-               r.Lint.Fixer.x_changed
-               (String.concat "," applied)
-               (String.concat "," refused)
-               (Spec.Diagnostic.json_escape r.Lint.Fixer.x_source))
-        end
-        else begin
-          List.iter
-            (fun (a : Lint.Fixer.applied) ->
-              Printf.eprintf "applied %s %s: %s\n" a.Lint.Fixer.fx_code
-                a.Lint.Fixer.fx_loc a.Lint.Fixer.fx_note)
-            r.Lint.Fixer.x_applied;
-          List.iter
-            (fun (f : Lint.Fixer.refused) ->
-              Printf.eprintf "refused %s %s: %s\n" f.Lint.Fixer.fr_code
-                f.Lint.Fixer.fr_loc f.Lint.Fixer.fr_reason)
-            r.Lint.Fixer.x_refused;
-          write_out output r.Lint.Fixer.x_source
-        end);
-      exit 0
-    end;
-    let overrides =
-      List.map
-        (fun s ->
-          match Lint.Registry.parse_override s with
-          | Ok ov -> ov
-          | Error msg -> or_die (Error msg))
-        overrides
-    in
+    let req = or_die (request severity codes phase json overrides flow fix) in
     let targets =
-      if workloads then workload_targets ()
-      else
-        match spec_path with
-        | None -> or_die (Error "give a SPEC file or --workloads")
-        | Some path ->
-          let p, locs = or_die (load_spec_located path) in
-          [ (path, p, phase, Some locs) ]
+      match (spec_path, workloads) with
+      | _, true -> workload_targets ()
+      | Some path, false ->
+        let p, locs = or_die (load_spec_located path) in
+        [ Command.Lint.target req path p locs ]
+      | None, false -> or_die (Error "give a SPEC file or --workloads")
     in
-    let results = List.map (lint_target overrides flow) targets in
-    let keep d =
-      Spec.Diagnostic.severity_rank d.Spec.Diagnostic.d_severity
-      <= Spec.Diagnostic.severity_rank severity
-      && (codes = [] || List.mem d.Spec.Diagnostic.d_code codes)
-    in
-    let targets =
-      List.map
-        (fun (name, p, ph, locs, ds) ->
-          let ds = List.filter keep ds in
-          let ds =
-            match locs with
-            | Some locs -> Lint.Report.locate ~file:name locs ds
-            | None -> ds
-          in
-          let t_phase =
-            match ph with
-            | Some ph -> ph
-            | None -> Lint.Registry.infer_phase p
-          in
-          { Lint.Report.t_name = name; t_phase; t_diags = ds })
-        results
-    in
-    let report =
-      if json then Lint.Report.to_json targets else Lint.Report.to_text targets
-    in
-    write_out output report;
-    if Lint.Report.errors targets > 0 then exit 1
+    let outcome = or_die (Command.Lint.run req targets) in
+    (match outcome with
+    | Fixed x when not json ->
+      List.iter
+        (fun (a : Lint.Fixer.applied) ->
+          Printf.eprintf "applied %s %s: %s\n" a.Lint.Fixer.fx_code
+            a.Lint.Fixer.fx_loc a.Lint.Fixer.fx_note)
+        x.Lint.Fixer.x_applied;
+      List.iter
+        (fun (f : Lint.Fixer.refused) ->
+          Printf.eprintf "refused %s %s: %s\n" f.Lint.Fixer.fr_code
+            f.Lint.Fixer.fr_loc f.Lint.Fixer.fr_reason)
+        x.Lint.Fixer.x_refused
+    | _ -> ());
+    write_out output (Command.Lint.render req outcome);
+    match outcome with
+    | Diagnostics ts when Lint.Report.errors ts > 0 -> exit 1
+    | _ -> ()
   in
   Cmd.v
     (Cmd.info "lint"

@@ -980,6 +980,37 @@ let test_lint_fix_fields () =
       (contains_sub ~sub:"\"changed\":false" o.Serve.Jobs.o_output)
   | Error msg -> Alcotest.fail msg
 
+(* Bad partition and sweep parameters are structured job errors, not
+   exceptions escaping the job. *)
+let test_bad_partition_fields () =
+  let session = Serve.Session.create () in
+  let run kind fields =
+    Serve.Jobs.run ~session ~poll:(fun () -> false)
+      (Serve.Protocol.Obj
+         (("kind", Serve.Protocol.String kind)
+         :: ("spec", Serve.Protocol.String fig1_src)
+         :: fields))
+  in
+  List.iter
+    (fun (kind, fields, frag) ->
+      match run kind fields with
+      | Ok _ -> Alcotest.failf "%s job with bad fields ran" kind
+      | Error msg ->
+        Alcotest.(check bool) (msg ^ " names the problem") true
+          (contains_sub ~sub:frag msg);
+        Alcotest.(check bool) (msg ^ " is no exception") false
+          (contains_sub ~sub:"job raised" msg))
+    [
+      ( "refine",
+        [ ("assign", Serve.Protocol.String "A=7,B=1,C=0,x=1") ],
+        "A assigned to partition 7" );
+      ( "refine",
+        [ ("assign", Serve.Protocol.String "A=x") ],
+        "bad partition index" );
+      ("faults", [ ("parts", Serve.Protocol.Int 0) ], "parts must be >= 1");
+      ("explore", [ ("parts", Serve.Protocol.Int 0) ], "parts must be >= 1");
+    ]
+
 (* --- session ------------------------------------------------------------ *)
 
 let test_session_elaboration_cache () =
@@ -1086,6 +1117,8 @@ let () =
         [
           Alcotest.test_case "lint fix field handling" `Quick
             test_lint_fix_fields;
+          Alcotest.test_case "bad partition fields" `Quick
+            test_bad_partition_fields;
         ] );
       ( "session",
         [
