@@ -1,31 +1,33 @@
 (** Execution of one job against the shared {!Session}.
 
     A job is a JSON object with a ["kind"] — [refine], [lint],
-    [explore] or [faults] — plus the same knobs the matching [mrefine]
-    subcommand exposes.  The specification travels as source text in
-    the ["spec"] field (the daemon need not share a filesystem view
-    with its clients), and the produced report is {e byte-identical} to
-    the corresponding cold CLI invocation's output:
+    [explore], [faults] or [litmus] — plus the knobs of the matching
+    [mrefine] subcommand.  Each job decodes into that subcommand's
+    {!Command} request and runs through the same [run] and [render], so
+    its report is {e byte-identical} to the cold CLI invocation's
+    output.  Every kind but [litmus] carries the specification as
+    source text in the ["spec"] field (the daemon need not share a
+    filesystem view with its clients).
 
-    - [refine] → the printed refined program ([mrefine refine -q]);
-    - [lint] → {!Lint.Report} text or JSON ([mrefine lint]), with the
-      ["file"] field standing in for the spec path in the report;
-    - [explore] → {!Explore.Sweep.to_text} / [to_json];
-    - [faults] → {!Faults.Campaign.to_text} / [to_json].
-
-    Job field reference (defaults match the CLI):
+    Job field reference (absent fields take the CLI's defaults):
     {v
     refine : spec, model, parts, algo, seed, assign, protocol, harden
-    lint   : spec, file, severity, codes, phase, overrides, json, flow,
-             fix — [fix=true] runs the [mrefine lint --fix] pipeline:
-             [codes] restricts the fixable set (non-fixable codes are
-             an error) and the report-only knobs (severity, phase,
-             overrides, json, flow) are rejected rather than ignored
+             -> Command.design; the report is [mrefine refine -q]
+    lint   : spec, file, codes, severity, phase, overrides, json, flow,
+             fix -> Command.Lint.request; [file] stands in for the
+             spec path in the report.  [fix=true] is [mrefine lint
+             --fix --json]: every code must be fixable and severity,
+             phase, overrides, json and flow are rejected
     explore: spec, models, seeds, biases, parts, steps, jobs, top,
-             deadline, retries, json
+             deadline, retries, json -> Command.Explore.request
     faults : spec, model, parts, algo, seed, assign, protocol, harden,
-             classes, seeds, base_seed, deadline, json
-    v} *)
+             classes, seeds, base_seed, deadline, ordering, backend,
+             json -> Command.Faults.request
+    litmus : shapes, orderings, seeds, faults, backend, json
+             -> Command.Litmus.request
+    v}
+    Served refine results are memoized in the session cache under their
+    parameters. *)
 
 (** A finished job: the report text plus structured facts about it for
     the reply envelope (e.g. lint error counts, sweep coverage). *)
