@@ -30,6 +30,24 @@ let or_die = function
     prerr_endline ("mrefine: " ^ msg);
     exit 1
 
+(* The shared secret of [serve] and [client]: [--token], or the contents
+   of [--token-file] with trailing whitespace stripped. *)
+let resolve_token token token_file =
+  match (token, token_file) with
+  | Some _, Some _ -> Error "give only one of --token and --token-file"
+  | Some t, None -> Ok (Some t)
+  | None, Some path -> (
+    match read_file path with
+    | s -> Ok (Some (String.trim s))
+    | exception Sys_error msg -> Error ("cannot read --token-file: " ^ msg))
+  | None, None -> Ok None
+
+(* A failed bind or listen on [where], as an input error. *)
+let cannot_listen where err msg =
+  Error
+    (Printf.sprintf "cannot listen on %s: %s%s" where (Unix.error_message err)
+       (if msg = "" then "" else " (" ^ msg ^ ")"))
+
 (* --- common arguments -------------------------------------------------- *)
 
 let spec_arg =
@@ -1061,14 +1079,7 @@ let serve_cmd =
       or_die (Error "--max-connections must be >= 1");
     if max_frame_bytes < 1024 then
       or_die (Error "--max-frame-bytes must be >= 1024");
-    let token =
-      match (token, token_file) with
-      | Some _, Some _ ->
-        or_die (Error "give only one of --token and --token-file")
-      | Some t, None -> Some t
-      | None, Some path -> Some (String.trim (read_file path))
-      | None, None -> None
-    in
+    let token = or_die (resolve_token token token_file) in
     let listen =
       match listen with
       | None -> None
@@ -1116,12 +1127,7 @@ let serve_cmd =
     in
     let server =
       try Serve.Server.start ~config ?listen ~socket scheduler
-      with Unix.Unix_error (err, _, msg) ->
-        or_die
-          (Error
-             (Printf.sprintf "cannot listen on %s: %s%s" socket
-                (Unix.error_message err)
-                (if msg = "" then "" else " (" ^ msg ^ ")")))
+      with Unix.Unix_error (err, _, msg) -> or_die (cannot_listen socket err msg)
     in
     let stop _ = Serve.Server.stop server in
     Sys.set_signal Sys.sigterm (Sys.Signal_handle stop);
@@ -1342,14 +1348,7 @@ let client_cmd =
       shutdown raw =
     if retries < 0 then or_die (Error "--retries must be >= 0");
     if retry_backoff < 1 then or_die (Error "--retry-backoff must be >= 1");
-    let token =
-      match (token, token_file) with
-      | Some _, Some _ ->
-        or_die (Error "give only one of --token and --token-file")
-      | Some t, None -> Some t
-      | None, Some path -> Some (String.trim (read_file path))
-      | None, None -> None
-    in
+    let token = or_die (resolve_token token token_file) in
     let endpoint =
       match connect_to with
       | None -> Serve.Server.Unix_path socket
@@ -1615,12 +1614,7 @@ let chaos_cmd =
             Printf.eprintf "mrefine chaos: conn %d: %s\n%!" i
               (Serve.Chaos.fault_to_string fault))
           ~listen:(parse listen) ~upstream ~seed ()
-      with Unix.Unix_error (err, _, msg) ->
-        or_die
-          (Error
-             (Printf.sprintf "cannot listen on %s: %s%s" listen
-                (Unix.error_message err)
-                (if msg = "" then "" else " (" ^ msg ^ ")")))
+      with Unix.Unix_error (err, _, msg) -> or_die (cannot_listen listen err msg)
     in
     (match Serve.Chaos.port proxy with
     | Some port ->

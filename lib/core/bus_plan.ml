@@ -22,6 +22,7 @@ type t = {
   bp_parts : int;
   bp_buses : bus list;
   bp_memory_of : (string * memory_id) list;
+  bp_memory_index : memory_id Spec.Names.Map.t;
 }
 
 let equal_role (a : bus_role) (b : bus_role) = a = b
@@ -52,11 +53,20 @@ let bpart part b =
    partition must live in a globally reachable memory. *)
 let memory_assignment ?(extra_readers = []) model g part =
   let report = Partitioning.Classify.report g part in
+  let globals = Spec.Names.Set.of_list report.Partitioning.Classify.globals in
+  let readers =
+    List.fold_left
+      (fun m (v, reader) ->
+        let rs = Option.value (Spec.Names.Map.find_opt v m) ~default:[] in
+        Spec.Names.Map.add v (reader :: rs) m)
+      Spec.Names.Map.empty extra_readers
+  in
   let is_global v =
-    List.mem v report.Partitioning.Classify.globals
-    || List.exists
-         (fun (v', reader) -> String.equal v v' && reader <> home part v)
-         extra_readers
+    Spec.Names.Set.mem v globals
+    ||
+    match Spec.Names.Map.find_opt v readers with
+    | None -> false
+    | Some rs -> List.exists (fun reader -> reader <> home part v) rs
   in
   List.map
     (fun v ->
@@ -110,7 +120,7 @@ let bus_roles model p =
 (* The buses one data edge traverses. *)
 let edge_buses part memory_of (e : Access_graph.data_edge) =
   let master = bpart part e.Access_graph.de_behavior in
-  match List.assoc e.Access_graph.de_variable memory_of with
+  match Spec.Names.Map.find e.Access_graph.de_variable memory_of with
   | Gmem -> [ Shared_global ]
   | Gmem_part mem -> [ Dedicated { master; mem } ]
   | Lmem h ->
@@ -127,22 +137,34 @@ let build ?extra_readers model g part =
   end;
   let p = Partitioning.Partition.n_parts part in
   let memory_of = memory_assignment ?extra_readers model g part in
-  let roles = bus_roles model p in
+  let index = Spec.Names.bind memory_of Spec.Names.Map.empty in
+  (* One pass over the edges, each filed under every bus it traverses
+     (an edge's buses are distinct), newest first. *)
+  let on_bus = Hashtbl.create 16 in
+  List.iter
+    (fun e ->
+      List.iter
+        (fun role ->
+          let edges = Option.value (Hashtbl.find_opt on_bus role) ~default:[] in
+          Hashtbl.replace on_bus role (e :: edges))
+        (edge_buses part index e))
+    g.Access_graph.g_data;
   let buses =
     List.map
       (fun role ->
-        let edges =
-          List.filter
-            (fun e ->
-              List.exists (equal_role role) (edge_buses part memory_of e))
-            g.Access_graph.g_data
-        in
-        { bus_role = role; bus_edges = edges })
-      roles
+        let edges = Option.value (Hashtbl.find_opt on_bus role) ~default:[] in
+        { bus_role = role; bus_edges = List.rev edges })
+      (bus_roles model p)
   in
-  { bp_model = model; bp_parts = p; bp_buses = buses; bp_memory_of = memory_of }
+  {
+    bp_model = model;
+    bp_parts = p;
+    bp_buses = buses;
+    bp_memory_of = memory_of;
+    bp_memory_index = index;
+  }
 
-let memory_of t v = List.assoc v t.bp_memory_of
+let memory_of t v = Spec.Names.Map.find v t.bp_memory_index
 
 let vars_of_memory t mem =
   List.filter_map

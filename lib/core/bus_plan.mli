@@ -39,6 +39,8 @@ type t = {
   bp_buses : bus list;
   bp_memory_of : (string * memory_id) list;
       (** memory assignment of every program variable *)
+  bp_memory_index : memory_id Spec.Names.Map.t;
+      (** [bp_memory_of] as a table, for {!memory_of} *)
 }
 
 val build :

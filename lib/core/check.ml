@@ -60,14 +60,16 @@ let check_bus_bound (r : Refiner.t) acc =
     :: acc
   else acc
 
-(* Every generated server must exist and be registered. *)
-let check_servers (r : Refiner.t) acc =
-  let prog = r.Refiner.rf_program in
+(* Every generated server must exist and be registered.  [behaviors]
+   maps each behavior name of the refined program to its first
+   occurrence, as {!Program.lookup_behavior} finds it. *)
+let check_servers behaviors (r : Refiner.t) acc =
+  let servers = Names.Set.of_list r.Refiner.rf_program.Ast.p_servers in
   List.fold_left
     (fun acc name ->
-      match Program.lookup_behavior prog name with
+      match Names.Map.find_opt name behaviors with
       | Some _ ->
-        if Program.is_server prog name then acc
+        if Names.Set.mem name servers then acc
         else
           diag ~code:"REF003" ~loc:name "check"
             "generated behavior %s is not a server" name
@@ -82,12 +84,13 @@ let check_servers (r : Refiner.t) acc =
    partitioned variable by name (they were all renamed to tmps or routed
    through protocols); memory behaviors hold the storage and are the only
    legal place for those names. *)
-let check_no_direct_access (original : Ast.program) (r : Refiner.t) acc =
+let check_no_direct_access behaviors (original : Ast.program) (r : Refiner.t)
+    acc =
   let program_vars = Names.Set.of_list (Program.var_names original) in
   let memory_scope =
     List.fold_left
       (fun s m ->
-        match Program.lookup_behavior r.Refiner.rf_program m with
+        match Names.Map.find_opt m behaviors with
         | Some b -> Names.Set.union s (Names.Set.of_list (Behavior.names b))
         | None -> s)
       Names.Set.empty r.Refiner.rf_memories
@@ -98,15 +101,17 @@ let check_no_direct_access (original : Ast.program) (r : Refiner.t) acc =
       else
         match b.Ast.b_body with
         | Ast.Leaf stmts ->
+          let partitioned x =
+            Names.Set.mem x program_vars
+            && not
+                 (List.exists
+                    (fun v -> String.equal v.Ast.v_name x)
+                    b.Ast.b_vars)
+          in
           let touched =
-            List.filter
-              (fun x ->
-                Names.Set.mem x program_vars
-                && not
-                     (List.exists
-                        (fun v -> String.equal v.Ast.v_name x)
-                        b.Ast.b_vars))
-              (Stmt.reads stmts @ Stmt.writes stmts)
+            if Stmt.exists_access partitioned stmts then
+              List.filter partitioned (Stmt.reads stmts @ Stmt.writes stmts)
+            else []
           in
           List.fold_left
             (fun acc x ->
@@ -123,15 +128,17 @@ let diagnostics ~original (r : Refiner.t) : Diagnostic.t list =
   let acc = check_no_program_vars r acc in
   let acc = check_arbiters r acc in
   let acc = check_bus_bound r acc in
-  let acc = check_servers r acc in
-  let acc = check_no_direct_access original r acc in
-  let acc =
-    match Program.validate r.Refiner.rf_program with
-    | Ok () -> acc
-    | Error msgs ->
-      List.map (fun m -> diag ~code:"NAME001" "validate" "%s" m) msgs @ acc
+  let behaviors =
+    Names.bind
+      (List.rev
+         (Behavior.fold
+            (fun acc b -> (b.Ast.b_name, b) :: acc)
+            [] r.Refiner.rf_program.Ast.p_top))
+      Names.Map.empty
   in
-  let acc = Typecheck.diagnostics r.Refiner.rf_program @ acc in
+  let acc = check_servers behaviors r acc in
+  let acc = check_no_direct_access behaviors original r acc in
+  let acc = Refiner.verdict r @ acc in
   Diagnostic.sort acc
 
 (* Sorted by (severity, code, location) via {!Diagnostic.compare}, so

@@ -17,7 +17,12 @@ type violation = string
 val diagnostics :
   original:Spec.Ast.program -> Refiner.t -> Spec.Diagnostic.t list
 (** All violations found, sorted by {!Spec.Diagnostic.compare}
-    (empty = sound refinement result). *)
+    (empty = sound refinement result).  The structural checks run on
+    every call; the [NAME001] and [TYPE00x] findings come from
+    {!Refiner.verdict}, so a record straight from {!Refiner.refine} is
+    not validated again and is typechecked once over any number of
+    calls, while a record rebuilt with another [rf_program] is checked
+    afresh. *)
 
 val run : original:Spec.Ast.program -> Refiner.t -> (unit, violation list) result
 (** String shim over {!diagnostics}: the messages in the same sorted

@@ -60,11 +60,16 @@ let store_elem_stmts ctx ~region ~var ~index ~value =
 (* Per-behavior rewriting state: the tmp variable allocated for each
    partitioned variable read inside this behavior. *)
 type tmps = {
-  mutable mapping : (string * string) list;  (** variable -> tmp *)
-  mutable decls : var_decl list;  (** in allocation order *)
+  mutable mapping : string Names.Map.t;  (** variable -> tmp *)
+  mutable decls : var_decl list;  (** newest first *)
 }
 
-let new_tmps () = { mapping = []; decls = [] }
+let new_tmps () = { mapping = Names.Map.empty; decls = [] }
+
+let declare tmps name ty = tmps.decls <- Builder.var name ty :: tmps.decls
+
+(* [vars] followed by the tmps, in allocation order. *)
+let with_tmps vars tmps = vars @ List.rev tmps.decls
 
 (* Booleans travel over the integer data bus encoded as int<1> (1/0), so
    the tmp of a boolean variable is an integer; reads decode it with
@@ -79,17 +84,17 @@ let bus_rep_ty ctx v =
   | TArray (w, _) -> TInt w  (* element transfers *)
 
 let tmp_for ctx tmps v =
-  match List.assoc_opt v tmps.mapping with
+  match Names.Map.find_opt v tmps.mapping with
   | Some t -> t
   | None ->
     let t = Naming.tmp_var ctx.dr_naming v in
-    tmps.mapping <- (v, t) :: tmps.mapping;
-    tmps.decls <- tmps.decls @ [ Builder.var t (bus_rep_ty ctx v) ];
+    tmps.mapping <- Names.Map.add v t tmps.mapping;
+    declare tmps t (bus_rep_ty ctx v);
     t
 
 (* The expression standing for a (loaded) read of [v]. *)
 let read_of ctx tmps v =
-  let t = List.assoc v tmps.mapping in
+  let t = Names.Map.find v tmps.mapping in
   if is_bool_var ctx v then Expr.(ref_ t <> int 0) else Expr.ref_ t
 
 (* Statements encoding [value] (of v's declared type) into v's tmp before
@@ -102,7 +107,7 @@ let encode_into ctx tmps v value =
 
 (* Is [x] a partitioned variable here (not shadowed by a local)? *)
 let remote ctx shadowed x =
-  ctx.dr_is_program_var x && not (List.mem x shadowed)
+  ctx.dr_is_program_var x && not (Names.Set.mem x shadowed)
 
 (* Rewrite an expression: returns the load statements that must precede
    its evaluation and the expression with remote reads substituted.
@@ -122,7 +127,7 @@ let rec rw_expr ctx region shadowed tmps e =
     let pre_i, i' = rw_expr ctx region shadowed tmps i in
     if remote ctx shadowed x then begin
       let tmp = Naming.fresh ctx.dr_naming ("tmp_" ^ x ^ "_elt") in
-      tmps.decls <- tmps.decls @ [ Builder.var tmp (bus_rep_ty ctx x) ];
+      declare tmps tmp (bus_rep_ty ctx x);
       ( pre_i @ load_elem_stmts ctx ~region ~var:x ~index:i' ~tmp,
         Expr.ref_ tmp )
     end
@@ -142,7 +147,7 @@ and rw_stmt ctx region shadowed tmps = function
   | Assign (x, e) when remote ctx shadowed x ->
     let pre, e' = rw_expr ctx region shadowed tmps e in
     let enc = encode_into ctx tmps x e' in
-    let t = List.assoc x tmps.mapping in
+    let t = Names.Map.find x tmps.mapping in
     pre @ enc @ store_stmts ctx ~region ~var:x ~value:(Expr.ref_ t)
   | Assign (x, e) ->
     let pre, e' = rw_expr ctx region shadowed tmps e in
@@ -283,15 +288,17 @@ let rec refine_seq ctx region shadowed b arms =
         })
       arms'
   in
-  { b with b_body = Seq arms'; b_vars = b.b_vars @ tmps.decls }
+  { b with b_body = Seq arms'; b_vars = with_tmps b.b_vars tmps }
 
 and refine ctx region shadowed b =
-  let shadowed = List.map (fun v -> v.v_name) b.b_vars @ shadowed in
+  let shadowed =
+    List.fold_left (fun s v -> Names.Set.add v.v_name s) shadowed b.b_vars
+  in
   match b.b_body with
   | Leaf stmts ->
     let tmps = new_tmps () in
     let stmts' = rw_stmts ctx region shadowed tmps stmts in
-    { b with b_body = Leaf stmts'; b_vars = b.b_vars @ tmps.decls }
+    { b with b_body = Leaf stmts'; b_vars = with_tmps b.b_vars tmps }
   | Par children ->
     (* Every parallel child starts its own sequential region, named after
        the child (behavior names are unique program-wide). *)
@@ -301,4 +308,5 @@ and refine ctx region shadowed b =
     }
   | Seq arms -> refine_seq ctx region shadowed b arms
 
-let refine_behavior ctx ~root_region b = refine ctx root_region [] b
+let refine_behavior ctx ~root_region b =
+  refine ctx root_region Names.Set.empty b

@@ -3,15 +3,17 @@
     [B_start], [B_done], [tmp], [Memory], …) and uniquified against every
     name already present in the specification. *)
 
-module Sset = Set.Make (String)
-module Smap = Spec.Names.Map
+module Tbl = Hashtbl.Make (String)
 
 (* [next] maps a base to the first suffix [fresh] has not yet seen
    taken: [used] only grows, so every smaller suffix is still taken and
    the next search can start there. *)
-type t = { mutable used : Sset.t; mutable next : int Smap.t }
+type t = { used : unit Tbl.t; next : int Tbl.t }
 
-let of_names names = { used = Sset.of_list names; next = Smap.empty }
+let of_names names =
+  let used = Tbl.create (2 * List.length names + 16) in
+  List.iter (fun n -> Tbl.replace used n ()) names;
+  { used; next = Tbl.create 16 }
 
 (** All names occurring in a program: behaviors, variables (program-level
     and local), signals, procedures, parameters. *)
@@ -39,25 +41,25 @@ let of_program (p : Spec.Ast.program) =
     The returned name is recorded as used. *)
 let fresh t base =
   let name =
-    if not (Sset.mem base t.used) then base
+    if not (Tbl.mem t.used base) then base
     else
       let rec go i =
         let candidate = base ^ "_" ^ string_of_int i in
-        if Sset.mem candidate t.used then go (i + 1)
+        if Tbl.mem t.used candidate then go (i + 1)
         else begin
-          t.next <- Smap.add base (i + 1) t.next;
+          Tbl.replace t.next base (i + 1);
           candidate
         end
       in
-      go (Option.value (Smap.find_opt base t.next) ~default:2)
+      go (Option.value (Tbl.find_opt t.next base) ~default:2)
   in
-  t.used <- Sset.add name t.used;
+  Tbl.replace t.used name ();
   name
 
 (** Reserve an externally chosen name (no-op if already used). *)
-let reserve t name = t.used <- Sset.add name t.used
+let reserve t name = Tbl.replace t.used name ()
 
-let is_used t name = Sset.mem name t.used
+let is_used t name = Tbl.mem t.used name
 
 (* Conventional derived names (paper, Section 4). *)
 let ctrl t base = fresh t (base ^ "_CTRL")

@@ -25,8 +25,19 @@ type bus_inst = {
   bi_arbiter : Arbiter.t option;
 }
 
+(* The refined program's name-resolution and type verdict.  [refine]
+   validates the program it builds and raises on any error, so the
+   name part is empty; the type part is computed on first use.  An
+   [Atomic] rather than a [Lazy]: explore forces it from [Pool]
+   workers, and two domains may race to fill it with equal values. *)
+type verdict = {
+  vd_program : program;  (** the program the verdict belongs to *)
+  vd_types : Diagnostic.t list option Atomic.t;
+}
+
 type t = {
   rf_program : program;
+  rf_verdict : verdict;
   rf_model : Model.t;
   rf_plan : Bus_plan.t;
   rf_buses : bus_inst list;
@@ -61,26 +72,31 @@ type process = {
    siblings' and need their own bus grant.  TOC-condition reads belong to
    the region of the enclosing sequential composition.  Local
    declarations shadow partitioned variables for their subtree. *)
-let regions_of program_vars (root : behavior) =
+let regions_of is_program_var (root : behavior) =
   let tbl = Hashtbl.create 8 in
   let order = ref [] in
   let ensure region =
     match Hashtbl.find_opt tbl region with
     | Some cell -> cell
     | None ->
-      let cell = ref [] in
+      let cell = (ref [], ref Names.Set.empty) in
       Hashtbl.add tbl region cell;
       order := region :: !order;
       cell
   in
   let note region shadowed x =
-    if List.mem x program_vars && not (List.mem x shadowed) then begin
-      let cell = ensure region in
-      if not (List.mem x !cell) then cell := x :: !cell
+    if is_program_var x && not (Names.Set.mem x shadowed) then begin
+      let vars, seen = ensure region in
+      if not (Names.Set.mem x !seen) then begin
+        vars := x :: !vars;
+        seen := Names.Set.add x !seen
+      end
     end
   in
   let rec walk region shadowed b =
-    let shadowed = List.map (fun v -> v.v_name) b.b_vars @ shadowed in
+    let shadowed =
+      List.fold_left (fun s v -> Names.Set.add v.v_name s) shadowed b.b_vars
+    in
     ignore (ensure region);
     match b.b_body with
     | Leaf stmts ->
@@ -99,24 +115,24 @@ let regions_of program_vars (root : behavior) =
         arms
     | Par children -> List.iter (fun c -> walk c.b_name shadowed c) children
   in
-  walk root.b_name [] root;
-  List.rev_map (fun r -> (r, List.rev !(Hashtbl.find tbl r))) !order
+  walk root.b_name Names.Set.empty root;
+  List.rev_map (fun r -> (r, List.rev !(fst (Hashtbl.find tbl r)))) !order
 
 (* Reject specifications whose user procedures touch partitioned
    variables: the procedure body is shared between call sites that may
    live on different components, so there is no single bus to route the
    access through. *)
-let check_procs p =
-  let program_vars = Program.var_names p in
+let check_procs is_program_var p =
   List.iter
     (fun pr ->
       let local_names =
-        List.map (fun prm -> prm.prm_name) pr.prc_params
-        @ List.map (fun v -> v.v_name) pr.prc_vars
+        Names.Set.of_list
+          (List.map (fun prm -> prm.prm_name) pr.prc_params
+          @ List.map (fun v -> v.v_name) pr.prc_vars)
       in
       let touched =
         List.filter
-          (fun x -> List.mem x program_vars && not (List.mem x local_names))
+          (fun x -> is_program_var x && not (Names.Set.mem x local_names))
           (Stmt.reads pr.prc_body @ Stmt.writes pr.prc_body)
       in
       match touched with
@@ -132,28 +148,34 @@ let refine ?(options = default_options) p g part model =
   | Error msgs ->
     refine_error "input specification is invalid: %s" (String.concat "; " msgs)
   end;
-  check_procs p;
-  let program_vars0 = Program.var_names p in
+  (* Per-refinement tables: every lookup on a program variable, its
+     declaration or its address is one map query. *)
+  let decls =
+    Names.bind (List.map (fun v -> (v.v_name, v)) p.p_vars) Names.Map.empty
+  in
+  let is_program_var x = Names.Map.mem x decls in
+  check_procs is_program_var p;
+  let objects = Names.Set.of_list g.Agraph.Access_graph.g_objects in
+  let is_object name = Names.Set.mem name objects in
+  let home_of_object name =
+    match Partitioning.Partition.part_of_behavior part name with
+    | Some i -> i
+    | None -> refine_error "object behavior %s is not assigned" name
+  in
   (* TOC conditions are re-evaluated by the home partition of their
      sequential composition (that is where the refined loader runs); when
      that differs from a variable's home, the variable must live in a
      globally reachable memory, so the bus plan is told about these extra
      readers. *)
-  let is_object0 name = List.mem name g.Agraph.Access_graph.g_objects in
-  let home_of_object0 name =
-    match Partitioning.Partition.part_of_behavior part name with
-    | Some i -> i
-    | None -> refine_error "object behavior %s is not assigned" name
-  in
   let extra_readers =
     let acc = ref [] in
     let rec walk shadowed b =
-      let shadowed = List.map (fun v -> v.v_name) b.b_vars @ shadowed in
+      let shadowed =
+        List.fold_left (fun s v -> Names.Set.add v.v_name s) shadowed b.b_vars
+      in
       begin match b.b_body with
       | Seq arms ->
-        let reader =
-          Control_refine.home ~is_object:is_object0 ~home_of:home_of_object0 b
-        in
+        let reader = Control_refine.home ~is_object ~home_of:home_of_object b in
         begin match reader with
         | None -> ()
         | Some reader ->
@@ -166,8 +188,7 @@ let refine ?(options = default_options) p g part model =
                     List.iter
                       (fun x ->
                         if
-                          List.mem x program_vars0
-                          && not (List.mem x shadowed)
+                          is_program_var x && not (Names.Set.mem x shadowed)
                         then acc := (x, reader) :: !acc)
                       (Expr.refs c)
                   | None -> ())
@@ -178,13 +199,18 @@ let refine ?(options = default_options) p g part model =
       end;
       List.iter (walk shadowed) (Behavior.children b)
     in
-    walk [] p.p_top;
+    walk Names.Set.empty p.p_top;
     List.sort_uniq compare !acc
   in
   let plan = Bus_plan.build ~extra_readers model g part in
   let address = Address.build p in
+  let addresses = Names.bind address.Address.addr_of Names.Map.empty in
+  let addr_of v =
+    match Names.Map.find_opt v addresses with
+    | Some a -> a
+    | None -> Address.address address v
+  in
   let naming = Naming.of_program p in
-  let program_vars = Program.var_names p in
   let n_parts = Partitioning.Partition.n_parts part in
   let hcfg =
     if options.harden then
@@ -198,12 +224,6 @@ let refine ?(options = default_options) p g part model =
   in
 
   (* 1. Control-related refinement: distribute the behavior tree. *)
-  let is_object name = List.mem name g.Agraph.Access_graph.g_objects in
-  let home_of_object name =
-    match Partitioning.Partition.part_of_behavior part name with
-    | Some i -> i
-    | None -> refine_error "object behavior %s is not assigned" name
-  in
   let ctrl =
     Control_refine.run ~naming ~force_nonleaf:options.force_nonleaf
       ?harden:hcfg ~is_object ~home_of_object p.p_top
@@ -242,7 +262,7 @@ let refine ?(options = default_options) p g part model =
                     Bus_plan.bus_of_access plan ~master:ps.ps_partition
                       ~variable:v ))
                 vars ))
-          (regions_of program_vars ps.ps_behavior))
+          (regions_of is_program_var ps.ps_behavior))
       processes
   in
   let masters_of role =
@@ -334,43 +354,65 @@ let refine ?(options = default_options) p g part model =
       refine_error "internal: bus %s was not instantiated"
         (Bus_plan.role_label role)
   in
+  (* Every arbitrated bus's requesters by master name (the first entry
+     of a name wins), so an access finds its requester in one lookup
+     however many masters share the bus. *)
+  let requesters = Hashtbl.create 8 in
+  List.iter
+    (fun bi ->
+      match bi.bi_arbiter with
+      | None -> ()
+      | Some arb ->
+        let by_name = Hashtbl.create 8 in
+        List.iter
+          (fun (name, i) ->
+            if not (Hashtbl.mem by_name name) then
+              Hashtbl.add by_name name (Arbiter.requester arb i))
+          bi.bi_requesters;
+        Hashtbl.replace requesters bi.bi_signals.Protocol.bs_label by_name)
+    buses;
   let requester_for bi name =
-    match bi.bi_arbiter with
+    let label = bi.bi_signals.Protocol.bs_label in
+    match Hashtbl.find_opt requesters label with
     | None -> None
-    | Some arb ->
-      begin match List.assoc_opt name bi.bi_requesters with
-      | Some i -> Some (Arbiter.requester arb i)
+    | Some by_name ->
+      begin match Hashtbl.find_opt by_name name with
+      | Some r -> Some r
       | None ->
         refine_error "internal: process %s is not a master of bus %s" name
-          bi.bi_signals.Protocol.bs_label
+          label
       end
   in
 
   (* 4. Data-related refinement of every process. *)
-  let ty_of v =
-    match Program.lookup_var p v with
-    | Some d -> d.v_ty
+  let lookup_var v =
+    match Names.Map.find_opt v decls with
+    | Some d -> d
     | None -> refine_error "internal: unknown variable %s" v
   in
   let refine_process ps =
+    (* Per-process memo: the bus of a variable is fixed for the whole
+       process. *)
+    let buses_of = Hashtbl.create 16 in
+    let bus_of v =
+      match Hashtbl.find_opt buses_of v with
+      | Some bi -> bi
+      | None ->
+        let bi =
+          bus_exn
+            (Bus_plan.bus_of_access plan ~master:ps.ps_partition ~variable:v)
+        in
+        Hashtbl.add buses_of v bi;
+        bi
+    in
     let ctx =
       {
         Data_refine.dr_naming = naming;
-        dr_is_program_var = (fun x -> List.mem x program_vars);
-        dr_ty_of = ty_of;
-        dr_addr_of = (fun v -> Address.address address v);
-        dr_bus_of =
-          (fun v ->
-            let role =
-              Bus_plan.bus_of_access plan ~master:ps.ps_partition ~variable:v
-            in
-            (bus_exn role).bi_signals);
-        dr_arb_of =
-          (fun ~region v ->
-            let role =
-              Bus_plan.bus_of_access plan ~master:ps.ps_partition ~variable:v
-            in
-            requester_for (bus_exn role) region);
+        dr_is_program_var = is_program_var;
+        dr_ty_of = (fun v -> (lookup_var v).v_ty);
+        dr_addr_of = addr_of;
+        dr_bus_of = (fun v -> (bus_of v).bi_signals);
+        dr_arb_of = (fun ~region v -> requester_for (bus_of v) region);
       }
     in
     {
@@ -385,22 +427,18 @@ let refine ?(options = default_options) p g part model =
   (* 5. Memories.  Boolean variables are stored bus-encoded (int<1>,
      1/0), matching the integer data bus the masters use. *)
   let decl_of v =
-    match Program.lookup_var p v with
-    | Some d ->
-      begin match d.v_ty with
-      | TBool ->
-        let init =
-          match d.v_init with
-          | Some (VBool true) -> Some (VInt 1)
-          | Some (VBool false) | None -> Some (VInt 0)
-          | Some (VInt _) as i -> i
-        in
-        { d with v_ty = TInt 1; v_init = init }
-      | TInt _ | TArray _ -> d
-      end
-    | None -> refine_error "internal: unknown variable %s" v
+    let d = lookup_var v in
+    match d.v_ty with
+    | TBool ->
+      let init =
+        match d.v_init with
+        | Some (VBool true) -> Some (VInt 1)
+        | Some (VBool false) | None -> Some (VInt 0)
+        | Some (VInt _) as i -> i
+      in
+      { d with v_ty = TInt 1; v_init = init }
+    | TInt _ | TArray _ -> d
   in
-  let addr_of v = Address.address address v in
   let memories = ref [] in
   let add_memory b =
     memories := b :: !memories;
@@ -578,6 +616,7 @@ let refine ?(options = default_options) p g part model =
   end;
   {
     rf_program = refined;
+    rf_verdict = { vd_program = refined; vd_types = Atomic.make None };
     rf_model = model;
     rf_plan = plan;
     rf_buses = buses;
@@ -590,3 +629,24 @@ let refine ?(options = default_options) p g part model =
     rf_processes = List.map (fun ps -> (ps.ps_name, ps.ps_partition)) processes;
     rf_harden = hcfg;
   }
+
+let name_errors p =
+  match Program.validate p with
+  | Ok () -> []
+  | Error msgs ->
+    List.map
+      (fun m ->
+        Diagnostic.make ~code:"NAME001" ~severity:Diagnostic.Error
+          ~pass:"validate" m)
+      msgs
+
+let verdict r =
+  let p = r.rf_program and vd = r.rf_verdict in
+  if p != vd.vd_program then Typecheck.diagnostics p @ name_errors p
+  else
+    match Atomic.get vd.vd_types with
+    | Some types -> types
+    | None ->
+      let types = Typecheck.diagnostics p in
+      Atomic.set vd.vd_types (Some types);
+      types

@@ -32,8 +32,20 @@ type bus_inst = {
   bi_arbiter : Arbiter.t option;  (** present when >= 2 requesters *)
 }
 
+type verdict
+(** The refined program's name-resolution ([NAME001]) and type
+    ([TYPE00x]) diagnostics, tied to the program they were computed
+    for.  See {!verdict}. *)
+
 type t = {
-  rf_program : Ast.program;  (** the refined specification, validated *)
+  rf_program : Ast.program;
+      (** the refined specification.  {!refine} validates it and raises
+          on any name-resolution error, so the record's {!verdict}
+          carries no [NAME001]; its type diagnostics are computed on
+          first use and kept.  Both are reused only while [rf_program]
+          is physically the program {!refine} built: a record rebuilt
+          with another program is validated and typechecked afresh. *)
+  rf_verdict : verdict;  (** read it through {!verdict} *)
   rf_model : Model.t;
   rf_plan : Bus_plan.t;
   rf_buses : bus_inst list;  (** instantiated buses, plan order *)
@@ -62,3 +74,10 @@ val refine :
     cover all of its objects and variables.
     @raise Refine_error on untranslatable constructs (see
     {!Data_refine.Refine_error}) or an invalid input program. *)
+
+val verdict : t -> Spec.Diagnostic.t list
+(** The [NAME001] ({!Spec.Program.validate}) and [TYPE00x]
+    ({!Spec.Typecheck.diagnostics}) findings on [r.rf_program], unsorted.
+    For a record straight from {!refine} this typechecks at most once,
+    however often it is called and from whichever domain; after
+    [{ r with rf_program = p }] it checks [p] on every call. *)

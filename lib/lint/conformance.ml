@@ -26,26 +26,37 @@ let codes =
 let run (ctx : Pass.t) =
   let p = ctx.Pass.lc_program in
   let severity = Pass.severity_for_phase ctx.Pass.lc_phase in
-  let masters = Pass.master_procs p in
-  let served = Pass.served_addresses p in
+  (* Master procedure -> its address signal, and every address
+     signal's decodes: one lookup per master call. *)
+  let masters = Pass.master_procs ctx in
+  let master_of = Names.bind masters Names.Map.empty in
+  let addr_sigs = Names.Set.of_list (List.map snd masters) in
+  let decodes_of =
+    List.fold_left
+      (fun m (s, sv) ->
+        let svs = Option.value (Names.Map.find_opt s m) ~default:[] in
+        Names.Map.add s (sv :: svs) m)
+      Names.Map.empty (Pass.served_addresses ctx)
+  in
   (* A bus interface (Model4's BIF) decodes no constants: it forwards
      the incoming address wholesale onto another bus.  A bus whose
      address signal feeds the address argument of some master call is
      therefore served for every address. *)
   let forwarded =
-    List.concat_map
-      (fun site ->
-        List.concat_map
-          (fun (callee, args) ->
-            match (List.assoc_opt callee masters, args) with
-            | Some _, Arg_expr e :: _ ->
-              List.filter
-                (fun x ->
-                  List.exists (fun (_, a) -> String.equal a x) masters)
-                (Expr.refs e)
-            | _ -> [])
-          site.Pass.st_calls)
-      ctx.Pass.lc_sites
+    List.fold_left
+      (fun acc site ->
+        List.fold_left
+          (fun acc (callee, args) ->
+            match (Names.Map.mem callee master_of, args) with
+            | true, Arg_expr e :: _ ->
+              List.fold_left
+                (fun acc x ->
+                  if Names.Set.mem x addr_sigs then Names.Set.add x acc
+                  else acc)
+                acc (Expr.refs e)
+            | _ -> acc)
+          acc site.Pass.st_calls)
+      Names.Set.empty ctx.Pass.lc_sites
   in
   (* PROTO001: constant-address master calls against the decode table. *)
   let addr_checks =
@@ -53,14 +64,12 @@ let run (ctx : Pass.t) =
       (fun acc site ->
         List.fold_left
           (fun acc (callee, args) ->
-            match (List.assoc_opt callee masters, args) with
+            match (Names.Map.find_opt callee master_of, args) with
             | Some addr_sig, Arg_expr e :: _
-              when not (List.mem addr_sig forwarded) ->
+              when not (Names.Set.mem addr_sig forwarded) ->
               let decodes =
-                List.filter_map
-                  (fun (s, sv) ->
-                    if String.equal s addr_sig then Some sv else None)
-                  served
+                Option.value (Names.Map.find_opt addr_sig decodes_of)
+                  ~default:[]
               in
               begin match Expr.eval_const e with
               | Some (VInt k) when decodes = [] ->
@@ -96,19 +105,19 @@ let run (ctx : Pass.t) =
       List.iter
         (fun c ->
           List.iter
-            (fun x -> if Pass.is_signal p x then Hashtbl.replace waited x ())
+            (fun x -> if Pass.is_signal ctx x then Hashtbl.replace waited x ())
             (Expr.refs c))
         site.Pass.st_waits)
     ctx.Pass.lc_sites;
   List.iter
     (fun pr ->
-      let written, read = Pass.proc_signal_uses p pr in
+      let written, read = Pass.proc_signal_uses ctx pr in
       List.iter (fun s -> Hashtbl.replace driven s ()) written;
       List.iter (fun s -> Hashtbl.replace observed s ()) read;
       List.iter
         (fun c ->
           List.iter
-            (fun x -> if Pass.is_signal p x then Hashtbl.replace waited x ())
+            (fun x -> if Pass.is_signal ctx x then Hashtbl.replace waited x ())
             (Expr.refs c))
         (Pass.waits_of_stmts [] pr.prc_body))
     p.p_procs;

@@ -32,8 +32,7 @@ type bus = {
 }
 
 let analyze (ctx : Pass.t) =
-  let p = ctx.Pass.lc_program in
-  let masters = Pass.master_procs p in
+  let masters = Pass.master_procs ctx in
   (* Group master procedures into buses by address signal. *)
   let buses =
     List.sort_uniq String.compare (List.map snd masters)
@@ -44,7 +43,7 @@ let analyze (ctx : Pass.t) =
   List.map
     (fun (addr, procs) ->
       let proc_names = List.map fst procs in
-      let bus_sigs = Pass.bus_signal_set p ~addr ~procs in
+      let bus_sigs = Pass.bus_signal_set ctx ~addr ~procs in
       let callers =
         List.filter
           (fun site ->
@@ -67,7 +66,7 @@ let analyze (ctx : Pass.t) =
           List.exists
             (fun c ->
               List.exists
-                (fun x -> Pass.is_signal p x && not (List.mem x bus_sigs))
+                (fun x -> Pass.is_signal ctx x && not (List.mem x bus_sigs))
                 (Expr.refs c))
             site.Pass.st_waits
         in

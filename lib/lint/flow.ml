@@ -109,19 +109,22 @@ let collect_leaves (p : program) =
   in
   List.rev (walk (base_scope p) [] p.p_top [])
 
+(* A procedure local shadows a same-named parameter, as in [Typecheck]
+   and the structural width pass. *)
 let proc_scope (p : program) (pr : proc_decl) =
   List.map
-    (fun prm ->
-      ( prm.prm_name,
-        Fvar { key = pr.prc_name ^ "." ^ prm.prm_name; ty = prm.prm_ty; init = None }
+    (fun (v : var_decl) ->
+      ( v.v_name,
+        Fvar { key = pr.prc_name ^ "." ^ v.v_name; ty = v.v_ty; init = v.v_init }
       ))
-    pr.prc_params
+    pr.prc_vars
   @ List.map
-      (fun (v : var_decl) ->
-        ( v.v_name,
-          Fvar { key = pr.prc_name ^ "." ^ v.v_name; ty = v.v_ty; init = v.v_init }
+      (fun prm ->
+        ( prm.prm_name,
+          Fvar
+            { key = pr.prc_name ^ "." ^ prm.prm_name; ty = prm.prm_ty; init = None }
         ))
-      pr.prc_vars
+      pr.prc_params
   @ base_scope p
 
 (* ------------------------------------------------------------------ *)

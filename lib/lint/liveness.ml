@@ -104,7 +104,7 @@ let run (ctx : Pass.t) =
     ctx.Pass.lc_sites;
   List.iter
     (fun pr ->
-      let written, read = Pass.proc_signal_uses p pr in
+      let written, read = Pass.proc_signal_uses ctx pr in
       List.iter (fun s -> Hashtbl.replace sig_used s ()) (written @ read))
     p.p_procs;
   let acc =
@@ -146,14 +146,13 @@ let run (ctx : Pass.t) =
       | Seq arms ->
         let arms = Array.of_list arms in
         let n = Array.length arms in
-        let index_of name =
-          let rec go i =
-            if i >= n then None
-            else if String.equal arms.(i).a_behavior.b_name name then Some i
-            else go (i + 1)
-          in
-          go 0
+        (* The first arm of each name, as a left-to-right scan finds it. *)
+        let index =
+          Names.bind
+            (List.mapi (fun i a -> (a.a_behavior.b_name, i)) (Array.to_list arms))
+            Names.Map.empty
         in
+        let index_of name = Names.Map.find_opt name index in
         let reach_with takable =
           let reachable = Array.make n false in
           let rec visit i =

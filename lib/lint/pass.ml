@@ -47,6 +47,7 @@ type site = {
 type t = {
   lc_program : program;
   lc_phase : phase;
+  lc_signals : Names.Set.t;  (** the program's declared signals *)
   lc_sites : site list;  (** every leaf and TOC site, preorder *)
   lc_flow : Flow.summary option;
       (** flow summary when the flow-sensitive modes are enabled *)
@@ -144,8 +145,9 @@ let make_ctx ~phase ?flow (p : program) =
          (List.map (fun (s : sig_decl) -> (s.s_name, Bsig)) p.p_signals)
          Names.Map.empty)
   in
+  let servers = Names.Set.of_list p.p_servers in
   let rec walk scope path region server b acc =
-    let server = server || Program.is_server p b.b_name in
+    let server = server || Names.Set.mem b.b_name servers in
     let scope =
       Names.bind
         (List.map
@@ -187,19 +189,25 @@ let make_ctx ~phase ?flow (p : program) =
   let sites =
     List.rev (walk base_scope [] p.p_top.b_name false p.p_top [])
   in
-  { lc_program = p; lc_phase = phase; lc_sites = sites; lc_flow = flow }
+  {
+    lc_program = p;
+    lc_phase = phase;
+    lc_signals =
+      Names.Set.of_list (List.map (fun (s : sig_decl) -> s.s_name) p.p_signals);
+    lc_sites = sites;
+    lc_flow = flow;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Protocol structure recognition.                                    *)
 
-let is_signal (p : program) x =
-  List.exists (fun (s : sig_decl) -> String.equal s.s_name x) p.p_signals
+let is_signal ctx x = Names.Set.mem x ctx.lc_signals
 
 (** Procedures shaped like refinement-generated bus masters
     ([MST_send]/[MST_receive]): at least one parameter, a [wait until]
     in the body, and the first parameter driven onto a signal (the bus
     address).  Returns [(proc name, address signal)]. *)
-let master_procs (p : program) : (string * string) list =
+let master_procs ctx : (string * string) list =
   List.filter_map
     (fun pr ->
       match pr.prc_params with
@@ -210,16 +218,16 @@ let master_procs (p : program) : (string * string) list =
           let rec find_addr = function
             | [] -> None
             | Signal_assign (s, Ref x) :: _
-              when String.equal x a0.prm_name && is_signal p s ->
+              when String.equal x a0.prm_name && is_signal ctx s ->
               Some (pr.prc_name, s)
             | _ :: rest -> find_addr rest
           in
           find_addr pr.prc_body)
-    p.p_procs
+    ctx.lc_program.p_procs
 
 (** The wire set of the bus mastered through the given procedures: the
     address signal plus every signal the procedures drive or wait on. *)
-let bus_signal_set (p : program) ~addr ~procs =
+let bus_signal_set ctx ~addr ~procs =
   let shadowed pr x =
     List.exists (fun prm -> String.equal prm.prm_name x) pr.prc_params
     || List.exists
@@ -229,7 +237,7 @@ let bus_signal_set (p : program) ~addr ~procs =
   List.fold_left
     (fun acc pr ->
       let keep x =
-        if is_signal p x && not (shadowed pr x) && not (List.mem x acc) then
+        if is_signal ctx x && not (shadowed pr x) && not (List.mem x acc) then
           true
         else false
       in
@@ -240,7 +248,9 @@ let bus_signal_set (p : program) ~addr ~procs =
       in
       acc @ List.filter keep waited)
     [ addr ]
-    (List.filter (fun pr -> List.mem_assoc pr.prc_name procs) p.p_procs)
+    (List.filter
+       (fun pr -> List.mem_assoc pr.prc_name procs)
+       ctx.lc_program.p_procs)
 
 (** A statically decoded slave address: an exact compare or an inclusive
     range, as generated by the memory builders. *)
@@ -253,18 +263,19 @@ let serves addr = function
 (** Every [(signal, served)] address decode found anywhere in the
     program — behavior leaves, TOC conditions and procedure bodies.
     Recognizes [s = k] and [s >= lo && s <= hi]. *)
-let served_addresses (p : program) : (string * served) list =
+let served_addresses ctx : (string * served) list =
+  let p = ctx.lc_program in
   let rec harvest acc e =
     let acc =
       match e with
       | Binop (Eq, Ref s, Const (VInt k)) | Binop (Eq, Const (VInt k), Ref s)
-        when is_signal p s ->
+        when is_signal ctx s ->
         (s, Single k) :: acc
       | Binop
           ( And,
             Binop (Ge, Ref s, Const (VInt lo)),
             Binop (Le, Ref s', Const (VInt hi)) )
-        when String.equal s s' && is_signal p s ->
+        when String.equal s s' && is_signal ctx s ->
         (s, Range (lo, hi)) :: acc
       | _ -> acc
     in
@@ -297,12 +308,12 @@ let served_addresses (p : program) : (string * served) list =
 
 (** Signal usage of one procedure body (parameters and locals masked):
     signals driven, signals read, and the wait conditions. *)
-let proc_signal_uses (p : program) (pr : proc_decl) =
+let proc_signal_uses ctx (pr : proc_decl) =
   let shadowed x =
     List.exists (fun prm -> String.equal prm.prm_name x) pr.prc_params
     || List.exists (fun (v : var_decl) -> String.equal v.v_name x) pr.prc_vars
   in
-  let keep x = is_signal p x && not (shadowed x) in
+  let keep x = is_signal ctx x && not (shadowed x) in
   let written = List.filter keep (Stmt.signal_writes pr.prc_body) in
   let read = List.filter keep (Stmt.reads pr.prc_body) in
   (written, read)

@@ -37,6 +37,7 @@ type site = {
 type t = {
   lc_program : program;
   lc_phase : phase;
+  lc_signals : Names.Set.t;  (** the program's declared signals *)
   lc_sites : site list;  (** every leaf and TOC site, preorder *)
   lc_flow : Flow.summary option;
       (** flow summary ({!Flow.of_program}) when the flow-sensitive pass
@@ -61,14 +62,15 @@ val calls_of_stmts :
   (string * arg list) list -> stmt list -> (string * arg list) list
 (** All procedure calls, including nested ones. *)
 
-val is_signal : program -> string -> bool
+val is_signal : t -> string -> bool
+(** [x] is a signal the program declares. *)
 
-val master_procs : program -> (string * string) list
+val master_procs : t -> (string * string) list
 (** Procedures shaped like refinement-generated bus masters
     ([MST_send]/[MST_receive]): [(proc name, address signal)]. *)
 
 val bus_signal_set :
-  program -> addr:string -> procs:(string * string) list -> string list
+  t -> addr:string -> procs:(string * string) list -> string list
 (** The wire set of the bus mastered through [procs]: the address signal
     plus every signal those procedures drive or wait on. *)
 
@@ -78,11 +80,11 @@ type served = Single of int | Range of int * int
 
 val serves : int -> served -> bool
 
-val served_addresses : program -> (string * served) list
+val served_addresses : t -> (string * served) list
 (** Every address decode ([s = k] or [s >= lo && s <= hi]) found in
     behavior leaves, TOC conditions or procedure bodies. *)
 
-val proc_signal_uses : program -> proc_decl -> string list * string list
+val proc_signal_uses : t -> proc_decl -> string list * string list
 (** Signals driven and signals read by a procedure body, with
     parameters and locals masked. *)
 

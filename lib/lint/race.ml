@@ -34,18 +34,31 @@ let codes =
       (litmus evidence)");
   ]
 
-(* Accesses of the non-server sites under one child subtree, as maps
-   from decl key to (display name, leaf) for readers and writers, and
-   from signal to leaf for drivers; the first access found wins.  With a
-   flow summary, a leaf site contributes only the accesses at CFG nodes
-   the interval analysis proves reachable — two accesses race only when
+(* The non-server sites under each behavior, preorder: a site is filed
+   under every behavior on its path, so a parallel child finds its
+   sites in one lookup. *)
+let sites_under (sites : Pass.site list) =
+  let tbl = Hashtbl.create 64 in
+  List.iter
+    (fun (s : Pass.site) ->
+      if not s.Pass.st_server then
+        List.iter
+          (fun b ->
+            let under = Option.value (Hashtbl.find_opt tbl b) ~default:[] in
+            match under with
+            | s' :: _ when s' == s -> ()
+            | _ -> Hashtbl.replace tbl b (s :: under))
+          s.Pass.st_path)
+    sites;
+  fun b -> List.rev (Option.value (Hashtbl.find_opt tbl b) ~default:[])
+
+(* Accesses of the given sites (one child subtree), as maps from decl
+   key to (display name, leaf) for readers and writers, and from signal
+   to leaf for drivers; the first access found wins.  With a flow
+   summary, a leaf site contributes only the accesses at CFG nodes the
+   interval analysis proves reachable — two accesses race only when
    both can actually execute; TOC guard reads are kept as-is. *)
-let child_accesses ?flow sites child =
-  let in_child s =
-    (not s.Pass.st_server)
-    && List.exists (String.equal child) s.Pass.st_path
-  in
-  let sites = List.filter in_child sites in
+let child_accesses ?flow sites =
   let accesses (s : Pass.site) =
     match flow with
     | Some fl when s.Pass.st_stmts <> [] -> (
@@ -77,15 +90,31 @@ let child_accesses ?flow sites child =
   in
   (reads, writes, sig_writes)
 
-(* The keys of the given maps, sorted and without duplicates. *)
-let key_union maps =
-  Names.Set.elements
-    (List.fold_left
-       (fun acc m -> Names.Map.fold (fun k _ acc -> Names.Set.add k acc) m acc)
-       Names.Set.empty maps)
+(* For every key of the per-child maps [field] selects, the children
+   whose map holds it, in child order; keys in [String.compare] order. *)
+let holders per_child field =
+  let index =
+    List.fold_left
+      (fun index ((_, accesses) as child) ->
+        List.fold_left
+          (fun index m ->
+            Names.Map.fold
+              (fun key _ index ->
+                let cs =
+                  Option.value (Names.Map.find_opt key index) ~default:[]
+                in
+                match cs with
+                | c :: _ when c == child -> index
+                | _ -> Names.Map.add key (child :: cs) index)
+              m index)
+          index (field accesses))
+      Names.Map.empty per_child
+  in
+  Names.Map.bindings (Names.Map.map List.rev index)
 
 let run (ctx : Pass.t) =
   let severity = Pass.severity_for_phase ctx.Pass.lc_phase in
+  let under = sites_under ctx.Pass.lc_sites in
   Behavior.fold
     (fun acc b ->
       match b.b_body with
@@ -94,31 +123,18 @@ let run (ctx : Pass.t) =
           List.map
             (fun c ->
               ( c.b_name,
-                child_accesses ?flow:ctx.Pass.lc_flow ctx.Pass.lc_sites
-                  c.b_name ))
+                child_accesses ?flow:ctx.Pass.lc_flow (under c.b_name) ))
             children
         in
         (* Variable races: a writer in one child, any accessor in
            another. *)
-        let keys =
-          key_union
-            (List.concat_map
-               (fun (_, (reads, writes, _)) -> [ reads; writes ])
-               per_child)
-        in
         let acc =
           List.fold_left
-            (fun acc key ->
-              let accessors =
-                List.filter
-                  (fun (_, (reads, writes, _)) ->
-                    Names.Map.mem key reads || Names.Map.mem key writes)
-                  per_child
-              in
+            (fun acc (key, accessors) ->
               let writers =
                 List.filter
                   (fun (_, (_, writes, _)) -> Names.Map.mem key writes)
-                  per_child
+                  accessors
               in
               match (writers, accessors) with
               | (wc, (_, ww, _)) :: _, _ :: _ :: _ ->
@@ -135,7 +151,7 @@ let run (ctx : Pass.t) =
                         | Some (_, leaf), _ | None, Some (_, leaf) ->
                           Some (c, leaf)
                         | None, None -> None)
-                    per_child
+                    accessors
                 in
                 begin match other with
                 | None -> acc  (* all accesses in the writing child *)
@@ -149,19 +165,12 @@ let run (ctx : Pass.t) =
                   :: acc
                 end
               | _ -> acc)
-            acc keys
+            acc
+            (holders per_child (fun (reads, writes, _) -> [ reads; writes ]))
         in
         (* Signal races: two concurrent drivers. *)
-        let signals =
-          key_union (List.map (fun (_, (_, _, sw)) -> sw) per_child)
-        in
         List.fold_left
-          (fun acc x ->
-            let drivers =
-              List.filter
-                (fun (_, (_, _, sw)) -> Names.Map.mem x sw)
-                per_child
-            in
+          (fun acc (x, drivers) ->
             match drivers with
             | (c1, (_, _, sw1)) :: (c2, (_, _, sw2)) :: _ ->
               Diagnostic.makef ~code:"RACE002" ~severity ~pass:"race"
@@ -171,7 +180,8 @@ let run (ctx : Pass.t) =
                 x c1 (Names.Map.find x sw1) c2 (Names.Map.find x sw2) b.b_name
               :: acc
             | _ -> acc)
-          acc signals
+          acc
+          (holders per_child (fun (_, _, sw) -> [ sw ]))
       | _ -> acc)
     [] ctx.Pass.lc_program.p_top
 

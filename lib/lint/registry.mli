@@ -54,5 +54,9 @@ val run :
 
 val run_refinement :
   original:Ast.program -> Core.Refiner.t -> Diagnostic.t list
-(** Lint a refinement result: {!Core.Check.diagnostics} plus {!run} on
-    the refined program at phase [Post]. *)
+(** Lint a refinement result: {!Core.Check.diagnostics}, which brings
+    the type findings, plus the passes of {!run} on the refined program
+    at phase [Post].  The refined program's validation and type verdict
+    are the ones the record carries ({!Core.Refiner.verdict}): after
+    {!Core.Check.run} on the same record, this neither validates nor
+    typechecks again. *)

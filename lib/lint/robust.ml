@@ -37,7 +37,7 @@ let rec stmts_emit_wdg stmts =
 
 let run (ctx : Pass.t) =
   let p = ctx.Pass.lc_program in
-  let masters = Pass.master_procs p in
+  let masters = Pass.master_procs ctx in
   let soft =
     List.filter
       (fun (name, _) ->

@@ -90,6 +90,9 @@ let run (ctx : Pass.t) =
       | Some b -> b <= dw
       | None -> false)
   in
+  let procs =
+    Names.bind (List.map (fun pr -> (pr.prc_name, pr)) p.p_procs) Names.Map.empty
+  in
   let check_prim scope ~env path = function
     | Assign (x, e) ->
       (match narrowing scope ~dest:(dest_width scope x) e with
@@ -111,7 +114,7 @@ let run (ctx : Pass.t) =
           "signal assignment to %s narrows a %d-bit value to %d bits" s sw dw
       | _ -> ())
     | Call (name, args) ->
-      (match Program.lookup_proc p name with
+      (match Names.Map.find_opt name procs with
       | None -> ()
       | Some pr when List.length pr.prc_params = List.length args ->
         List.iter2

@@ -22,15 +22,26 @@ let classify g part v =
   if List.for_all (fun b -> part_of_behavior part b = home) users then Local
   else Global
 
+(* One pass over the data edges gives every variable its accessing
+   behaviors; [classify] per variable would rescan them all. *)
 let report g part =
+  let users =
+    List.fold_left
+      (fun m (e : Agraph.Access_graph.data_edge) ->
+        let v = e.Agraph.Access_graph.de_variable in
+        let bs = Option.value (Spec.Names.Map.find_opt v m) ~default:[] in
+        Spec.Names.Map.add v (e.Agraph.Access_graph.de_behavior :: bs) m)
+      Spec.Names.Map.empty g.Agraph.Access_graph.g_data
+  in
   let step (locals, globals, unaccessed) v =
-    match Agraph.Access_graph.behaviors_accessing g v with
-    | [] -> (locals, globals, v :: unaccessed)
-    | _ ->
-      begin match classify g part v with
-      | Local -> (v :: locals, globals, unaccessed)
-      | Global -> (locals, v :: globals, unaccessed)
-      end
+    match Spec.Names.Map.find_opt v users with
+    | None -> (locals, globals, v :: unaccessed)
+    | Some bs ->
+      let home = home_of part v in
+      let bs = List.sort_uniq String.compare bs in
+      if List.for_all (fun b -> part_of_behavior part b = home) bs then
+        (v :: locals, globals, unaccessed)
+      else (locals, v :: globals, unaccessed)
   in
   let locals, globals, unaccessed =
     List.fold_left step ([], [], []) g.Agraph.Access_graph.g_variables

@@ -159,6 +159,13 @@ let refs e =
   in
   List.rev (go [] e)
 
+let rec exists_ref f = function
+  | Const _ -> false
+  | Ref x -> f x
+  | Index (x, i) -> if f x then true else exists_ref f i
+  | Binop (_, a, b) -> if exists_ref f a then true else exists_ref f b
+  | Unop (_, a) -> exists_ref f a
+
 let rec rename f = function
   | Const v -> Const v
   | Ref x -> Ref (f x)

@@ -92,6 +92,10 @@ val refs : expr -> string list
     the bytecode VM classifies each wait site at compile time and the
     tree engine caches the classification per site. *)
 
+val exists_ref : (string -> bool) -> expr -> bool
+(** [exists_ref f e] is true when [f] holds for some name {!refs} lists,
+    without building the list. *)
+
 val rename : (string -> string) -> expr -> expr
 (** [rename f e] replaces every [Ref x] with [Ref (f x)]. *)
 

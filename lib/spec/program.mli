@@ -19,8 +19,6 @@ val lookup_var : program -> string -> var_decl option
 
 val lookup_signal : program -> string -> sig_decl option
 
-val lookup_proc : program -> string -> proc_decl option
-
 val lookup_behavior : program -> string -> behavior option
 
 val behavior_names : program -> string list

@@ -68,46 +68,100 @@ let dedup names =
   in
   go Names.Set.empty names
 
+(* One walk over every expression, keeping each name at its first
+   occurrence: the order of {!Expr.refs} per expression, and across
+   expressions the order of [fold_exprs]. *)
 let reads stmts =
-  dedup (List.rev (fold_exprs (fun acc e -> List.rev_append (Expr.refs e) acc) [] stmts))
+  let seen = ref Names.Set.empty and acc = ref [] in
+  let note x =
+    if not (Names.Set.mem x !seen) then begin
+      seen := Names.Set.add x !seen;
+      acc := x :: !acc
+    end
+  in
+  let rec walk = function
+    | Const _ -> ()
+    | Ref x -> note x
+    | Index (x, i) ->
+      note x;
+      walk i
+    | Binop (_, a, b) ->
+      walk a;
+      walk b
+    | Unop (_, a) -> walk a
+  in
+  fold_exprs (fun () e -> walk e) () stmts;
+  List.rev !acc
 
-let rec writes stmts = dedup (List.concat_map write_stmt stmts)
+(* The name lists below gather every occurrence in traversal order,
+   newest first, and deduplicate once at the end: first occurrence wins,
+   exactly as deduplicating every nested body on the way up would. *)
+let rec writes_rev acc stmts = List.fold_left write_stmt acc stmts
 
-and write_stmt = function
-  | Assign (x, _) -> [ x ]
-  | Assign_idx (x, _, _) -> [ x ]
-  | Signal_assign _ -> []
+and write_stmt acc = function
+  | Assign (x, _) | Assign_idx (x, _, _) -> x :: acc
   | If (branches, els) ->
-    List.concat_map (fun (_, body) -> writes body) branches @ writes els
-  | While (_, body) -> writes body
-  | For (i, _, _, body) -> i :: writes body
-  | Wait_until _ -> []
+    writes_rev
+      (List.fold_left (fun acc (_, body) -> writes_rev acc body) acc branches)
+      els
+  | While (_, body) -> writes_rev acc body
+  | For (i, _, _, body) -> writes_rev (i :: acc) body
   | Call (_, args) ->
-    List.filter_map (function Arg_var x -> Some x | Arg_expr _ -> None) args
-  | Emit _ -> []
-  | Skip -> []
+    List.fold_left
+      (fun acc -> function Arg_var x -> x :: acc | Arg_expr _ -> acc)
+      acc args
+  | Signal_assign _ | Wait_until _ | Emit _ | Skip -> acc
 
-let rec signal_writes stmts = dedup (List.concat_map signal_write_stmt stmts)
+let writes stmts = dedup (List.rev (writes_rev [] stmts))
 
-and signal_write_stmt = function
-  | Signal_assign (s, _) -> [ s ]
+let rec exists_access f stmts = List.exists (access_stmt f) stmts
+
+and access_stmt f = function
+  | Assign (x, e) -> f x || Expr.exists_ref f e
+  | Assign_idx (x, i, e) -> f x || Expr.exists_ref f i || Expr.exists_ref f e
+  | Signal_assign (_, e) | Wait_until e | Emit (_, e) -> Expr.exists_ref f e
   | If (branches, els) ->
-    List.concat_map (fun (_, body) -> signal_writes body) branches
-    @ signal_writes els
-  | While (_, body) -> signal_writes body
-  | For (_, _, _, body) -> signal_writes body
-  | Assign _ | Assign_idx _ | Wait_until _ | Call _ | Emit _ | Skip -> []
+    List.exists
+      (fun (c, body) -> Expr.exists_ref f c || exists_access f body)
+      branches
+    || exists_access f els
+  | While (c, body) -> Expr.exists_ref f c || exists_access f body
+  | For (i, lo, hi, body) ->
+    f i || Expr.exists_ref f lo || Expr.exists_ref f hi || exists_access f body
+  | Call (_, args) ->
+    List.exists
+      (function Arg_expr e -> Expr.exists_ref f e | Arg_var x -> f x)
+      args
+  | Skip -> false
 
-let rec calls stmts = dedup (List.concat_map call_stmt stmts)
+let rec signal_writes_rev acc stmts = List.fold_left signal_write_stmt acc stmts
 
-and call_stmt = function
-  | Call (p, _) -> [ p ]
+and signal_write_stmt acc = function
+  | Signal_assign (s, _) -> s :: acc
   | If (branches, els) ->
-    List.concat_map (fun (_, body) -> calls body) branches @ calls els
-  | While (_, body) -> calls body
-  | For (_, _, _, body) -> calls body
+    signal_writes_rev
+      (List.fold_left
+         (fun acc (_, body) -> signal_writes_rev acc body)
+         acc branches)
+      els
+  | While (_, body) | For (_, _, _, body) -> signal_writes_rev acc body
+  | Assign _ | Assign_idx _ | Wait_until _ | Call _ | Emit _ | Skip -> acc
+
+let signal_writes stmts = dedup (List.rev (signal_writes_rev [] stmts))
+
+let rec calls_rev acc stmts = List.fold_left call_stmt acc stmts
+
+and call_stmt acc = function
+  | Call (p, _) -> p :: acc
+  | If (branches, els) ->
+    calls_rev
+      (List.fold_left (fun acc (_, body) -> calls_rev acc body) acc branches)
+      els
+  | While (_, body) | For (_, _, _, body) -> calls_rev acc body
   | Assign _ | Assign_idx _ | Signal_assign _ | Wait_until _ | Emit _ | Skip ->
-    []
+    acc
+
+let calls stmts = dedup (List.rev (calls_rev [] stmts))
 
 let rec rename_refs f stmts = List.map (rename_stmt f) stmts
 

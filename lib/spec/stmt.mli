@@ -25,6 +25,10 @@ val writes : stmt list -> string list
     of calls.  Signal-assignment targets are {e not} included (see
     {!signal_writes}). *)
 
+val exists_access : (string -> bool) -> stmt list -> bool
+(** [exists_access f stmts] is true when [f] holds for a name in
+    [reads stmts] or [writes stmts], without building either list. *)
+
 val signal_writes : stmt list -> string list
 (** Targets of [<=] signal assignments. *)
 

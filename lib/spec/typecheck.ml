@@ -30,7 +30,7 @@ type kind = Kvar | Ksignal
 
 type env = {
   bindings : (ty_class * kind) Names.Map.t;
-  procs : proc_decl list;
+  procs : proc_decl Names.Map.t;  (** first declaration of each name *)
   path : string list;  (** behavior path, for diagnostic locations *)
 }
 
@@ -139,23 +139,21 @@ let rec check_stmts env errs stmts = List.fold_left (check_stmt env) errs stmts
 and check_stmt env errs = function
   | Skip -> errs
   | Assign (x, e) ->
+    let binding = Names.Map.find_opt x env.bindings in
     let errs =
-      match lookup_kind env x with
-      | Some Ksignal ->
+      match binding with
+      | Some (_, Ksignal) ->
         errf env ~code:"TYPE004" ~loc:x
           "variable assignment to signal %s (use <=)" x
         :: errs
-      | Some Kvar | None -> errs
+      | Some (_, Kvar) | None -> errs
     in
-    let errs =
-      match lookup env x with
-      | Some Carray ->
-        errf env ~code:"TYPE003" ~loc:x "array %s assigned without an index" x
-        :: errs
-      | Some _ | None -> errs
-    in
-    if lookup env x = Some Carray then errs
-    else check_assignable env errs ~what:"assignment" x e
+    begin match binding with
+    | Some (Carray, _) ->
+      errf env ~code:"TYPE003" ~loc:x "array %s assigned without an index" x
+      :: errs
+    | Some _ | None -> check_assignable env errs ~what:"assignment" x e
+    end
   | Assign_idx (x, i, e) ->
     let errs =
       match lookup env x with
@@ -206,9 +204,7 @@ and check_stmt env errs = function
     check_stmts env errs body
   | Wait_until c -> expect env errs Cbool c "wait condition"
   | Call (name, args) ->
-    begin match
-      List.find_opt (fun pr -> String.equal pr.prc_name name) env.procs
-    with
+    begin match Names.Map.find_opt name env.procs with
     | None ->
       errf env ~code:"TYPE005" ~loc:name "call to unknown procedure %s" name
       :: errs
@@ -336,7 +332,10 @@ let diagnostics (p : program) : Diagnostic.t list =
                 (fun s -> (s.s_name, (class_of_ty s.s_ty, Ksignal)))
                 p.p_signals)
              Names.Map.empty);
-      procs = p.p_procs;
+      procs =
+        Names.bind
+          (List.map (fun pr -> (pr.prc_name, pr)) p.p_procs)
+          Names.Map.empty;
       path = [];
     }
   in

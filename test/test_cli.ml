@@ -427,6 +427,27 @@ let test_lint_fix_rules () =
   Alcotest.(check bool) "PROTO003 left alone" false
     (contains ~sub:{|{"code":"PROTO003"|} out)
 
+(* The daemon's two ends share one token resolution: an unreadable
+   --token-file is an input error, not an uncaught exception.  A socket
+   that cannot be bound is one too. *)
+let test_daemon_input_errors () =
+  let missing_dir =
+    Filename.concat (Filename.get_temp_dir_name ()) "mrefine-no-such-dir"
+  in
+  let missing = Filename.concat missing_dir "token" in
+  let socket = Filename.concat missing_dir "serve.sock" in
+  expect_input_error
+    [ "client"; "--token-file"; missing; "--ping" ]
+    "cannot read --token-file";
+  expect_input_error
+    [ "serve"; "--socket"; socket; "--token-file"; missing ]
+    "cannot read --token-file";
+  expect_input_error
+    [ "client"; "--token"; "t"; "--token-file"; missing; "--ping" ]
+    "give only one of --token and --token-file";
+  expect_input_error [ "serve"; "--socket"; socket ]
+    ("cannot listen on " ^ socket)
+
 let test_demo () =
   expect_ok [ "demo" ]
     [ "medical system: 147 lines, 52 channels"; "cosim ok" ]
@@ -471,6 +492,7 @@ let () =
           tc "errors" test_errors;
           tc "bad partition arguments" test_bad_partition_args;
           tc "lint fix rules" test_lint_fix_rules;
+          tc "daemon input errors" test_daemon_input_errors;
         ] );
       ("cli = serve", differential_tests);
     ]

@@ -694,6 +694,65 @@ let prop_rate_identities =
       && close m4l1 (m3l1 +. d 1 1)
       && close chain (d 0 1 +. d 1 0))
 
+(* --- bus plan against the roles x edges formulation (property) --------------- *)
+
+(* [Bus_plan.build] files each data edge under its buses in one pass.
+   The reference recomputes an edge's buses for every role from the
+   plan's association list and keeps the edges whose buses include the
+   role, as the plan was first specified. *)
+let reference_bus_edges part (plan : Core.Bus_plan.t) g role =
+  let edge_buses (e : Agraph.Access_graph.data_edge) =
+    let master =
+      Option.get
+        (Partitioning.Partition.part_of_behavior part
+           e.Agraph.Access_graph.de_behavior)
+    in
+    match List.assoc e.Agraph.Access_graph.de_variable plan.bp_memory_of with
+    | Core.Bus_plan.Gmem -> [ Core.Bus_plan.Shared_global ]
+    | Core.Bus_plan.Gmem_part mem -> [ Core.Bus_plan.Dedicated { master; mem } ]
+    | Core.Bus_plan.Lmem h ->
+      if master = h then [ Core.Bus_plan.Local h ]
+      else
+        [ Core.Bus_plan.Chain_request master; Core.Bus_plan.Chain_inter;
+          Core.Bus_plan.Chain_request h ]
+  in
+  List.filter
+    (fun e -> List.exists (Core.Bus_plan.equal_role role) (edge_buses e))
+    g.Agraph.Access_graph.g_data
+
+let prop_bus_plan_edges =
+  QCheck.Test.make ~count:30
+    ~name:"bus plan edges equal the roles x edges formulation"
+    QCheck.(make ~print:string_of_int Gen.(int_range 1 100_000))
+    (fun seed ->
+      let p =
+        Workloads.Generator.program
+          {
+            Workloads.Generator.default_config with
+            Workloads.Generator.gen_seed = seed;
+            gen_vars = 3 + (seed mod 10);
+            gen_leaves = 4 + (seed mod 12);
+            gen_par_branches = seed mod 3;
+          }
+      in
+      let g = Agraph.Access_graph.of_program p in
+      List.for_all
+        (fun n_parts ->
+          let part = Workloads.Generator.random_partition ~seed g ~n_parts in
+          List.for_all
+            (fun model ->
+              let plan = Core.Bus_plan.build model g part in
+              List.for_all
+                (fun (b : Core.Bus_plan.bus) ->
+                  b.Core.Bus_plan.bus_edges
+                  = reference_bus_edges part plan g b.Core.Bus_plan.bus_role)
+                plan.Core.Bus_plan.bp_buses
+              && List.for_all
+                   (fun (v, mem) -> Core.Bus_plan.memory_of plan v = mem)
+                   plan.Core.Bus_plan.bp_memory_of)
+            Core.Model.all)
+        [ 2; 3 ])
+
 (* --- Check (failure injection) ----------------------------------------------- *)
 
 let test_check_detects_missing_arbiter () =
@@ -837,6 +896,8 @@ let () =
         ] );
       ( "rate identities",
         [ QCheck_alcotest.to_alcotest prop_rate_identities ] );
+      ( "bus plan edges",
+        [ QCheck_alcotest.to_alcotest prop_bus_plan_edges ] );
       ( "check",
         [
           tc "missing arbiter" test_check_detects_missing_arbiter;

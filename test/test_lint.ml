@@ -333,15 +333,17 @@ let test_width_shadowing () =
     @ in_proc)
     (findings ~flow:false);
   (* With flow on, the interval analysis proves both [b] transfers fit
-     ([x] is never written, so it stays 0), and the flow scope of a
-     procedure lists parameters before locals, so [c] resolves to the
-     8-bit parameter and [c := 7] fits. *)
+     ([x] is never written, so it stays 0).  A procedure local still
+     shadows its parameter: [c] is the 2-bit local and [c := 7] does not
+     fit. *)
   Alcotest.check t "flow"
     [
       ( "WIDTH001", "TOP/LOCAL",
         "assignment to x narrows a 8-bit value to 4 bits" );
       ( "WIDTH001", "TOP/LOCAL",
         "assignment to y narrows a 7-bit value to 4 bits" );
+      ( "WIDTH001", "procedure f",
+        "assignment to c narrows a 3-bit value to 2 bits" );
     ]
     (findings ~flow:true)
 
@@ -566,6 +568,169 @@ let test_check_shim () =
     Alcotest.(check bool) "shim names the leftover state" true
       (List.exists (fun m -> contains m "variable") msgs)
 
+(* --- one checked refinement: the carried verdict and its guard ---------- *)
+
+let medical = Workloads.Medical.spec
+
+let codes ds = List.map (fun d -> d.Diagnostic.d_code) ds
+
+(* A program that still validates but no longer typechecks: its first
+   signal becomes an array. *)
+let ill_typed (p : Ast.program) =
+  match p.p_signals with
+  | s :: rest -> { p with p_signals = { s with s_ty = TArray (8, 2) } :: rest }
+  | [] -> Alcotest.fail "refined program declares no signal"
+
+let test_verdict_follows_program () =
+  let r = medical_refinement Core.Model.Model2 in
+  (match Core.Check.run ~original:medical r with
+  | Ok () -> ()
+  | Error msgs -> Alcotest.failf "clean refinement: %s" (String.concat "; " msgs));
+  let p' = ill_typed r.Core.Refiner.rf_program in
+  Alcotest.(check bool) "the replacement validates" true
+    (Program.validate p' = Ok ());
+  let broken = { r with Core.Refiner.rf_program = p' } in
+  let ds = Core.Check.diagnostics ~original:medical broken in
+  Alcotest.(check bool) "Check reports the replacement's TYPE003" true
+    (has_code "TYPE003" ds);
+  Alcotest.(check bool) "and only type errors" true
+    (List.for_all (fun c -> String.starts_with ~prefix:"TYPE" c) (codes ds));
+  (match Core.Check.run ~original:medical broken with
+  | Ok () -> Alcotest.fail "an ill-typed program must fail the check"
+  | Error msgs ->
+    Alcotest.(check bool) "shim prefixes the type error" true
+      (List.exists (fun m -> contains m "type error: ") msgs));
+  Alcotest.(check bool) "lint reports it too" true
+    (has_code "TYPE003" (Lint.Registry.run_refinement ~original:medical broken));
+  Alcotest.(check (list string)) "the original record stays clean" []
+    (codes (Core.Check.diagnostics ~original:medical r))
+
+let test_verdict_keeps_structural_checks () =
+  let r = medical_refinement Core.Model.Model1 in
+  Alcotest.(check (list string)) "clean first" []
+    (codes (Core.Check.diagnostics ~original:medical r));
+  let stripped =
+    {
+      r with
+      Core.Refiner.rf_buses =
+        List.map
+          (fun b -> { b with Core.Refiner.bi_arbiter = None })
+          r.Core.Refiner.rf_buses;
+    }
+  in
+  Alcotest.(check bool) "Check reports CONT001" true
+    (has_code "CONT001" (Core.Check.diagnostics ~original:medical stripped));
+  Alcotest.(check bool) "lint reports CONT001" true
+    (has_code "CONT001"
+       (Lint.Registry.run_refinement ~original:medical stripped))
+
+(* The reference checks the refined program from scratch: the
+   structural findings of a record whose program is a fresh copy, plus
+   {!Program.validate} and {!Typecheck.diagnostics} called directly. *)
+let fresh (r : Core.Refiner.t) =
+  {
+    r with
+    Core.Refiner.rf_program =
+      { r.Core.Refiner.rf_program with p_name = r.Core.Refiner.rf_program.p_name };
+  }
+
+let reference_check ~original (r : Core.Refiner.t) =
+  let p = r.Core.Refiner.rf_program in
+  let name_or_type (d : Diagnostic.t) =
+    d.Diagnostic.d_code = "NAME001"
+    || String.starts_with ~prefix:"TYPE" d.Diagnostic.d_code
+  in
+  let structural =
+    List.filter
+      (fun d -> not (name_or_type d))
+      (Core.Check.diagnostics ~original (fresh r))
+  in
+  let names =
+    match Program.validate p with
+    | Ok () -> []
+    | Error msgs ->
+      List.map
+        (fun m ->
+          Diagnostic.make ~code:"NAME001" ~severity:Diagnostic.Error
+            ~pass:"validate" m)
+        msgs
+  in
+  Diagnostic.sort (structural @ names @ Typecheck.diagnostics p)
+
+let check_once_targets () =
+  let greedy p =
+    Partitioning.Greedy.run (Agraph.Access_graph.of_program p) ~n_parts:2
+  in
+  let generated seed =
+    Workloads.Generator.program
+      {
+        Workloads.Generator.default_config with
+        Workloads.Generator.gen_seed = seed;
+        gen_vars = 8;
+        gen_leaves = 10;
+        gen_par_branches = seed mod 3;
+      }
+  in
+  [
+    ("medical", medical,
+      (List.hd Workloads.Designs.all).Workloads.Designs.d_partition);
+    ("fig2", Workloads.Smallspecs.fig2, Workloads.Smallspecs.fig2_partition);
+    ("elevator", Workloads.Elevator.spec, Workloads.Elevator.partition);
+    ("fir", Workloads.Fir.spec, Workloads.Fir.partition);
+  ]
+  @ List.map
+      (fun seed ->
+        let p = generated seed in
+        (Printf.sprintf "generated %d" seed, p, greedy p))
+      [ 3; 17; 29 ]
+
+let test_check_once_differential () =
+  let show ds = List.map Diagnostic.to_string ds in
+  List.iter
+    (fun (name, p, part) ->
+      let g = Agraph.Access_graph.of_program p in
+      List.iter
+        (fun model ->
+          List.iter
+            (fun (protocol, harden) ->
+              let options =
+                { Core.Refiner.default_options with protocol; harden }
+              in
+              let r = Core.Refiner.refine ~options p g part model in
+              let what =
+                Printf.sprintf "%s/%s/%s%s" name (Core.Model.name model)
+                  (match protocol with
+                  | Core.Protocol.Four_phase -> "4-phase"
+                  | Core.Protocol.Two_phase -> "2-phase")
+                  (if harden then "/harden" else "")
+              in
+              let expected = show (reference_check ~original:p r) in
+              let lint_expected =
+                show (Lint.Registry.run_refinement ~original:p (fresh r))
+              in
+              (* Lint first, then check, then both again: every order
+                 and every repeat reads the same verdict. *)
+              Alcotest.(check (list string)) (what ^ ": lint")
+                lint_expected
+                (show (Lint.Registry.run_refinement ~original:p r));
+              Alcotest.(check (list string)) (what ^ ": check")
+                expected
+                (show (Core.Check.diagnostics ~original:p r));
+              Alcotest.(check (list string)) (what ^ ": check again")
+                expected
+                (show (Core.Check.diagnostics ~original:p r));
+              Alcotest.(check (list string)) (what ^ ": lint again")
+                lint_expected
+                (show (Lint.Registry.run_refinement ~original:p r)))
+            [
+              (Core.Protocol.Four_phase, false);
+              (Core.Protocol.Four_phase, true);
+              (Core.Protocol.Two_phase, false);
+              (Core.Protocol.Two_phase, true);
+            ])
+        Core.Model.all)
+    (check_once_targets ())
+
 (* --- acceptance: refined medical outputs lint clean at severity=error -- *)
 
 let test_refined_medical_error_clean () =
@@ -749,6 +914,12 @@ let () =
         [
           tc "typecheck" test_typecheck_shim;
           tc "refinement check" test_check_shim;
+        ] );
+      ( "check once",
+        [
+          tc "verdict follows the program" test_verdict_follows_program;
+          tc "structural checks still run" test_verdict_keeps_structural_checks;
+          tc "differential against a fresh check" test_check_once_differential;
         ] );
       ( "acceptance",
         [ tc "refined medical error-clean" test_refined_medical_error_clean ] );
