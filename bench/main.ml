@@ -588,39 +588,29 @@ let bench_json out_path =
   let sim_rows =
     List.map
       (fun (name, p) ->
-        (* Gate before timing: one fully traced run per backend must be
-           bit-identical across the VM, the tree-walker and the polling
-           oracle, or the benchmark exits nonzero — a fast kernel that
-           drifts observably is a regression, not a win. *)
+        (* Gate before timing: one fully traced run must be bit-identical
+           between the engine (VM leaves) and the polling oracle
+           (tree-walking leaves), or the benchmark exits nonzero — a fast
+           kernel that drifts observably is a regression, not a win. *)
         let traced =
           { Sim.Engine.default_config with Sim.Engine.trace_signals = true }
         in
-        let vm_r = Sim.Engine.run ~config:traced p in
         let same =
-          vm_r = Sim.Engine.run ~config:traced ~backend:`Treewalk p
-          && vm_r = Sim.Reference.run ~config:traced p
+          Sim.Engine.run ~config:traced p = Sim.Reference.run ~config:traced p
         in
         if not same then sim_identical := false;
         let engine_vm = us_per_run (fun () -> Sim.Engine.run p) in
-        let engine_tree =
-          us_per_run (fun () -> Sim.Engine.run ~backend:`Treewalk p)
-        in
         let polling = us_per_run (fun () -> Sim.Reference.run p) in
         Printf.printf
-          "simulate/%-12s vm %8.1f us  tree %8.1f us  polling %8.1f us  \
-           (vm %.2fx over tree, %.2fx over polling)  observables %s\n"
-          name engine_vm engine_tree polling (engine_tree /. engine_vm)
-          (polling /. engine_vm)
+          "simulate/%-12s vm %8.1f us  polling %8.1f us  (%.2fx)  \
+           observables %s\n"
+          name engine_vm polling (polling /. engine_vm)
           (if same then "identical" else "DIVERGED");
-        (* engine_us/speedup keep their historical meaning (the default
-           engine backend vs the polling kernel) for trend continuity. *)
         Printf.sprintf
-          "{\"name\":\"%s\",\"engine_vm_us\":%.1f,\"engine_tree_us\":%.1f,\
-           \"vm_speedup\":%.2f,\"engine_us\":%.1f,\"polling_us\":%.1f,\
-           \"speedup\":%.2f,\"observables_identical\":%b}"
-          name engine_vm engine_tree
-          (engine_tree /. engine_vm)
-          engine_vm polling (polling /. engine_vm) same)
+          "{\"name\":\"%s\",\"engine_vm_us\":%.1f,\"engine_us\":%.1f,\
+           \"polling_us\":%.1f,\"speedup\":%.2f,\
+           \"observables_identical\":%b}"
+          name engine_vm engine_vm polling (polling /. engine_vm) same)
       sim_cases
   in
   let sim_identical = !sim_identical in

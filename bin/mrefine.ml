@@ -65,29 +65,6 @@ let model_conv = conv_of Command.model_of_string Core.Model.name
 let memord_conv =
   conv_of Sim.Memord.policy_of_string Sim.Memord.policy_to_string
 
-let backend_conv =
-  conv_of Sim.Runtime.backend_of_string Sim.Runtime.backend_to_string
-
-(* Sets the process-wide simulation backend before the command body
-   runs, so every simulation the invocation performs — cosim gates,
-   fault campaigns, litmus runs — honors one switch. *)
-let backend_arg =
-  let set b =
-    Sim.Runtime.set_default_backend b;
-    b
-  in
-  Term.(
-    const set
-    $ Arg.(
-        value
-        & opt backend_conv `Bytecode
-        & info [ "backend" ] ~docv:"BACKEND"
-            ~doc:
-              "Simulation leaf machine: $(b,vm) (the bytecode register \
-               VM, the default) or $(b,tree) (the retained tree-walking \
-               interpreter).  Observables are bit-identical; the tree \
-               backend exists as the differential oracle."))
-
 let defaults = Command.default_design
 
 let model_arg =
@@ -282,7 +259,7 @@ let refine_cmd =
     Term.(const run $ spec_arg $ design_term $ output_arg $ quiet)
 
 let simulate_cmd =
-  let run spec_path vcd_path (_backend : Sim.Runtime.backend) =
+  let run spec_path vcd_path =
     let p = or_die (load_spec spec_path) in
     let config =
       { Sim.Engine.default_config with trace_signals = vcd_path <> None }
@@ -316,10 +293,10 @@ let simulate_cmd =
   in
   Cmd.v
     (Cmd.info "simulate" ~doc:"Simulate a specification and print its trace.")
-    Term.(const run $ spec_arg $ vcd $ backend_arg)
+    Term.(const run $ spec_arg $ vcd)
 
 let cosim_cmd =
-  let run spec_path design (_backend : Sim.Runtime.backend) =
+  let run spec_path design =
     let p = or_die (load_spec spec_path) in
     let g = Agraph.Access_graph.of_program p in
     let r = or_die (Command.refine p g design) in
@@ -350,7 +327,7 @@ let cosim_cmd =
   Cmd.v
     (Cmd.info "cosim"
        ~doc:"Refine, then co-simulate original vs refined and compare.")
-    Term.(const run $ spec_arg $ design_term $ backend_arg)
+    Term.(const run $ spec_arg $ design_term)
 
 let typecheck_cmd =
   let run spec_path =
@@ -609,8 +586,9 @@ let faults_cmd =
     let deadline =
       deadline_arg
         "Wall-clock budget of the whole campaign: once exceeded, the \
-         running simulation is cancelled cooperatively and the remaining \
-         runs are classified timed-out instead of hanging the command."
+         running simulation is cancelled cooperatively, classified \
+         timed-out, and the campaign stops instead of hanging the \
+         command."
     in
     let ordering =
       Arg.(
@@ -626,11 +604,11 @@ let faults_cmd =
     in
     Term.(
       const
-        (fun design classes seeds base_seed json deadline ordering backend ->
+        (fun design classes seeds base_seed json deadline ordering ->
           { Command.Faults.design; classes; seeds; base_seed; deadline;
-            ordering; backend; json })
+            ordering; json })
       $ design_term $ classes $ seeds $ base_seed $ json_arg $ deadline
-      $ ordering $ backend_arg)
+      $ ordering)
   in
   let resume =
     resume_arg
@@ -710,9 +688,9 @@ let litmus_cmd =
                   and a dropped handshake edge) from $(b,lib/faults).")
     in
     Term.(
-      const (fun orderings shapes seeds faults json backend ->
-          { Command.Litmus.shapes; orderings; seeds; faults; backend; json })
-      $ orderings $ shapes $ seeds $ faults $ json_arg $ backend_arg)
+      const (fun orderings shapes seeds faults json ->
+          { Command.Litmus.shapes; orderings; seeds; faults; json })
+      $ orderings $ shapes $ seeds $ faults $ json_arg)
   in
   let run req output =
     let rp = or_die (Command.Litmus.run req) in

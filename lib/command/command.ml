@@ -86,6 +86,13 @@ let check_poll = function
 let at_least what min n =
   if n < min then Error (Printf.sprintf "%s must be >= %d" what min) else Ok ()
 
+(* A deadline in seconds: [nan] and infinities would silently mean "no
+   deadline", and one already past would cancel the run at once. *)
+let deadline_ok = function
+  | Some d when not (Float.is_finite d && d > 0.) ->
+    Error "deadline must be finite and > 0"
+  | _ -> Ok ()
+
 let non_empty what l =
   if l = [] then Error (what ^ " must be non-empty") else Ok ()
 
@@ -372,6 +379,9 @@ module Explore = struct
     let* () = at_least "jobs" 1 req.jobs in
     let* () = at_least "retries" 0 req.retries in
     let* () = at_least "parts" 1 req.parts in
+    let* () = at_least "steps" 0 req.steps in
+    let* () = at_least "top" 0 req.top in
+    let* () = deadline_ok req.deadline in
     let* () =
       if req.models = [] || req.seeds = [] || req.biases = [] then
         Error "models, seeds and biases must be non-empty"
@@ -416,7 +426,6 @@ module Faults = struct
     base_seed : int;
     deadline : float option;  (** whole campaign *)
     ordering : Sim.Memord.policy;
-    backend : Sim.Runtime.backend;
     json : bool;
   }
 
@@ -429,7 +438,6 @@ module Faults = struct
       base_seed = 1;
       deadline = None;
       ordering = Sim.Memord.Sc;
-      backend = `Bytecode;
       json = false;
     }
 
@@ -438,6 +446,7 @@ module Faults = struct
   let run ?poll ?resume ?on_refined p g req =
     let* () = at_least "seeds" 1 req.seeds in
     let* () = non_empty "classes" req.classes in
+    let* () = deadline_ok req.deadline in
     let* () = check_poll poll in
     let* r = refine p g req.design in
     Option.iter (fun f -> f r) on_refined;
@@ -453,13 +462,10 @@ module Faults = struct
         cf_ordering = req.ordering;
       }
     in
-    let simulate ~config ~hooks ?ordering p =
-      Sim.Engine.run ~config ~hooks ?ordering ~backend:req.backend p
-    in
     let* report =
       with_journal resume ~meta:(Faults.Campaign.journal_meta config r)
         (fun journal ->
-          match Faults.Campaign.run ~config ~simulate ?journal r with
+          match Faults.Campaign.run ~config ?journal r with
           | report -> Ok report
           | exception Faults.Campaign.Campaign_error msg ->
             Error ("fault campaign: " ^ msg))
@@ -477,7 +483,6 @@ module Litmus = struct
     orderings : Sim.Memord.policy list;
     seeds : int;
     faults : bool;
-    backend : Sim.Runtime.backend;
     json : bool;
   }
 
@@ -490,7 +495,6 @@ module Litmus = struct
           Sim.Memord.Relaxed Sim.Memord.default_window ];
       seeds = 4;
       faults = false;
-      backend = `Bytecode;
       json = false;
     }
 
@@ -506,7 +510,6 @@ module Litmus = struct
           cf_orderings = req.orderings;
           cf_seeds = req.seeds;
           cf_faults = req.faults;
-          cf_backend = Some req.backend;
         }
     in
     let* () = check_poll poll in

@@ -72,8 +72,8 @@ type config = {
   cf_sim : Sim.Engine.config;  (** budget of the golden run *)
   cf_deadline_s : float option;
       (** wall-clock budget of the whole campaign: once exceeded, the
-          running simulation is cancelled and every remaining run is
-          classified {!Timed_out} *)
+          running simulation is cancelled, classified {!Timed_out}, and
+          the campaign stops *)
   cf_poll : (unit -> bool) option;
       (** external cooperative cancellation, polled with the deadline *)
   cf_ordering : Sim.Memord.policy;
@@ -442,71 +442,82 @@ let run ?(config = default_config) ?(simulate = engine_simulate) ?journal
   in
   let targets = enumerate r occurrences in
   let storage = targets.tg_storage in
-  let runs =
-    List.concat_map
-      (fun seed ->
-        List.filter_map
-          (fun cls ->
-            let cls_code =
-              String.fold_left
-                (fun a c -> (a * 31) + Char.code c)
-                7 (Fault.cls_name cls)
-            in
-            let rng =
-              Partitioning.Rng.create
-                ((config.cf_base_seed * 1_000_003) + (seed * 10_007) + cls_code)
-            in
-            match draw rng ~targets ~occurrences ~golden_deltas cls with
-            | None -> None
-            | Some faults ->
-              let key =
-                Printf.sprintf "seed%d/%s" seed (Fault.cls_name cls)
-              in
-              let replayed =
-                match journal with
-                | None -> None
-                | Some j ->
-                  Option.bind (Checkpoint.Journal.find j key) decode_run
-              in
-              (match replayed with
-              | Some rn -> Some rn
-              | None ->
-                (* A fault can drive the design into an expression it
-                   cannot evaluate (a flipped divisor becoming zero): the
-                   run stops there, a fail-stop like [WDG_ABORT].  The
-                   kernel reports no delta count for it. *)
-                let outcome, deltas =
-                  match
-                    simulate ~config:budget
-                      ~hooks:(with_poll (Inject.hooks faults))
-                      ?ordering:(ordering ()) program
-                  with
-                  | result ->
-                    ( classify ~storage ~golden result,
-                      result.Sim.Engine.r_deltas )
-                  | exception Expr.Eval_error _ -> (Deadlock, 0)
-                in
-                let rn =
-                  {
-                    run_seed = seed;
-                    run_class = cls;
-                    run_faults = faults;
-                    run_outcome = outcome;
-                    run_deltas = deltas;
-                  }
-                in
-                (* Only definitive outcomes checkpoint: a timed-out run
-                   must be retried by the resumed campaign, not replayed
-                   as a result. *)
-                (match journal with
-                | Some j when rn.run_outcome <> Timed_out ->
-                  Checkpoint.Journal.append j ~key
-                    (Marshal.to_string rn [])
-                | _ -> ());
-                Some rn))
-          config.cf_classes)
-      (List.init config.cf_seeds Fun.id)
+  let run_one seed cls =
+    let cls_code =
+      String.fold_left
+        (fun a c -> (a * 31) + Char.code c)
+        7 (Fault.cls_name cls)
+    in
+    let rng =
+      Partitioning.Rng.create
+        ((config.cf_base_seed * 1_000_003) + (seed * 10_007) + cls_code)
+    in
+    match draw rng ~targets ~occurrences ~golden_deltas cls with
+    | None -> None
+    | Some faults ->
+      let key = Printf.sprintf "seed%d/%s" seed (Fault.cls_name cls) in
+      let replayed =
+        match journal with
+        | None -> None
+        | Some j ->
+          Option.bind (Checkpoint.Journal.find j key) decode_run
+      in
+      (match replayed with
+      | Some rn -> Some rn
+      | None ->
+        (* A fault can drive the design into an expression it
+           cannot evaluate (a flipped divisor becoming zero): the
+           run stops there, a fail-stop like [WDG_ABORT].  The
+           kernel reports no delta count for it. *)
+        let outcome, deltas =
+          match
+            simulate ~config:budget
+              ~hooks:(with_poll (Inject.hooks faults))
+              ?ordering:(ordering ()) program
+          with
+          | result ->
+            ( classify ~storage ~golden result,
+              result.Sim.Engine.r_deltas )
+          | exception Expr.Eval_error _ -> (Deadlock, 0)
+        in
+        let rn =
+          {
+            run_seed = seed;
+            run_class = cls;
+            run_faults = faults;
+            run_outcome = outcome;
+            run_deltas = deltas;
+          }
+        in
+        (* Only definitive outcomes checkpoint: a timed-out run
+           must be retried by the resumed campaign, not replayed
+           as a result. *)
+        (match journal with
+        | Some j when rn.run_outcome <> Timed_out ->
+          Checkpoint.Journal.append j ~key
+            (Marshal.to_string rn [])
+        | _ -> ());
+        Some rn)
   in
+  (* Runs in (seed, class) order.  The first timed-out run ends the
+     campaign: its deadline or cancel has fired, so every later run would
+     only be started to be cancelled.  That run is kept, so the report
+     shows the campaign was cut short. *)
+  let rec rounds seed acc =
+    if seed >= config.cf_seeds then List.rev acc
+    else
+      let rec classes acc = function
+        | [] -> rounds (seed + 1) acc
+        | cls :: rest ->
+          begin match run_one seed cls with
+          | None -> classes acc rest
+          | Some ({ run_outcome = Timed_out; _ } as rn) -> List.rev (rn :: acc)
+          | Some rn -> classes (rn :: acc) rest
+          end
+      in
+      classes acc config.cf_classes
+  in
+  let runs = rounds 0 [] in
   let good =
     List.length
       (List.filter

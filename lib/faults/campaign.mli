@@ -21,7 +21,8 @@ type outcome =
   | Timed_out
       (** the campaign's wall-clock deadline (or an external cancellation
           poll) fired during this run; the result is not definitive and a
-          resumed campaign retries it *)
+          resumed campaign retries it.  The campaign stops after the
+          first such run. *)
 
 val outcome_name : outcome -> string
 val all_outcomes : outcome list
@@ -50,8 +51,8 @@ type config = {
   cf_sim : Sim.Engine.config;  (** budget of the golden run *)
   cf_deadline_s : float option;
       (** wall-clock budget of the whole campaign: once exceeded, the
-          running simulation is cancelled ({!Sim.Runtime.hooks.h_poll})
-          and the run classified {!Timed_out} *)
+          running simulation is cancelled ({!Sim.Runtime.hooks.h_poll}),
+          the run classified {!Timed_out}, and no further run started *)
   cf_poll : (unit -> bool) option;
       (** external cooperative cancellation, polled with the deadline *)
   cf_ordering : Sim.Memord.policy;

@@ -13,7 +13,7 @@ type outcome = {
   o_reordered : int;  (** relaxed releases that overtook an older entry *)
 }
 
-let run ?(kernel = `Engine) ?backend ?(faults = []) ~ordering ~seed
+let run ?(kernel = `Engine) ?(faults = []) ~ordering ~seed
     (shape : Shape.t) =
   let hooks =
     match faults with
@@ -31,7 +31,7 @@ let run ?(kernel = `Engine) ?backend ?(faults = []) ~ordering ~seed
   in
   let result =
     match kernel with
-    | `Engine -> Sim.Engine.run ~hooks ?ordering:mo ?backend shape.Shape.sh_program
+    | `Engine -> Sim.Engine.run ~hooks ?ordering:mo shape.Shape.sh_program
     | `Reference -> Sim.Reference.run ~hooks ?ordering:mo shape.Shape.sh_program
   in
   {

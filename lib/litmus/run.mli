@@ -16,7 +16,6 @@ type outcome = {
 
 val run :
   ?kernel:kernel ->
-  ?backend:Sim.Runtime.backend ->
   ?faults:Faults.Fault.spec list ->
   ordering:Sim.Memord.policy ->
   seed:int ->
@@ -24,9 +23,6 @@ val run :
   outcome
 (** Deterministic: the same (kernel, faults, ordering, seed, shape)
     point always yields the same outcome, and the two kernels classify
-    identically (the litmus determinism tests enforce this).  [backend]
-    selects the engine kernel's leaf machine (it is ignored by
-    [`Reference], which always tree-walks); omitted, the process
-    default applies.  [seed] is
-    ignored under {!Sim.Memord.Sc}, where no ordering layer is
-    installed at all. *)
+    identically (the litmus determinism tests enforce this).  [seed] is
+    ignored under {!Sim.Memord.Sc}, where no ordering layer is installed
+    at all. *)

@@ -9,8 +9,6 @@ type config = {
   cf_orderings : Sim.Memord.policy list;
   cf_seeds : int;  (** seeds 1..N per weak ordering; sc runs once *)
   cf_faults : bool;  (** also run the canned per-shape fault plans *)
-  cf_backend : Sim.Runtime.backend option;
-      (** engine-kernel leaf machine; [None] = the process default *)
 }
 
 let default_config () =
@@ -24,7 +22,6 @@ let default_config () =
       ];
     cf_seeds = 4;
     cf_faults = false;
-    cf_backend = None;
   }
 
 type entry = {
@@ -67,9 +64,9 @@ let value_string = function
   | Ast.VInt n -> string_of_int n
   | Ast.VBool b -> if b then "true" else "false"
 
-let entry_of ?backend ~fault (shape : Shape.t) ~ordering ~seed =
+let entry_of ~fault (shape : Shape.t) ~ordering ~seed =
   let faults = Option.value fault ~default:[] in
-  let eng = Run.run ~kernel:`Engine ?backend ~faults ~ordering ~seed shape in
+  let eng = Run.run ~kernel:`Engine ~faults ~ordering ~seed shape in
   let ref_ = Run.run ~kernel:`Reference ~faults ~ordering ~seed shape in
   let agree =
     eng.Run.o_verdict = ref_.Run.o_verdict
@@ -113,9 +110,7 @@ let run (cfg : config) =
             List.concat_map
               (fun ordering ->
                 List.map
-                  (fun seed ->
-                     entry_of ?backend:cfg.cf_backend ~fault shape
-                       ~ordering ~seed)
+                  (fun seed -> entry_of ~fault shape ~ordering ~seed)
                   (seeds_for ordering cfg.cf_seeds))
               cfg.cf_orderings)
           plans)

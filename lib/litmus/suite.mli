@@ -10,9 +10,6 @@ type config = {
   cf_orderings : Sim.Memord.policy list;
   cf_seeds : int;  (** seeds 1..N per weak ordering; sc runs once *)
   cf_faults : bool;  (** also run the canned per-shape fault plans *)
-  cf_backend : Sim.Runtime.backend option;
-      (** engine-kernel leaf machine ([`Reference] always tree-walks);
-          [None] = the process default *)
 }
 
 val default_config : unit -> config

@@ -48,9 +48,6 @@ let int_list_field ~default key j =
          xs)
   | Some _ -> Error (Printf.sprintf "field %S must be an array" key)
 
-let backend_field ~default j =
-  named ~default "backend" Sim.Runtime.backend_of_string j
-
 let json_field j = Protocol.bool_field ~default:false "json" j
 
 let design j =
@@ -143,11 +140,10 @@ let faults_request j =
   let* ordering =
     named ~default:d.ordering "ordering" Sim.Memord.policy_of_string j
   in
-  let* backend = backend_field ~default:d.backend j in
   let* json = json_field j in
   Ok
     { Command.Faults.design; classes; seeds; base_seed; deadline; ordering;
-      backend; json }
+      json }
 
 let litmus_request j =
   let d = Command.Litmus.default in
@@ -159,9 +155,8 @@ let litmus_request j =
   in
   let* seeds = Protocol.int_field ~default:d.seeds "seeds" j in
   let* faults = Protocol.bool_field ~default:d.faults "faults" j in
-  let* backend = backend_field ~default:d.backend j in
   let* json = json_field j in
-  Ok { Command.Litmus.shapes; orderings; seeds; faults; backend; json }
+  Ok { Command.Litmus.shapes; orderings; seeds; faults; json }
 
 (* --- running ------------------------------------------------------------- *)
 

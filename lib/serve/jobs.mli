@@ -9,7 +9,8 @@
     source text in the ["spec"] field (the daemon need not share a
     filesystem view with its clients).
 
-    Job field reference (absent fields take the CLI's defaults):
+    Job field reference (absent fields take the CLI's defaults; fields a
+    kind does not read are ignored):
     {v
     refine : spec, model, parts, algo, seed, assign, protocol, harden
              -> Command.design; the report is [mrefine refine -q]
@@ -21,9 +22,9 @@
     explore: spec, models, seeds, biases, parts, steps, jobs, top,
              deadline, retries, json -> Command.Explore.request
     faults : spec, model, parts, algo, seed, assign, protocol, harden,
-             classes, seeds, base_seed, deadline, ordering, backend,
-             json -> Command.Faults.request
-    litmus : shapes, orderings, seeds, faults, backend, json
+             classes, seeds, base_seed, deadline, ordering, json
+             -> Command.Faults.request
+    litmus : shapes, orderings, seeds, faults, json
              -> Command.Litmus.request
     v}
     Served refine results are memoized in the session cache under their

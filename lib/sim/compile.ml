@@ -314,8 +314,8 @@ let rec emit_expr b env ~dst ~sp e : folded =
 (* Wait sites.                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* Sensitivity classification, exactly as the event-driven scheduler's
-   park computes it per wait: each referenced name is resolved the way
+(* Sensitivity classification for the event-driven scheduler's park,
+   once per wait site: each referenced name is resolved the way
    evaluation resolves it — a frame cell (or an unbound name, or an
    array base) can change without a commit and forces polling; pure
    signal reads park under the signals' wait-sets. *)

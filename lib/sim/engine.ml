@@ -10,8 +10,9 @@
       preorder (so scheduling order — and therefore every observable
       artifact — matches the polling kernel bit for bit);
     - {e sensitivity sets}: a leaf blocking on [wait until c] is parked
-      under the interned ids of the signals [c] reads ({!Spec.Expr.refs},
-      once per wait site), and each signal keeps a wait-set of parked
+      under the interned ids of the signals [c] reads (classified once
+      per wait site, when the VM compiles it), and each signal keeps a
+      wait-set of parked
       leaves; a delta-cycle commit wakes only the leaves sensitive to a
       signal that actually changed.  A condition that reads frame
       {e variables} (which can change without any commit) keeps its leaf
@@ -78,7 +79,7 @@ type lstate =
   | Lfinished
 
 type slot = {
-  sl_machine : machine;
+  sl_machine : Vm.thread;
   sl_uid : int;
       (** session-unique slot identity; wait sites stamp it when their
           registration is recorded, so a repeat park is an O(1) check
@@ -94,14 +95,10 @@ type slot = {
   mutable sl_idx : int;
       (** position in [ss_slots] as of the last rebuild — the wake path
           uses it to set the slot's runnable-mask bit without a search *)
-  mutable sl_sites : (Spec.Ast.expr * Env.frame * lstate * int list) list;
-      (** classification per wait site already parked at (physical
-          condition and frame), with the signal ids the condition reads —
-          a leaf blocks at its few wait sites over and over, and wait-set
-          registrations persist, so a repeat park is a state flip.  The
-          ids let a recycled leaf (whose registrations may have been
-          purged while it was retired) re-register without
-          re-classifying. *)
+  mutable sl_sites : Opcode.wait_site list;
+      (** the wait sites this leaf has registered at, one per physical
+          condition — a recycled leaf (whose registrations may have been
+          purged while it was retired) re-registers from them *)
 }
 
 (* A session: one program's fully elaborated simulation state — frames,
@@ -118,7 +115,7 @@ type slot = {
 type session = {
   ss_cx : Interp.context;
   ss_root_frame : Env.frame;
-  ss_root : node;
+  ss_root : Vm.thread node;
   mutable ss_slots : slot array;
   ss_wait_sets : slot list array;
   mutable ss_busy : bool;
@@ -143,19 +140,15 @@ let set_session_cap n =
   if n < 1 then invalid_arg "Engine.set_session_cap: cap < 1";
   Atomic.set session_cap_atomic n
 
-(* Sessions are keyed by physical program {e and} backend: the two
-   backends elaborate different leaf machines over the same program, and
-   a differential run alternating them must not rewind one into the
-   other. *)
-let session_store_key :
-    ((Ast.program * backend) * session) list ref Domain.DLS.key =
+(* Sessions are keyed by physical program. *)
+let session_store_key : (Ast.program * session) list ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref [])
 
 (* Check a session out of the domain-local store: rewind the stored one,
    or elaborate from scratch on a miss.  A hit is only taken when the
    session is idle — a reentrant run of the same program (or a run racing
    a store eviction) gets a throwaway fresh session instead. *)
-let checkout_session ~(backend : backend) (p : Ast.program) =
+let checkout_session (p : Ast.program) =
   let store = Domain.DLS.get session_store_key in
   let fresh () =
     let cx =
@@ -170,15 +163,13 @@ let checkout_session ~(backend : backend) (p : Ast.program) =
     {
       ss_cx = cx;
       ss_root_frame = root_frame;
-      ss_root = instantiate ~backend root_frame p.Ast.p_top;
+      ss_root = instantiate Bytecode root_frame p.Ast.p_top;
       ss_slots = [||];
       ss_wait_sets = Array.make (Sigtable.n_signals cx.Interp.cx_signals) [];
       ss_busy = true;
     }
   in
-  match
-    List.find_opt (fun ((p', be'), _) -> p' == p && be' = backend) !store
-  with
+  match List.find_opt (fun (p', _) -> p' == p) !store with
   | Some (_, ss) when not ss.ss_busy ->
     ss.ss_busy <- true;
     (* Rewind to the freshly-elaborated state.  Hooks are cleared here
@@ -199,12 +190,12 @@ let checkout_session ~(backend : backend) (p : Ast.program) =
       | _ when n <= 0 -> []
       | e :: rest -> e :: take (n - 1) rest
     in
-    store := ((p, backend), ss) :: take (session_cap () - 1) !store;
+    store := (p, ss) :: take (session_cap () - 1) !store;
     ss
 
 let evict_session (p : Ast.program) ss =
   let store = Domain.DLS.get session_store_key in
-  store := List.filter (fun ((p', _), ss') -> p' != p || ss' != ss) !store
+  store := List.filter (fun (p', ss') -> p' != p || ss' != ss) !store
 
 let run_in_session ~(config : config) ~(hooks : hooks) ~ordering
     (p : Ast.program) ss =
@@ -290,8 +281,21 @@ let run_in_session ~(config : config) ~(hooks : hooks) ~ordering
   let mask_clear sl =
     if !mask_ok then run_mask := !run_mask land lnot (1 lsl sl.sl_idx)
   in
+  (* Register a leaf parked at [ws] in the wait-sets of the signals its
+     condition reads.  The VM classified the site at compile time by the
+     rule evaluation resolves names with: a condition that reads a frame
+     cell, an array or an unbound name can change without a commit, so
+     it is polled and registers nowhere. *)
+  let register sl (ws : Opcode.wait_site) =
+    if not ws.Opcode.ws_polled then
+      List.iter
+        (fun id ->
+          if not (List.memq sl wait_sets.(id)) then
+            wait_sets.(id) <- sl :: wait_sets.(id))
+        ws.Opcode.ws_ids
+  in
   (* Incremental rebuild after a structural change.  A TOC transition
-     replaces one subtree; every other leaf keeps its exec, and with it
+     replaces one subtree; every other leaf keeps its thread, and with it
      its slot: park state, classification cache and wait-set registrations
      all stay valid, because advancing the tree of control touches no
      signal value — a parked leaf's pure-signal condition cannot have
@@ -325,33 +329,22 @@ let run_in_session ~(config : config) ~(hooks : hooks) ~ordering
                (* A bumped generation means the leaf was recycled — by a
                   TOC re-entry, or by a session rewind.  Observably a
                   fresh process, so it restarts runnable.  Its [sl_sites]
-                  classifications are kept: recycling reuses the same
-                  physical frames and cells ({!Interp.reset_exec},
-                  {!Env.reinitialize}), so a condition resolves exactly as
-                  it did last generation.  Its wait-set registrations may
-                  have been purged while it was retired, so parked sites
-                  re-register from their recorded ids. *)
-               if sl.sl_gen <> machine_gen m then begin
-                 sl.sl_gen <- machine_gen m;
+                  are kept: recycling reuses the same physical frames and
+                  cells ({!Vm.reset}, {!Env.reinitialize}), so a condition
+                  resolves exactly as it did last generation.  Its
+                  wait-set registrations may have been purged while it
+                  was retired, so its sites re-register. *)
+               if sl.sl_gen <> Vm.gen m then begin
+                 sl.sl_gen <- Vm.gen m;
                  sl.sl_state <- Lrunnable;
-                 List.iter
-                   (fun (_, _, cls, ids) ->
-                     match cls with
-                     | Lparked ->
-                       List.iter
-                         (fun id ->
-                           if not (List.memq sl wait_sets.(id)) then
-                             wait_sets.(id) <- sl :: wait_sets.(id))
-                         ids
-                     | Lrunnable | Lpolled | Lfinished -> ())
-                   sl.sl_sites
+                 List.iter (register sl) sl.sl_sites
                end;
                sl
              | None ->
                {
                  sl_machine = m;
                  sl_uid = fresh_slot_uid ();
-                 sl_gen = machine_gen m;
+                 sl_gen = Vm.gen m;
                  sl_state = Lrunnable;
                  sl_idx = -1;
                  sl_sites = [];
@@ -385,84 +378,25 @@ let run_in_session ~(config : config) ~(hooks : hooks) ~ordering
     done;
     Hashtbl.reset probe_cache
   in
-  (* Park a leaf blocked on [c]: compute its sensitivity set once (refs
-     are memoized per expression node).  Names that resolve to frame
-     cells or arrays — or to nothing at all — can change without a
-     commit, so such a leaf is polled; a pure signal condition is parked
-     under its signals' wait-sets. *)
-  let register sl cls ids =
-    match cls with
-    | Lparked ->
-      List.iter
-        (fun id ->
-          if not (List.memq sl wait_sets.(id)) then
-            wait_sets.(id) <- sl :: wait_sets.(id))
-        ids
-    | Lrunnable | Lpolled | Lfinished -> ()
-  in
-  (* A wait inside a procedure body sees a fresh frame every call, so its
-     old entry can never hit again — replace it rather than letting the
-     site list grow (and every later scan pay for it) per call. *)
-  let record_site sl c frame cls ids =
-    sl.sl_state <- cls;
-    let rec replace = function
-      | [] -> [ (c, frame, cls, ids) ]
-      | (c', _, _, _) :: rest when c' == c -> (c, frame, cls, ids) :: rest
-      | site :: rest -> site :: replace rest
-    in
-    sl.sl_sites <- replace sl.sl_sites
-  in
-  let known_site sl c frame =
-    let rec go = function
-      | [] -> None
-      | (c', frame', cls, _) :: rest ->
-        if c' == c && frame' == frame then Some cls else go rest
-    in
-    go sl.sl_sites
-  in
-  let park_tree sl exec c =
-    let frame = exec.Interp.frame in
-    match known_site sl c frame with
-    | Some cls ->
-      (* Seen wait site: the classification is unchanged and the wait-set
-         registrations are still in place. *)
-      sl.sl_state <- cls
-    | None ->
-      (* Classify each name the way evaluation resolves it (the per-exec
-         resolution cache): a frame cell can change without a commit, so
-         it forces polling; a signal read can only change at a commit (or
-         poke), so it parks; anything else — arrays, unbound names that a
-         short-circuit skipped — is conservatively polled. *)
-      let var_dep = ref false in
-      let sig_ids =
-        List.filter_map
-          (fun x ->
-            match Interp.resolve cx exec x with
-            | Interp.Rsig id -> Some id
-            | Interp.Rcell _ | Interp.Rnone ->
-              var_dep := true;
-              None)
-          (Expr.refs c)
+  (* Park a leaf blocked at [ws].  After the first park the site is
+     stamped with the slot's uid and its wait-set registrations are in
+     place, so a repeat park — the steady state of a handshake loop — is
+     one test and a state flip. *)
+  let park sl (ws : Opcode.wait_site) =
+    sl.sl_state <- (if ws.Opcode.ws_polled then Lpolled else Lparked);
+    if ws.Opcode.ws_reg_uid <> sl.sl_uid then begin
+      register sl ws;
+      (* A wait inside a procedure body can come back compiled for a
+         fresh frame on a later call: replace its entry rather than
+         letting the site list grow (and every rebuild pay for it) per
+         call. *)
+      let rec replace = function
+        | [] -> [ ws ]
+        | ws' :: rest when ws'.Opcode.ws_expr == ws.Opcode.ws_expr ->
+          ws :: rest
+        | ws' :: rest -> ws' :: replace rest
       in
-      let cls = if !var_dep then Lpolled else Lparked in
-      register sl cls sig_ids;
-      record_site sl c frame cls sig_ids
-  in
-  (* The VM precomputed the classification per wait site at compile time
-     — by the same resolution rule — so parking is just the wait-set
-     registration. *)
-  let park_vm sl (ws : Opcode.wait_site) =
-    (* After the first park the classification is recorded on the site
-       itself and the wait-set registrations are in place, so a repeat
-       park — the steady state of a handshake loop — is one flag test
-       and a state flip. *)
-    if ws.Opcode.ws_reg_uid = sl.sl_uid then
-      sl.sl_state <- (if ws.Opcode.ws_polled then Lpolled else Lparked)
-    else begin
-      let cls = if ws.Opcode.ws_polled then Lpolled else Lparked in
-      register sl cls ws.Opcode.ws_ids;
-      record_site sl ws.Opcode.ws_expr ws.Opcode.ws_frame cls
-        ws.Opcode.ws_ids;
+      sl.sl_sites <- replace sl.sl_sites;
       ws.Opcode.ws_reg_uid <- sl.sl_uid
     end
   in
@@ -520,48 +454,27 @@ let run_in_session ~(config : config) ~(hooks : hooks) ~ordering
     | Lfinished | Lparked -> ()
     | Lrunnable | Lpolled ->
       incr leaf_runs;
-      begin match sl.sl_machine with
-      | Mtree exec ->
-        let status, steps = Interp.run cx exec ~fuel:config.slice in
-        total_steps := !total_steps + steps;
-        if steps > 0 then ran := true;
-        begin match status with
-        | Interp.Progress -> sl.sl_state <- Lrunnable
-        | Interp.Finished ->
-          sl.sl_state <- Lfinished;
+      let t = sl.sl_machine in
+      let status = Vm.run cx t ~fuel:config.slice in
+      let steps = t.Vm.th_steps in
+      total_steps := !total_steps + steps;
+      if steps > 0 then ran := true;
+      begin match status with
+      | Vm.Progress -> sl.sl_state <- Lrunnable
+      | Vm.Finished ->
+        sl.sl_state <- Lfinished;
+        decr n_active;
+        mask_clear sl;
+        finished_any := true
+      | Vm.Blocked ->
+        (match t.Vm.th_blocked with
+        | Some ws -> park sl ws
+        | None -> assert false);
+        (match sl.sl_state with
+        | Lparked ->
           decr n_active;
-          mask_clear sl;
-          finished_any := true
-        | Interp.Blocked c ->
-          park_tree sl exec c;
-          (match sl.sl_state with
-          | Lparked ->
-            decr n_active;
-            mask_clear sl
-          | Lrunnable | Lpolled | Lfinished -> ())
-        end
-      | Mvm t ->
-        let status = Vm.run cx t ~fuel:config.slice in
-        let steps = t.Vm.th_steps in
-        total_steps := !total_steps + steps;
-        if steps > 0 then ran := true;
-        begin match status with
-        | Vm.Progress -> sl.sl_state <- Lrunnable
-        | Vm.Finished ->
-          sl.sl_state <- Lfinished;
-          decr n_active;
-          mask_clear sl;
-          finished_any := true
-        | Vm.Blocked ->
-          (match t.Vm.th_blocked with
-          | Some ws -> park_vm sl ws
-          | None -> assert false);
-          (match sl.sl_state with
-          | Lparked ->
-            decr n_active;
-            mask_clear sl
-          | Lrunnable | Lpolled | Lfinished -> ())
-        end
+          mask_clear sl
+        | Lrunnable | Lpolled | Lfinished -> ())
       end
   in
   while !outcome = None do
@@ -672,9 +585,9 @@ let run_in_session ~(config : config) ~(hooks : hooks) ~ordering
       st_rebuilds = !rebuilds;
     } )
 
-let run_internal ~(config : config) ~(hooks : hooks) ~ordering ~backend
+let run_stats ?(config = default_config) ?(hooks = no_hooks) ?ordering
     (p : Ast.program) =
-  let ss = checkout_session ~backend p in
+  let ss = checkout_session p in
   match run_in_session ~config ~hooks ~ordering p ss with
   | res ->
     ss.ss_busy <- false;
@@ -685,15 +598,4 @@ let run_internal ~(config : config) ~(hooks : hooks) ~ordering ~backend
     evict_session p ss;
     raise e
 
-let run_stats ?(config = default_config) ?(hooks = no_hooks) ?ordering
-    ?backend p =
-  let backend =
-    match backend with Some b -> b | None -> Runtime.default_backend ()
-  in
-  run_internal ~config ~hooks ~ordering ~backend p
-
-let run ?(config = default_config) ?(hooks = no_hooks) ?ordering ?backend p =
-  let backend =
-    match backend with Some b -> b | None -> Runtime.default_backend ()
-  in
-  fst (run_internal ~config ~hooks ~ordering ~backend p)
+let run ?config ?hooks ?ordering p = fst (run_stats ?config ?hooks ?ordering p)

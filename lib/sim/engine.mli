@@ -1,9 +1,10 @@
 (** The event-driven simulation kernel.
 
-    Signals are interned to dense integer ids at startup; blocked leaves
-    are parked under per-signal sensitivity sets; a maintained runnable
-    queue replaces per-round tree walks; the structural advancement runs
-    only when a leaf finishes.  Observable behavior — traces, final
+    Leaves run on the bytecode register VM ({!Vm}).  Signals are
+    interned to dense integer ids at startup; blocked leaves are parked
+    under per-signal sensitivity sets; a maintained runnable queue
+    replaces per-round tree walks; the structural advancement runs only
+    when a leaf finishes.  Observable behavior — traces, final
     values, deadlock reports, delta and step counts, fault-campaign
     classifications — is bit-identical to the retained polling kernel
     ({!Reference}); the differential tests enforce this.
@@ -98,20 +99,13 @@ val run :
   ?config:config ->
   ?hooks:hooks ->
   ?ordering:Memord.t ->
-  ?backend:Runtime.backend ->
   Ast.program ->
   result
-(** Simulate a validated program.  [ordering] interposes weak
-    port-ordering semantics on the commit path ({!Memord}); omitted, the
-    kernel is sequentially consistent and byte-identical to before.
-    [backend] selects the leaf machine: the bytecode register VM
-    ([`Bytecode]) or the retained tree-walking interpreter
-    ([`Treewalk]) — observables are bit-identical, the tree-walker exists
-    as the differential oracle.  Omitted, the process-wide
-    {!Runtime.default_backend} applies ([`Bytecode] unless the CLI's
-    [--backend] flag changed it).  Sessions are cached per (program,
-    backend), so alternating backends over the same program does not
-    thrash the cache.
+(** Simulate a validated program; leaves run on the bytecode register VM
+    ({!Vm}).  [ordering] interposes weak port-ordering semantics on the
+    commit path ({!Memord}); omitted, the kernel is sequentially
+    consistent and byte-identical to before.  Sessions are cached per
+    physical program (see {!session_cap}).
     @raise Interp.Run_error on dynamic errors (unbound names, type
     confusion) — run {!Spec.Program.validate} and {!Spec.Typecheck.check}
     first to rule these out statically. *)
@@ -120,7 +114,6 @@ val run_stats :
   ?config:config ->
   ?hooks:hooks ->
   ?ordering:Memord.t ->
-  ?backend:Runtime.backend ->
   Ast.program ->
   result * sched_stats
 (** {!run}, also returning the scheduler counters. *)

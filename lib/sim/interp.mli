@@ -15,9 +15,8 @@ open Spec
 (** Dynamic error: unbound name, non-boolean condition, bad call. *)
 exception Run_error of string
 
-(** How a name read by a process resolves: a frame cell, an interned
-    signal id, or nothing. *)
-type resolution = Rcell of Ast.value ref | Rsig of int | Rnone
+(** How a name read by a process resolves — internal. *)
+type resolution
 
 (** Staging state of an expression site — internal. *)
 type staging = CSnone | CSframe of Env.frame | CSdynamic
@@ -94,10 +93,6 @@ and context = {
   cx_procs : Ast.proc_decl list;
   mutable cx_delta : int;  (** current delta cycle, stamped onto events *)
 }
-
-val resolve : context -> exec -> string -> resolution
-(** Resolve a name in the exec's current frame, through the per-exec
-    resolution cache — the same resolution {!run} uses to evaluate. *)
 
 val make_exec : owner:string -> frame:Env.frame -> Ast.stmt list -> exec
 

@@ -28,10 +28,9 @@ open Spec.Ast
 (** A wait site: one [wait until] occurrence in a compiled body, with
     its sensitivity classification precomputed.  The event-driven
     scheduler parks a leaf blocked here under [ws_ids]' wait-sets (or
-    polls it when [ws_polled]); the classification rule is the one the
-    tree-walker's park computes per block: a name resolving to a frame
-    cell — or to nothing — forces polling, a pure signal condition
-    parks. *)
+    polls it when [ws_polled]); the classification follows how
+    evaluation resolves each name: a frame cell — or nothing — forces
+    polling, a pure signal condition parks. *)
 type wait_site = {
   ws_expr : expr;  (** the source condition, for diagnostics and park keying *)
   ws_frame : Env.frame;  (** the frame the condition evaluates under *)

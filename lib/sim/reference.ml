@@ -3,8 +3,10 @@
     their wait condition and consume no steps), and re-runs the structural
     advancement to fixpoint.  This was the production kernel before the
     event-driven scheduler ({!Engine}) replaced it; it is kept as the
-    differential-testing baseline — both kernels share {!Runtime}, so any
-    observable divergence is a scheduling bug. *)
+    differential-testing baseline.  Both kernels share {!Runtime}; this
+    one runs leaves on the tree-walking interpreter and the engine on the
+    bytecode VM, so an observable divergence is a scheduling bug or a
+    compiler/VM bug. *)
 
 open Spec
 open Runtime
@@ -21,9 +23,9 @@ let run ?(config = default_config) ?(hooks = no_hooks) ?ordering
   in
   let root_frame = Env.make ~owner:p.Ast.p_name p.Ast.p_vars in
   (* The polling oracle drives the tree-walking interpreter: with the
-     engine defaulting to the bytecode VM, the differential suite then
-     crosses kernels {e and} leaf backends in one comparison. *)
-  let root = instantiate ~backend:`Treewalk root_frame p.Ast.p_top in
+     engine running the bytecode VM, the differential suite crosses
+     schedulers {e and} leaf machines in one comparison. *)
+  let root = instantiate Tree root_frame p.Ast.p_top in
   let total_steps = ref 0 in
   let outcome = ref None in
   let signal_trace = ref [] in
@@ -91,15 +93,9 @@ let run ?(config = default_config) ?(hooks = no_hooks) ?ordering
     (* Run every runnable leaf for one slice. *)
     let ran = ref false in
     List.iter
-      (fun m ->
-        if not (machine_finished m) then begin
-          let steps =
-            match m with
-            | Mtree exec -> snd (Interp.run cx exec ~fuel:config.slice)
-            | Mvm t ->
-              ignore (Vm.run cx t ~fuel:config.slice);
-              t.Vm.th_steps
-          in
+      (fun exec ->
+        if exec.Interp.stack <> [] then begin
+          let _, steps = Interp.run cx exec ~fuel:config.slice in
           total_steps := !total_steps + steps;
           if steps > 0 then ran := true
         end)

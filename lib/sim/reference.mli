@@ -1,6 +1,7 @@
 (** The retained round-robin polling scheduler, kept as the
     differential-testing baseline for the event-driven {!Engine}.  Same
-    semantics, same hooks, same result type; every scheduling round polls
+    semantics, same hooks, same result type; leaves run on the
+    tree-walking interpreter ({!Interp}), and every scheduling round polls
     every live leaf and re-walks the tree, so it is the slow path — use
     {!Engine.run} everywhere except in differential tests and kernel
     benchmarks. *)

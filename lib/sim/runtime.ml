@@ -3,11 +3,12 @@
     deadlock analysis, and final-value readout.
 
     Two kernels drive this machinery: the event-driven scheduler
-    ({!Engine}) and the retained round-robin polling scheduler
-    ({!Reference}), which exists as the differential-testing baseline.
-    Everything observable — traces, final values, deadlock reports, delta
-    counts — is produced by this shared code, so the kernels can only
-    differ in scheduling, and the differential tests check they do not. *)
+    ({!Engine}) over bytecode-VM leaves, and the retained round-robin
+    polling scheduler ({!Reference}) over tree-walking leaves, which
+    exists as the differential-testing baseline.  Everything observable —
+    traces, final values, deadlock reports, delta counts — is produced by
+    this shared code, so the kernels can only differ in scheduling and
+    leaf machine, and the differential tests check they do not. *)
 
 open Spec
 open Spec.Ast
@@ -72,105 +73,81 @@ let no_hooks = { h_intercept = None; h_on_commit = None; h_poll = None }
 let poll_cancelled hooks =
   match hooks.h_poll with None -> false | Some f -> f ()
 
-(** Which leaf machine the kernels drive: the bytecode register VM
-    ({!Vm}, the default) or the retained tree-walking interpreter
-    ({!Interp}, the differential oracle).  Both produce bit-identical
-    observables — traces, final values, step counts, error messages —
-    which the differential tests enforce. *)
-type backend = [ `Bytecode | `Treewalk ]
+(** The leaf machine a process tree runs, indexed by the machine's type:
+    the tree-walking interpreter ({!Interp}), which the polling
+    {!Reference} drives, or the bytecode register VM ({!Vm}), which
+    {!Engine} drives.  Each kernel fixes its own when it instantiates.
+    Both produce bit-identical observables — traces, final values, step
+    counts, error messages — which the differential tests enforce. *)
+type _ leaf_kind = Tree : Interp.exec leaf_kind | Bytecode : Vm.thread leaf_kind
 
-(* The process-wide default the kernels fall back to when a caller does
-   not pass [?backend] explicitly.  The CLI's [--backend] flag sets it
-   once at startup so every simulation an invocation performs — cosim
-   gates, fault campaigns, litmus runs — honors one switch; the serve
-   daemon instead threads an explicit backend per job and never touches
-   this. *)
-let default_backend_cell : backend Atomic.t = Atomic.make `Bytecode
-let default_backend () = Atomic.get default_backend_cell
-let set_default_backend b = Atomic.set default_backend_cell b
+let make_machine : type m.
+    m leaf_kind -> owner:string -> frame:Env.frame -> stmt list -> m =
+ fun kind ~owner ~frame stmts ->
+  match kind with
+  | Tree -> Interp.make_exec ~owner ~frame stmts
+  | Bytecode -> Vm.make ~owner ~frame stmts
 
-let backend_of_string = function
-  | "vm" | "bytecode" -> Ok `Bytecode
-  | "tree" | "treewalk" -> Ok `Treewalk
-  | s -> Error (Printf.sprintf "unknown backend %S (use vm or tree)" s)
+(* Finished, as the structural advance observes it: the tree-walker's
+   empty task stack, the VM's halt flag — both become true the moment
+   the body's last step completes, even mid-slice. *)
+let machine_finished : type m. m leaf_kind -> m -> bool =
+ fun kind m ->
+  match kind with Tree -> m.Interp.stack = [] | Bytecode -> Vm.halted m
 
-let backend_to_string = function `Bytecode -> "vm" | `Treewalk -> "tree"
+let reset_machine : type m. m leaf_kind -> m -> unit =
+ fun kind m ->
+  match kind with Tree -> Interp.reset_exec m | Bytecode -> Vm.reset m
 
-(** One leaf process machine of either backend. *)
-type machine = Mtree of Interp.exec | Mvm of Vm.thread
-
-let machine_owner = function
-  | Mtree exec -> exec.Interp.ex_owner
-  | Mvm t -> Vm.owner t
-
-let machine_gen = function
-  | Mtree exec -> exec.Interp.ex_gen
-  | Mvm t -> Vm.gen t
-
-(** Finished, as the structural advance observes it: the tree-walker's
-    empty task stack, the VM's halt flag — both become true the moment
-    the body's last step completes, even mid-slice. *)
-let machine_finished = function
-  | Mtree exec -> exec.Interp.stack = []
-  | Mvm t -> Vm.halted t
-
-let reset_machine = function
-  | Mtree exec -> Interp.reset_exec exec
-  | Mvm t -> Vm.reset t
-
-type nstate =
-  | Nleaf of machine
-  | Nseq of seq_run
-  | Npar of node list
+type 'm nstate =
+  | Nleaf of 'm
+  | Nseq of 'm seq_run
+  | Npar of 'm node list
   | Ndone
 
-and seq_run = {
+and 'm seq_run = {
   mutable s_idx : int;
-  mutable s_child : node;
+  mutable s_child : 'm node;
   s_arms : seq_arm array;  (** the composition's arms, for O(1) indexing *)
-  s_pool : node option array;
+  s_pool : 'm node option array;
       (** per arm, the subtree built when the arm was last entered;
           re-entering an arm resets that subtree in place instead of
           instantiating a fresh one *)
   mutable s_conds : (expr * Vm.cond_prog) list;
-      (** TOC-arc conditions compiled for the bytecode backend, keyed by
-          physical expression — a composition re-evaluates the same few
-          conditions at every arm completion *)
+      (** TOC-arc conditions compiled for the VM, keyed by physical
+          expression — a composition re-evaluates the same few conditions
+          at every arm completion *)
 }
 
-and node = {
+and 'm node = {
   nd_behavior : behavior;
   nd_frame : Env.frame;
-  nd_backend : backend;
-  mutable nd_state : nstate;
-  nd_keep : keep;
+  nd_kind : 'm leaf_kind;
+  mutable nd_state : 'm nstate;
+  nd_keep : 'm keep;
       (** the structure behind [nd_state], retained past completion so a
           re-entered arm can be rewound instead of rebuilt *)
 }
 
-and keep =
-  | Kleaf of machine
-  | Kseq of seq_run
-  | Kpar of node list
+and 'm keep =
+  | Kleaf of 'm
+  | Kseq of 'm seq_run
+  | Kpar of 'm node list
   | Knone  (** empty composition: born done *)
 
-let rec instantiate ?(backend = `Bytecode) parent_frame b =
+let rec instantiate kind parent_frame b =
   let frame = Env.make ~parent:parent_frame ~owner:b.b_name b.b_vars in
   let state, keep =
     match b.b_body with
     | Leaf stmts ->
-      let m =
-        match backend with
-        | `Treewalk -> Mtree (Interp.make_exec ~owner:b.b_name ~frame stmts)
-        | `Bytecode -> Mvm (Vm.make ~owner:b.b_name ~frame stmts)
-      in
+      let m = make_machine kind ~owner:b.b_name ~frame stmts in
       (Nleaf m, Kleaf m)
     | Seq [] -> (Ndone, Knone)
     | Seq (first :: _ as arms) ->
       let s =
         {
           s_idx = 0;
-          s_child = instantiate ~backend frame first.a_behavior;
+          s_child = instantiate kind frame first.a_behavior;
           s_arms = Array.of_list arms;
           s_pool = Array.make (List.length arms) None;
           s_conds = [];
@@ -180,13 +157,13 @@ let rec instantiate ?(backend = `Bytecode) parent_frame b =
       (Nseq s, Kseq s)
     | Par [] -> (Ndone, Knone)
     | Par children ->
-      let nodes = List.map (instantiate ~backend frame) children in
+      let nodes = List.map (instantiate kind frame) children in
       (Npar nodes, Kpar nodes)
   in
   {
     nd_behavior = b;
     nd_frame = frame;
-    nd_backend = backend;
+    nd_kind = kind;
     nd_state = state;
     nd_keep = keep;
   }
@@ -202,11 +179,11 @@ let rec reset_node node =
   Env.reinitialize node.nd_frame node.nd_behavior.b_vars;
   match node.nd_keep with
   | Kleaf m ->
-    reset_machine m;
+    reset_machine node.nd_kind m;
     node.nd_state <- Nleaf m
   | Kseq s ->
     s.s_idx <- 0;
-    s.s_child <- arm_child ~backend:node.nd_backend s node.nd_frame 0;
+    s.s_child <- arm_child node.nd_kind s node.nd_frame 0;
     node.nd_state <- Nseq s
   | Kpar children ->
     List.iter reset_node children;
@@ -215,13 +192,13 @@ let rec reset_node node =
 
 (* The subtree for entering arm [j]: the pooled instance rewound, or a
    fresh instantiation on first entry. *)
-and arm_child ~backend s frame j =
+and arm_child kind s frame j =
   match s.s_pool.(j) with
   | Some child ->
     reset_node child;
     child
   | None ->
-    let child = instantiate ~backend frame s.s_arms.(j).a_behavior in
+    let child = instantiate kind frame s.s_arms.(j).a_behavior in
     s.s_pool.(j) <- Some child;
     child
 
@@ -255,14 +232,16 @@ let eval_cond cx frame c =
       (Interp.Run_error
          (Printf.sprintf "TOC condition %s is not boolean" (Expr.to_string c)))
 
-(* A TOC-arc condition under the bytecode backend: compiled once per
-   (composition, condition) site, evaluated by the VM's condition
-   interpreter.  Operand resolution order (frame chain before signal
+(* A TOC-arc condition.  Under the VM it is compiled once per
+   (composition, condition) site and evaluated by the VM's condition
+   interpreter; operand resolution order (frame chain before signal
    table) and every error message match [eval_cond] exactly. *)
-let eval_cond_seq cx node s c =
-  match node.nd_backend with
-  | `Treewalk -> eval_cond cx node.nd_frame c
-  | `Bytecode ->
+let eval_cond_seq : type m.
+    Interp.context -> m node -> m seq_run -> expr -> bool =
+ fun cx node s c ->
+  match node.nd_kind with
+  | Tree -> eval_cond cx node.nd_frame c
+  | Bytecode ->
     let cp =
       match List.assq_opt c s.s_conds with
       | Some cp -> cp
@@ -291,7 +270,7 @@ let rec advance cx node =
   match node.nd_state with
   | Ndone -> false
   | Nleaf m ->
-    if machine_finished m then begin
+    if machine_finished node.nd_kind m then begin
       node.nd_state <- Ndone;
       true
     end
@@ -353,7 +332,7 @@ let rec advance cx node =
           !found
         in
         s.s_idx <- j;
-        s.s_child <- arm_child ~backend:node.nd_backend s node.nd_frame j
+        s.s_child <- arm_child node.nd_kind s node.nd_frame j
       end;
       true
     end
@@ -401,24 +380,26 @@ let describe_wait cx owner frame c acc =
     | _ -> Printf.sprintf " [%s]" (String.concat ", " sigs))
   :: acc
 
-let rec blocked_descriptions cx acc node =
-  match node.nd_state with
-  | Ndone -> acc
-  | Nleaf (Mtree exec) ->
+let rec blocked_descriptions : type m.
+    Interp.context -> string list -> m node -> string list =
+ fun cx acc node ->
+  match (node.nd_kind, node.nd_state) with
+  | _, Ndone -> acc
+  | Tree, Nleaf exec ->
     begin match exec.Interp.stack with
     | Interp.Twait ce :: _ ->
       describe_wait cx exec.Interp.ex_owner exec.Interp.frame
         ce.Interp.ce_expr acc
     | _ -> Printf.sprintf "%s runnable" exec.Interp.ex_owner :: acc
     end
-  | Nleaf (Mvm t) ->
+  | Bytecode, Nleaf t ->
     begin match Vm.blocked_site t with
     | Some ws ->
       describe_wait cx (Vm.owner t) ws.Opcode.ws_frame ws.Opcode.ws_expr acc
     | None -> Printf.sprintf "%s runnable" (Vm.owner t) :: acc
     end
-  | Nseq s -> blocked_descriptions cx acc s.s_child
-  | Npar children -> List.fold_left (blocked_descriptions cx) acc children
+  | _, Nseq s -> blocked_descriptions cx acc s.s_child
+  | _, Npar children -> List.fold_left (blocked_descriptions cx) acc children
 
 (* Final variable values: the root frame (program variables) first, then
    every live node's own declarations in preorder. *)

@@ -1,8 +1,9 @@
 (** The process-tree runtime shared by the simulation kernels:
     instantiation, TOC-arc advancement, completion/deadlock analysis and
-    final-value readout.  {!Engine} (event-driven) and {!Reference}
-    (round-robin polling, kept as the differential baseline) both drive
-    exactly this machinery, so all observable behavior is common code. *)
+    final-value readout.  {!Engine} (event-driven, bytecode-VM leaves)
+    and {!Reference} (round-robin polling, tree-walking leaves, kept as
+    the differential baseline) both drive exactly this machinery, so all
+    observable behavior is common code. *)
 
 open Spec
 
@@ -57,77 +58,53 @@ val poll_cancelled : hooks -> bool
 
 (** {1 The instantiated process tree} *)
 
-(** Which leaf machine the kernels drive: the bytecode register VM
-    ({!Vm}, the default) or the retained tree-walking interpreter
-    ({!Interp}, the differential oracle).  Both produce bit-identical
-    observables — the differential tests enforce it. *)
-type backend = [ `Bytecode | `Treewalk ]
+(** The leaf machine a process tree runs, indexed by the machine's type:
+    the tree-walking interpreter ({!Interp}), which {!Reference} drives,
+    or the bytecode register VM ({!Vm}), which {!Engine} drives.  Each
+    kernel fixes its own when it instantiates; no caller chooses.  Both
+    produce bit-identical observables — the differential tests enforce
+    it. *)
+type _ leaf_kind = Tree : Interp.exec leaf_kind | Bytecode : Vm.thread leaf_kind
 
-val default_backend : unit -> backend
-(** The backend the kernels use when a caller does not pass [?backend]
-    explicitly; [`Bytecode] unless {!set_default_backend} changed it. *)
-
-val set_default_backend : backend -> unit
-(** Set the process-wide default backend.  The CLI's [--backend] flag
-    calls this once at startup; long-lived daemons should thread an
-    explicit backend per job instead of mutating a process global. *)
-
-val backend_of_string : string -> (backend, string) Stdlib.result
-(** Accepts ["vm"]/["bytecode"] and ["tree"]/["treewalk"]. *)
-
-val backend_to_string : backend -> string
-
-(** One leaf process machine of either backend. *)
-type machine = Mtree of Interp.exec | Mvm of Vm.thread
-
-val machine_owner : machine -> string
-val machine_gen : machine -> int
-
-val machine_finished : machine -> bool
-(** Finished as the structural advance observes it: the tree-walker's
-    empty task stack, the VM's halt flag — both become true the moment
-    the body's last step completes, even mid-slice. *)
-
-type nstate =
-  | Nleaf of machine
-  | Nseq of seq_run
-  | Npar of node list
+type 'm nstate =
+  | Nleaf of 'm
+  | Nseq of 'm seq_run
+  | Npar of 'm node list
   | Ndone
 
-and seq_run = {
+and 'm seq_run = {
   mutable s_idx : int;
-  mutable s_child : node;
+  mutable s_child : 'm node;
   s_arms : Ast.seq_arm array;
-  s_pool : node option array;
+  s_pool : 'm node option array;
       (** per arm, the subtree built when the arm was last entered;
           re-entering an arm rewinds it in place instead of
           instantiating a fresh one *)
   mutable s_conds : (Ast.expr * Vm.cond_prog) list;
-      (** TOC-arc conditions compiled for the bytecode backend, keyed by
-          physical expression *)
+      (** TOC-arc conditions compiled for the VM, keyed by physical
+          expression *)
 }
 
-and node = {
+and 'm node = {
   nd_behavior : Ast.behavior;
   nd_frame : Env.frame;
-  nd_backend : backend;
-  mutable nd_state : nstate;
-  nd_keep : keep;
+  nd_kind : 'm leaf_kind;
+  mutable nd_state : 'm nstate;
+  nd_keep : 'm keep;
       (** the structure behind [nd_state], retained past completion so a
           re-entered arm can be rewound instead of rebuilt *)
 }
 
-and keep =
-  | Kleaf of machine
-  | Kseq of seq_run
-  | Kpar of node list
+and 'm keep =
+  | Kleaf of 'm
+  | Kseq of 'm seq_run
+  | Kpar of 'm node list
   | Knone  (** empty composition: born done *)
 
-val instantiate : ?backend:backend -> Env.frame -> Ast.behavior -> node
-(** Build the process tree with the given leaf backend (default
-    [`Bytecode]). *)
+val instantiate : 'm leaf_kind -> Env.frame -> Ast.behavior -> 'm node
+(** Build the process tree over the given leaf machine. *)
 
-val reset_node : node -> unit
+val reset_node : 'm node -> unit
 (** Rewind a previously-built subtree to its freshly-instantiated state,
     in place: cells and arrays are overwritten (never replaced), leaf
     machines restart at the top of their compiled bodies, sequential
@@ -135,9 +112,9 @@ val reset_node : node -> unit
     {!instantiate} without rebuilding any frame, table or compiled
     body. *)
 
-val is_done : node -> bool
+val is_done : 'm node -> bool
 
-val leaves : node -> machine list
+val leaves : 'm node -> 'm list
 (** All live leaf machines, in preorder — the deterministic scheduling
     order of both kernels. *)
 
@@ -145,17 +122,17 @@ val eval_cond : Interp.context -> Env.frame -> Ast.expr -> bool
 (** Evaluate a TOC-arc condition in a behavior's frame.
     @raise Interp.Run_error when the condition is not boolean. *)
 
-val advance : Interp.context -> node -> bool
+val advance : Interp.context -> 'm node -> bool
 (** One structural step: finished leaves become done, completed [seq]
     children take their TOC arc, completed [par] compositions close.
     True when anything changed. *)
 
-val advance_fixpoint : Interp.context -> node -> bool
+val advance_fixpoint : Interp.context -> 'm node -> bool
 (** Iterate {!advance} to quiescence; true when anything changed at all.
     After it returns, no further structural change is possible until
     another leaf finishes. *)
 
-val effectively_done : string list -> node -> bool
+val effectively_done : string list -> 'm node -> bool
 (** Completion up to registered servers: done, a server, or a parallel
     composition of effectively done children. *)
 
@@ -164,11 +141,11 @@ val waited_signals : Interp.context -> Env.frame -> Ast.expr -> string list
     condition reads — deadlock reports are built from these. *)
 
 val blocked_descriptions :
-  Interp.context -> string list -> node -> string list
+  Interp.context -> string list -> 'm node -> string list
 
-val final_values : Env.frame -> node -> (string * Ast.value) list
+val final_values : Env.frame -> 'm node -> (string * Ast.value) list
 
-val find_cell : Env.frame -> node -> string -> Ast.value ref option
+val find_cell : Env.frame -> 'm node -> string -> Ast.value ref option
 (** Probe access: the cell of a declared variable, root frame first, then
     preorder over the live tree (first occurrence wins, matching
     {!final_values}).  A full tree walk — the engine caches it per name

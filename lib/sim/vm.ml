@@ -1,4 +1,7 @@
-(** The register machine executing {!Opcode} programs.
+(** The register machine executing {!Opcode} programs: the leaf machine
+    of the event-driven {!Engine}.  The polling {!Reference} runs the
+    same bodies on the tree-walking {!Interp}, and the differential
+    tests hold the two bit-identical.
 
     One {!thread} per leaf process: a stack of activations (the leaf
     body plus any live procedure calls), each holding its compiled
@@ -14,7 +17,7 @@
     All effects go through the same shared machinery — {!Sigtable} for
     reads, schedules and commits, {!Trace} for events, {!Env} frames for
     variables — so hooks, fault pokes, and ordering policies observe the
-    two backends identically.
+    VM and the tree-walker identically.
 
     Compilation is lazy (first run) because it needs the signal table
     and procedure list from the run context; the compiled root program

@@ -190,11 +190,12 @@ let test_lint_filters_and_json () =
     [ "RACE001"; "PROTO002"; "CONT001"; "WIDTH001"; "TYPE001" ]
 
 let test_explore_resilience () =
-  (* A zero deadline times every candidate out; the sweep still completes
-     and reports the degradation instead of hanging or aborting. *)
+  (* A nanosecond deadline times every candidate out; the sweep still
+     completes and reports the degradation instead of hanging or
+     aborting. *)
   expect_ok
     [ "explore"; spec "fig2.sc"; "--seeds"; "1"; "--steps"; "400";
-      "--no-cache"; "--deadline"; "0" ]
+      "--no-cache"; "--deadline"; "1e-9" ]
     [ "FAILED[timeout]"; "coverage 0.0%"; "failures: timeout=12" ]
 
 let test_explore_resume () =
@@ -464,6 +465,27 @@ let test_errors () =
     [ "cosim"; spec "fig1.sc"; "--assign"; "nope=1" ]
     [ "unknown object" ]
 
+(* The numeric knobs the CLI shares with serve are checked in the command
+   layer: a deadline is a finite number of seconds above zero (a
+   negative one used to cancel every run, nan to mean no deadline), and
+   explore's step budget and row count are not negative. *)
+let test_numeric_fields () =
+  let deadline = "deadline must be finite and > 0" in
+  List.iter
+    (fun (args, frag) -> expect_input_error args frag)
+    [
+      ([ "faults"; spec "fig2.sc"; "--deadline=-1" ], deadline);
+      ([ "faults"; spec "fig2.sc"; "--deadline=nan" ], deadline);
+      ([ "faults"; spec "fig2.sc"; "--deadline=0" ], deadline);
+      ([ "explore"; spec "fig2.sc"; "--no-cache"; "--deadline=-1" ], deadline);
+      ([ "explore"; spec "fig2.sc"; "--no-cache"; "--deadline=nan" ], deadline);
+      ([ "explore"; spec "fig2.sc"; "--no-cache"; "--deadline=inf" ], deadline);
+      ([ "explore"; spec "fig2.sc"; "--no-cache"; "--steps=-5" ],
+        "steps must be >= 0");
+      ([ "explore"; spec "fig2.sc"; "--no-cache"; "--top=-1" ],
+        "top must be >= 0");
+    ]
+
 let () =
   Alcotest.run "cli"
     [
@@ -490,6 +512,7 @@ let () =
           tc "lint severity overrides" test_lint_severity_overrides;
           tc "demo" test_demo;
           tc "errors" test_errors;
+          tc "numeric fields" test_numeric_fields;
           tc "bad partition arguments" test_bad_partition_args;
           tc "lint fix rules" test_lint_fix_rules;
           tc "daemon input errors" test_daemon_input_errors;

@@ -296,6 +296,32 @@ let test_campaign_timeouts_degrade_not_abort () =
     (campaign_fingerprint (Faults.Campaign.run ~config r))
     (campaign_fingerprint healthy)
 
+(* A cancel that fires after the golden run ends the campaign at the
+   first run it cuts short: that run is recorded as timed out, and none
+   of the remaining (seed, class) runs is started. *)
+let test_campaign_stops_at_first_timeout () =
+  let r = medical_refined ~harden:true Core.Model.Model2 in
+  let calls = ref 0 in
+  let simulate ~config ~hooks ?ordering p =
+    incr calls;
+    Sim.Engine.run ~config ~hooks ?ordering p
+  in
+  let config =
+    {
+      small_config with
+      Faults.Campaign.cf_seeds = 1_000_000;
+      cf_poll = Some (fun () -> !calls > 1);
+    }
+  in
+  let report = Faults.Campaign.run ~config ~simulate r in
+  Alcotest.(check int) "golden run plus one" 2 !calls;
+  Alcotest.(check (list string)) "one timed-out run" [ "timed-out" ]
+    (List.map
+       (fun rn -> Faults.Campaign.outcome_name rn.Faults.Campaign.run_outcome)
+       report.Faults.Campaign.rp_runs);
+  Alcotest.(check bool) "robustness below 1" true
+    (report.Faults.Campaign.rp_robustness < 1.0)
+
 let test_campaign_kill_resume_round_trip () =
   let r = medical_refined ~harden:true Core.Model.Model2 in
   let config = { small_config with Faults.Campaign.cf_seeds = 2 } in
@@ -702,6 +728,7 @@ let () =
           tc "cancelled classifies timed-out" test_classify_cancelled_is_timed_out;
           tc "deadline on golden refuses" test_campaign_deadline_on_golden_refuses;
           tc "timeouts degrade not abort" test_campaign_timeouts_degrade_not_abort;
+          tc "stops at first timeout" test_campaign_stops_at_first_timeout;
           tc "kill-resume round-trip" test_campaign_kill_resume_round_trip;
           tc "journal meta binds config" test_campaign_journal_meta_binds_config;
         ] );

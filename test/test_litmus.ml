@@ -212,7 +212,6 @@ let test_suite_faults_classify () =
       cf_orderings = [ Sim.Memord.Sc ];
       cf_seeds = 1;
       cf_faults = true;
-      cf_backend = None;
     }
   in
   let report = Litmus.Suite.run config in

@@ -259,7 +259,9 @@ let test_submit_runs_job () =
         output)
 
 (* A served litmus job must print exactly what the CLI prints for the
-   same matrix — deterministic suite, same to_json, byte-identical. *)
+   same matrix — deterministic suite, same to_json, byte-identical.  A
+   job ignores fields it does not read, so a client still sending the
+   retired "backend" field gets the same report. *)
 let test_litmus_job_replays_cli () =
   with_server (fun socket ->
       let conn = connect socket in
@@ -276,6 +278,7 @@ let test_litmus_job_replays_cli () =
           );
           ("seeds", Serve.Protocol.Int 2);
           ("json", Serve.Protocol.Bool true);
+          ("backend", Serve.Protocol.String "tree");
         ]
       in
       let ok, v = reply_ok (roundtrip conn (submit_line job)) in
@@ -300,56 +303,9 @@ let test_litmus_job_replays_cli () =
                  ];
                cf_seeds = 2;
                cf_faults = false;
-               cf_backend = Some `Bytecode;
              })
       in
       Alcotest.(check string) "byte-identical litmus report" direct output)
-
-(* Jobs that simulate take an optional "backend" field; "tree" selects
-   the tree-walking oracle (same observables, so the same report), and
-   unknown values fail the job before any work happens. *)
-let test_backend_field () =
-  with_server (fun socket ->
-      let conn = connect socket in
-      Fun.protect ~finally:(fun () -> close_conn conn) @@ fun () ->
-      let litmus_job backend =
-        [
-          ("kind", Serve.Protocol.String "litmus");
-          ("shapes", Serve.Protocol.List [ Serve.Protocol.String "sb" ]);
-          ( "orderings",
-            Serve.Protocol.List [ Serve.Protocol.String "sc" ] );
-          ("seeds", Serve.Protocol.Int 1);
-          ("json", Serve.Protocol.Bool true);
-          ("backend", Serve.Protocol.String backend);
-        ]
-      in
-      let _, v = reply_ok (roundtrip conn (submit_line (litmus_job "tree"))) in
-      let id = reply_string "id" v in
-      let result = await_result conn id in
-      Alcotest.(check string) "tree backend runs" "done"
-        (reply_string "state" result);
-      let direct =
-        Litmus.Suite.to_json
-          (Litmus.Suite.run
-             {
-               Litmus.Suite.cf_shapes = [ Litmus.Shape.store_buffering () ];
-               cf_orderings = [ Sim.Memord.Sc ];
-               cf_seeds = 1;
-               cf_faults = false;
-               cf_backend = Some `Treewalk;
-             })
-      in
-      Alcotest.(check string) "tree report matches direct run" direct
-        (reply_string "output" result);
-      let _, v =
-        reply_ok (roundtrip conn (submit_line (litmus_job "bogus")))
-      in
-      let id = reply_string "id" v in
-      let result = await_result conn id in
-      Alcotest.(check string) "unknown backend fails" "failed"
-        (reply_string "state" result);
-      Alcotest.(check bool) "error names the backend" true
-        (contains_sub ~sub:"bogus" (reply_string "error" result)))
 
 let test_unknown_job_kind_fails () =
   with_server (fun socket ->
@@ -1009,6 +965,17 @@ let test_bad_partition_fields () =
         "bad partition index" );
       ("faults", [ ("parts", Serve.Protocol.Int 0) ], "parts must be >= 1");
       ("explore", [ ("parts", Serve.Protocol.Int 0) ], "parts must be >= 1");
+      ( "faults",
+        [ ("deadline", Serve.Protocol.Float (-1.0)) ],
+        "deadline must be finite and > 0" );
+      ( "faults",
+        [ ("deadline", Serve.Protocol.Float Float.nan) ],
+        "deadline must be finite and > 0" );
+      ( "explore",
+        [ ("deadline", Serve.Protocol.Int 0) ],
+        "deadline must be finite and > 0" );
+      ("explore", [ ("steps", Serve.Protocol.Int (-5)) ], "steps must be >= 0");
+      ("explore", [ ("top", Serve.Protocol.Int (-1)) ], "top must be >= 0");
     ]
 
 (* --- session ------------------------------------------------------------ *)
@@ -1077,8 +1044,6 @@ let () =
           Alcotest.test_case "submit runs a job" `Quick test_submit_runs_job;
           Alcotest.test_case "litmus job replays the CLI bit-identically"
             `Quick test_litmus_job_replays_cli;
-          Alcotest.test_case "backend field selects the leaf machine"
-            `Quick test_backend_field;
           Alcotest.test_case "unknown job kind fails cleanly" `Quick
             test_unknown_job_kind_fails;
           Alcotest.test_case "concurrent submits with status polls" `Quick

@@ -1,12 +1,11 @@
-(** Differential tests: three kernels over the same observable machinery
-    ({!Sim.Runtime}).  The event-driven {!Sim.Engine} runs leaves either
-    on the bytecode register VM (the default backend) or on the retained
-    tree-walking interpreter; the polling {!Sim.Reference} is the
-    independent scheduling oracle.  A vm/tree divergence is a compiler or
-    VM bug; an engine/reference divergence is a scheduling bug.  Every
-    comparison is bit-level: outcome, trace, delta and step counts, final
-    values, signal trace — and for fault injection, the campaign
-    classification of the faulty run. *)
+(** Differential tests: two kernels over the same observable machinery
+    ({!Sim.Runtime}).  The event-driven {!Sim.Engine} runs leaves on the
+    bytecode register VM; the polling {!Sim.Reference} runs them on the
+    tree-walking interpreter.  One comparison therefore crosses both the
+    scheduler and the leaf machine: a divergence is a scheduling bug or a
+    compiler/VM bug.  Every comparison is bit-level: outcome, trace,
+    delta and step counts, final values, signal trace — and for fault
+    injection, the campaign classification of the faulty run. *)
 
 open Workloads
 open Helpers
@@ -14,12 +13,9 @@ open Helpers
 let diff_config =
   { Sim.Engine.default_config with Sim.Engine.trace_signals = true }
 
-type kernel = [ `Vm | `Tree | `Reference ]
+type kernel = [ `Vm | `Reference ]
 
-let kernel_name = function
-  | `Vm -> "engine-vm"
-  | `Tree -> "engine-tree"
-  | `Reference -> "reference"
+let kernel_name = function `Vm -> "engine-vm" | `Reference -> "reference"
 
 (* Compare every observable field; on mismatch name the kernels and the
    first field that differs so failures are actionable. *)
@@ -46,21 +42,31 @@ let check_same label ka kb (a : Sim.Engine.result) (b : Sim.Engine.result) =
 let run_kernel ?(config = diff_config) ?hooks ?ordering (k : kernel) p =
   match k with
   | `Vm -> Sim.Engine.run ~config ?hooks ?ordering p
-  | `Tree -> Sim.Engine.run ~config ?hooks ?ordering ~backend:`Treewalk p
   | `Reference -> Sim.Reference.run ~config ?hooks ?ordering p
 
-let run_three ?config ?hooks_of ?ordering_of p =
+let run_both ?config ?hooks_of ?ordering_of p =
   let get f k = match f with None -> None | Some g -> Some (g k) in
   let one k =
     run_kernel ?config ?hooks:(get hooks_of k) ?ordering:(get ordering_of k)
       k p
   in
-  (one `Vm, one `Tree, one `Reference)
+  (one `Vm, one `Reference)
 
-let check_program label ?config ?hooks_of p =
-  let vm, tree, r = run_three ?config ?hooks_of p in
-  check_same label `Vm `Tree vm tree;
-  check_same label `Vm `Reference vm r
+(* Every comparison also reruns the engine without a signal trace: it
+   then commits through a separate path, which must agree with the
+   traced run on everything but the signal trace itself. *)
+let check_program label ?(config = diff_config) ?hooks_of p =
+  let vm, r = run_both ~config ?hooks_of p in
+  check_same label `Vm `Reference vm r;
+  let untraced =
+    run_kernel
+      ~config:{ config with Sim.Engine.trace_signals = false }
+      ?hooks:(Option.map (fun f -> f `Vm) hooks_of)
+      `Vm p
+  in
+  check_same (label ^ " (untraced)") `Vm `Vm
+    { vm with Sim.Engine.r_signal_trace = [] }
+    untraced
 
 (* --- the four implementation models on the medical workload ------------ *)
 
@@ -130,14 +136,70 @@ let test_step_limit () =
   in
   check_program "limits/step-limit" ~config p
 
+(* --- variable waits and empty compositions ----------------------------- *)
+
+let test_variable_waits () =
+  (* A wait on a variable that another leaf writes is polled: no commit
+     announces the write.  P blocks at one wait site three times, so its
+     repeat parks must stay polled too.  The leading empty composition
+     is done at instantiation; the first round has to advance past it
+     before any leaf exists. *)
+  let p =
+    Spec.Program.make
+      ~signals:[ Spec.Builder.int_signal ~init:0 "tick" ]
+      ~vars:[ Spec.Builder.int_var ~init:0 "flag" ]
+      "varwait"
+      (Spec.Behavior.seq "top"
+         [
+           Spec.Behavior.arm (Spec.Behavior.par "empty" []);
+           Spec.Behavior.arm
+             (Spec.Behavior.par "body"
+                [
+                  Spec.Behavior.leaf
+                    ~vars:[ Spec.Builder.int_var ~init:0 "i" ]
+                    "P"
+                    (s "while i < 3 do wait until flag > i; i := i + 1; \
+                        emit \"seen\" i; end while;");
+                  Spec.Behavior.leaf "Q"
+                    (s "flag := 1; tick <= 1; wait until tick = 1; \
+                        flag := 2; tick <= 2; wait until tick = 2; \
+                        flag := 3;");
+                ]);
+         ])
+  in
+  check_program "waits/variable-and-empty" p;
+  let r = Sim.Reference.run ~config:diff_config p in
+  Alcotest.(check string) "completes" "completed"
+    (Sim.Engine.outcome_to_string r.Sim.Engine.r_outcome);
+  Alcotest.(check int) "three wake-ups" 3 (List.length r.Sim.Engine.r_trace)
+
+let test_wide_composition () =
+  (* More leaves than the engine's runnable bitmask holds (62 slots):
+     every round falls back to scanning the whole slot array. *)
+  let waiter i =
+    Spec.Behavior.leaf
+      (Printf.sprintf "L%d" i)
+      (s
+         (Printf.sprintf
+            "emit \"ready\" %d; wait until go; emit \"done\" %d;" i i))
+  in
+  let p =
+    Spec.Program.make
+      ~signals:[ Spec.Builder.bool_signal "go" ]
+      "wide"
+      (Spec.Behavior.par "top"
+         (Spec.Behavior.leaf "G" (s "go <= true;") :: List.init 70 waiter))
+  in
+  check_program "wide/70-waiters" p
+
 (* --- cooperative cancellation ------------------------------------------ *)
 
 let test_cancellation () =
-  (* Cut the run off mid-flight through the poll hook.  All three kernels
-     must report Cancelled; and since both engine backends share the
-     scheduler (one poll per round), the cut lands on the same round and
-     the partial run must be bit-identical between them.  The reference
-     kernel's rounds differ, so only its outcome is compared. *)
+  (* Cut the run off mid-flight through the poll hook.  Both kernels must
+     report Cancelled.  Their rounds differ, so the partial runs are not
+     comparable across kernels; instead the engine's cut must land on the
+     same round every time, so a second run — in the session the first
+     one left cancelled — must reproduce the partial run bit for bit. *)
   let p = refined Core.Model.Model2 Designs.design1 in
   let hooks_of (_ : kernel) =
     let polls = ref 0 in
@@ -150,21 +212,22 @@ let test_cancellation () =
             !polls > 40);
     }
   in
-  let vm, tree, r = run_three ~hooks_of p in
+  let vm, r = run_both ~hooks_of p in
   List.iter
     (fun (k, res) ->
       Alcotest.(check string)
         (kernel_name k ^ " cancelled")
         "cancelled"
         (Sim.Engine.outcome_to_string res.Sim.Engine.r_outcome))
-    [ (`Vm, vm); (`Tree, tree); (`Reference, r) ];
-  check_same "cancel/partial-run" `Vm `Tree vm tree
+    [ (`Vm, vm); (`Reference, r) ];
+  check_same "cancel/partial-run" `Vm `Vm vm
+    (run_kernel ~hooks:(hooks_of `Vm) `Vm p)
 
 (* --- weak memory orderings --------------------------------------------- *)
 
 let test_orderings () =
-  (* A (policy, seed, program) triple must replay bit-identically on all
-     three kernels.  Signals are grouped into two ports by leading
+  (* A (policy, seed, program) triple must replay bit-identically on
+     both kernels.  Signals are grouped into two ports by leading
      character; everything else stays sequentially consistent. *)
   let p = refined Core.Model.Model2 Designs.design1 in
   let port_of name =
@@ -177,13 +240,13 @@ let test_orderings () =
       let ordering_of (_ : kernel) =
         Sim.Memord.make ~policy ~seed:11 ~port_of
       in
-      let vm, tree, r = run_three ~ordering_of p in
-      let lbl = "ordering/" ^ Sim.Memord.policy_to_string policy in
-      check_same lbl `Vm `Tree vm tree;
-      check_same lbl `Vm `Reference vm r)
+      let vm, r = run_both ~ordering_of p in
+      check_same
+        ("ordering/" ^ Sim.Memord.policy_to_string policy)
+        `Vm `Reference vm r)
     [ Sim.Memord.Sc; Sim.Memord.Per_port_fifo; Sim.Memord.Relaxed 2 ]
 
-(* --- fault injection under all kernels --------------------------------- *)
+(* --- fault injection under both kernels -------------------------------- *)
 
 let test_fault_hooks () =
   let prog = refined Core.Model.Model2 Designs.design1 in
@@ -222,21 +285,17 @@ let test_fault_hooks () =
   in
   List.iteri
     (fun i faults ->
-      let vm, tree, r =
+      let vm, r =
         (* hooks carry mutable occurrence counters: fresh per kernel *)
-        run_three ~config
+        run_both ~config
           ~hooks_of:(fun _ -> Faults.Inject.hooks faults)
           prog
       in
-      check_same (Printf.sprintf "faults/set-%d" i) `Vm `Tree vm tree;
       check_same (Printf.sprintf "faults/set-%d" i) `Vm `Reference vm r;
       let classify res =
         Faults.Campaign.outcome_name
           (Faults.Campaign.classify ~storage:[] ~golden res)
       in
-      Alcotest.(check string)
-        (Printf.sprintf "faults/set-%d classification vm=tree" i)
-        (classify tree) (classify vm);
       Alcotest.(check string)
         (Printf.sprintf "faults/set-%d classification vm=reference" i)
         (classify r) (classify vm))
@@ -342,8 +401,8 @@ let test_interned_id_stability () =
 
 (* --- session reuse ------------------------------------------------------ *)
 
-(* The engine keeps one elaborated session per (program, backend) and
-   rewinds it in place between runs.  Reuse must be observationally
+(* The engine keeps one elaborated session per program and rewinds it in
+   place between runs.  Reuse must be observationally
    invisible: repeat runs bit-identical to the first, and a clean run
    after a faulted (or step-limited, or crashed) one identical to a cold
    clean run. *)
@@ -354,20 +413,6 @@ let test_session_repeat () =
   for i = 1 to 3 do
     check_same
       (Printf.sprintf "session/repeat-%d" i)
-      `Vm `Vm
-      (Sim.Engine.run ~config:diff_config p)
-      cold
-  done;
-  (* Alternating backends over the same program must not thrash either
-     session: each is cached under its own (program, backend) key. *)
-  for i = 1 to 2 do
-    check_same
-      (Printf.sprintf "session/alternate-%d" i)
-      `Tree `Vm
-      (Sim.Engine.run ~config:diff_config ~backend:`Treewalk p)
-      cold;
-    check_same
-      (Printf.sprintf "session/alternate-back-%d" i)
       `Vm `Vm
       (Sim.Engine.run ~config:diff_config p)
       cold
@@ -413,8 +458,8 @@ let test_session_after_run_error () =
      a re-run saw the mutated cell — a cached session rewound without
      resetting frames, or a crashed session left in the cache — the
      guard would be skipped and the second run would complete.  It must
-     fail exactly like the first, on every backend, matching the
-     reference kernel. *)
+     fail exactly like the first, on both kernels, and the kernels must
+     agree on the error. *)
   let p =
     Spec.Program.make
       ~vars:
@@ -439,27 +484,25 @@ let test_session_after_run_error () =
       Alcotest.(check string)
         (kernel_name k ^ ": re-run fails identically (no stale frame cells)")
         (attempt k) (attempt k))
-    [ `Vm; `Tree ];
-  Alcotest.(check string) "backends agree on the error" (attempt `Tree)
-    first_vm;
+    [ `Vm; `Reference ];
   Alcotest.(check string) "reference agrees on the error"
     (attempt `Reference) first_vm;
   (* And the crashed entries must not poison later clean runs of other
      programs through the shared cache. *)
   check_program "session/clean-after-crash" Medical.spec
 
-(* --- qcheck: generated specs, all kernels ------------------------------ *)
+(* --- qcheck: generated specs, both kernels ----------------------------- *)
 
 let prop_kernels_agree =
   QCheck.Test.make ~count:60
-    ~name:"vm backend = tree-walk backend = polling kernel"
+    ~name:"VM vs Reference"
     QCheck.(make Gen.(int_range 1 10_000))
     (fun seed ->
       let p =
         Workloads.Generator.program
           { Workloads.Generator.default_config with gen_seed = seed }
       in
-      let vm, tree, r = run_three p in
+      let vm, r = run_both p in
       let same (a : Sim.Engine.result) (b : Sim.Engine.result) =
         a.Sim.Engine.r_outcome = b.Sim.Engine.r_outcome
         && a.Sim.Engine.r_trace = b.Sim.Engine.r_trace
@@ -468,7 +511,12 @@ let prop_kernels_agree =
         && a.Sim.Engine.r_final = b.Sim.Engine.r_final
         && a.Sim.Engine.r_signal_trace = b.Sim.Engine.r_signal_trace
       in
-      same vm tree && same vm r)
+      let untraced =
+        Sim.Engine.run
+          ~config:{ diff_config with Sim.Engine.trace_signals = false }
+          p
+      in
+      same vm r && same { vm with Sim.Engine.r_signal_trace = [] } untraced)
 
 let () =
   Alcotest.run "sim-diff"
@@ -480,6 +528,8 @@ let () =
           tc "original workloads" test_workloads;
           tc "deadlock reports" test_deadlock_reports;
           tc "step limit" test_step_limit;
+          tc "variable waits" test_variable_waits;
+          tc "wide composition" test_wide_composition;
           tc "cancellation" test_cancellation;
           tc "memory orderings" test_orderings;
           tc "fault hooks" test_fault_hooks;
