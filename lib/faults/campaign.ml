@@ -361,10 +361,11 @@ let classify ~storage ~(golden : Sim.Engine.result) (faulty : Sim.Engine.result)
 
 exception Campaign_error of string
 
-(* The default simulator; the benchmark harness passes {!Sim.Reference.run}
-   instead to price the event-driven kernel against the polling one on an
-   identical campaign (both kernels share result and hook types through
-   {!Sim.Runtime}, so classifications are directly comparable). *)
+(* The default simulator; the differential tests and the faults-hardened
+   benchmark pass {!Sim.Reference.run} instead to check the event-driven
+   kernel against the polling one on an identical campaign (both kernels
+   share result and hook types through {!Sim.Runtime}, so classifications
+   are directly comparable). *)
 let engine_simulate ~config ~hooks ?ordering p =
   Sim.Engine.run ~config ~hooks ?ordering p
 

@@ -111,9 +111,8 @@ val run :
   report
 (** Execute the campaign.  Fully deterministic: same refined design, same
     configuration — same report.  [simulate] defaults to the event-driven
-    kernel ({!Sim.Engine.run}); the benchmark harness passes the polling
-    kernel ({!Sim.Reference.run}) to compare campaign wall-clock on the
-    two — both classify identically, which the differential tests enforce.
+    kernel ({!Sim.Engine.run}); the differential tests pass the polling
+    kernel ({!Sim.Reference.run}) to check that both classify identically.
     With [journal] (opened under {!journal_meta}), runs already recorded
     replay without simulating and every {e definitive} new run — any
     outcome but {!Timed_out} — is checkpointed as it completes, so a

@@ -6,7 +6,7 @@
     - Design2: more local than global variables,
     - Design3: more global than local variables.
 
-    The partitions are fixed (not searched) so the benchmark tables are
+    The partitions are fixed (not searched) so the reproduced tables are
     fully deterministic; the classification counts are asserted by the
     test suite. *)
 

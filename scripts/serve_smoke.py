@@ -12,6 +12,10 @@ and then requires:
     of the same parameters;
   - every explore job completes at coverage 1.0.
 
+Then it gates the daemon's speed: warm served refine requests must run
+at least 5x as many requests per second as cold CLI runs of the same
+refine (see serve_speed).
+
 Usage: serve_smoke.py [path/to/mrefine.exe]
 """
 
@@ -33,11 +37,11 @@ SOCK = os.path.join(WORKDIR, "daemon.sock")
 JOURNAL = os.path.join(WORKDIR, "serve.journal")
 
 
-def start_daemon():
-    proc = subprocess.Popen(
-        [MR, "serve", "--socket", SOCK, "--journal", JOURNAL],
-        stderr=subprocess.DEVNULL,
-    )
+def start_daemon(journal=True):
+    args = [MR, "serve", "--socket", SOCK]
+    if journal:
+        args += ["--journal", JOURNAL]
+    proc = subprocess.Popen(args, stderr=subprocess.DEVNULL)
     deadline = time.time() + 20.0
     while time.time() < deadline:
         if os.path.exists(SOCK):
@@ -172,6 +176,54 @@ def cold_lint(spec_path):
     return r.stdout.decode()
 
 
+def serve_speed():
+    """One request both ways: refine examples/specs/medical.sc into two
+    parts.  Cold: 8 `mrefine refine -q -p 2` processes.  Warm: one
+    priming request, then 64 submit + wait round trips on one connection
+    to a daemon without a journal.  Requests per second are 1 / mean
+    latency; the warm rate must be at least 5x the cold one, and every
+    served output byte-identical to the cold CLI's."""
+    path = "examples/specs/medical.sc"
+    cold_lats = []
+    for _ in range(8):
+        t0 = time.perf_counter()
+        cold = subprocess.run(
+            [MR, "refine", "-q", "-p", "2", path],
+            check=True, capture_output=True,
+        ).stdout.decode()
+        cold_lats.append(time.perf_counter() - t0)
+
+    proc = start_daemon(journal=False)
+    c = Client()
+    job = {"kind": "refine", "spec": spec_text(path), "parts": 2}
+
+    def request():
+        r = c.rpc({"op": "submit", "job": job})
+        assert r.get("ok"), f"speed submit failed: {r}"
+        r = c.rpc({"op": "result", "id": r["id"], "wait": True})
+        assert r.get("state") == "done", f"speed request not done: {r}"
+        return r["output"]
+
+    request()
+    warm_lats = []
+    for _ in range(64):
+        t0 = time.perf_counter()
+        out = request()
+        warm_lats.append(time.perf_counter() - t0)
+        assert out == cold, "served refine differs from the cold CLI"
+    c.rpc({"op": "shutdown"})
+    c.close()
+    proc.wait(timeout=30)
+
+    cold_rps = len(cold_lats) / sum(cold_lats)
+    warm_rps = len(warm_lats) / sum(warm_lats)
+    speedup = warm_rps / cold_rps
+    print(f"serve speed: cold {cold_rps:.1f} req/s, warm {warm_rps:.1f} "
+          f"req/s ({speedup:.1f}x)")
+    assert speedup >= 5.0, \
+        f"warm served requests only {speedup:.1f}x the cold CLI"
+
+
 def main():
     jobs = make_jobs()
     ids = sorted(jobs, key=lambda s: int(s.split("-")[1]))
@@ -259,6 +311,7 @@ def main():
           f"explore jobs at coverage 1.0")
     print("serve smoke ok:", json.dumps(
         {k: stats[k] for k in ("jobs", "done", "batches") if k in stats}))
+    serve_speed()
 
 
 if __name__ == "__main__":

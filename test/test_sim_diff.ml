@@ -301,6 +301,80 @@ let test_fault_hooks () =
         (classify r) (classify vm))
     fault_sets
 
+(* Whole campaigns under both kernels: every (seed, class) run of a
+   multi-class campaign must classify identically, on the unhardened
+   Design1/Model2 refinement and on its hardened twin. *)
+let test_campaigns () =
+  let config =
+    { Faults.Campaign.default_config with Faults.Campaign.cf_seeds = 4 }
+  in
+  let polling ~config ~hooks ?ordering p =
+    Sim.Reference.run ~config ~hooks ?ordering p
+  in
+  let classifications (rp : Faults.Campaign.report) =
+    List.map
+      (fun (rn : Faults.Campaign.run) ->
+        ( rn.run_seed,
+          Faults.Fault.cls_name rn.run_class,
+          Faults.Campaign.outcome_name rn.run_outcome ))
+      rp.rp_runs
+  in
+  List.iter
+    (fun harden ->
+      let label = if harden then "hardened" else "unhardened" in
+      let design =
+        Core.Refiner.refine
+          ~options:{ Core.Refiner.default_options with harden }
+          Medical.spec Medical.graph Designs.design1.Designs.d_partition
+          Core.Model.Model2
+      in
+      let vm = Faults.Campaign.run ~config design in
+      let r = Faults.Campaign.run ~config ~simulate:polling design in
+      Alcotest.(check (list (triple int string string)))
+        (label ^ " classifications vm=reference")
+        (classifications r) (classifications vm);
+      Alcotest.(check (float 0.0))
+        (label ^ " robustness vm=reference")
+        r.rp_robustness vm.rp_robustness)
+    [ false; true ]
+
+(* --- speed: the event-driven kernel against the polling one ------------ *)
+
+(* On the refined medical Design1/Model2 program the polling kernel must
+   be more than 1.5x slower per run.  Each kernel gets 3 warm-up runs
+   (which also prime the engine's session cache), then the mean wall time
+   per run over at least 0.3 s of runs, measured in alternating 50 ms
+   slices so that host drift hits both kernels alike. *)
+let test_engine_speedup () =
+  let p = refined Core.Model.Model2 Designs.design1 in
+  let engine () = Sim.Engine.run p and polling () = Sim.Reference.run p in
+  List.iter
+    (fun f ->
+      for _ = 1 to 3 do
+        ignore (Sys.opaque_identity (f ()))
+      done)
+    [ engine; polling ];
+  let slice f (secs, runs) =
+    let t0 = Unix.gettimeofday () in
+    let n = ref 0 in
+    while Unix.gettimeofday () -. t0 < 0.05 do
+      ignore (Sys.opaque_identity (f ()));
+      incr n
+    done;
+    (secs +. (Unix.gettimeofday () -. t0), runs + !n)
+  in
+  let rec measure e r =
+    if fst e >= 0.3 && fst r >= 0.3 then (e, r)
+    else measure (slice engine e) (slice polling r)
+  in
+  let us_per_run (secs, runs) = secs *. 1e6 /. float_of_int runs in
+  let e, r = measure (0.0, 0) (0.0, 0) in
+  let speedup = us_per_run r /. us_per_run e in
+  Alcotest.(check bool)
+    (Printf.sprintf "polling %.1f us / engine %.1f us per run = %.2fx > 1.5x"
+       (us_per_run r) (us_per_run e) speedup)
+    true (speedup > 1.5)
+
 (* --- scheduler-level unit tests ---------------------------------------- *)
 
 (* A waiter parked on [go] plus a ticker that commits [n] unrelated delta
@@ -533,7 +607,9 @@ let () =
           tc "cancellation" test_cancellation;
           tc "memory orderings" test_orderings;
           tc "fault hooks" test_fault_hooks;
+          tc "fault campaigns" test_campaigns;
         ] );
+      ("speed", [ tc "engine vs polling" test_engine_speedup ]);
       ( "scheduler",
         [
           tc "wait-set wakeup" test_wait_set_wakeup;
