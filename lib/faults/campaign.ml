@@ -331,31 +331,50 @@ let voted finals name =
     | _ -> Some primary
     end
 
-let classify ~storage ~(golden : Sim.Engine.result) (faulty : Sim.Engine.result)
-    =
+(* The golden side of a classification — the filtered trace's per-tag
+   projections (sorted, as {!Sim.Trace.projection_equivalent} compares
+   them), the marker count and the voted storage values — prepared once
+   per campaign rather than once per faulty run. *)
+type golden_side = {
+  gs_projections : (string * Ast.value list) list;
+  gs_markers : int;
+  gs_storage : (string * Ast.value option) list;
+}
+
+let sorted_projections events =
+  List.sort compare (Sim.Trace.projections (filter_trace events))
+
+let prepare ~storage (golden : Sim.Engine.result) =
+  {
+    gs_projections = sorted_projections golden.Sim.Engine.r_trace;
+    gs_markers = marker_count golden.Sim.Engine.r_trace;
+    gs_storage =
+      List.map
+        (fun (name, _) -> (name, voted golden.Sim.Engine.r_final name))
+        storage;
+  }
+
+let classify_against gs (faulty : Sim.Engine.result) =
   match faulty.Sim.Engine.r_outcome with
   | Sim.Engine.Deadlock _ -> Deadlock
   | Sim.Engine.Step_limit -> Step_limit
   | Sim.Engine.Cancelled -> Timed_out
   | Sim.Engine.Completed ->
     let trace_ok =
-      Sim.Trace.projection_equivalent
-        (filter_trace golden.Sim.Engine.r_trace)
-        (filter_trace faulty.Sim.Engine.r_trace)
+      sorted_projections faulty.Sim.Engine.r_trace = gs.gs_projections
     in
     let storage_ok =
       List.for_all
-        (fun (name, _) ->
-          voted golden.Sim.Engine.r_final name
-          = voted faulty.Sim.Engine.r_final name)
-        storage
+        (fun (name, v) -> v = voted faulty.Sim.Engine.r_final name)
+        gs.gs_storage
     in
     if not (trace_ok && storage_ok) then Silent_corruption
-    else if
-      marker_count faulty.Sim.Engine.r_trace
-      > marker_count golden.Sim.Engine.r_trace
-    then Detected_recovered
+    else if marker_count faulty.Sim.Engine.r_trace > gs.gs_markers then
+      Detected_recovered
     else Survived
+
+let classify ~storage ~golden faulty =
+  classify_against (prepare ~storage golden) faulty
 
 (* --- the campaign ------------------------------------------------------ *)
 
@@ -417,7 +436,7 @@ let run ?(config = default_config) ?(simulate = engine_simulate) ?journal
         (Sim.Memord.make ~policy ~seed:config.cf_base_seed
            ~port_of:(port_of_buses r.Core.Refiner.rf_buses))
   in
-  let counting_hooks, occurrences = Inject.counting () in
+  let counting_hooks, schedule = Inject.counting () in
   let golden =
     simulate ~config:config.cf_sim
       ~hooks:(with_poll counting_hooks)
@@ -441,8 +460,9 @@ let run ?(config = default_config) ?(simulate = engine_simulate) ?journal
       Sim.Engine.max_deltas = (golden_deltas * 10) + 50_000;
     }
   in
+  let occurrences = Inject.occurrences schedule in
   let targets = enumerate r occurrences in
-  let storage = targets.tg_storage in
+  let golden_side = prepare ~storage:targets.tg_storage golden in
   let run_one seed cls =
     let cls_code =
       String.fold_left
@@ -473,11 +493,11 @@ let run ?(config = default_config) ?(simulate = engine_simulate) ?journal
         let outcome, deltas =
           match
             simulate ~config:budget
-              ~hooks:(with_poll (Inject.hooks faults))
+              ~hooks:(with_poll (Inject.hooks ~golden:schedule faults))
               ?ordering:(ordering ()) program
           with
           | result ->
-            ( classify ~storage ~golden result,
+            ( classify_against golden_side result,
               result.Sim.Engine.r_deltas )
           | exception Expr.Eval_error _ -> (Deadlock, 0)
         in

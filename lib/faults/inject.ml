@@ -3,9 +3,56 @@
     occurrence-based faults hit the same edge on every run — the schedule
     is deterministic) and applies drop / delay / stuck-at decisions; the
     post-commit hook delivers delayed updates and flips memory bits.
-    Each hook is installed only when some fault needs it. *)
+    Each hook is installed only when some fault needs it.
+
+    Given the golden run's commit schedule, the hooks also declare the
+    first delta cycle at which any of their faults can act
+    ([h_fault_from]): before it the run is the golden run, so the kernel
+    may start it from a checkpoint.  Occurrence [k] of a signal is then
+    the signal's commit at its [k]-th golden commit delta — the two agree
+    exactly, because nothing differs from the golden run before the first
+    fault acts. *)
 
 open Spec
+
+(* Per signal, the delta cycle of every committed update of the golden
+   run, ascending, in the first [c_n] entries of a growable array: one
+   word per commit, and no allocation per commit but the doublings. *)
+type commits = { mutable c_n : int; mutable c_deltas : int array }
+type schedule = (string, commits) Hashtbl.t
+
+let record_commit (golden : schedule) name delta =
+  match Hashtbl.find golden name with
+  | c ->
+    if c.c_n = Array.length c.c_deltas then begin
+      let grown = Array.make (2 * c.c_n) 0 in
+      Array.blit c.c_deltas 0 grown 0 c.c_n;
+      c.c_deltas <- grown
+    end;
+    c.c_deltas.(c.c_n) <- delta;
+    c.c_n <- c.c_n + 1
+  | exception Not_found ->
+    Hashtbl.add golden name { c_n = 1; c_deltas = Array.make 8 delta }
+
+(* The delta of the signal's [k]-th golden commit (1-based), and how many
+   of its golden commits come before delta [q]. *)
+let nth_commit (golden : schedule) s k =
+  match Hashtbl.find_opt golden s with
+  | Some c when k >= 1 && k <= c.c_n -> Some c.c_deltas.(k - 1)
+  | Some _ | None -> None
+
+let commits_before (golden : schedule) s q =
+  match Hashtbl.find_opt golden s with
+  | None -> 0
+  | Some c ->
+    let n = ref 0 in
+    while !n < c.c_n && c.c_deltas.(!n) < q do incr n done;
+    !n
+
+let occurrences (golden : schedule) =
+  let t = Hashtbl.create (Hashtbl.length golden) in
+  Hashtbl.iter (fun s c -> Hashtbl.replace t s c.c_n) golden;
+  t
 
 (* Stuck-at models a failed line and overrides transient faults on the
    same signal; drop and delay are checked in specification order.  [k]
@@ -53,12 +100,39 @@ let rec counter name = function
   | [] -> None
   | (s, n) :: rest -> if String.equal s name then Some n else counter name rest
 
-let hooks faults =
+(* The first delta cycle at which a fault can act: the cycle whose
+   commit the intercept would drop, delay or force, or for a bit flip the
+   cycle just before the one after which it flips.  An occurrence the
+   golden run never reaches can only be reached after another fault has
+   acted; without the golden schedule, occurrence faults act from 0. *)
+let acts_from golden = function
+  | Fault.Flip_bit f -> max 0 (f.fl_delta - 1)
+  | Fault.Stuck_at f -> max 0 f.st_delta
+  | Fault.Drop_update { du_signal = s; du_occurrence = k }
+  | Fault.Delay_update { dl_signal = s; dl_occurrence = k; _ } ->
+    begin match golden with
+    | None -> 0
+    | Some g -> Option.value ~default:max_int (nth_commit g s k)
+    end
+
+let hooks ?golden faults =
+  let from =
+    List.fold_left (fun acc f -> min acc (acts_from golden f)) max_int faults
+  in
   (* Only targeted signals are counted: [decide] compares no other
      signal's occurrence, so every drop and delay still hits the same
-     edge. *)
+     edge.  The intercept ignores every commit before [from], so a count
+     starts at the number of golden commits before it. *)
   let counters =
-    List.map (fun s -> (s, ref 0)) (List.filter_map target faults)
+    List.map
+      (fun s ->
+        let before =
+          match golden with
+          | None -> 0
+          | Some g -> commits_before g s from
+        in
+        (s, ref before))
+      (List.filter_map target faults)
   in
   let flips =
     List.filter_map
@@ -73,11 +147,13 @@ let hooks faults =
   let delayed = ref [] in
   let delay due name v = delayed := (due, name, v) :: !delayed in
   let intercept ~delta name value =
-    match counter name counters with
-    | None -> Sim.Sigtable.Pass
-    | Some n ->
-      incr n;
-      decide faults ~delta ~name ~occurrence:!n value delay
+    if delta < from then Sim.Sigtable.Pass
+    else
+      match counter name counters with
+      | None -> Sim.Sigtable.Pass
+      | Some n ->
+        incr n;
+        decide faults ~delta ~name ~occurrence:!n value delay
   in
   let on_commit (probe : Sim.Engine.probe) =
     let now = probe.Sim.Engine.pr_delta in
@@ -107,14 +183,19 @@ let hooks faults =
     Sim.Engine.h_intercept = (if counters = [] then None else Some intercept);
     h_on_commit = (if flips = [] && not delays then None else Some on_commit);
     h_poll = None;
+    h_fault_from = Some from;
   }
 
 let counting () =
-  let occ : (string, int) Hashtbl.t = Hashtbl.create 64 in
-  let intercept ~delta:_ name _ =
-    Hashtbl.replace occ name
-      ((Option.value ~default:0 (Hashtbl.find_opt occ name)) + 1);
+  let golden : schedule = Hashtbl.create 64 in
+  let intercept ~delta name _ =
+    record_commit golden name delta;
     Sim.Sigtable.Pass
   in
-  ( { Sim.Engine.h_intercept = Some intercept; h_on_commit = None; h_poll = None },
-    occ )
+  ( {
+      Sim.Engine.h_intercept = Some intercept;
+      h_on_commit = None;
+      h_poll = None;
+      h_fault_from = None;
+    },
+    golden )

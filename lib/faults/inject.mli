@@ -1,16 +1,30 @@
 (** Turning fault specifications into simulation hooks. *)
 
-val hooks : Fault.spec list -> Sim.Engine.hooks
+type schedule
+(** The golden (fault-free) run's commit schedule: per signal, the delta
+    cycle of every committed update. *)
+
+val counting : unit -> Sim.Engine.hooks * schedule
+(** Pass-through hooks that record every signal's committed updates, for
+    the golden run.  They act from delta 0 ([h_fault_from = None]). *)
+
+val occurrences : schedule -> (string, int) Hashtbl.t
+(** How many committed updates each signal has in the schedule: what
+    occurrence-based faults can aim at. *)
+
+val hooks : ?golden:schedule -> Fault.spec list -> Sim.Engine.hooks
 (** Hooks injecting the given faults: the signal-update intercept applies
     drop / delay / stuck-at decisions, the post-commit hook re-delivers
     delayed updates and flips memory bits.  Each hook is installed only
     when the faults need it: the intercept when some fault targets a
     signal (it then counts the committed updates of the targeted signals
     only, and passes every other update untouched), the post-commit hook
-    when there is a bit flip or a delayed update.  The hooks carry
-    mutable state — build a fresh value for every simulation run. *)
+    when there is a bit flip or a delayed update.
 
-val counting : unit -> Sim.Engine.hooks * (string, int) Hashtbl.t
-(** Pass-through hooks that count every signal's committed updates, for
-    the golden (fault-free) run: the table tells the campaign how many
-    occurrences each signal has to aim at. *)
+    [h_fault_from] is [Some q], [q] the first delta cycle at which any of
+    the faults can act: a bit flip after delta [d] acts at [d - 1], a
+    stuck-at from delta [d] at [d], and occurrence [k] of a signal at the
+    delta of its [k]-th commit in [golden] ([q = 0] without [golden]).
+    The intercept ignores every commit before [q]; its counts start at
+    the golden run's.  The hooks carry mutable state — build a fresh
+    value for every simulation run. *)

@@ -33,7 +33,16 @@
     since it blocked (no signal it reads changed, and it reads no
     variables), so running it would consume zero steps and change
     nothing.  Commits, intercept order, probe order and delta accounting
-    are shared {!Runtime} code. *)
+    are shared {!Runtime} code.
+
+    Golden-prefix checkpoints: a fault run is the fault-free run until its
+    first fault acts, so a run whose hooks declare that delta
+    ([h_fault_from]) starts from a saved copy of the kernel state at an
+    earlier delta of the same session instead of replaying the prefix.
+    Every run starts from the same scheduler state (no slot or
+    registration outlives a run), so a checkpoint stands for that delta
+    of any run with the same program, slice and trace setting, and a
+    resumed run reports the counters of a run from delta 0. *)
 
 open Spec
 include Runtime
@@ -101,15 +110,16 @@ type slot = {
           purged while it was retired) re-registers from them *)
 }
 
-(* A session: one program's fully elaborated simulation state — frames,
-   compiled bodies with their staged closures, scheduler slots and
-   wait-set registrations — kept between runs and rewound in place.  The
+(* A session: one program's fully elaborated simulation state — frames
+   and compiled bodies with their staged closures — kept between runs and
+   rewound in place, plus the checkpoints its runs recorded.  The
    co-simulation checks, fault campaigns and explore sweeps run the same
    physical program hundreds to thousands of times; rebuilding all of
    that per run (and re-warming every cache from cold) dominated the
    kernel's profile.  Rewinding reuses the arm-pool discipline
    ({!Runtime.reset_node}) that already guarantees a rewound subtree is
-   observably a fresh instantiation.  Sessions are domain-local: the
+   observably a fresh instantiation.  The scheduler slots and wait-set
+   registrations live for one run only.  Sessions are domain-local: the
    explore pool runs simulations on several domains at once, and a
    shared store would be a data race. *)
 type session = {
@@ -121,7 +131,48 @@ type session = {
   mutable ss_busy : bool;
       (** a run is live in this session (reentrancy guard); a session
           abandoned mid-run by an exception is evicted, never reused *)
+  mutable ss_ck_key : int * bool;
+      (** the [slice] and [trace_signals] the checkpoints were taken
+          under *)
+  mutable ss_ck_every : int;  (** delta spacing of the checkpoints *)
+  mutable ss_checkpoints : checkpoint list;  (** ascending delta *)
 }
+
+(* The kernel state at the top of a scheduling round, right after the
+   commit that made the delta counter [ck_delta], in a run whose hooks
+   had not acted yet — so it is the state of the hook-free run at that
+   delta.  It holds everything a later round can read: signal values and
+   pending updates, the trace so far, every frame cell and array of the
+   live process tree and of its live procedure calls, the tree's
+   structural state, each live leaf's activations, the scheduler's slots
+   and wait-sets, and the counters a result reports. *)
+and checkpoint = {
+  ck_delta : int;
+  ck_steps : int;
+  ck_rounds : int;
+  ck_leaf_runs : int;
+  ck_wakes : int;
+  ck_rebuilds : int;
+  ck_signals : Sigtable.saved;
+  ck_trace : Trace.mark;
+  ck_signal_trace : (int * (string * Ast.value) list) list;  (** newest first *)
+  ck_cells : Ast.value ref array;
+  ck_values : Ast.value array;
+  ck_arrays : Ast.value array array;
+  ck_contents : Ast.value array array;
+  ck_nodes : (Vm.thread node * Vm.thread nstate) array;
+  ck_seqs : (Vm.thread seq_run * int * Vm.thread node) array;
+  ck_threads : Vm.saved array;
+  ck_slots : (Vm.thread * lstate * Opcode.wait_site list) array;
+  ck_waits : int list array;
+      (** per signal id, the indices in [ck_slots] of its wait-set *)
+}
+
+(* A session keeps at most [max_checkpoints]; when full, every other one
+   is dropped and the spacing doubles, so the cap holds for a run of any
+   length. *)
+let checkpoint_spacing = 64
+let max_checkpoints = 32
 
 (* The default cap suits one-shot CLI runs (cosim originals + refined
    pairs).  A long-lived daemon serving many distinct specs widens it —
@@ -167,6 +218,9 @@ let checkout_session (p : Ast.program) =
       ss_slots = [||];
       ss_wait_sets = Array.make (Sigtable.n_signals cx.Interp.cx_signals) [];
       ss_busy = true;
+      ss_ck_key = (0, false);
+      ss_ck_every = checkpoint_spacing;
+      ss_checkpoints = [];
     }
   in
   match List.find_opt (fun (p', _) -> p' == p) !store with
@@ -174,13 +228,18 @@ let checkout_session (p : Ast.program) =
     ss.ss_busy <- true;
     (* Rewind to the freshly-elaborated state.  Hooks are cleared here
        and re-installed per run; variables, signals, trace and delta
-       counter take their construction-time values; the scheduler slots
-       stay and are reconciled by the first [rebuild]. *)
+       counter take their construction-time values.  The scheduler
+       starts empty, as in a fresh session: no slot and no wait-set
+       registration outlives a run, so a run's counters depend on its
+       program and hooks alone — which is what lets a checkpoint taken
+       in one run stand for the same delta of any other. *)
     Sigtable.reset ss.ss_cx.Interp.cx_signals;
     Trace.clear ss.ss_cx.Interp.cx_trace;
     ss.ss_cx.Interp.cx_delta <- 0;
     Env.reinitialize ss.ss_root_frame p.Ast.p_vars;
     reset_node ss.ss_root;
+    ss.ss_slots <- [||];
+    Array.fill ss.ss_wait_sets 0 (Array.length ss.ss_wait_sets) [];
     ss
   | Some _ -> fresh ()
   | None ->
@@ -196,6 +255,115 @@ let checkout_session (p : Ast.program) =
 let evict_session (p : Ast.program) ss =
   let store = Domain.DLS.get session_store_key in
   store := List.filter (fun (p', ss') -> p' != p || ss' != ss) !store
+
+(* Take a checkpoint of the session as it stands at the top of a round.
+   The scheduler counters and the signal trace live in the run, so the
+   caller passes them. *)
+let save_checkpoint ss ~steps ~rounds ~leaf_runs ~wakes ~rebuilds
+    ~signal_trace =
+  let cells = ref [] and arrays = ref [] in
+  let nodes = ref [] and seqs = ref [] and threads = ref [] in
+  let frame (f : Env.frame) =
+    Hashtbl.iter (fun _ c -> cells := c :: !cells) f.Env.f_vars;
+    Hashtbl.iter (fun _ a -> arrays := a :: !arrays) f.Env.f_arrays
+  in
+  frame ss.ss_root_frame;
+  let rec walk node =
+    frame node.nd_frame;
+    nodes := (node, node.nd_state) :: !nodes;
+    match node.nd_state with
+    | Ndone -> ()
+    | Nleaf t ->
+      threads := Vm.save t :: !threads;
+      List.iter frame (Vm.call_frames t)
+    | Nseq s ->
+      seqs := (s, s.s_idx, s.s_child) :: !seqs;
+      walk s.s_child
+    | Npar children -> List.iter walk children
+  in
+  walk ss.ss_root;
+  let cells = Array.of_list !cells and arrays = Array.of_list !arrays in
+  let slots = ss.ss_slots in
+  let index sl =
+    let i = sl.sl_idx in
+    if i >= 0 && i < Array.length slots && slots.(i) == sl then Some i
+    else None
+  in
+  {
+    ck_delta = ss.ss_cx.Interp.cx_delta;
+    ck_steps = steps;
+    ck_rounds = rounds;
+    ck_leaf_runs = leaf_runs;
+    ck_wakes = wakes;
+    ck_rebuilds = rebuilds;
+    ck_signals = Sigtable.save ss.ss_cx.Interp.cx_signals;
+    ck_trace = Trace.mark ss.ss_cx.Interp.cx_trace;
+    ck_signal_trace = signal_trace;
+    ck_cells = cells;
+    ck_values = Array.map ( ! ) cells;
+    ck_arrays = arrays;
+    ck_contents = Array.map Array.copy arrays;
+    ck_nodes = Array.of_list !nodes;
+    ck_seqs = Array.of_list !seqs;
+    ck_threads = Array.of_list !threads;
+    ck_slots =
+      Array.map (fun sl -> (sl.sl_machine, sl.sl_state, sl.sl_sites)) slots;
+    ck_waits = Array.map (List.filter_map index) ss.ss_wait_sets;
+  }
+
+(* Put the session back in a checkpoint's state.  Nodes, frames and
+   threads outside the checkpoint's live tree keep whatever state they
+   have: nothing reaches them again before {!Runtime.reset_node} rewinds
+   them.  The slots are rebuilt with fresh uids, so no wait site's
+   registration stamp, set after the checkpoint was taken, can match
+   one. *)
+let restore_checkpoint ss ck =
+  let cx = ss.ss_cx in
+  Sigtable.restore cx.Interp.cx_signals ck.ck_signals;
+  Trace.rewind cx.Interp.cx_trace ck.ck_trace;
+  cx.Interp.cx_delta <- ck.ck_delta;
+  Array.iteri (fun i c -> c := ck.ck_values.(i)) ck.ck_cells;
+  Array.iteri
+    (fun i a -> Array.blit ck.ck_contents.(i) 0 a 0 (Array.length a))
+    ck.ck_arrays;
+  Array.iter (fun (node, st) -> node.nd_state <- st) ck.ck_nodes;
+  Array.iter
+    (fun (s, idx, child) ->
+      s.s_idx <- idx;
+      s.s_child <- child)
+    ck.ck_seqs;
+  Array.iter Vm.restore ck.ck_threads;
+  let slots =
+    Array.mapi
+      (fun i (m, st, sites) ->
+        {
+          sl_machine = m;
+          sl_uid = fresh_slot_uid ();
+          sl_gen = Vm.gen m;
+          sl_state = st;
+          sl_idx = i;
+          sl_sites = sites;
+        })
+      ck.ck_slots
+  in
+  ss.ss_slots <- slots;
+  Array.iteri
+    (fun id idxs -> ss.ss_wait_sets.(id) <- List.map (fun i -> slots.(i)) idxs)
+    ck.ck_waits
+
+(* File a checkpoint, keeping the list in ascending delta order and at
+   most [max_checkpoints] long. *)
+let add_checkpoint ss ck =
+  let rec insert = function
+    | c :: rest when c.ck_delta < ck.ck_delta -> c :: insert rest
+    | l -> ck :: l
+  in
+  ss.ss_checkpoints <- insert ss.ss_checkpoints;
+  if List.length ss.ss_checkpoints > max_checkpoints then begin
+    ss.ss_ck_every <- 2 * ss.ss_ck_every;
+    ss.ss_checkpoints <-
+      List.filter (fun c -> c.ck_delta mod ss.ss_ck_every = 0) ss.ss_checkpoints
+  end
 
 let run_in_session ~(config : config) ~(hooks : hooks) ~ordering
     (p : Ast.program) ss =
@@ -294,6 +462,23 @@ let run_in_session ~(config : config) ~(hooks : hooks) ~ordering
             wait_sets.(id) <- sl :: wait_sets.(id))
         ws.Opcode.ws_ids
   in
+  (* Number the slots in order and derive the runnable set from their
+     states. *)
+  let reindex () =
+    let active = ref 0 in
+    mask_ok := Array.length ss.ss_slots <= 62;
+    run_mask := 0;
+    Array.iteri
+      (fun i sl ->
+        sl.sl_idx <- i;
+        match sl.sl_state with
+        | Lrunnable | Lpolled ->
+          incr active;
+          if !mask_ok then run_mask := !run_mask lor (1 lsl i)
+        | Lparked | Lfinished -> ())
+      ss.ss_slots;
+    n_active := !active
+  in
   (* Incremental rebuild after a structural change.  A TOC transition
      replaces one subtree; every other leaf keeps its thread, and with it
      its slot: park state, classification cache and wait-set registrations
@@ -326,9 +511,9 @@ let run_in_session ~(config : config) ~(hooks : hooks) ~ordering
            (fun m ->
              match find_old m with
              | Some sl ->
-               (* A bumped generation means the leaf was recycled — by a
-                  TOC re-entry, or by a session rewind.  Observably a
-                  fresh process, so it restarts runnable.  Its [sl_sites]
+               (* A bumped generation means the leaf was recycled by a
+                  TOC re-entry.  Observably a fresh process, so it
+                  restarts runnable.  Its [sl_sites]
                   are kept: recycling reuses the same physical frames and
                   cells ({!Vm.reset}, {!Env.reinitialize}), so a condition
                   resolves exactly as it did last generation.  Its
@@ -351,19 +536,7 @@ let run_in_session ~(config : config) ~(hooks : hooks) ~ordering
                })
            (leaves root));
     Array.iteri (fun i sl -> if not taken.(i) then sl.sl_state <- Lfinished) old;
-    let active = ref 0 in
-    mask_ok := Array.length ss.ss_slots <= 62;
-    run_mask := 0;
-    Array.iteri
-      (fun i sl ->
-        sl.sl_idx <- i;
-        match sl.sl_state with
-        | Lrunnable | Lpolled ->
-          incr active;
-          if !mask_ok then run_mask := !run_mask lor (1 lsl i)
-        | Lparked | Lfinished -> ())
-      ss.ss_slots;
-    n_active := !active;
+    reindex ();
     let dead sl =
       match sl.sl_state with
       | Lfinished -> true
@@ -439,13 +612,63 @@ let run_in_session ~(config : config) ~(hooks : hooks) ~ordering
       pr_write_var;
     }
   in
-  rebuild ();
-  rebuilds := 0;
   (* The first round must advance unconditionally, like the polling
      kernel's first round: instantiation can produce already-done nodes
      (empty compositions) whose completion has to propagate.  After that,
      the tree sits at its advancement fixpoint until a leaf finishes. *)
   let first_round = ref true in
+  (* Checkpoints.  A run whose hooks promise to act on nothing before
+     delta [q], under sequentially consistent commits, is the hook-free
+     run up to [q]: it starts from the latest checkpoint at or before [q]
+     that its budget admits, and records new ones up to [q] as it goes.
+     Every other run starts from delta 0 and records nothing. *)
+  let ck_upto =
+    match (hooks.h_fault_from, ordering) with
+    | Some q, None -> q
+    | Some _, Some _ | None, _ -> -1
+  in
+  let ck_key = (config.slice, config.trace_signals) in
+  if ck_upto > 0 && ss.ss_ck_key <> ck_key then begin
+    ss.ss_ck_key <- ck_key;
+    ss.ss_ck_every <- checkpoint_spacing;
+    ss.ss_checkpoints <- []
+  end;
+  let resume =
+    if ck_upto <= 0 then None
+    else
+      List.fold_left
+        (fun acc ck ->
+          if
+            ck.ck_delta <= ck_upto
+            && ck.ck_delta <= config.max_deltas
+            && ck.ck_steps <= config.max_steps
+          then Some ck
+          else acc)
+        None ss.ss_checkpoints
+  in
+  begin match resume with
+  | None ->
+    rebuild ();
+    rebuilds := 0
+  | Some ck ->
+    restore_checkpoint ss ck;
+    reindex ();
+    total_steps := ck.ck_steps;
+    rounds := ck.ck_rounds;
+    leaf_runs := ck.ck_leaf_runs;
+    wakes := ck.ck_wakes;
+    rebuilds := ck.ck_rebuilds;
+    signal_trace := ck.ck_signal_trace;
+    first_round := false
+  end;
+  let record () =
+    let d = cx.Interp.cx_delta in
+    if not (List.exists (fun ck -> ck.ck_delta = d) ss.ss_checkpoints) then
+      add_checkpoint ss
+        (save_checkpoint ss ~steps:!total_steps ~rounds:!rounds
+           ~leaf_runs:!leaf_runs ~wakes:!wakes ~rebuilds:!rebuilds
+           ~signal_trace:!signal_trace)
+  in
   (* Reused across rounds: a couple of thousand rounds per run would
      otherwise each allocate a fresh pair of refs. *)
   let ran = ref false and finished_any = ref false in
@@ -552,6 +775,10 @@ let run_in_session ~(config : config) ~(hooks : hooks) ~ordering
         release_ordered ();
         if cx.Interp.cx_delta > config.max_deltas then
           outcome := Some Step_limit
+        else if
+          cx.Interp.cx_delta <= ck_upto
+          && cx.Interp.cx_delta mod ss.ss_ck_every = 0
+        then record ()
       end
       else begin
         (* Quiescent: no runnable leaf and no scheduled update.  Diverted
@@ -599,3 +826,9 @@ let run_stats ?(config = default_config) ?(hooks = no_hooks) ?ordering
     raise e
 
 let run ?config ?hooks ?ordering p = fst (run_stats ?config ?hooks ?ordering p)
+
+let checkpoint_deltas (p : Ast.program) =
+  let store = Domain.DLS.get session_store_key in
+  match List.find_opt (fun (p', _) -> p' == p) !store with
+  | Some (_, ss) -> List.map (fun ck -> ck.ck_delta) ss.ss_checkpoints
+  | None -> []

@@ -62,11 +62,15 @@ type probe = Runtime.probe = {
     commit time and may drop or rewrite it); [h_on_commit] runs after
     every committed delta cycle; [h_poll] is the cooperative cancellation
     check, polled once per scheduling round — when it returns [true] the
-    run stops with {!Cancelled} instead of spinning to the step limit. *)
+    run stops with {!Cancelled} instead of spinning to the step limit.
+    [h_fault_from] is the hooks' promise that they act on nothing before
+    a delta cycle, which lets {!run} start from a checkpoint (see
+    {!Runtime.hooks}). *)
 type hooks = Runtime.hooks = {
   h_intercept : (delta:int -> string -> Ast.value -> Sigtable.action) option;
   h_on_commit : (probe -> unit) option;
   h_poll : (unit -> bool) option;
+  h_fault_from : int option;
 }
 
 val no_hooks : hooks
@@ -83,10 +87,9 @@ type sched_stats = {
 
 val session_cap : unit -> int
 (** Capacity of the per-domain session cache: how many distinct physical
-    programs keep their fully elaborated simulation state (frames,
-    compiled bodies, scheduler slots, wait-set registrations) alive
-    between runs.  Defaults to 4 — enough for a CLI invocation's cosim
-    pairs. *)
+    programs keep their fully elaborated simulation state (frames and
+    compiled bodies) and their checkpoints alive between runs.  Defaults
+    to 4 — enough for a CLI invocation's cosim pairs. *)
 
 val set_session_cap : int -> unit
 (** Widen (or narrow) the session cache, e.g. for a long-lived daemon
@@ -106,9 +109,31 @@ val run :
     commit path ({!Memord}); omitted, the kernel is sequentially
     consistent and byte-identical to before.  Sessions are cached per
     physical program (see {!session_cap}).
+
+    Checkpoints.  When the hooks promise to act on nothing before delta
+    [q] ([h_fault_from = Some q]) and no [ordering] is given, the run is
+    the hook-free run up to [q].  It then records a checkpoint of the
+    kernel state every {!checkpoint_spacing} deltas up to [q], in the
+    program's session, and a later run of the same session starts from
+    the latest checkpoint at or before its own [q] that its [max_steps]
+    and [max_deltas] admit, instead of from delta 0.  The result and the
+    {!sched_stats} are those of a run from delta 0; only [h_poll] is
+    called fewer times.  Checkpoints belong to one [slice] and
+    [trace_signals] setting; a run with another setting drops them.  A
+    session keeps at most 32 (when full, every other one goes and the
+    spacing doubles), and they go with the session.  Runs
+    with [h_fault_from = None] or an [ordering] neither record nor use
+    checkpoints.
     @raise Interp.Run_error on dynamic errors (unbound names, type
     confusion) — run {!Spec.Program.validate} and {!Spec.Typecheck.check}
     first to rule these out statically. *)
+
+val checkpoint_spacing : int
+(** Delta spacing of a session's first checkpoints: 64. *)
+
+val checkpoint_deltas : Ast.program -> int list
+(** The deltas of the checkpoints this domain's session of the program
+    holds, ascending ([[]] without a session). *)
 
 val run_stats :
   ?config:config ->

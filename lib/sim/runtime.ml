@@ -65,9 +65,16 @@ type hooks = {
   h_poll : (unit -> bool) option;
       (** cooperative cancellation: checked once per scheduling round;
           returning [true] stops the run with {!Cancelled} *)
+  h_fault_from : int option;
+      (** [Some q]: the intercept is inert on every commit of a delta
+          cycle before [q] and the post-commit hook on every commit up to
+          delta [q], so the run is the hook-free run until delta [q] —
+          {!Engine} may resume it from a checkpoint.  [None]: live from
+          delta 0. *)
 }
 
-let no_hooks = { h_intercept = None; h_on_commit = None; h_poll = None }
+let no_hooks =
+  { h_intercept = None; h_on_commit = None; h_poll = None; h_fault_from = None }
 
 (* The round-boundary cancellation check both kernels share. *)
 let poll_cancelled hooks =

@@ -48,6 +48,15 @@ type hooks = {
           interruption point is kernel-dependent (rounds differ between
           the event-driven and polling schedulers), so only the outcome —
           never the partial trace — is comparable across kernels. *)
+  h_fault_from : int option;
+      (** The hooks' promise about where they start to act.  [Some q]: the
+          intercept is inert (passes every update, keeps no count) on the
+          commit of every delta cycle before [q], and the post-commit hook
+          on every commit up to delta [q]; the run is therefore the
+          hook-free run up to delta [q], and {!Engine} may start it from a
+          checkpoint of that run instead of from delta 0.  [None]: the
+          hooks may act from delta 0 ({!no_hooks}, the golden counting
+          hooks).  {!Reference} ignores it and always replays from 0. *)
 }
 
 val no_hooks : hooks

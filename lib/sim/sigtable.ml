@@ -83,6 +83,23 @@ let reset t =
   t.intercept <- None;
   t.notify <- None
 
+(** A copy of the current values, taken between delta cycles (engine
+    checkpoints): no update is pending then, and a store restored from
+    it behaves exactly as it did when it was saved.  Hooks are not part
+    of it. *)
+type saved = Ast.value array
+
+let save t =
+  assert (t.n_sched = 0);
+  Array.copy t.current
+
+let restore t sv =
+  Array.blit sv 0 t.current 0 (Array.length sv);
+  for k = 0 to t.n_sched - 1 do
+    t.sched_mark.(t.sched_q.(k)) <- false
+  done;
+  t.n_sched <- 0
+
 let n_signals t = Array.length t.names
 let id_of t name = Hashtbl.find_opt t.ids name
 let name_of t id = t.names.(id)

@@ -22,6 +22,17 @@ val reset : t -> unit
 
 val is_signal : t -> string -> bool
 
+type saved
+
+val save : t -> saved
+(** Copy the current values, between delta cycles: no update may be
+    pending (engine checkpoints). *)
+
+val restore : t -> saved -> unit
+(** Put back the values of {!save} and drop any pending update, without
+    firing the notify hook; the intercept and notify hooks stay as they
+    are. *)
+
 (** {1 Interned ids} *)
 
 val n_signals : t -> int

@@ -24,6 +24,14 @@ let record t ~delta ~tag ~value =
 
 let events t = List.rev t.events
 
+(* The recorded events are an immutable list, consed onto: a mark is the
+   list itself, so marking and rewinding are O(1) and marks taken later
+   in a run share the earlier ones' cells. *)
+type mark = event list
+
+let mark t = t.events
+let rewind t m = t.events <- m
+
 (** Equality up to timing: same tags and values in the same order. *)
 let equivalent a b =
   let strip evs = List.map (fun e -> (e.ev_tag, e.ev_value)) evs in

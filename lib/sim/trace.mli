@@ -21,6 +21,14 @@ val record : t -> delta:int -> tag:string -> value:Ast.value -> unit
 val events : t -> event list
 (** In emission order. *)
 
+type mark
+
+val mark : t -> mark
+(** The events recorded so far, in O(1) (engine checkpoints). *)
+
+val rewind : t -> mark -> unit
+(** Make the buffer hold exactly the events of the mark again. *)
+
 val equivalent : event list -> event list -> bool
 (** Equality up to timing: same tags and values in the same order. *)
 

@@ -92,6 +92,68 @@ let gen t = t.th_gen
 let halted t = t.th_halted
 let blocked_site t = t.th_blocked
 
+(* A suspended thread's resumable state, for engine checkpoints: each
+   live activation's pc and registers, innermost first, and the halt and
+   block flags.  Frames are not part of it: the leaf's own frame belongs
+   to its tree node, and {!call_frames} lists the procedure frames. *)
+type saved_act = { sa_act : activation; sa_pc : int; sa_regs : value array }
+
+type saved = {
+  sv_thread : thread;
+  sv_stack : saved_act list;  (** current activation first, then callers *)
+  sv_halted : bool;
+  sv_blocked : wait_site option;
+}
+
+let save t =
+  let one act =
+    { sa_act = act; sa_pc = act.act_pc; sa_regs = Array.copy act.act_regs }
+  in
+  {
+    sv_thread = t;
+    sv_stack =
+      (match t.th_cur with
+      | None -> []
+      | Some act -> one act :: List.map one t.th_callers);
+    sv_halted = t.th_halted;
+    sv_blocked = t.th_blocked;
+  }
+
+(* The frames of the live procedure calls: every activation's frame but
+   the leaf body's. *)
+let call_frames t =
+  match t.th_cur with
+  | None -> []
+  | Some act ->
+    List.filter_map
+      (fun a ->
+        if a.act_frame == t.th_base_frame then None else Some a.act_frame)
+      (act :: t.th_callers)
+
+(** Put a thread back in its {!save}d state.  A pooled procedure frame in
+    the saved stack is marked busy again; a thread saved before its first
+    run restarts at the top of its body, as {!reset} leaves it. *)
+let restore sv =
+  let t = sv.sv_thread in
+  List.iter
+    (fun sa ->
+      let act = sa.sa_act in
+      act.act_pc <- sa.sa_pc;
+      Array.blit sa.sa_regs 0 act.act_regs 0 (Array.length sa.sa_regs);
+      match act.act_pool with Some p -> p.vp_busy <- true | None -> ())
+    sv.sv_stack;
+  begin match sv.sv_stack with
+  | cur :: callers ->
+    t.th_cur <- Some cur.sa_act;
+    t.th_callers <- List.map (fun sa -> sa.sa_act) callers
+  | [] ->
+    (match t.th_root with Some act -> act.act_pc <- 0 | None -> ());
+    t.th_cur <- t.th_root;
+    t.th_callers <- []
+  end;
+  t.th_halted <- sv.sv_halted;
+  t.th_blocked <- sv.sv_blocked
+
 let run_error fmt = Printf.ksprintf (fun s -> raise (Interp.Run_error s)) fmt
 
 (* Inline the all-integer fast paths: {!Spec.Expr.apply_binop} builds

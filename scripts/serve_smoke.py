@@ -12,8 +12,11 @@ and then requires:
     of the same parameters;
   - every explore job completes at coverage 1.0.
 
-Then it gates the daemon's speed: warm served refine requests must run
-at least 5x as many requests per second as cold CLI runs of the same
+Then it repeats hardened fault campaigns of several classes and base
+seeds on one warm daemon and requires every served output to be
+byte-identical to the cold `mrefine faults` run (see serve_faults), and
+it gates the daemon's speed: warm served refine requests must run at
+least 5x as many requests per second as cold CLI runs of the same
 refine (see serve_speed).
 
 Usage: serve_smoke.py [path/to/mrefine.exe]
@@ -176,6 +179,48 @@ def cold_lint(spec_path):
     return r.stdout.decode()
 
 
+def serve_faults():
+    """Hardened fault campaigns on examples/specs/medical.sc: five classes
+    times two base seeds, each job submitted twice to one daemon without
+    a journal.  A campaign's faulty runs start from the checkpoints its
+    earlier runs recorded in the warm simulator session; every served
+    output must be byte-identical to the cold CLI's."""
+    path = "examples/specs/medical.sc"
+    classes = ["bit-flip", "drop-handshake", "delay-handshake",
+               "stuck-line", "grant-starvation"]
+    cases = [(cls, base) for base in (7, 11) for cls in classes]
+    cold = {}
+    for cls, base in cases:
+        cold[(cls, base)] = subprocess.run(
+            [MR, "faults", "--harden", "--faults", cls, "--seeds", "2",
+             "--base-seed", str(base), "--json", path],
+            check=True, capture_output=True,
+        ).stdout.decode()
+
+    proc = start_daemon(journal=False)
+    c = Client()
+    text = spec_text(path)
+    served = 0
+    for _ in range(2):
+        for cls, base in cases:
+            job = {"kind": "faults", "spec": text, "harden": True,
+                   "classes": [cls], "seeds": 2, "base_seed": base,
+                   "json": True}
+            r = c.rpc({"op": "submit", "job": job})
+            assert r.get("ok"), f"faults submit failed: {r}"
+            r = c.rpc({"op": "result", "id": r["id"], "wait": True})
+            assert r.get("state") == "done", f"faults job not done: {r}"
+            assert r["output"] == cold[(cls, base)], \
+                f"served {cls} campaign (base seed {base}) differs from " \
+                "the cold CLI"
+            served += 1
+    c.rpc({"op": "shutdown"})
+    c.close()
+    proc.wait(timeout=30)
+    print(f"{served} served hardened fault campaigns byte-identical to "
+          "the cold CLI")
+
+
 def serve_speed():
     """One request both ways: refine examples/specs/medical.sc into two
     parts.  Cold: 8 `mrefine refine -q -p 2` processes.  Warm: one
@@ -311,6 +356,7 @@ def main():
           f"explore jobs at coverage 1.0")
     print("serve smoke ok:", json.dumps(
         {k: stats[k] for k in ("jobs", "done", "batches") if k in stats}))
+    serve_faults()
     serve_speed()
 
 

@@ -105,8 +105,9 @@ let test_stuck_at_forces_value () =
 
 let test_counting_hooks () =
   let p = handshake_spec ~activity:false in
-  let hooks, occurrences = Faults.Inject.counting () in
+  let hooks, schedule = Faults.Inject.counting () in
   ignore (Sim.Engine.run ~hooks p);
+  let occurrences = Faults.Inject.occurrences schedule in
   let count s = Option.value ~default:0 (Hashtbl.find_opt occurrences s) in
   Alcotest.(check bool) "go committed once" true (count "go" >= 1);
   Alcotest.(check bool) "ack committed once" true (count "ack" >= 1)
@@ -394,8 +395,9 @@ let prop_dropped_done_never_corrupts =
       Core.Model.Model2
   in
   let program = r.Core.Refiner.rf_program in
-  let hooks, occurrences = Faults.Inject.counting () in
+  let hooks, schedule = Faults.Inject.counting () in
   let golden = Sim.Engine.run ~hooks program in
+  let occurrences = Faults.Inject.occurrences schedule in
   (match golden.Sim.Engine.r_outcome with
   | Sim.Engine.Completed -> ()
   | o ->
@@ -521,6 +523,7 @@ let always_on_hooks faults =
     Sim.Engine.h_intercept = Some intercept;
     h_on_commit = Some on_commit;
     h_poll = None;
+    h_fault_from = None;
   }
 
 let flip = Faults.Fault.Flip_bit { fl_var = "i"; fl_bit = 0; fl_delta = 3 }
@@ -569,20 +572,22 @@ let hardened_cases =
                     d.Workloads.Designs.d_partition model
                 in
                 let program = r.Core.Refiner.rf_program in
-                let hooks, occurrences = Faults.Inject.counting () in
+                let hooks, schedule = Faults.Inject.counting () in
                 let golden = Sim.Engine.run ~hooks program in
+                let occurrences = Faults.Inject.occurrences schedule in
                 ( Printf.sprintf "%s/%s" d.Workloads.Designs.d_name
                     (Core.Model.name model),
                   program,
                   golden,
-                  occurrences,
+                  schedule,
                   Faults.Campaign.enumerate r occurrences ))
               Core.Model.all)
           Workloads.Designs.all))
 
 (* One fault of any kind, aimed at the case's targets by [pick]s. *)
-let fault_of_picks ~golden ~occurrences targets (kind, a, b, c) =
+let fault_of_picks ~golden ~schedule targets (kind, a, b, c) =
   let nth l i = List.nth l (i mod List.length l) in
+  let occurrences = Faults.Inject.occurrences schedule in
   let signals =
     List.map (fun s -> (s, 0)) targets.Faults.Campaign.tg_handshakes
     @ targets.Faults.Campaign.tg_lines
@@ -636,11 +641,11 @@ let prop_targeted_hooks_match_always_on =
     (QCheck.make gen)
     (fun (case, picks) ->
       let cases = Lazy.force hardened_cases in
-      let name, program, golden, occurrences, targets =
+      let name, program, golden, schedule, targets =
         cases.(case mod Array.length cases)
       in
       let faults =
-        List.map (fault_of_picks ~golden ~occurrences targets) picks
+        List.map (fault_of_picks ~golden ~schedule targets) picks
       in
       let config =
         {
@@ -658,8 +663,13 @@ let prop_targeted_hooks_match_always_on =
         | exception Expr.Eval_error m -> Error m
       in
       let targeted = simulate (Faults.Inject.hooks faults) in
+      (* With the golden schedule the hooks declare where they start to
+         act, and the engine starts the run from a checkpoint. *)
+      let from_golden =
+        simulate (Faults.Inject.hooks ~golden:schedule faults)
+      in
       let always_on = simulate (always_on_hooks faults) in
-      targeted = always_on
+      (targeted = always_on && from_golden = always_on)
       || QCheck.Test.fail_reportf "%s [%s]: results differ" name
            (String.concat "; " (List.map Faults.Fault.describe faults)))
 

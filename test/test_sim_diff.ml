@@ -565,6 +565,251 @@ let test_session_after_run_error () =
      programs through the shared cache. *)
   check_program "session/clean-after-crash" Medical.spec
 
+(* --- checkpoints ---------------------------------------------------------- *)
+
+(* A run whose hooks promise to act on nothing before delta [q] starts
+   from the latest checkpoint at or before [q]; its result and scheduler
+   counters must be those of a run from delta 0 (a physically distinct
+   copy of the program has its own session, so its first run is one) and
+   of the polling kernel, which always replays from 0. *)
+
+let fresh_copy (p : Spec.Ast.program) =
+  { p with Spec.Ast.p_name = p.Spec.Ast.p_name }
+
+(* Hooks that act on nothing and say so: a run under them records
+   checkpoints along its whole length. *)
+let inert = { Sim.Engine.no_hooks with Sim.Engine.h_fault_from = Some max_int }
+
+(* Resumed, cold and polling runs of [p] under fresh [hooks ()] each:
+   equal results (or the same exception), and equal counters for the two
+   engine runs.  The caller has recorded checkpoints in [p]'s session. *)
+let resumed_agrees ?(config = diff_config) p hooks =
+  let attempt f =
+    match f () with r -> Ok r | exception e -> Error (Printexc.to_string e)
+  in
+  let engine p () = Sim.Engine.run_stats ~config ~hooks:(hooks ()) p in
+  let resumed = attempt (engine p) in
+  let cold = attempt (engine (fresh_copy p)) in
+  let reference =
+    attempt (fun () -> Sim.Reference.run ~config ~hooks:(hooks ()) p)
+  in
+  match (resumed, cold, reference) with
+  | Ok (a, sa), Ok (b, sb), Ok c ->
+    if a <> b then Error "resumed and cold runs differ"
+    else if sa <> sb then
+      Error
+        (Printf.sprintf
+           "scheduler counters differ: resumed %d rounds %d runs %d wakes, \
+            cold %d rounds %d runs %d wakes"
+           sa.Sim.Engine.st_rounds sa.Sim.Engine.st_leaf_runs
+           sa.Sim.Engine.st_wakes sb.Sim.Engine.st_rounds
+           sb.Sim.Engine.st_leaf_runs sb.Sim.Engine.st_wakes)
+    else if a <> c then Error "engine and polling kernel differ"
+    else Ok ()
+  | Error a, Error b, Error c when a = b && b = c -> Ok ()
+  | _ -> Error "a run raised where another did not"
+
+let check_resumed label ?config p hooks =
+  match resumed_agrees ?config p hooks with
+  | Ok () -> ()
+  | Error m -> Alcotest.failf "%s: %s" label m
+
+(* A faulty run's budget, as the campaign sets it. *)
+let campaign_budget (golden : Sim.Engine.result) =
+  {
+    diff_config with
+    Sim.Engine.max_deltas = (golden.Sim.Engine.r_deltas * 10) + 50_000;
+  }
+
+(* The medical Design1/Model2 refinement, its golden commit schedule and
+   its fault targets. *)
+let checkpoint_case () =
+  let r =
+    Core.Refiner.refine Medical.spec Medical.graph
+      Designs.design1.Designs.d_partition Core.Model.Model2
+  in
+  let p = r.Core.Refiner.rf_program in
+  let hooks, schedule = Faults.Inject.counting () in
+  let golden = Sim.Engine.run ~config:diff_config ~hooks p in
+  let occurrences = Faults.Inject.occurrences schedule in
+  let targets = Faults.Campaign.enumerate r occurrences in
+  let config = campaign_budget golden in
+  (p, golden, schedule, occurrences, targets, config)
+
+let test_checkpoint_boundaries () =
+  let p, golden, schedule, occurrences, targets, config =
+    checkpoint_case ()
+  in
+  ignore (Sim.Engine.run ~config ~hooks:inert p);
+  let every = Sim.Engine.checkpoint_spacing in
+  let held = Sim.Engine.checkpoint_deltas p in
+  Alcotest.(check bool)
+    (Printf.sprintf "checkpoints every %d deltas over %d (held: %s)" every
+       golden.Sim.Engine.r_deltas
+       (String.concat "," (List.map string_of_int held)))
+    true
+    (held = List.init (golden.Sim.Engine.r_deltas / every) (fun i -> (i + 1) * every));
+  let var, _ = List.hd targets.Faults.Campaign.tg_storage in
+  let line, _ = List.hd targets.Faults.Campaign.tg_lines in
+  let handshake = List.hd targets.Faults.Campaign.tg_handshakes in
+  let flip d =
+    Faults.Fault.Flip_bit { fl_var = var; fl_bit = 0; fl_delta = d }
+  in
+  let stuck d =
+    Faults.Fault.Stuck_at
+      { st_signal = line; st_value = Spec.Ast.VBool true; st_delta = d }
+  in
+  let drop k =
+    Faults.Fault.Drop_update { du_signal = handshake; du_occurrence = k }
+  in
+  let cases =
+    [
+      (* acts right after the commit a checkpoint follows: that checkpoint
+         is too late, the one before it is used *)
+      ("flip at a checkpoint delta", [ flip (2 * every) ]);
+      (* acts one delta later: resumes from that checkpoint exactly *)
+      ("flip one after a checkpoint delta", [ flip ((2 * every) + 1) ]);
+      ("flip before the first checkpoint", [ flip every ]);
+      ("stuck-at from delta 0", [ stuck 0 ]);
+      ("stuck-at from a checkpoint delta", [ stuck (3 * every) ]);
+      ("drop of occurrence 1", [ drop 1 ]);
+      ( "drop of the last occurrence",
+        [ drop (Hashtbl.find occurrences handshake) ] );
+      ("drop and a later flip", [ drop 3; flip (5 * every) ]);
+    ]
+  in
+  List.iter
+    (fun (label, faults) ->
+      check_resumed label ~config p (fun () ->
+          Faults.Inject.hooks ~golden:schedule faults))
+    cases;
+  (* Another trace setting drops the checkpoints and records anew. *)
+  let untraced = { config with Sim.Engine.trace_signals = false } in
+  check_resumed "untraced, first run" ~config:untraced p (fun () ->
+      Faults.Inject.hooks ~golden:schedule [ flip ((3 * every) + 1) ]);
+  check_resumed "untraced, resumed" ~config:untraced p (fun () ->
+      Faults.Inject.hooks ~golden:schedule [ flip ((4 * every) + 1) ])
+
+let test_checkpoint_cancelled () =
+  let p, _, schedule, _, targets, config = checkpoint_case () in
+  ignore (Sim.Engine.run ~config ~hooks:inert p);
+  let var, _ = List.hd targets.Faults.Campaign.tg_storage in
+  let faults =
+    [ Faults.Fault.Flip_bit { fl_var = var; fl_bit = 1; fl_delta = 300 } ]
+  in
+  let polled after () =
+    let polls = ref 0 in
+    {
+      (Faults.Inject.hooks ~golden:schedule faults) with
+      Sim.Engine.h_poll =
+        Some
+          (fun () ->
+            incr polls;
+            !polls > after);
+    }
+  in
+  List.iter
+    (fun after ->
+      let r = Sim.Engine.run ~config ~hooks:(polled after ()) p in
+      Alcotest.(check string)
+        (Printf.sprintf "cancelled after %d polls" after)
+        "cancelled"
+        (Sim.Engine.outcome_to_string r.Sim.Engine.r_outcome))
+    [ 0; 25 ];
+  Alcotest.(check bool) "checkpoints survive a cancelled run" true
+    (Sim.Engine.checkpoint_deltas p <> []);
+  check_resumed "resumed after a cancelled resume" ~config p (fun () ->
+      Faults.Inject.hooks ~golden:schedule faults)
+
+let test_checkpoint_evicted () =
+  let p, _, schedule, _, targets, config = checkpoint_case () in
+  ignore (Sim.Engine.run ~config ~hooks:inert p);
+  Alcotest.(check bool) "recorded" true (Sim.Engine.checkpoint_deltas p <> []);
+  for _ = 1 to Sim.Engine.session_cap () do
+    ignore (Sim.Engine.run ~config (fresh_copy p))
+  done;
+  Alcotest.(check (list int))
+    "evicted with the session" [] (Sim.Engine.checkpoint_deltas p);
+  let var, _ = List.hd targets.Faults.Campaign.tg_storage in
+  let faults =
+    [ Faults.Fault.Flip_bit { fl_var = var; fl_bit = 2; fl_delta = 500 } ]
+  in
+  check_resumed "cold again after eviction" ~config p (fun () ->
+      Faults.Inject.hooks ~golden:schedule faults);
+  check_resumed "resumed in the new session" ~config p (fun () ->
+      Faults.Inject.hooks ~golden:schedule faults)
+
+(* Refined generated specs (Model2 or Model4 by seed parity) under a
+   random fault acting from a random delta [q]: a bit flip right after
+   [q], a stuck line from [q], a dropped occurrence (its golden delta is
+   [q]), or inert hooks that only promise [q]. *)
+let refined_generated seed =
+  let p =
+    Workloads.Generator.program
+      { Workloads.Generator.default_config with gen_seed = seed }
+  in
+  let g = Agraph.Access_graph.of_program p in
+  let part = Workloads.Generator.random_partition ~seed g ~n_parts:2 in
+  let model = if seed mod 2 = 0 then Core.Model.Model2 else Core.Model.Model4 in
+  (p, Core.Refiner.refine p g part model)
+
+let prop_resume_agrees =
+  QCheck.Test.make ~count:40
+    ~name:"resumed engine = cold engine = Reference on refined specs"
+    QCheck.(
+      make
+        Gen.(triple (int_range 1 10_000) (int_bound 3) (int_bound 1_000_000)))
+    (fun (seed, kind, pick) ->
+      let _, r = refined_generated seed in
+      let p = r.Core.Refiner.rf_program in
+      let golden_hooks, schedule = Faults.Inject.counting () in
+      let golden = Sim.Engine.run ~config:diff_config ~hooks:golden_hooks p in
+      let occurrences = Faults.Inject.occurrences schedule in
+      let targets = Faults.Campaign.enumerate r occurrences in
+      let q = pick mod max 1 golden.Sim.Engine.r_deltas in
+      let nth l = List.nth l (pick mod List.length l) in
+      let faults =
+        match kind with
+        | 0 when targets.Faults.Campaign.tg_storage <> [] ->
+          let var, w = nth targets.Faults.Campaign.tg_storage in
+          [
+            Faults.Fault.Flip_bit
+              { fl_var = var; fl_bit = pick mod max 1 w; fl_delta = q + 1 };
+          ]
+        | 1 when targets.Faults.Campaign.tg_lines <> [] ->
+          let s, w = nth targets.Faults.Campaign.tg_lines in
+          let v =
+            if w = 0 then Spec.Ast.VBool (pick mod 2 = 0)
+            else Spec.Ast.VInt (pick mod 4)
+          in
+          [
+            Faults.Fault.Stuck_at { st_signal = s; st_value = v; st_delta = q };
+          ]
+        | 2 when targets.Faults.Campaign.tg_handshakes <> [] ->
+          let s = nth targets.Faults.Campaign.tg_handshakes in
+          [
+            Faults.Fault.Drop_update
+              {
+                du_signal = s;
+                du_occurrence = 1 + (pick mod Hashtbl.find occurrences s);
+              };
+          ]
+        | _ -> []
+      in
+      let hooks () =
+        if faults = [] then
+          { Sim.Engine.no_hooks with Sim.Engine.h_fault_from = Some q }
+        else Faults.Inject.hooks ~golden:schedule faults
+      in
+      let config = campaign_budget golden in
+      ignore (Sim.Engine.run ~config ~hooks:inert p);
+      match resumed_agrees ~config p hooks with
+      | Ok () -> true
+      | Error m ->
+        QCheck.Test.fail_reportf "seed %d, q %d [%s]: %s" seed q
+          (String.concat "; " (List.map Faults.Fault.describe faults))
+          m)
+
 (* --- qcheck: generated specs, both kernels ----------------------------- *)
 
 let prop_kernels_agree =
@@ -572,11 +817,7 @@ let prop_kernels_agree =
     ~name:"VM vs Reference"
     QCheck.(make Gen.(int_range 1 10_000))
     (fun seed ->
-      let p =
-        Workloads.Generator.program
-          { Workloads.Generator.default_config with gen_seed = seed }
-      in
-      let vm, r = run_both p in
+      let p, r = refined_generated seed in
       let same (a : Sim.Engine.result) (b : Sim.Engine.result) =
         a.Sim.Engine.r_outcome = b.Sim.Engine.r_outcome
         && a.Sim.Engine.r_trace = b.Sim.Engine.r_trace
@@ -585,12 +826,18 @@ let prop_kernels_agree =
         && a.Sim.Engine.r_final = b.Sim.Engine.r_final
         && a.Sim.Engine.r_signal_trace = b.Sim.Engine.r_signal_trace
       in
-      let untraced =
-        Sim.Engine.run
-          ~config:{ diff_config with Sim.Engine.trace_signals = false }
-          p
+      let agree p =
+        let vm, r = run_both p in
+        let untraced =
+          Sim.Engine.run
+            ~config:{ diff_config with Sim.Engine.trace_signals = false }
+            p
+        in
+        same vm r && same { vm with Sim.Engine.r_signal_trace = [] } untraced
       in
-      same vm r && same { vm with Sim.Engine.r_signal_trace = [] } untraced)
+      (* The refinement has signals, waits and procedure calls, so leaves
+         park and wake on it. *)
+      agree p && agree r.Core.Refiner.rf_program)
 
 let () =
   Alcotest.run "sim-diff"
@@ -623,5 +870,15 @@ let () =
           tc "clean after step limit" test_session_after_step_limit;
           tc "clean after run error" test_session_after_run_error;
         ] );
-      ("properties", [ QCheck_alcotest.to_alcotest prop_kernels_agree ]);
+      ( "checkpoints",
+        [
+          tc "resume boundaries" test_checkpoint_boundaries;
+          tc "cancelled resume" test_checkpoint_cancelled;
+          tc "evicted session" test_checkpoint_evicted;
+        ] );
+      ( "properties",
+        [
+          QCheck_alcotest.to_alcotest prop_kernels_agree;
+          QCheck_alcotest.to_alcotest prop_resume_agrees;
+        ] );
     ]
