@@ -6,23 +6,7 @@
 
 open Cmdliner
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
-let load_spec_located path =
-  match Spec.Parser.program_of_string_located (read_file path) with
-  | Ok (p, locs) ->
-    begin match Spec.Program.validate p with
-    | Ok () -> Ok (p, locs)
-    | Error msgs -> Error ("invalid specification: " ^ String.concat "; " msgs)
-    end
-  | Error msg -> Error msg
-
-let load_spec path = Result.map fst (load_spec_located path)
+let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 let or_die = function
   | Ok v -> v
@@ -30,17 +14,49 @@ let or_die = function
     prerr_endline ("mrefine: " ^ msg);
     exit 1
 
+let load_spec_located path =
+  or_die (Spec.Parser.valid_program_of_string (read_file path))
+
+let load_spec path = fst (load_spec_located path)
+
+(* A specification and its access graph. *)
+let load_graph path =
+  let p = load_spec path in
+  (p, Agraph.Access_graph.of_program p)
+
 (* The shared secret of [serve] and [client]: [--token], or the contents
-   of [--token-file] with trailing whitespace stripped. *)
-let resolve_token token token_file =
-  match (token, token_file) with
-  | Some _, Some _ -> Error "give only one of --token and --token-file"
-  | Some t, None -> Ok (Some t)
-  | None, Some path -> (
-    match read_file path with
-    | s -> Ok (Some (String.trim s))
-    | exception Sys_error msg -> Error ("cannot read --token-file: " ^ msg))
-  | None, None -> Ok None
+   of [--token-file] with trailing whitespace stripped.  Resolved when
+   the command line is read; the subcommand decides when an error
+   stops it. *)
+let token_term ~doc ~file_doc =
+  let token =
+    Arg.(value & opt (some string) None & info [ "token" ] ~docv:"SECRET" ~doc)
+  in
+  let token_file =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "token-file" ] ~docv:"FILE" ~doc:file_doc)
+  in
+  let resolve token token_file =
+    match (token, token_file) with
+    | Some _, Some _ -> Error "give only one of --token and --token-file"
+    | Some t, None -> Ok (Some t)
+    | None, Some path -> (
+      match read_file path with
+      | s -> Ok (Some (String.trim s))
+      | exception Sys_error msg -> Error ("cannot read --token-file: " ^ msg))
+    | None, None -> Ok None
+  in
+  Term.(const resolve $ token $ token_file)
+
+(* An endpoint flag.  With [~tcp:(flag, where)] only HOST:PORT will do,
+   and [where] says where Unix sockets go instead. *)
+let endpoint ?tcp s =
+  match (Serve.Server.endpoint_of_string s, tcp) with
+  | Ok (Serve.Server.Unix_path _), Some (flag, where) ->
+    or_die (Error (Printf.sprintf "%s wants HOST:PORT (%s)" flag where))
+  | r, _ -> or_die r
 
 (* A failed bind or listen on [where], as an input error. *)
 let cannot_listen where err msg =
@@ -163,21 +179,29 @@ let write_out output text =
     close_out oc;
     Printf.printf "wrote %s\n" path
 
+(* The exit statuses of every subcommand; see the mapping at the end. *)
+let exits =
+  Cmd.Exit.
+    [ info 0 ~doc:"on success.";
+      info 1 ~doc:"on any error or finding, reported on standard error.";
+      info 125 ~doc:"on unexpected internal errors (bugs)." ]
+
+let info name ~doc = Cmd.info name ~exits ~doc
+
 (* --- subcommands -------------------------------------------------------- *)
 
 let parse_cmd =
   let run spec_path =
-    let p = or_die (load_spec spec_path) in
+    let p = load_spec spec_path in
     let m = Core.Metrics.of_program p in
     Format.printf "%s: %a@." p.Spec.Ast.p_name Core.Metrics.pp m
   in
-  Cmd.v (Cmd.info "parse" ~doc:"Parse and validate a specification.")
+  Cmd.v (info "parse" ~doc:"Parse and validate a specification.")
     Term.(const run $ spec_arg)
 
 let graph_cmd =
   let run spec_path dot output =
-    let p = or_die (load_spec spec_path) in
-    let g = Agraph.Access_graph.of_program p in
+    let _, g = load_graph spec_path in
     if dot then write_out output (Agraph.Access_graph.to_dot g)
     else begin
       Printf.printf "objects: %s\n"
@@ -203,13 +227,12 @@ let graph_cmd =
     Arg.(value & flag & info [ "dot" ] ~doc:"Emit Graphviz instead of a summary.")
   in
   Cmd.v
-    (Cmd.info "graph" ~doc:"Derive and display the access graph.")
+    (info "graph" ~doc:"Derive and display the access graph.")
     Term.(const run $ spec_arg $ dot $ output_arg)
 
 let partition_cmd =
   let run spec_path partitioning =
-    let p = or_die (load_spec spec_path) in
-    let g = Agraph.Access_graph.of_program p in
+    let _, g = load_graph spec_path in
     let part = or_die (Command.partition g partitioning) in
     Format.printf "%a@." Partitioning.Partition.pp part;
     let r = Partitioning.Classify.report g part in
@@ -220,13 +243,12 @@ let partition_cmd =
       (Partitioning.Cost.comm_bits g part)
   in
   Cmd.v
-    (Cmd.info "partition" ~doc:"Partition a specification and classify variables.")
+    (info "partition" ~doc:"Partition a specification and classify variables.")
     Term.(const run $ spec_arg $ partitioning_term)
 
 let refine_cmd =
   let run spec_path design output quiet =
-    let p = or_die (load_spec spec_path) in
-    let g = Agraph.Access_graph.of_program p in
+    let p, g = load_graph spec_path in
     let r = or_die (Command.Refine.run p g design) in
     if not quiet then begin
       Printf.eprintf "model: %s\n" (Core.Model.name design.Command.model);
@@ -255,12 +277,12 @@ let refine_cmd =
     Arg.(value & flag & info [ "q"; "quiet" ] ~doc:"Suppress the report.")
   in
   Cmd.v
-    (Cmd.info "refine" ~doc:"Refine a partitioned specification to a model.")
+    (info "refine" ~doc:"Refine a partitioned specification to a model.")
     Term.(const run $ spec_arg $ design_term $ output_arg $ quiet)
 
 let simulate_cmd =
   let run spec_path vcd_path =
-    let p = or_die (load_spec spec_path) in
+    let p = load_spec spec_path in
     let config =
       { Sim.Engine.default_config with trace_signals = vcd_path <> None }
     in
@@ -277,13 +299,7 @@ let simulate_cmd =
       (fun (name, v) ->
         Format.printf "  final %s = %a@." name Spec.Expr.pp_value v)
       r.Sim.Engine.r_final;
-    match vcd_path with
-    | None -> ()
-    | Some path ->
-      let oc = open_out path in
-      output_string oc (Sim.Vcd.of_result p r);
-      close_out oc;
-      Printf.printf "wrote %s\n" path
+    if vcd_path <> None then write_out vcd_path (Sim.Vcd.of_result p r)
   in
   let vcd =
     Arg.(
@@ -292,13 +308,12 @@ let simulate_cmd =
       & info [ "vcd" ] ~docv:"FILE" ~doc:"Dump signal waveforms as VCD to FILE.")
   in
   Cmd.v
-    (Cmd.info "simulate" ~doc:"Simulate a specification and print its trace.")
+    (info "simulate" ~doc:"Simulate a specification and print its trace.")
     Term.(const run $ spec_arg $ vcd)
 
 let cosim_cmd =
   let run spec_path design =
-    let p = or_die (load_spec spec_path) in
-    let g = Agraph.Access_graph.of_program p in
+    let p, g = load_graph spec_path in
     let r = or_die (Command.refine p g design) in
     (* Hardened designs emit reserved watchdog/recovery markers with no
        counterpart in the original trace. *)
@@ -325,13 +340,13 @@ let cosim_cmd =
     end
   in
   Cmd.v
-    (Cmd.info "cosim"
+    (info "cosim"
        ~doc:"Refine, then co-simulate original vs refined and compare.")
     Term.(const run $ spec_arg $ design_term)
 
 let typecheck_cmd =
   let run spec_path =
-    let p = or_die (load_spec spec_path) in
+    let p = load_spec spec_path in
     match Spec.Typecheck.check p with
     | Ok () -> Printf.printf "%s: well typed\n" p.Spec.Ast.p_name
     | Error errs ->
@@ -339,12 +354,12 @@ let typecheck_cmd =
       exit 1
   in
   Cmd.v
-    (Cmd.info "typecheck" ~doc:"Statically typecheck a specification.")
+    (info "typecheck" ~doc:"Statically typecheck a specification.")
     Term.(const run $ spec_arg)
 
 let export_cmd =
   let run spec_path backend output refine_first design =
-    let p = or_die (load_spec spec_path) in
+    let p = load_spec spec_path in
     let p =
       if not refine_first then p
       else
@@ -374,60 +389,27 @@ let export_cmd =
           ~doc:"Refine first (with --model/--parts/--algo/--assign), then export.")
   in
   Cmd.v
-    (Cmd.info "export" ~doc:"Generate VHDL or C from a specification.")
+    (info "export" ~doc:"Generate VHDL or C from a specification.")
     Term.(
       const run $ spec_arg $ backend $ output_arg $ refine_first
       $ plain_design_term)
 
 let quality_cmd =
   let run spec_path design =
-    let p = or_die (load_spec spec_path) in
-    let g = Agraph.Access_graph.of_program p in
+    let p, g = load_graph spec_path in
     let r = or_die (Command.refine p g design) in
     let n_parts = design.Command.partitioning.parts in
     if n_parts > 2 then
       prerr_endline
         "mrefine: note: the default allocation pairs a processor with ASICs";
-    let alloc =
-      Arch.Allocation.make
-        (List.init n_parts (fun i ->
-             if i = 0 then Arch.Catalog.i8086 else Arch.Catalog.asic_10k))
-    in
+    let alloc = Explore.Evaluate.default_alloc ~n_parts in
     let q = Core.Quality.of_refinement ~alloc r in
     Format.printf "@[<v>%a@]@." Core.Quality.pp q
   in
   Cmd.v
-    (Cmd.info "quality"
+    (info "quality"
        ~doc:"Refine and estimate quality metrics (time, size, gates, pins).")
     Term.(const run $ spec_arg $ plain_design_term)
-
-let demo_cmd =
-  let run () =
-    let spec = Workloads.Medical.spec in
-    let g = Workloads.Medical.graph in
-    Printf.printf "medical system: %d lines, %d channels\n"
-      (Spec.Printer.line_count spec)
-      (Agraph.Access_graph.channel_count g);
-    List.iter
-      (fun (d : Workloads.Designs.design) ->
-        List.iter
-          (fun m ->
-            let r = Core.Refiner.refine spec g d.Workloads.Designs.d_partition m in
-            let v =
-              Sim.Cosim.check ~original:spec
-                ~refined:r.Core.Refiner.rf_program ()
-            in
-            Printf.printf "%-8s %-7s -> %4d lines, %d buses, cosim %s\n"
-              d.Workloads.Designs.d_name (Core.Model.name m)
-              (Spec.Printer.line_count r.Core.Refiner.rf_program)
-              (List.length r.Core.Refiner.rf_buses)
-              (if v.Sim.Cosim.v_equivalent then "ok" else "FAILED"))
-          Core.Model.all)
-      Workloads.Designs.all
-  in
-  Cmd.v
-    (Cmd.info "demo" ~doc:"Run the built-in medical workload across all models.")
-    Term.(const run $ const ())
 
 let explore_cmd =
   let d = Command.Explore.default in
@@ -526,7 +508,7 @@ let explore_cmd =
        from the frontier."
   in
   let run spec_path req cache_dir no_cache resume output =
-    let p = or_die (load_spec spec_path) in
+    let p = load_spec spec_path in
     let cache =
       if no_cache then Explore.Cache.create ()
       else
@@ -540,7 +522,7 @@ let explore_cmd =
     write_out output (Command.Explore.render req sw)
   in
   Cmd.v
-    (Cmd.info "explore"
+    (info "explore"
        ~doc:
          "Sweep the design space (partition seeds x biases x models), \
           evaluate every candidate in parallel with memoization, and \
@@ -628,8 +610,7 @@ let faults_cmd =
              prerr_endline ("mrefine: " ^ Spec.Diagnostic.to_string d))
   in
   let run spec_path req resume output =
-    let p = or_die (load_spec spec_path) in
-    let g = Agraph.Access_graph.of_program p in
+    let p, g = load_graph spec_path in
     let on_refined r =
       if not req.Command.Faults.design.harden then robust_warnings r
     in
@@ -637,7 +618,7 @@ let faults_cmd =
     write_out output (Command.Faults.render req rp)
   in
   Cmd.v
-    (Cmd.info "faults"
+    (info "faults"
        ~doc:
          "Refine, then run a deterministic seeded fault-injection campaign \
           against the co-simulated design: memory bit flips, dropped and \
@@ -705,7 +686,7 @@ let litmus_cmd =
     if bad then exit 1
   in
   Cmd.v
-    (Cmd.info "litmus"
+    (info "litmus"
        ~doc:
          "Run the built-in weak-memory litmus shapes (store buffering, \
           message passing, load buffering, coherence, and a generated \
@@ -873,7 +854,7 @@ let lint_cmd =
       match (spec_path, workloads) with
       | _, true -> workload_targets ()
       | Some path, false ->
-        let p, locs = or_die (load_spec_located path) in
+        let p, locs = load_spec_located path in
         [ Command.Lint.target req path p locs ]
       | None, false -> or_die (Error "give a SPEC file or --workloads")
     in
@@ -897,7 +878,7 @@ let lint_cmd =
     | _ -> ()
   in
   Cmd.v
-    (Cmd.info "lint"
+    (info "lint"
        ~doc:
          "Run the static-analysis passes (races, protocol conformance, \
           liveness, bus contention, width narrowing) plus the type checker \
@@ -911,6 +892,7 @@ let lint_cmd =
       $ flow_arg $ fix_arg $ output_arg)
 
 let serve_cmd =
+  let d = Serve.Server.default_config in
   let socket_arg =
     Arg.(
       value
@@ -986,29 +968,19 @@ let serve_cmd =
                 port).  TCP clients must authenticate when a token is \
                 configured.")
   in
-  let token_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "token" ] ~docv:"SECRET"
-          ~doc:"Shared-secret token TCP clients must present as their \
-                first frame ($(i,{\"op\":\"auth\",...})).  Unix-socket \
-                clients are trusted by file permissions and never need \
-                it.")
-  in
-  let token_file_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "token-file" ] ~docv:"FILE"
-          ~doc:"Read the shared-secret token from FILE (trailing \
-                whitespace stripped); keeps the secret out of process \
-                listings.")
+  let token =
+    token_term
+      ~doc:"Shared-secret token TCP clients must present as their first \
+            frame ($(i,{\"op\":\"auth\",...})).  Unix-socket clients are \
+            trusted by file permissions and never need it."
+      ~file_doc:"Read the shared-secret token from FILE (trailing \
+                 whitespace stripped); keeps the secret out of process \
+                 listings."
   in
   let max_connections_arg =
     Arg.(
       value
-      & opt int 256
+      & opt int d.cfg_max_connections
       & info [ "max-connections" ] ~docv:"N"
           ~doc:"Cap on simultaneous connections; clients beyond it get \
                 one structured error reply with a $(i,retry_after_ms) \
@@ -1017,7 +989,7 @@ let serve_cmd =
   let idle_timeout_arg =
     Arg.(
       value
-      & opt float 300.
+      & opt float (Option.value d.cfg_idle_timeout_s ~default:0.)
       & info [ "idle-timeout" ] ~docv:"SECONDS"
           ~doc:"Reap connections that send nothing for this long \
                 (0 disables).")
@@ -1025,7 +997,7 @@ let serve_cmd =
   let write_timeout_arg =
     Arg.(
       value
-      & opt float 30.
+      & opt float (Option.value d.cfg_write_timeout_s ~default:0.)
       & info [ "write-timeout" ] ~docv:"SECONDS"
           ~doc:"Reap connections that will not drain our replies for \
                 this long (0 disables).")
@@ -1033,7 +1005,7 @@ let serve_cmd =
   let max_frame_bytes_arg =
     Arg.(
       value
-      & opt int (4 * 1024 * 1024)
+      & opt int d.cfg_max_frame_bytes
       & info [ "max-frame-bytes" ] ~docv:"BYTES"
           ~doc:"Cap on one request frame; larger frames cost one error \
                 reply and are discarded.")
@@ -1048,26 +1020,18 @@ let serve_cmd =
                 $(i,retry_after_ms) backpressure hint.")
   in
   let run socket jobs cache_dir cache_entries cache_bytes journal max_jobs
-      deadline listen token token_file max_connections idle_timeout
-      write_timeout max_frame_bytes max_pending =
-    if jobs < 1 then or_die (Error "--jobs must be >= 1");
-    if max_jobs < 1 then or_die (Error "--max-jobs must be >= 1");
-    if max_pending < 1 then or_die (Error "--max-pending must be >= 1");
-    if max_connections < 1 then
-      or_die (Error "--max-connections must be >= 1");
-    if max_frame_bytes < 1024 then
-      or_die (Error "--max-frame-bytes must be >= 1024");
-    let token = or_die (resolve_token token token_file) in
+      deadline listen token max_connections idle_timeout write_timeout
+      max_frame_bytes max_pending =
+    List.iter or_die
+      [ Command.at_least "--jobs" 1 jobs;
+        Command.at_least "--max-jobs" 1 max_jobs;
+        Command.at_least "--max-pending" 1 max_pending;
+        Command.at_least "--max-connections" 1 max_connections;
+        Command.at_least "--max-frame-bytes" 1024 max_frame_bytes ];
+    let token = or_die token in
     let listen =
-      match listen with
-      | None -> None
-      | Some s -> (
-        match Serve.Server.endpoint_of_string s with
-        | Ok (Serve.Server.Tcp _ as e) -> Some e
-        | Ok (Serve.Server.Unix_path _) ->
-          or_die (Error "--listen wants HOST:PORT (the Unix socket is \
-                         always bound via --socket)")
-        | Error msg -> or_die (Error msg))
+      let where = "the Unix socket is always bound via --socket" in
+      Option.map (endpoint ~tcp:("--listen", where)) listen
     in
     let session =
       try
@@ -1078,14 +1042,11 @@ let serve_cmd =
       | Invalid_argument msg -> or_die (Error msg)
     in
     let journal =
-      match journal with
-      | None -> None
-      | Some path ->
-        (try
-           Some
-             (Checkpoint.Journal.open_ ~path
-                ~meta:Serve.Scheduler.journal_meta)
-         with Checkpoint.Journal.Journal_error msg -> or_die (Error msg))
+      Option.map
+        (fun path ->
+          try Checkpoint.Journal.open_ ~path ~meta:Serve.Scheduler.journal_meta
+          with Checkpoint.Journal.Journal_error msg -> or_die (Error msg))
+        journal
     in
     let scheduler =
       Serve.Scheduler.create ?journal ~jobs ~max_jobs ~max_pending
@@ -1093,7 +1054,7 @@ let serve_cmd =
     in
     let config =
       {
-        Serve.Server.default_config with
+        d with
         cfg_token = token;
         cfg_max_connections = max_connections;
         cfg_max_frame_bytes = max_frame_bytes;
@@ -1121,7 +1082,7 @@ let serve_cmd =
     Option.iter Checkpoint.Journal.close journal
   in
   Cmd.v
-    (Cmd.info "serve"
+    (info "serve"
        ~doc:
          "Run the persistent refinement daemon: a Unix-domain socket \
           speaking a newline-delimited JSON job protocol (submit / status \
@@ -1136,7 +1097,7 @@ let serve_cmd =
     Term.(
       const run $ socket_arg $ jobs_arg $ cache_dir_arg $ cache_entries_arg
       $ cache_bytes_arg $ journal_arg $ max_jobs_arg $ deadline_arg
-      $ listen_arg $ token_arg $ token_file_arg $ max_connections_arg
+      $ listen_arg $ token $ max_connections_arg
       $ idle_timeout_arg $ write_timeout_arg $ max_frame_bytes_arg
       $ max_pending_arg)
 
@@ -1193,24 +1154,12 @@ let client_cmd =
           ~doc:"Print only the job's report text instead of the reply \
                 JSON; exits non-zero unless the job is done.")
   in
-  let status_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "status" ] ~docv:"ID" ~doc:"Query one job's state.")
+  let job_op name doc =
+    Arg.(value & opt (some string) None & info [ name ] ~docv:"ID" ~doc)
   in
-  let result_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "result" ] ~docv:"ID" ~doc:"Fetch one job's result.")
-  in
-  let cancel_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "cancel" ] ~docv:"ID" ~doc:"Cancel one job.")
-  in
+  let status_arg = job_op "status" "Query one job's state." in
+  let result_arg = job_op "result" "Fetch one job's result." in
+  let cancel_arg = job_op "cancel" "Cancel one job." in
   let stats_arg =
     Arg.(value & flag & info [ "stats" ] ~doc:"Fetch daemon statistics.")
   in
@@ -1233,20 +1182,11 @@ let client_cmd =
       & info [ "connect" ] ~docv:"HOST:PORT"
           ~doc:"Connect over TCP instead of the Unix socket.")
   in
-  let token_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "token" ] ~docv:"SECRET"
-          ~doc:"Shared-secret token presented as the first frame (needed \
-                for TCP daemons started with one).")
-  in
-  let token_file_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "token-file" ] ~docv:"FILE"
-          ~doc:"Read the token from FILE (trailing whitespace stripped).")
+  let token =
+    token_term
+      ~doc:"Shared-secret token presented as the first frame (needed for \
+            TCP daemons started with one)."
+      ~file_doc:"Read the token from FILE (trailing whitespace stripped)."
   in
   let retries_arg =
     Arg.(
@@ -1290,240 +1230,93 @@ let client_cmd =
       | None, "litmus" -> [ ("kind", Serve.Protocol.String kind) ]
       | None, _ -> or_die (Error "--submit needs --spec")
     in
-    List.fold_left
-      (fun fields arg ->
-        match String.index_opt arg '=' with
-        | None -> or_die (Error (Printf.sprintf "bad --arg %S (want KEY=VALUE)" arg))
-        | Some i ->
-          let key = String.sub arg 0 i in
-          let value = String.sub arg (i + 1) (String.length arg - i - 1) in
-          fields @ [ (key, field_value value) ])
-      base args
+    base
+    @ List.map
+        (fun arg ->
+          match String.index_opt arg '=' with
+          | None ->
+            or_die (Error (Printf.sprintf "bad --arg %S (want KEY=VALUE)" arg))
+          | Some i ->
+            let value = String.sub arg (i + 1) (String.length arg - i - 1) in
+            (String.sub arg 0 i, field_value value))
+        args
+  in
+  let parse_reply raw =
+    match Serve.Protocol.parse raw with
+    | Ok reply -> reply
+    | Error msg -> or_die (Error ("unreadable reply: " ^ msg))
+  in
+  let member key reply =
+    match Serve.Protocol.member key reply with
+    | Some (Serve.Protocol.String s) -> Some s
+    | _ -> None
   in
   let print_reply ~print_output raw =
     if not print_output then print_endline raw
     else
-      match Serve.Protocol.parse raw with
-      | Error msg -> or_die (Error ("unreadable reply: " ^ msg))
-      | Ok reply ->
-        (match Serve.Protocol.member "output" reply with
-        | Some (Serve.Protocol.String out) -> print_string out
-        | _ ->
-          let state =
-            match Serve.Protocol.member "state" reply with
-            | Some (Serve.Protocol.String s) -> s
-            | _ -> "unknown"
-          in
-          let error =
-            match Serve.Protocol.member "error" reply with
-            | Some (Serve.Protocol.String e) -> ": " ^ e
-            | _ -> ""
-          in
-          or_die (Error (Printf.sprintf "job %s%s" state error)))
+      let reply = parse_reply raw in
+      match member "output" reply with
+      | Some out -> print_string out
+      | None ->
+        let state = Option.value (member "state" reply) ~default:"unknown" in
+        let error =
+          Option.fold ~none:"" ~some:(( ^ ) ": ") (member "error" reply)
+        in
+        or_die (Error (Printf.sprintf "job %s%s" state error))
   in
-  let run socket connect_to token token_file retries retry_backoff timeout
-      submit spec id args wait print_output status result cancel stats ping
-      shutdown raw =
-    if retries < 0 then or_die (Error "--retries must be >= 0");
-    if retry_backoff < 1 then or_die (Error "--retry-backoff must be >= 1");
-    let token = or_die (resolve_token token token_file) in
+  let run socket connect_to token retries retry_backoff timeout submit spec
+      id args wait print_output status result cancel stats ping shutdown raw =
+    List.iter or_die
+      [ Command.at_least "--retries" 0 retries;
+        Command.at_least "--retry-backoff" 1 retry_backoff ];
+    let token = or_die token in
     let endpoint =
       match connect_to with
       | None -> Serve.Server.Unix_path socket
-      | Some s -> (
-        match Serve.Server.endpoint_of_string s with
-        | Ok (Serve.Server.Tcp _ as e) -> e
-        | Ok (Serve.Server.Unix_path _) ->
-          or_die (Error "--connect wants HOST:PORT (Unix sockets go via \
-                         --socket)")
-        | Error msg -> or_die (Error msg))
+      | Some s -> endpoint ~tcp:("--connect", "Unix sockets go via --socket") s
     in
-    Random.self_init ();
-    (* One cached connection, re-dialed transparently after transport
-       failures.  Authentication is part of dialing: a rejected token is
-       a permanent error, a dropped connection is a retryable one. *)
-    let conn = ref None in
-    let drop_conn () =
-      match !conn with
-      | Some (ic, _) ->
-        conn := None;
-        (try close_in_noerr ic with Sys_error _ -> ())
-      | None -> ()
+    (* A write to a connection the daemon dropped must fail as EPIPE,
+       which the client retries, not kill the process. *)
+    Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+    let client =
+      Serve.Client.create ?token ~retries ~backoff_ms:retry_backoff
+        ?timeout_s:timeout endpoint
     in
-    let dial () =
-      match Serve.Server.connect_endpoint endpoint with
-      | Error msg -> Error msg
-      | Ok fd -> (
-        (match timeout with
-        | Some s when s > 0. -> (
-          try
-            Unix.setsockopt_float fd Unix.SO_RCVTIMEO s;
-            Unix.setsockopt_float fd Unix.SO_SNDTIMEO s
-          with Unix.Unix_error _ -> ())
-        | _ -> ());
-        let ic = Unix.in_channel_of_descr fd in
-        let oc = Unix.out_channel_of_descr fd in
-        match token with
-        | None -> Ok (ic, oc)
-        | Some tok -> (
-          let auth =
-            Serve.Protocol.to_string
-              (Serve.Protocol.request_to_json (Serve.Protocol.Auth tok))
-          in
-          match
-            output_string oc auth;
-            output_char oc '\n';
-            flush oc;
-            input_line ic
-          with
-          | exception (End_of_file | Sys_error _) ->
-            close_in_noerr ic;
-            Error "connection closed during authentication"
-          | reply -> (
-            match Serve.Protocol.parse reply with
-            | Ok r -> (
-              match Serve.Protocol.member "ok" r with
-              | Some (Serve.Protocol.Bool true) -> Ok (ic, oc)
-              | _ ->
-                (* a refused token never gets better by retrying *)
-                close_in_noerr ic;
-                or_die
-                  (Error
-                     (match Serve.Protocol.member "error" r with
-                     | Some (Serve.Protocol.String e) -> e
-                     | _ -> "authentication failed")))
-            | Error msg ->
-              close_in_noerr ic;
-              Error ("unreadable authentication reply: " ^ msg))))
-    in
-    let backoff attempt hint_ms =
-      let d =
-        match hint_ms with
-        | Some ms -> float_of_int ms /. 1000.
-        | None ->
-          float_of_int retry_backoff /. 1000.
-          *. (2. ** float_of_int attempt)
-          *. (0.5 +. Random.float 1.0)
-      in
-      Unix.sleepf (Float.min 10.0 d)
-    in
-    (* [resend] marks requests safe to re-issue after a failure past the
-       send (submits under an id, polls, cancels); shutdown and raw
-       lines only retry failures to connect. *)
-    let rpc ?(resend = true) line =
-      let rec attempt n =
-        let fail ?hint msg =
-          if n >= retries then or_die (Error msg)
-          else begin
-            backoff n hint;
-            attempt (n + 1)
-          end
-        in
-        match
-          match !conn with Some c -> Ok c | None -> dial ()
-        with
-        | Error msg ->
-          fail (Printf.sprintf "cannot connect to %s: %s"
-                  (Serve.Server.endpoint_to_string endpoint) msg)
-        | Ok ((ic, oc) as c) -> (
-          conn := Some c;
-          match
-            output_string oc line;
-            output_char oc '\n';
-            flush oc
-          with
-          | exception Sys_error msg ->
-            drop_conn ();
-            fail ("connection lost: " ^ msg)
-          | () -> (
-            match input_line ic with
-            | exception End_of_file ->
-              drop_conn ();
-              if resend then fail "daemon closed the connection"
-              else or_die (Error "daemon closed the connection")
-            | exception Sys_error msg ->
-              drop_conn ();
-              if resend then fail ("connection lost: " ^ msg)
-              else or_die (Error ("connection lost: " ^ msg))
-            | reply -> (
-              (* structured backpressure: busy rejections tell us when
-                 to come back *)
-              match Serve.Protocol.parse reply with
-              | Ok r
-                when Serve.Protocol.member "ok" r
-                     = Some (Serve.Protocol.Bool false) -> (
-                match Serve.Protocol.member "retry_after_ms" r with
-                | Some (Serve.Protocol.Int ms) when n < retries ->
-                  fail ~hint:ms
-                    (Printf.sprintf "daemon busy: %s" reply)
-                | _ -> reply)
-              | _ -> reply)))
-      in
-      attempt 0
-    in
-    let send_simple ?resend req =
-      print_endline (rpc ?resend (Serve.Protocol.to_string req))
-    in
+    let call ?resend req = or_die (Serve.Client.call ?resend client req) in
+    let print_simple ?resend req = print_endline (call ?resend req) in
     match (submit, status, result, cancel, stats, ping, shutdown, raw) with
     | Some kind, None, None, None, false, false, false, None ->
       let job = Serve.Protocol.Obj (job_fields kind spec args) in
-      (* Retrying a submit is only safe under a stable id: pick one for
-         the caller so a resent request lands on the same job. *)
-      let id =
-        match id with
-        | Some _ -> id
-        | None when retries > 0 ->
-          Some
-            (Printf.sprintf "c-%08x%08x" (Random.bits ()) (Random.bits ()))
-        | None -> None
-      in
-      let submit_req =
-        Serve.Protocol.request_to_json
-          (Serve.Protocol.Submit { sb_id = id; sb_job = job })
-      in
-      let reply = rpc (Serve.Protocol.to_string submit_req) in
+      let reply = or_die (Serve.Client.submit client ?id job) in
       if not wait then print_endline reply
       else begin
+        let r = parse_reply reply in
         let id =
-          match Serve.Protocol.parse reply with
-          | Ok r -> (
-            match Serve.Protocol.member "id" r with
-            | Some (Serve.Protocol.String id) -> id
-            | _ ->
-              or_die
-                (Error
-                   (match Serve.Protocol.member "error" r with
-                   | Some (Serve.Protocol.String e) -> "submit failed: " ^ e
-                   | _ -> "submit failed: " ^ reply)))
-          | Error msg -> or_die (Error ("unreadable reply: " ^ msg))
-        in
-        let result_req =
-          Serve.Protocol.request_to_json
-            (Serve.Protocol.Result { rs_id = id; rs_wait = true })
+          match (member "id" r, member "error" r) with
+          | Some id, _ -> id
+          | None, e ->
+            or_die (Error ("submit failed: " ^ Option.value e ~default:reply))
         in
         (* The wait survives daemon restarts: the result poll is
            idempotent, so a dropped connection just re-requests it. *)
-        print_reply ~print_output (rpc (Serve.Protocol.to_string result_req))
+        print_reply ~print_output
+          (call (Serve.Protocol.Result { rs_id = id; rs_wait = true }))
       end
     | None, Some id, None, None, false, false, false, None ->
-      send_simple (Serve.Protocol.request_to_json (Serve.Protocol.Status id))
+      print_simple (Serve.Protocol.Status id)
     | None, None, Some id, None, false, false, false, None ->
-      let req =
-        Serve.Protocol.request_to_json
-          (Serve.Protocol.Result { rs_id = id; rs_wait = wait })
-      in
-      print_reply ~print_output (rpc (Serve.Protocol.to_string req))
+      print_reply ~print_output
+        (call (Serve.Protocol.Result { rs_id = id; rs_wait = wait }))
     | None, None, None, Some id, false, false, false, None ->
-      send_simple (Serve.Protocol.request_to_json (Serve.Protocol.Cancel id))
+      print_simple (Serve.Protocol.Cancel id)
     | None, None, None, None, true, false, false, None ->
-      send_simple (Serve.Protocol.request_to_json Serve.Protocol.Stats)
+      print_simple Serve.Protocol.Stats
     | None, None, None, None, false, true, false, None ->
-      send_simple (Serve.Protocol.request_to_json Serve.Protocol.Ping)
+      print_simple Serve.Protocol.Ping
     | None, None, None, None, false, false, true, None ->
-      send_simple ~resend:false
-        (Serve.Protocol.request_to_json Serve.Protocol.Shutdown)
+      print_simple ~resend:false Serve.Protocol.Shutdown
     | None, None, None, None, false, false, false, Some line ->
-      print_endline (rpc ~resend:false line)
+      print_endline (or_die (Serve.Client.rpc ~resend:false client line))
     | _ ->
       or_die
         (Error
@@ -1531,7 +1324,7 @@ let client_cmd =
             --stats, --ping, --shutdown or --raw")
   in
   Cmd.v
-    (Cmd.info "client"
+    (info "client"
        ~doc:
          "Talk to a running $(b,mrefine serve) daemon — over its Unix \
           socket or TCP ($(b,--connect), with $(b,--token)) — to submit \
@@ -1541,11 +1334,10 @@ let client_cmd =
           exponential backoff; submits pick a stable job id so retries \
           never double-execute work.")
     Term.(
-      const run $ socket_arg $ connect_arg $ token_arg $ token_file_arg
-      $ retries_arg $ retry_backoff_arg $ timeout_arg $ submit_arg
-      $ spec_arg $ id_arg $ arg_arg $ wait_arg $ print_output_arg
-      $ status_arg $ result_arg $ cancel_arg $ stats_arg $ ping_arg
-      $ shutdown_arg $ raw_arg)
+      const run $ socket_arg $ connect_arg $ token $ retries_arg
+      $ retry_backoff_arg $ timeout_arg $ submit_arg $ spec_arg $ id_arg
+      $ arg_arg $ wait_arg $ print_output_arg $ status_arg $ result_arg
+      $ cancel_arg $ stats_arg $ ping_arg $ shutdown_arg $ raw_arg)
 
 let chaos_cmd =
   let listen_arg =
@@ -1574,14 +1366,9 @@ let chaos_cmd =
                 exactly from its seed.")
   in
   let run listen upstream seed =
-    let parse s =
-      match Serve.Server.endpoint_of_string s with
-      | Ok e -> e
-      | Error msg -> or_die (Error msg)
-    in
     let upstream =
       match upstream with
-      | Some u -> parse u
+      | Some u -> endpoint u
       | None -> or_die (Error "--upstream is required")
     in
     Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
@@ -1591,15 +1378,13 @@ let chaos_cmd =
           ~log:(fun i fault ->
             Printf.eprintf "mrefine chaos: conn %d: %s\n%!" i
               (Serve.Chaos.fault_to_string fault))
-          ~listen:(parse listen) ~upstream ~seed ()
+          ~listen:(endpoint listen) ~upstream ~seed ()
       with Unix.Unix_error (err, _, msg) -> or_die (cannot_listen listen err msg)
     in
     (match Serve.Chaos.port proxy with
     | Some port ->
       Printf.eprintf "mrefine chaos: tcp port %d -> %s (seed %d)\n%!" port
-        (match upstream with
-        | Serve.Server.Unix_path p -> p
-        | Serve.Server.Tcp { host; port } -> Printf.sprintf "%s:%d" host port)
+        (Serve.Server.endpoint_to_string upstream)
         seed
     | None ->
       Printf.eprintf "mrefine chaos: %s (seed %d)\n%!" listen seed);
@@ -1613,7 +1398,7 @@ let chaos_cmd =
     Serve.Chaos.stop proxy
   in
   Cmd.v
-    (Cmd.info "chaos"
+    (info "chaos"
        ~doc:
          "Run a seeded fault-injecting proxy in front of an $(b,mrefine \
           serve) daemon: connections are dropped mid-frame, torn, \
@@ -1625,13 +1410,21 @@ let chaos_cmd =
 
 let () =
   let info =
-    Cmd.info "mrefine" ~version:"1.0.0"
+    Cmd.info "mrefine" ~version:"1.0.0" ~exits
       ~doc:"Model refinement for hardware-software codesign."
   in
+  (* One exit-status rule: 0 on success, 1 for every error or finding
+     (a flag cmdliner cannot convert included), 125 for an internal
+     error (an uncaught exception). *)
   exit
-    (Cmd.eval
-       (Cmd.group info
-          [ parse_cmd; graph_cmd; partition_cmd; refine_cmd; simulate_cmd;
-            cosim_cmd; typecheck_cmd; lint_cmd; export_cmd; quality_cmd;
-            demo_cmd; explore_cmd; faults_cmd; litmus_cmd; serve_cmd;
-            client_cmd; chaos_cmd ]))
+    (match
+       Cmd.eval_value
+         (Cmd.group info
+            [ parse_cmd; graph_cmd; partition_cmd; refine_cmd; simulate_cmd;
+              cosim_cmd; typecheck_cmd; lint_cmd; export_cmd; quality_cmd;
+              explore_cmd; faults_cmd; litmus_cmd; serve_cmd; client_cmd;
+              chaos_cmd ])
+     with
+    | Ok _ -> 0
+    | Error (`Parse | `Term) -> 1
+    | Error `Exn -> 125)

@@ -172,34 +172,13 @@ let accept_loop t =
   loop ()
 
 let start ?log ~listen ~upstream ~seed () =
-  let path, addr =
-    match listen with
-    | Server.Unix_path p ->
-      (try Unix.unlink p with Unix.Unix_error _ -> ());
-      (Some p, Unix.ADDR_UNIX p)
-    | Server.Tcp { host; port } -> (
-      match Server.sockaddr_of_endpoint (Server.Tcp { host; port }) with
-      | Ok addr -> (None, addr)
-      | Error msg -> raise (Unix.Unix_error (Unix.EADDRNOTAVAIL, "bind", msg)))
-  in
-  let fd = Unix.socket (Unix.domain_of_sockaddr addr) Unix.SOCK_STREAM 0 in
-  (try
-     (match addr with
-     | Unix.ADDR_INET _ -> Unix.setsockopt fd Unix.SO_REUSEADDR true
-     | Unix.ADDR_UNIX _ -> ());
-     Unix.bind fd addr;
-     Unix.listen fd 64
-   with exn ->
-     close_quietly fd;
-     raise exn);
-  let bound_port =
-    match Unix.getsockname fd with Unix.ADDR_INET (_, p) -> Some p | _ -> None
-  in
+  let fd, port = Server.listen_on listen in
   let t =
     {
       ch_fd = fd;
-      ch_port = bound_port;
-      ch_listen_path = path;
+      ch_port = port;
+      ch_listen_path =
+        (match listen with Server.Unix_path p -> Some p | Server.Tcp _ -> None);
       ch_upstream = upstream;
       ch_seed = seed;
       ch_log = log;

@@ -48,6 +48,29 @@ let socket_for_sockaddr addr =
   let domain = Unix.domain_of_sockaddr addr in
   Unix.socket domain Unix.SOCK_STREAM 0
 
+let listen_on ep =
+  let addr =
+    match (ep, sockaddr_of_endpoint ep) with
+    | Unix_path p, Ok addr ->
+      (try Unix.unlink p with Unix.Unix_error _ -> ());
+      addr
+    | Tcp _, Ok addr -> addr
+    | _, Error msg -> raise (Unix.Unix_error (Unix.EADDRNOTAVAIL, "bind", msg))
+  in
+  let fd = socket_for_sockaddr addr in
+  try
+    (match addr with
+    | Unix.ADDR_INET _ -> Unix.setsockopt fd Unix.SO_REUSEADDR true
+    | Unix.ADDR_UNIX _ -> ());
+    Unix.bind fd addr;
+    Unix.listen fd 64;
+    match Unix.getsockname fd with
+    | Unix.ADDR_INET (_, port) -> (fd, Some port)
+    | Unix.ADDR_UNIX _ -> (fd, None)
+  with exn ->
+    (try Unix.close fd with Unix.Unix_error _ -> ());
+    raise exn
+
 let connect_endpoint ep =
   match sockaddr_of_endpoint ep with
   | Error msg -> Error msg
@@ -186,6 +209,9 @@ let token_ok t presented =
   | None -> true
   | Some secret -> constant_time_equal presented secret
 
+let bad_request_prefix = "bad request: "
+let auth_failed = "authentication failed"
+
 (* The per-frame step: [`Reply] keeps the connection, [`Close] sends one
    last reply and hangs up (failed or missing authentication). *)
 let process t conn line =
@@ -204,7 +230,7 @@ let process t conn line =
       locked t (fun () ->
           t.sv_counters.ct_auth_failures <-
             t.sv_counters.ct_auth_failures + 1);
-      `Close (Protocol.error "authentication failed")
+      `Close (Protocol.error auth_failed)
     end
   | Ok _ | Error _ when conn.cn_requires_auth && not conn.cn_authed ->
     locked t (fun () ->
@@ -217,7 +243,7 @@ let process t conn line =
        with exn ->
          Protocol.error
            (Printf.sprintf "request raised %s" (Printexc.to_string exn)))
-  | Error msg -> `Reply (Protocol.error ("bad request: " ^ msg))
+  | Error msg -> `Reply (Protocol.error (bad_request_prefix ^ msg))
 
 (* --- connection handling ------------------------------------------------ *)
 
@@ -451,51 +477,24 @@ let accept_loop t =
 (* --- lifecycle ---------------------------------------------------------- *)
 
 let start ?(config = default_config) ?listen ~socket scheduler =
-  let unix_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  (try Unix.unlink socket with Unix.Unix_error _ -> ());
-  (try
-     Unix.bind unix_fd (Unix.ADDR_UNIX socket);
-     Unix.listen unix_fd 64
-   with exn ->
-     (try Unix.close unix_fd with Unix.Unix_error _ -> ());
-     raise exn);
+  (match listen with
+  | Some (Unix_path _) ->
+    invalid_arg "Server.start: listen endpoint must be HOST:PORT"
+  | _ -> ());
+  let unix_fd, _ = listen_on (Unix_path socket) in
   let tcp =
-    match listen with
-    | None -> None
-    | Some (Unix_path _) ->
+    try Option.map listen_on listen
+    with exn ->
       (try Unix.close unix_fd with Unix.Unix_error _ -> ());
       (try Unix.unlink socket with Unix.Unix_error _ -> ());
-      invalid_arg "Server.start: listen endpoint must be HOST:PORT"
-    | Some (Tcp { host; port }) -> (
-      match resolve_tcp ~host ~port with
-      | Error msg ->
-        (try Unix.close unix_fd with Unix.Unix_error _ -> ());
-        (try Unix.unlink socket with Unix.Unix_error _ -> ());
-        raise (Unix.Unix_error (Unix.EADDRNOTAVAIL, "bind", msg))
-      | Ok addr -> (
-        let fd = socket_for_sockaddr addr in
-        try
-          Unix.setsockopt fd Unix.SO_REUSEADDR true;
-          Unix.bind fd addr;
-          Unix.listen fd 64;
-          let bound_port =
-            match Unix.getsockname fd with
-            | Unix.ADDR_INET (_, p) -> p
-            | _ -> port
-          in
-          Some (fd, bound_port)
-        with exn ->
-          (try Unix.close fd with Unix.Unix_error _ -> ());
-          (try Unix.close unix_fd with Unix.Unix_error _ -> ());
-          (try Unix.unlink socket with Unix.Unix_error _ -> ());
-          raise exn))
+      raise exn
   in
   let t =
     {
       sv_socket = socket;
       sv_listeners =
         (unix_fd :: match tcp with Some (fd, _) -> [ fd ] | None -> []);
-      sv_tcp_port = Option.map snd tcp;
+      sv_tcp_port = Option.bind tcp snd;
       sv_scheduler = scheduler;
       sv_config = config;
       sv_stop = Atomic.make false;
@@ -557,6 +556,3 @@ let run t =
           try Unix.shutdown conn.cn_fd Unix.SHUTDOWN_ALL
           with Unix.Unix_error _ -> ())
         t.sv_conns)
-
-let serve ?config ?listen ~socket scheduler =
-  run (start ?config ?listen ~socket scheduler)

@@ -38,13 +38,26 @@ val endpoint_of_string : string -> (endpoint, string) result
 
 val endpoint_to_string : endpoint -> string
 
-val sockaddr_of_endpoint : endpoint -> (Unix.sockaddr, string) result
-(** Resolve an endpoint to a bindable/connectable address (IPv4
-    preferred for TCP hosts). *)
+val listen_on : endpoint -> Unix.file_descr * int option
+(** Bind and listen on an endpoint (used by {!start} and the chaos
+    proxy): a stale socket file is replaced, and a TCP address (IPv4
+    preferred) is reusable at once.  Returns the listening socket and,
+    for TCP, the bound port (the kernel's choice for port [0]).
+    @raise Unix.Unix_error when the endpoint cannot be resolved or
+    bound. *)
 
 val connect_endpoint : endpoint -> (Unix.file_descr, string) result
-(** Client-side connect to either endpoint kind (used by the CLI client
-    and the chaos proxy). *)
+(** Client-side connect to either endpoint kind (used by {!Client} and
+    the chaos proxy). *)
+
+val bad_request_prefix : string
+(** The start of the error reply to a request line the daemon could not
+    decode.  For a line the client knows to be well formed, it means the
+    bytes were damaged in transit. *)
+
+val auth_failed : string
+(** The error reply to a token the daemon read and refused.  Any other
+    reply to an auth frame means the frame did not arrive intact. *)
 
 (** Serving limits and the shared-secret token.  All fields have
     production defaults in {!default_config}. *)
@@ -91,7 +104,3 @@ val run : t -> unit
 val stop : t -> unit
 (** Request termination from another thread (e.g. a signal handler);
     idempotent.  {!run} performs the actual teardown. *)
-
-val serve :
-  ?config:config -> ?listen:endpoint -> socket:string -> Scheduler.t -> unit
-(** [start] + [run]. *)

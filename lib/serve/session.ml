@@ -85,39 +85,35 @@ let elaborate t ~source =
        expensive part and must not serialize unrelated connections.  Two
        racing threads may both elaborate; last insert wins and both
        results are identical. *)
-    match Spec.Parser.program_of_string_located source with
+    match Spec.Parser.valid_program_of_string source with
     | Error msg -> Error msg
-    | Ok (p, locs) -> (
-      match Spec.Program.validate p with
-      | Error msgs ->
-        Error ("invalid specification: " ^ String.concat "; " msgs)
-      | Ok () ->
-        let g = Agraph.Access_graph.of_program p in
-        let ctx = Explore.Evaluate.make_ctx p in
-        let e =
-          {
-            el_digest = digest;
-            el_program = p;
-            el_locations = locs;
-            el_graph = g;
-            el_ctx = ctx;
-          }
-        in
-        let e =
-          locked t (fun () ->
-              match Hashtbl.find_opt t.s_elab digest with
-              | Some winner ->
-                (* A racing thread elaborated first: keep its value so
-                   every job shares one physical program. *)
-                touch t digest;
-                winner
-              | None ->
-                Hashtbl.replace t.s_elab digest e;
-                touch t digest;
-                evict_to_cap t;
-                e)
-        in
-        Ok e))
+    | Ok (p, locs) ->
+      let g = Agraph.Access_graph.of_program p in
+      let ctx = Explore.Evaluate.make_ctx p in
+      let e =
+        {
+          el_digest = digest;
+          el_program = p;
+          el_locations = locs;
+          el_graph = g;
+          el_ctx = ctx;
+        }
+      in
+      let e =
+        locked t (fun () ->
+            match Hashtbl.find_opt t.s_elab digest with
+            | Some winner ->
+              (* A racing thread elaborated first: keep its value so
+                 every job shares one physical program. *)
+              touch t digest;
+              winner
+            | None ->
+              Hashtbl.replace t.s_elab digest e;
+              touch t digest;
+              evict_to_cap t;
+              e)
+      in
+      Ok e)
 
 type stats = {
   st_elab_hits : int;

@@ -505,6 +505,14 @@ let program_of_string_located src =
 let program_of_string src =
   Result.map fst (program_of_string_located src)
 
+let valid_program_of_string src =
+  match program_of_string_located src with
+  | Error _ as e -> e
+  | Ok (p, _) as ok -> (
+    match Program.validate p with
+    | Ok () -> ok
+    | Error msgs -> Error ("invalid specification: " ^ String.concat "; " msgs))
+
 (* Resolve a diagnostic's behavior path to a source line: deepest path
    element with a recorded location wins — it is the most specific
    position the diagnostic names.  Elements are either behavior names or

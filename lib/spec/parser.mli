@@ -25,6 +25,12 @@ val program_of_string_located :
   string -> (program * locations, string) result
 (** {!program_of_string}, also returning the source-line table. *)
 
+val valid_program_of_string :
+  string -> (program * locations, string) result
+(** {!program_of_string_located}, then {!Program.validate}: how the CLI
+    and the daemon load a specification.  A validation failure is one
+    ["invalid specification: ..."] error joining every message. *)
+
 val line_of_path : locations -> string list -> int option
 (** Resolve a diagnostic behavior path (see {!Diagnostic.d_path}) to a
     source line: the deepest path element with a recorded location wins.

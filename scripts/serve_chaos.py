@@ -13,7 +13,9 @@ the proxy from retrying client threads, SIGTERMs the daemon mid-load
     double-executed work);
   - every refine and lint result is bit-identical to the cold CLI run
     of the same parameters;
-  - every explore job completes at coverage 1.0.
+  - every explore job completes at coverage 1.0;
+  - the real `mrefine client` binary, retrying through the same proxy
+    over token-guarded TCP, prints exactly what the cold CLI prints.
 
 Usage: serve_chaos.py [path/to/mrefine.exe]
 """
@@ -217,6 +219,34 @@ def cold_lint(spec_path):
     return r.stdout.decode()
 
 
+def cli_client_via(port, runs=12):
+    """The `mrefine client` binary through the chaos proxy: each run is
+    a fresh process that authenticates with --token-file, submits a
+    refine, waits for it and prints its output, retrying every transport
+    failure under its own policy.  Every run must exit 0 with the cold
+    CLI's bytes."""
+    path = SPECS[0]
+    cold = subprocess.run([MR, "refine", "-q", "-m", "2", path],
+                          check=True, capture_output=True).stdout
+    token_file = os.path.join(WORKDIR, "token")
+    with open(token_file, "w") as f:
+        f.write(TOKEN + "\n")
+    for i in range(runs):
+        r = subprocess.run(
+            [MR, "client", "--connect", f"127.0.0.1:{port}",
+             "--token-file", token_file, "--retries", "12",
+             "--retry-backoff", "20", "--timeout", "10",
+             "--submit", "refine", "--spec", path, "--arg", "model=model2",
+             "--wait", "--print-output"],
+            capture_output=True, timeout=120)
+        assert r.returncode == 0, \
+            f"mrefine client run {i} exited {r.returncode}: {r.stderr}"
+        assert r.stdout == cold, \
+            f"mrefine client run {i} differs from the cold CLI"
+    print(f"{runs} mrefine client runs through the proxy byte-identical "
+          "to the cold CLI")
+
+
 def main():
     jobs = make_jobs()
     ids = sorted(jobs, key=lambda s: int(s.split("-")[1]))
@@ -265,6 +295,12 @@ def main():
         metas[job_id] = r.get("meta", {})
         replayed += bool(r.get("replayed"))
     stats = rpc_via(proxy_port, {"op": "stats"})
+    try:
+        cli_client_via(proxy_port)
+    except BaseException:
+        proxy.kill()
+        daemon.kill()
+        raise
     proxy.terminate()
     proxy.wait(timeout=10)
     # shut the daemon down directly (not through the proxy): the

@@ -17,7 +17,9 @@ seeds on one warm daemon and requires every served output to be
 byte-identical to the cold `mrefine faults` run (see serve_faults), and
 it gates the daemon's speed: warm served refine requests must run at
 least 5x as many requests per second as cold CLI runs of the same
-refine (see serve_speed).
+refine (see serve_speed).  Last, it drives the real `mrefine client`
+binary over the Unix socket and over token-guarded TCP (see
+serve_client).
 
 Usage: serve_smoke.py [path/to/mrefine.exe]
 """
@@ -40,8 +42,8 @@ SOCK = os.path.join(WORKDIR, "daemon.sock")
 JOURNAL = os.path.join(WORKDIR, "serve.journal")
 
 
-def start_daemon(journal=True):
-    args = [MR, "serve", "--socket", SOCK]
+def start_daemon(journal=True, extra=()):
+    args = [MR, "serve", "--socket", SOCK, *extra]
     if journal:
         args += ["--journal", JOURNAL]
     proc = subprocess.Popen(args, stderr=subprocess.DEVNULL)
@@ -269,6 +271,67 @@ def serve_speed():
         f"warm served requests only {speedup:.1f}x the cold CLI"
 
 
+def serve_client():
+    """The `mrefine client` binary end to end: a refine submitted with
+    --wait --print-output over the Unix socket, and again over TCP with
+    --token-file, must print exactly what the cold `mrefine refine -q`
+    prints; --ping and --stats exit 0; a wrong token exits 1 after a
+    single authentication attempt."""
+    path = "examples/specs/fig1.sc"
+    cold = subprocess.run(
+        [MR, "refine", "-q", "-m", "3", path],
+        check=True, capture_output=True,
+    ).stdout.decode()
+    token_file = os.path.join(WORKDIR, "token")
+    with open(token_file, "w") as f:
+        f.write("smoke-client-token\n")
+    s = socket.socket()
+    s.bind(("127.0.0.1", 0))
+    port = s.getsockname()[1]
+    s.close()
+    unix = ["--socket", SOCK]
+    tcp = ["--connect", f"127.0.0.1:{port}", "--token-file", token_file]
+
+    def client(*args):
+        return subprocess.run([MR, "client", *args], capture_output=True)
+
+    def auth_failures():
+        c = Client()
+        n = c.rpc({"op": "stats"})["server"]["auth_failures"]
+        c.close()
+        return n
+
+    proc = start_daemon(journal=False, extra=[
+        "--listen", f"127.0.0.1:{port}", "--token-file", token_file])
+    try:
+        for how, via in (("unix socket", unix), ("tcp", tcp)):
+            r = client(*via, "--submit", "refine", "--spec", path,
+                       "--arg", "model=model3", "--wait", "--print-output")
+            assert r.returncode == 0, \
+                f"client refine over {how} exited {r.returncode}: {r.stderr}"
+            assert r.stdout.decode() == cold, \
+                f"client refine over {how} differs from the cold CLI"
+            for op in ("--ping", "--stats"):
+                r = client(*via, op)
+                assert r.returncode == 0, \
+                    f"client {op} over {how} exited {r.returncode}: {r.stderr}"
+        before = auth_failures()
+        r = client("--connect", f"127.0.0.1:{port}", "--token", "wrong",
+                   "--retries", "3", "--ping")
+        assert r.returncode == 1, f"wrong token exited {r.returncode}"
+        assert r.stderr.decode() == "mrefine: authentication failed\n", \
+            f"wrong token: {r.stderr}"
+        assert auth_failures() == before + 1, "a refused token was retried"
+        r = client(*unix, "--shutdown")
+        assert r.returncode == 0, f"client --shutdown exited {r.returncode}"
+        proc.wait(timeout=30)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+    print("mrefine client: refine over unix socket and tcp identical to "
+          "the cold CLI; ping, stats and a refused token behave")
+
+
 def main():
     jobs = make_jobs()
     ids = sorted(jobs, key=lambda s: int(s.split("-")[1]))
@@ -358,6 +421,7 @@ def main():
         {k: stats[k] for k in ("jobs", "done", "batches") if k in stats}))
     serve_faults()
     serve_speed()
+    serve_client()
 
 
 if __name__ == "__main__":

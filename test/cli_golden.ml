@@ -1,0 +1,70 @@
+(** CLI output golden: runs [mrefine] over a fixed list of invocations
+    and prints, for each, its command line, standard output, standard
+    error and exit status.  [dune runtest] diffs the result against
+    cli_golden.expected, so any change in what a subcommand prints or
+    how it exits shows there. *)
+
+let mrefine = "../bin/mrefine.exe"
+let spec name = "../examples/specs/" ^ name
+let fig1 = spec "fig1.sc"
+let fig1_assign = [ "--assign"; "A=0,B=1,C=0,x=1" ]
+
+let invocations =
+  [
+    [ "parse"; fig1 ];
+    [ "parse"; spec "medical.sc" ];
+    [ "graph"; fig1 ];
+    [ "graph"; fig1; "--dot" ];
+  ]
+  @ List.map
+      (fun algo -> [ "partition"; spec "medical.sc"; "--algo"; algo ])
+      [ "greedy"; "kl"; "annealing"; "clustering" ]
+  @ [
+      [ "partition"; fig1 ] @ fig1_assign;
+      [ "refine"; fig1; "--model"; "2" ] @ fig1_assign;
+      [ "refine"; spec "medical.sc"; "--parts"; "3"; "--model"; "3" ];
+      [ "simulate"; fig1 ];
+    ]
+  @ List.map
+      (fun m -> [ "cosim"; fig1; "--model"; m ] @ fig1_assign)
+      [ "1"; "2"; "3"; "4" ]
+  @ [
+      [ "typecheck"; spec "medical.sc" ];
+      [ "export"; spec "pingpong.sc"; "-b"; "c" ];
+      [ "export"; fig1; "-b"; "vhdl" ];
+      [ "export"; fig1; "-b"; "vhdl"; "--refine"; "--model"; "2" ]
+      @ fig1_assign;
+      [ "quality"; fig1; "--model"; "2" ] @ fig1_assign;
+      [ "quality"; spec "medical.sc"; "--parts"; "3" ];
+      (* input errors: a missing file, an incomplete partition, a bad
+         flag value *)
+      [ "parse"; "nonexistent.sc" ];
+      [ "refine"; fig1; "--assign"; "A=0" ];
+      [ "cosim"; fig1; "--model"; "9" ];
+      (* daemon flag errors, all caught before any socket is touched *)
+      [ "serve"; "--socket"; "golden.sock"; "--jobs"; "0" ];
+      [ "serve"; "--socket"; "golden.sock"; "--max-frame-bytes"; "100" ];
+      [ "serve"; "--socket"; "golden.sock"; "--listen"; "/tmp/x.sock" ];
+      [ "client"; "--connect"; "/tmp/x.sock"; "--ping" ];
+      [ "client"; "--retries=-1"; "--ping" ];
+      [ "client"; "--submit"; "refine" ];
+      [ "client"; "--ping"; "--stats" ];
+      [ "client"; "--socket"; "no-such-daemon.sock"; "--retries"; "0";
+        "--ping" ];
+      [ "chaos"; "--listen"; "127.0.0.1:0" ];
+    ]
+
+let read path = In_channel.with_open_bin path In_channel.input_all
+
+let () =
+  let out = Filename.temp_file "cli_golden" ".out" in
+  let err = Filename.temp_file "cli_golden" ".err" in
+  List.iter
+    (fun args ->
+      let cmd = Filename.quote_command mrefine ~stdout:out ~stderr:err args in
+      let code = Sys.command cmd in
+      Printf.printf "$ mrefine %s\n--- stdout\n%s--- stderr\n%s--- exit %d\n\n"
+        (String.concat " " args) (read out) (read err) code)
+    invocations;
+  Sys.remove out;
+  Sys.remove err

@@ -449,10 +449,6 @@ let test_daemon_input_errors () =
   expect_input_error [ "serve"; "--socket"; socket ]
     ("cannot listen on " ^ socket)
 
-let test_demo () =
-  expect_ok [ "demo" ]
-    [ "medical system: 147 lines, 52 channels"; "cosim ok" ]
-
 let test_errors () =
   expect_fail [ "parse"; "/nonexistent.sc" ] [];
   expect_fail
@@ -464,6 +460,25 @@ let test_errors () =
   expect_fail
     [ "cosim"; spec "fig1.sc"; "--assign"; "nope=1" ]
     [ "unknown object" ]
+
+(* One exit-status rule: a flag cmdliner cannot convert, an unknown flag
+   and a semantic input error all exit 1, with the message on stderr. *)
+let test_exit_status () =
+  List.iter
+    (fun (args, frag) ->
+      let code, out = run args in
+      let what = String.concat " " args in
+      Alcotest.(check int) (what ^ ": exit") 1 code;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: says %S" what frag)
+        true (contains ~sub:frag out))
+    [
+      ([ "explore"; spec "fig2.sc"; "--models"; "9" ], "unknown model");
+      ([ "litmus"; "--shape"; "nope" ], "nope");
+      ([ "parse"; spec "fig1.sc"; "--no-such-flag" ], "unknown option");
+      ([ "no-such-command" ], "unknown command");
+      ([ "refine"; spec "fig1.sc"; "--assign"; "A=0" ], "unassigned");
+    ]
 
 (* The numeric knobs the CLI shares with serve are checked in the command
    layer: a deadline is a finite number of seconds above zero (a
@@ -510,9 +525,9 @@ let () =
           tc "lint" test_lint;
           tc "lint filters and json" test_lint_filters_and_json;
           tc "lint severity overrides" test_lint_severity_overrides;
-          tc "demo" test_demo;
           tc "errors" test_errors;
           tc "numeric fields" test_numeric_fields;
+          tc "exit status" test_exit_status;
           tc "bad partition arguments" test_bad_partition_args;
           tc "lint fix rules" test_lint_fix_rules;
           tc "daemon input errors" test_daemon_input_errors;

@@ -150,15 +150,18 @@ let with_server_full ?config ?listen ?journal ?(jobs = 1) f =
 let with_server ?journal ?(jobs = 1) f =
   with_server_full ?journal ~jobs (fun _server socket -> f socket)
 
-let connect socket =
-  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.connect fd (Unix.ADDR_UNIX socket);
+let connect_fd endpoint =
+  match Serve.Server.connect_endpoint endpoint with
+  | Ok fd -> fd
+  | Error msg -> Alcotest.fail msg
+
+let connect_endpoint endpoint =
+  let fd = connect_fd endpoint in
   (Unix.in_channel_of_descr fd, Unix.out_channel_of_descr fd, fd)
 
-let connect_tcp port =
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-  (Unix.in_channel_of_descr fd, Unix.out_channel_of_descr fd, fd)
+let tcp port = Serve.Server.Tcp { host = "127.0.0.1"; port }
+let connect socket = connect_endpoint (Serve.Server.Unix_path socket)
+let connect_tcp port = connect_endpoint (tcp port)
 
 let send (_, oc, _) line =
   output_string oc line;
@@ -565,11 +568,10 @@ let test_slow_reader_write_timeout () =
     }
   in
   with_server_full ~config (fun _server socket ->
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      let fd = connect_fd (Serve.Server.Unix_path socket) in
       Fun.protect
         ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
       @@ fun () ->
-      Unix.connect fd (Unix.ADDR_UNIX socket);
       (* Flood pings and never read a reply: the reply path fills, the
          server's writes stall past its write timeout, it reaps us.  The
          flood keeps pushing through transient fullness (its own send
@@ -639,12 +641,18 @@ let test_chaos_plan_deterministic () =
 
 (* Under the chaos proxy, a client retrying idempotent submits must end
    with results byte-identical to a fault-free run — transport damage
-   never corrupts or duplicates work. *)
+   never corrupts or duplicates work.  Every request goes through a
+   fresh {!Serve.Client}, so each one dials its own proxied connection
+   with its own planned fault, and the client's retry policy alone must
+   carry it through.  The client authenticates, so the faults hit auth
+   frames too. *)
 let test_chaos_proxy_converges () =
-  with_server (fun socket ->
+  let config =
+    { Serve.Server.default_config with cfg_token = Some "chaos-token" }
+  in
+  with_server_full ~config (fun _server socket ->
       let proxy =
-        Serve.Chaos.start
-          ~listen:(Serve.Server.Tcp { host = "127.0.0.1"; port = 0 })
+        Serve.Chaos.start ~listen:(tcp 0)
           ~upstream:(Serve.Server.Unix_path socket) ~seed:7 ()
       in
       Fun.protect ~finally:(fun () -> Serve.Chaos.stop proxy) @@ fun () ->
@@ -653,53 +661,34 @@ let test_chaos_proxy_converges () =
         | Some p -> p
         | None -> Alcotest.fail "chaos proxy has no port"
       in
-      (* One attempt: fresh connection through the proxy, one request,
-         one reply.  Any transport damage surfaces as None. *)
-      let attempt line =
-        match connect_tcp port with
-        | exception Unix.Unix_error _ -> None
-        | conn -> (
-          Fun.protect ~finally:(fun () -> close_conn conn) @@ fun () ->
-          let _, _, fd = conn in
-          (try Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0
-           with Unix.Unix_error _ -> ());
-          match roundtrip conn line with
-          | exception (End_of_file | Sys_error _ | Unix.Unix_error _) -> None
-          | reply -> (
-            match Serve.Protocol.parse reply with
-            | Ok v -> (
-              match Serve.Protocol.member "ok" v with
-              | Some (Serve.Protocol.Bool true) -> Some v
-              | _ -> None)
-            | Error _ -> None))
-      in
-      let until_ok line =
-        let deadline = Unix.gettimeofday () +. 60.0 in
-        let rec go () =
-          match attempt line with
-          | Some v -> v
-          | None ->
-            if Unix.gettimeofday () > deadline then
-              Alcotest.failf "no success before deadline: %s" line
-            else begin
-              Thread.delay 0.02;
-              go ()
-            end
+      let request what f =
+        let client =
+          Serve.Client.create ~token:"chaos-token" ~timeout_s:10.0 ~retries:20
+            ~backoff_ms:10 (tcp port)
         in
-        go ()
+        Fun.protect ~finally:(fun () -> Serve.Client.close client) @@ fun () ->
+        match f client with
+        | Error msg -> Alcotest.failf "%s failed under chaos: %s" what msg
+        | Ok line ->
+          let ok, v = reply_ok line in
+          Alcotest.(check bool) (what ^ " ok") true ok;
+          v
       in
       let ids = List.init 12 (Printf.sprintf "chaos-%d") in
       List.iter
-        (fun id -> ignore (until_ok (submit_line ~id (refine_job ()))))
+        (fun id ->
+          ignore
+            (request ("submit " ^ id) (fun c ->
+                 Serve.Client.submit c ~id
+                   (Serve.Protocol.Obj (refine_job ())))))
         ids;
       let outputs =
         List.map
           (fun id ->
             let v =
-              until_ok
-                (Serve.Protocol.to_string
-                   (Serve.Protocol.request_to_json
-                      (Serve.Protocol.Result { rs_id = id; rs_wait = true })))
+              request ("result " ^ id) (fun c ->
+                  Serve.Client.call c
+                    (Serve.Protocol.Result { rs_id = id; rs_wait = true }))
             in
             Alcotest.(check string)
               (id ^ " done") "done" (reply_string "state" v);
@@ -718,6 +707,203 @@ let test_chaos_proxy_converges () =
         (fun out ->
           Alcotest.(check string) "byte-identical under chaos" expected out)
         outputs)
+
+(* --- client retry policy ------------------------------------------------ *)
+
+(* A refused token is permanent: one authentication attempt, whatever
+   the retry budget. *)
+let test_client_refused_token () =
+  let config =
+    { Serve.Server.default_config with cfg_token = Some "sekrit" }
+  in
+  with_server_full ~config ~listen:(tcp 0) (fun server socket ->
+      let port = Option.get (Serve.Server.tcp_port server) in
+      let client =
+        Serve.Client.create ~token:"wrong" ~retries:5 ~backoff_ms:1 (tcp port)
+      in
+      (match Serve.Client.call client Serve.Protocol.Ping with
+      | Error msg ->
+        Alcotest.(check string) "daemon's refusal" "authentication failed" msg
+      | Ok reply -> Alcotest.failf "wrong token accepted: %s" reply);
+      let conn = connect socket in
+      Fun.protect ~finally:(fun () -> close_conn conn) @@ fun () ->
+      let _, v = reply_ok (roundtrip conn "{\"op\":\"stats\"}") in
+      Alcotest.(check int) "one auth attempt" 1
+        (nested_int "server" "auth_failures" v))
+
+(* An auth frame damaged on its way is a transport failure, not a
+   refused token: the client re-dials and gets in.  The proxy's seed is
+   the first whose first connection gets junk bytes ahead of the
+   client's stream. *)
+let test_client_damaged_auth () =
+  let config =
+    { Serve.Server.default_config with cfg_token = Some "sekrit" }
+  in
+  with_server_full ~config ~listen:(tcp 0) (fun server _socket ->
+      let port = Option.get (Serve.Server.tcp_port server) in
+      let rec garbage_first seed =
+        match Serve.Chaos.plan ~seed 0 with
+        | Serve.Chaos.Garbage _ -> seed
+        | _ -> garbage_first (seed + 1)
+      in
+      let proxy =
+        Serve.Chaos.start ~listen:(tcp 0) ~upstream:(tcp port)
+          ~seed:(garbage_first 0) ()
+      in
+      Fun.protect ~finally:(fun () -> Serve.Chaos.stop proxy) @@ fun () ->
+      let client =
+        Serve.Client.create ~token:"sekrit" ~timeout_s:10.0 ~retries:20
+          ~backoff_ms:1
+          (tcp (Option.get (Serve.Chaos.port proxy)))
+      in
+      Fun.protect ~finally:(fun () -> Serve.Client.close client) @@ fun () ->
+      match Serve.Client.call client Serve.Protocol.Ping with
+      | Ok line ->
+        Alcotest.(check bool) "ping after a damaged auth" true
+          (fst (reply_ok line))
+      | Error msg -> Alcotest.failf "damaged auth frame was final: %s" msg)
+
+(* A busy reply is retried after its retry_after_ms hint.  The daemon
+   takes one connection; the test holds it until the client has been
+   turned away once, then lets go, and the client's retry gets in. *)
+let test_client_busy_retry () =
+  let config =
+    { Serve.Server.default_config with cfg_max_connections = 1 }
+  in
+  with_server_full ~config (fun _server socket ->
+      let held = connect socket in
+      let rejected () =
+        nested_int "server" "rejected_capacity"
+          (snd (reply_ok (roundtrip held "{\"op\":\"stats\"}")))
+      in
+      ignore (rejected ());
+      let release =
+        Thread.create
+          (fun () ->
+            while rejected () = 0 do
+              Thread.delay 0.001
+            done;
+            close_conn held)
+          ()
+      in
+      let client =
+        Serve.Client.create ~retries:3 ~backoff_ms:1
+          (Serve.Server.Unix_path socket)
+      in
+      let reply = Serve.Client.call client Serve.Protocol.Ping in
+      Thread.join release;
+      Serve.Client.close client;
+      match reply with
+      | Ok line ->
+        let ok, v = reply_ok line in
+        Alcotest.(check bool) "ping after the busy reply" true ok;
+        Alcotest.(check bool) "pong" true
+          (Serve.Protocol.member "pong" v = Some (Serve.Protocol.Bool true))
+      | Error msg -> Alcotest.failf "busy daemon never let the client in: %s" msg
+      )
+
+(* A stand-in daemon on a Unix socket, for the failures past the send
+   that a well-behaved daemon never shows: connection [i] reads one
+   request line, then answers [answer i line], or hangs up without a
+   reply on [None].  Returns the request lines it read, in order. *)
+let with_fake_daemon answer f =
+  let path = fresh_socket_path () in
+  let lfd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind lfd (Unix.ADDR_UNIX path);
+  Unix.listen lfd 8;
+  let stop = Atomic.make false in
+  let seen = ref [] in
+  let rec serve i =
+    if not (Atomic.get stop) then
+      match Unix.select [ lfd ] [] [] 0.02 with
+      | [], _, _ -> serve i
+      | _ ->
+        let fd, _ = Unix.accept lfd in
+        let ic = Unix.in_channel_of_descr fd in
+        let oc = Unix.out_channel_of_descr fd in
+        (match input_line ic with
+        | exception End_of_file -> ()
+        | line ->
+          seen := line :: !seen;
+          Option.iter
+            (fun reply ->
+              output_string oc (reply ^ "\n");
+              flush oc)
+            (answer i line));
+        close_in_noerr ic;
+        serve (i + 1)
+  in
+  let server = Thread.create serve 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set stop true;
+      Thread.join server;
+      Unix.close lfd;
+      Sys.remove path)
+    (fun () -> f (Serve.Server.Unix_path path));
+  List.rev !seen
+
+(* A request that must not run twice is sent once, even with retries to
+   spare, when the daemon hangs up after reading it; an idempotent one
+   is re-sent on a new connection. *)
+let test_client_no_resend () =
+  let hang_up _ _ = None in
+  let ping = "{\"op\":\"ping\"}" in
+  let seen =
+    with_fake_daemon hang_up (fun endpoint ->
+        let client = Serve.Client.create ~timeout_s:5.0 ~retries:3 ~backoff_ms:1 endpoint
+        in
+        match Serve.Client.rpc ~resend:false client ping with
+        | Error msg ->
+          Alcotest.(check string) "error" "daemon closed the connection" msg
+        | Ok reply -> Alcotest.failf "reply from a silent daemon: %s" reply)
+  in
+  Alcotest.(check (list string)) "sent once" [ ping ] seen;
+  let seen =
+    with_fake_daemon hang_up (fun endpoint ->
+        let client = Serve.Client.create ~timeout_s:5.0 ~retries:3 ~backoff_ms:1 endpoint
+        in
+        ignore (Serve.Client.rpc client ping))
+  in
+  Alcotest.(check int) "idempotent: first try plus three retries" 4
+    (List.length seen)
+
+(* Without an id, a submit with retries to spare picks one, and every
+   resend carries that same id, so the job runs once. *)
+let test_client_submit_stable_id () =
+  let submitted_id line =
+    match Serve.Protocol.request_of_json (reply_exn line) with
+    | Ok (Serve.Protocol.Submit { sb_id; _ }) -> sb_id
+    | _ -> Alcotest.failf "not a submit: %s" line
+  in
+  (* The first connection hangs up after the submit, the second one
+     accepts it. *)
+  let accepted = Serve.Protocol.to_string (Serve.Protocol.ok []) in
+  let answer i _ = if i = 0 then None else Some accepted in
+  let job = Serve.Protocol.Obj (refine_job ()) in
+  let seen =
+    with_fake_daemon answer (fun endpoint ->
+        let client = Serve.Client.create ~timeout_s:5.0 ~retries:2 ~backoff_ms:1 endpoint
+        in
+        match Serve.Client.submit client job with
+        | Ok _ -> ()
+        | Error msg -> Alcotest.failf "submit failed: %s" msg)
+  in
+  (match List.map submitted_id seen with
+  | [ Some first; Some second ] ->
+    Alcotest.(check string) "one id across the resend" first second;
+    Alcotest.(check bool) "a generated id" true
+      (String.starts_with ~prefix:"c-" first)
+  | _ -> Alcotest.failf "want two submits with ids, got %d" (List.length seen));
+  (* With no retries there is no resend to keep stable: no id. *)
+  let seen =
+    with_fake_daemon answer (fun endpoint ->
+        let client = Serve.Client.create ~timeout_s:5.0 ~retries:0 ~backoff_ms:1 endpoint
+        in
+        ignore (Serve.Client.submit client job))
+  in
+  Alcotest.(check (list (option string))) "no id without retries" [ None ]
+    (List.map submitted_id seen)
 
 (* --- scheduler journal resume ------------------------------------------- *)
 
@@ -1066,6 +1252,19 @@ let () =
             test_chaos_plan_deterministic;
           Alcotest.test_case "idempotent retries converge under faults"
             `Quick test_chaos_proxy_converges;
+        ] );
+      ( "client",
+        [
+          Alcotest.test_case "refused token is not retried" `Quick
+            test_client_refused_token;
+          Alcotest.test_case "damaged auth frame is retried" `Quick
+            test_client_damaged_auth;
+          Alcotest.test_case "busy reply retried after its hint" `Quick
+            test_client_busy_retry;
+          Alcotest.test_case "resend:false is sent once" `Quick
+            test_client_no_resend;
+          Alcotest.test_case "generated submit id is stable" `Quick
+            test_client_submit_stable_id;
         ] );
       ( "scheduler",
         [
