@@ -946,7 +946,7 @@ let serve_cmd =
   let max_jobs_arg =
     Arg.(
       value
-      & opt int 4096
+      & opt int Serve.Scheduler.default_max_jobs
       & info [ "max-jobs" ] ~docv:"N"
           ~doc:"Bound on retained jobs; submits beyond it are rejected.")
   in
@@ -1013,7 +1013,7 @@ let serve_cmd =
   let max_pending_arg =
     Arg.(
       value
-      & opt int 256
+      & opt int Serve.Scheduler.default_max_pending
       & info [ "max-pending" ] ~docv:"N"
           ~doc:"Admission-control cap on queued plus running jobs; \
                 submits past it are turned away with a \

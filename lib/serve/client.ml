@@ -30,7 +30,8 @@ let error_of reply =
 
 (* Dial and authenticate.  [`Refused] is a token the daemon read and
    turned down, which no retry can fix; [`Failed] is a transport failure,
-   an auth frame damaged on its way included. *)
+   an auth frame damaged on its way included, and names the endpoint
+   once: {!Server.connect_endpoint}'s messages already do. *)
 let dial t =
   match Server.connect_endpoint t.endpoint with
   | Error msg -> Error (`Failed msg)
@@ -48,6 +49,13 @@ let dial t =
       close_in_noerr ic;
       Error e
     in
+    let dial_failed msg =
+      failed
+        (`Failed
+          (Printf.sprintf "cannot connect to %s: %s"
+             (Server.endpoint_to_string t.endpoint)
+             msg))
+    in
     match t.token with
     | None -> Ok (ic, oc)
     | Some tok -> (
@@ -57,7 +65,7 @@ let dial t =
         input_line ic
       with
       | exception (End_of_file | Sys_error _) ->
-        failed (`Failed "connection closed during authentication")
+        dial_failed "connection closed during authentication"
       | reply -> (
         match Protocol.parse reply with
         | Ok r when Protocol.member "ok" r = Some (Protocol.Bool true) ->
@@ -65,9 +73,9 @@ let dial t =
         | Ok r -> (
           match error_of r with
           | Some e when e = Server.auth_failed -> failed (`Refused e)
-          | e -> failed (`Failed (Option.value e ~default:reply)))
+          | e -> dial_failed (Option.value e ~default:reply))
         | Error msg ->
-          failed (`Failed ("unreadable authentication reply: " ^ msg)))))
+          dial_failed ("unreadable authentication reply: " ^ msg))))
 
 let backoff t attempt hint_ms =
   let d =
@@ -113,11 +121,7 @@ let rpc ?(resend = true) t line =
     in
     match match t.conn with Some c -> Ok c | None -> dial t with
     | Error (`Refused msg) -> Error msg
-    | Error (`Failed msg) ->
-      retry
-        (Printf.sprintf "cannot connect to %s: %s"
-           (Server.endpoint_to_string t.endpoint)
-           msg)
+    | Error (`Failed msg) -> retry msg
     | Ok ((ic, oc) as c) -> (
       t.conn <- Some c;
       match send_line oc line with

@@ -309,8 +309,11 @@ let replay t =
           | _ -> ()))
       (List.rev !specs)
 
-let create ?journal ?(jobs = 1) ?(max_jobs = 4096) ?(max_pending = 256)
-    ?default_deadline_s session =
+let default_max_jobs = 4096
+let default_max_pending = 256
+
+let create ?journal ?(jobs = 1) ?(max_jobs = default_max_jobs)
+    ?(max_pending = default_max_pending) ?default_deadline_s session =
   if jobs < 1 then invalid_arg "Scheduler.create: jobs < 1";
   if max_jobs < 1 then invalid_arg "Scheduler.create: max_jobs < 1";
   if max_pending < 1 then invalid_arg "Scheduler.create: max_pending < 1";

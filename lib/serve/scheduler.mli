@@ -26,6 +26,12 @@
 
 type t
 
+val default_max_jobs : int
+(** 4096: {!create}'s default [max_jobs]. *)
+
+val default_max_pending : int
+(** 256: {!create}'s default [max_pending]. *)
+
 val create :
   ?journal:Checkpoint.Journal.t ->
   ?jobs:int ->
@@ -39,9 +45,10 @@ val create :
     in the dispatcher's domain, which keeps the simulator's domain-local
     session cache hot across batches; raise it to trade that warmth for
     intra-batch parallelism); [max_jobs] bounds the retained job
-    table (default 4096; submits beyond it are rejected until old jobs
-    age out — the hard stop that keeps a daemon's memory bounded);
-    [max_pending] is the admission-control soft cap (default 256): when
+    table (default {!default_max_jobs}; submits beyond it are rejected
+    until old jobs age out — the hard stop that keeps a daemon's memory
+    bounded); [max_pending] is the admission-control soft cap (default
+    {!default_max_pending}): when
     the queue is that deep, submits are turned away with a
     [retry_after_ms] hint instead of being enqueued, so clients back off
     while the queue drains; [default_deadline_s] applies to jobs that

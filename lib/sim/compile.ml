@@ -1,7 +1,6 @@
 (** Lowering elaborated bodies and conditions to {!Opcode} programs.
 
-    Compilation runs against a {e fixed} physical frame — the same
-    invariant the tree-walker's staged closures rely on — so every name
+    Compilation runs against a {e fixed} physical frame, so every name
     is resolved here, once: variables to their [value ref] cells, arrays
     to their storage, signals to {!Sigtable} ids, procedures to their
     declarations.  Constant subexpressions fold at compile time through
@@ -153,8 +152,8 @@ let rec emit_expr b env ~dst ~sp e : folded =
     end
   | Index (x, i) ->
     (* The index evaluates first, then coerces, then the array is
-       consulted — so an index error beats a missing array, in both the
-       staged and the dynamic evaluators. *)
+       consulted — so an index error beats a missing array, as in
+       {!Spec.Expr.eval}. *)
     begin match emit_expr b env ~dst ~sp i with
     | Fraise -> Fraise
     | Fv (VBool _) ->
@@ -357,9 +356,11 @@ let pure_signal env x =
 (* Statements.                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* Interp.pool_eligible: a pooled frame is rebound purely by mutating
-   cell contents, which is only sound when no parameter name collides
-   with another parameter or with a local. *)
+(* A pooled frame is rebound purely by mutating cell contents (see
+   {!Vm.enter_call}), which is only sound when no parameter name collides
+   with another parameter or with a local: otherwise re-initializing the
+   locals would overwrite a parameter's cell, which may alias the
+   caller's variable. *)
 let pool_eligible pr =
   let locals = List.map (fun (d : var_decl) -> d.v_name) pr.prc_vars in
   let rec distinct seen = function

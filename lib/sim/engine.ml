@@ -111,7 +111,7 @@ type slot = {
 }
 
 (* A session: one program's fully elaborated simulation state — frames
-   and compiled bodies with their staged closures — kept between runs and
+   and compiled bodies with their baked operands — kept between runs and
    rewound in place, plus the checkpoints its runs recorded.  The
    co-simulation checks, fault campaigns and explore sweeps run the same
    physical program hundreds to thousands of times; rebuilding all of

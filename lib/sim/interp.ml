@@ -3,17 +3,11 @@
     assignments take effect immediately; signal assignments are scheduled
     on the {!Sigtable} and take effect at the next delta cycle.
 
-    The machine runs {e compiled} statements: each process body is copied
-    once into a [cstmt] tree whose expression and assignment sites carry
-    their own staging caches.  The first visit to a site resolves its
-    names against the current frame (through {!Expr.compile}) and stores
-    the staged closure in the site; every later visit under the same
-    physical frame is a bare closure call — no name hashing, no
-    environment walks.  A site revisited under a different frame (a
-    procedure called again, a recursive call) restages itself, so the
-    caches are transparent: observable behavior is exactly that of a
-    direct tree-walking evaluator, error messages and failure points
-    included. *)
+    This is the reference semantics the bytecode VM is checked against,
+    so it walks the source statements directly: every name is resolved
+    when it is read (frame chain first, then the signal table), every
+    expression goes through {!Expr.eval}, and every procedure call builds
+    a fresh frame. *)
 
 open Spec
 open Spec.Ast
@@ -22,128 +16,20 @@ exception Run_error of string
 
 let run_error fmt = Printf.ksprintf (fun s -> raise (Run_error s)) fmt
 
-(** How a name read by this process resolves: a frame cell, an interned
-    signal id, or nothing.  Cached per process and per frame — behavior
-    and procedure frames never change their bindings once their body
-    runs, so the resolution is a loop invariant of the process. *)
-type resolution = Rcell of value ref | Rsig of int | Rnone
-
-let uninit : unit -> value = fun () -> assert false
-
-(** Staging state of an expression site. *)
-type staging =
-  | CSnone  (** not yet visited *)
-  | CSframe of Env.frame  (** staged closure, valid in this frame *)
-  | CSdynamic
-      (** the site runs under transient frames (procedure bodies) where
-          staging would not amortize; [ce_fn] is a dynamic evaluator *)
-
-type cexpr = {
-  ce_expr : expr;  (** the source expression, for diagnostics and refs *)
-  mutable ce_state : staging;
-  mutable ce_fn : unit -> value;
-}
-
-type cell_cache = (Env.frame * value ref) option ref
-(** A resolved assignment target, with the frame it was resolved in. *)
-
-type arr_cache = (Env.frame * value array) option ref
-
-type cstmt =
-  | Cskip
-  | Cassign of string * cexpr * cell_cache
-  | Cassign_idx of string * cexpr * cexpr * arr_cache
-  | Csignal_assign of string * cexpr * int ref
-      (** the ref holds the interned signal id, [-1] until resolved *)
-  | Cif of (cexpr * cstmt list) list * cstmt list
-  | Cwhile of cexpr * cstmt list
-  | Cfor of string * cell_cache * cexpr * cexpr * cstmt list
-  | Cwait of cexpr
-  | Ccall of call_site
-  | Cemit of string * cexpr
-
-and call_site = {
-  cs_name : string;
-  cs_args : carg list;
-  mutable cs_proc : proc_decl option;  (** resolved at first call *)
-  mutable cs_body : cstmt list;  (** compiled body, filled with cs_proc *)
-  mutable cs_pool : pool_state;
-      (** the frame of the site's first completed call, kept for reuse *)
-}
-
-and pool_state =
-  | PSnone  (** no call has completed yet *)
-  | PSineligible
-      (** the callee's parameter names shadow each other or a local, so
-          in-place rebinding could clobber an aliased cell — never pool *)
-  | PSpool of pool
-
-and pool = {
-  p_frame : Env.frame;
-  p_parent : Env.frame;  (** caller frame the pooled frame hangs under *)
-  p_cells : value ref array;  (** parameter cells, in declaration order *)
-  mutable p_busy : bool;  (** a call is live in the frame (recursion) *)
-}
-
-and carg = Carg_expr of cexpr | Carg_var of string
-
-let cex e = { ce_expr = e; ce_state = CSnone; ce_fn = uninit }
-
-(* Compilation is purely structural — no name is resolved, so a program
-   that would only fail on a path it never takes keeps not failing. *)
-let rec cstmts_of stmts = List.map cstmt_of stmts
-
-and cstmt_of = function
-  | Skip -> Cskip
-  | Assign (x, e) -> Cassign (x, cex e, ref None)
-  | Assign_idx (x, i, e) -> Cassign_idx (x, cex i, cex e, ref None)
-  | Signal_assign (sg, e) -> Csignal_assign (sg, cex e, ref (-1))
-  | If (branches, els) ->
-    Cif
-      ( List.map (fun (c, body) -> (cex c, cstmts_of body)) branches,
-        cstmts_of els )
-  | While (c, body) -> Cwhile (cex c, cstmts_of body)
-  | For (i, lo, hi, body) -> Cfor (i, ref None, cex lo, cex hi, cstmts_of body)
-  | Wait_until c -> Cwait (cex c)
-  | Call (name, args) ->
-    Ccall
-      {
-        cs_name = name;
-        cs_args = List.map carg_of args;
-        cs_proc = None;
-        cs_body = [];
-        cs_pool = PSnone;
-      }
-  | Emit (tag, e) -> Cemit (tag, cex e)
-
-and carg_of = function
-  | Arg_expr e -> Carg_expr (cex e)
-  | Arg_var x -> Carg_var x
-
 type task =
-  | Tstmts of cstmt list
-  | Twhile of cexpr * cstmt list
-  | Tfor of string * cell_cache * int * int * cstmt list
-      (** index, its resolved cell, next value, upper bound *)
-  | Twait of cexpr
-  | Tpop_frame
-  | Tpop_pool of pool  (** pop and release the pooled frame *)
+  | Tstmts of stmt list
+  | Twhile of expr * stmt list
+  | Tfor of string * int * int * stmt list
+      (** index variable, next value, upper bound, body *)
+  | Twait of expr
+  | Tpop_frame  (** return from a procedure: back to the caller's frame *)
 
 type exec = {
   mutable stack : task list;
   mutable frame : Env.frame;
   ex_owner : string;  (** behavior name, for diagnostics *)
-  ex_body : cstmt list;  (** the compiled body, for {!reset_exec} *)
+  ex_body : stmt list;  (** the body, for {!reset_exec} *)
   ex_base : Env.frame;  (** the instantiation frame *)
-  mutable ex_gen : int;
-      (** bumped by {!reset_exec}; schedulers use it to tell a recycled
-          machine from the run it replaced *)
-  ex_res : (string, Env.frame * resolution) Hashtbl.t;
-      (** name resolutions, valid while the frame is physically the one
-          they were computed in *)
-  mutable ex_eval : (context * (expr -> value)) option;
-      (** cached dynamic evaluator; its lookups read [frame] at call
-          time, so it survives frame pushes and pops *)
 }
 
 and context = {
@@ -153,421 +39,180 @@ and context = {
   mutable cx_delta : int;  (** current delta cycle, stamped onto events *)
 }
 
-let make_exec ~owner ~frame stmts =
-  let body = cstmts_of stmts in
+let make_exec ~owner ~frame body =
   {
     stack = [ Tstmts body ];
     frame;
     ex_owner = owner;
     ex_body = body;
     ex_base = frame;
-    ex_gen = 0;
-    ex_res = Hashtbl.create 16;
-    ex_eval = None;
   }
 
-(** Rewind the machine to the top of its compiled body, in its
-    instantiation frame.  The staging caches survive — they are keyed by
-    physical frames, and the frames are being reused. *)
 let reset_exec exec =
   exec.stack <- [ Tstmts exec.ex_body ];
-  exec.frame <- exec.ex_base;
-  exec.ex_gen <- exec.ex_gen + 1
-
-let resolve cx exec name =
-  let fr = exec.frame in
-  match Hashtbl.find exec.ex_res name with
-  | fr', r when fr' == fr -> r
-  | _ | (exception Not_found) ->
-    let r =
-      match Env.find_cell fr name with
-      | Some cell -> Rcell cell
-      | None ->
-        begin match Sigtable.id_of cx.cx_signals name with
-        | Some id -> Rsig id
-        | None -> Rnone
-        end
-    in
-    Hashtbl.replace exec.ex_res name (fr, r);
-    r
+  exec.frame <- exec.ex_base
 
 let lookup cx exec name =
-  match resolve cx exec name with
-  | Rcell cell -> Some !cell
-  | Rsig id -> Some (Sigtable.read_id cx.cx_signals id)
-  | Rnone -> None
+  match Env.find_cell exec.frame name with
+  | Some cell -> Some !cell
+  | None -> Sigtable.read cx.cx_signals name
 
-let lookup_idx exec name i =
+let array exec name =
   match Env.find_array exec.frame name with
-  | Some arr ->
-    if i < 0 || i >= Array.length arr then
-      run_error "%s: index %d out of bounds for %s (size %d)" exec.ex_owner i
-        name (Array.length arr)
-    else Some arr.(i)
+  | Some arr -> arr
   | None -> run_error "%s: %s is not an array" exec.ex_owner name
 
-let eval_plain cx exec e =
-  match exec.ex_eval with
-  | Some (cx', f) when cx' == cx -> f e
-  | Some _ | None ->
-    let f = Expr.eval ~lookup_idx:(lookup_idx exec) ~lookup:(lookup cx exec) in
-    exec.ex_eval <- Some (cx, f);
-    f e
+let check_bounds exec name arr i =
+  if i < 0 || i >= Array.length arr then
+    run_error "%s: index %d out of bounds for %s (size %d)" exec.ex_owner i
+      name (Array.length arr)
 
-(* Stage an expression: resolutions are computed once, error thunks keep
-   {!Expr.eval}'s lazy failure behavior for short-circuited operands. *)
-let compile cx exec e =
-  let resolve_ref x =
-    match resolve cx exec x with
-    | Rcell cell -> fun () -> !cell
-    | Rsig id ->
-      let sigs = cx.cx_signals in
-      fun () -> Sigtable.read_id sigs id
-    | Rnone -> fun () -> Expr.eval ~lookup:(fun _ -> None) (Ref x)
+let eval cx exec e =
+  let lookup_idx name i =
+    let arr = array exec name in
+    check_bounds exec name arr i;
+    Some arr.(i)
   in
-  let resolve_idx x =
-    match Env.find_array exec.frame x with
-    | Some arr ->
-      let owner = exec.ex_owner in
-      fun i ->
-        if i < 0 || i >= Array.length arr then
-          run_error "%s: index %d out of bounds for %s (size %d)" owner i x
-            (Array.length arr)
-        else arr.(i)
-    | None -> fun _ -> run_error "%s: %s is not an array" exec.ex_owner x
-  in
-  Expr.compile ~resolve_idx ~resolve_ref e
+  Expr.eval ~lookup_idx ~lookup:(lookup cx exec) e
 
-let ce_eval cx exec ce =
-  match ce.ce_state with
-  | CSframe fr when fr == exec.frame -> ce.ce_fn ()
-  | CSdynamic -> ce.ce_fn ()
-  | CSnone ->
-    let f = compile cx exec ce.ce_expr in
-    ce.ce_state <- CSframe exec.frame;
-    ce.ce_fn <- f;
-    f ()
-  | CSframe _ ->
-    (* Second distinct frame at this site: it runs under per-call
-       procedure frames, where a staged closure dies with the call.
-       Switch to the dynamic evaluator for good. *)
-    let e = ce.ce_expr in
-    let f () = eval_plain cx exec e in
-    ce.ce_state <- CSdynamic;
-    ce.ce_fn <- f;
-    f ()
-
-let ce_bool cx exec ce =
-  match ce_eval cx exec ce with
+let eval_bool cx exec e =
+  match eval cx exec e with
   | VBool b -> b
   | VInt _ ->
     run_error "%s: condition %s is not boolean" exec.ex_owner
-      (Expr.to_string ce.ce_expr)
+      (Expr.to_string e)
 
-let ce_int cx exec ce =
-  match ce_eval cx exec ce with
+let eval_int cx exec e =
+  match eval cx exec e with
   | VInt n -> n
   | VBool _ ->
     run_error "%s: expression %s is not an integer" exec.ex_owner
-      (Expr.to_string ce.ce_expr)
+      (Expr.to_string e)
 
-(* The target cell of an assignment site, resolved once per frame. *)
-let assign_cell cx exec x cache =
-  match !cache with
-  | Some (fr, cell) when fr == exec.frame -> cell
-  | _ ->
-    begin match resolve cx exec x with
-    | Rcell cell ->
-      cache := Some (exec.frame, cell);
-      cell
-    | Rsig _ | Rnone ->
-      run_error "%s: assignment to unbound variable %s" exec.ex_owner x
-    end
-
-let for_cell cx exec x cache =
-  match !cache with
-  | Some (fr, cell) when fr == exec.frame -> cell
-  | _ ->
-    begin match resolve cx exec x with
-    | Rcell cell ->
-      cache := Some (exec.frame, cell);
-      cell
-    | Rsig _ | Rnone ->
-      run_error "%s: for index %s is not a variable" exec.ex_owner x
-    end
-
-let target_array exec x cache =
-  match !cache with
-  | Some (fr, arr) when fr == exec.frame -> arr
-  | _ ->
-    begin match Env.find_array exec.frame x with
-    | Some arr ->
-      cache := Some (exec.frame, arr);
-      arr
-    | None -> run_error "%s: %s is not an array" exec.ex_owner x
-    end
-
-let find_proc cx name =
-  match List.find_opt (fun pr -> String.equal pr.prc_name name) cx.cx_procs with
-  | Some pr -> pr
-  | None -> run_error "call to unknown procedure %s" name
-
-(* A pooled frame is rebound purely by mutating cell contents, never by
-   [Env.bind], so chain resolutions memoized in descendants stay valid.
-   That only holds when no parameter name collides with another parameter
-   or with a local the reinitializer touches. *)
-let pool_eligible pr =
-  let locals = List.map (fun (d : var_decl) -> d.v_name) pr.prc_vars in
-  let rec distinct seen = function
-    | [] -> true
-    | prm :: rest ->
-      (not (List.mem prm.prm_name seen))
-      && (not (List.mem prm.prm_name locals))
-      && distinct (prm.prm_name :: seen) rest
+(* Enter a procedure: a fresh frame under the caller's, in-parameters
+   bound to fresh cells holding the evaluated arguments, out-parameters
+   aliasing the caller's cell.  Arguments are processed left to right in
+   the caller's frame, so the first failing one raises. *)
+let call cx exec name args stack =
+  let pr =
+    match
+      List.find_opt (fun pr -> String.equal pr.prc_name name) cx.cx_procs
+    with
+    | Some pr -> pr
+    | None -> run_error "call to unknown procedure %s" name
   in
-  distinct [] pr.prc_params
-
-(* First call through a site (or pooling declined): build a fresh frame.
-   In-parameters get fresh cells with the evaluated arguments,
-   out-parameters alias the caller's cell, locals get fresh cells.  The
-   procedure frame's parent is the caller frame, so globals and signals
-   stay reachable.  When [pool] is set, the frame is recorded in the call
-   site for reuse by later calls from the same caller frame. *)
-let fresh_call cx exec site pr ~pool stack =
+  if List.length pr.prc_params <> List.length args then
+    run_error "%s: call to %s with wrong arity" exec.ex_owner name;
   let caller = exec.frame in
-  let frame = Env.make ~parent:caller ~owner:site.cs_name pr.prc_vars in
-  let cells =
-    List.map2
-      (fun prm arg ->
+  let frame = Env.make ~parent:caller ~owner:name pr.prc_vars in
+  List.iter2
+    (fun prm arg ->
+      let cell =
         match (prm.prm_mode, arg) with
-        | Mode_in, Carg_expr ce ->
-          let cell = ref (ce_eval cx exec ce) in
-          Env.bind frame prm.prm_name cell;
-          cell
-        | Mode_in, Carg_var x ->
+        | Mode_in, Arg_expr e -> ref (eval cx exec e)
+        | Mode_in, Arg_var x ->
           begin match lookup cx exec x with
-          | Some v ->
-            let cell = ref v in
-            Env.bind frame prm.prm_name cell;
-            cell
+          | Some v -> ref v
           | None -> run_error "%s: unbound argument %s" exec.ex_owner x
           end
-        | Mode_out, Carg_var x ->
+        | Mode_out, Arg_var x ->
           begin match Env.find_cell caller x with
-          | Some cell ->
-            Env.bind frame prm.prm_name cell;
-            cell
+          | Some cell -> cell
           | None ->
             run_error "%s: out argument %s is not a variable" exec.ex_owner x
           end
-        | Mode_out, Carg_expr _ ->
+        | Mode_out, Arg_expr _ ->
           run_error "%s: expression passed to out parameter %s of %s"
-            exec.ex_owner prm.prm_name site.cs_name)
-      pr.prc_params site.cs_args
-  in
+            exec.ex_owner prm.prm_name name
+      in
+      Env.bind frame prm.prm_name cell)
+    pr.prc_params args;
   exec.frame <- frame;
-  if pool then begin
-    let p =
-      {
-        p_frame = frame;
-        p_parent = caller;
-        p_cells = Array.of_list cells;
-        p_busy = true;
-      }
+  Tstmts pr.prc_body :: Tpop_frame :: stack
+
+(* Execute one statement (already popped off the stack); returns the new
+   stack. *)
+let exec_stmt cx exec s stack =
+  match s with
+  | Skip -> stack
+  | Assign (x, e) ->
+    let v = eval cx exec e in
+    begin match Env.find_cell exec.frame x with
+    | Some cell -> cell := v
+    | None -> run_error "%s: assignment to unbound variable %s" exec.ex_owner x
+    end;
+    stack
+  | Assign_idx (x, i, e) ->
+    let i = eval_int cx exec i in
+    let v = eval cx exec e in
+    let arr = array exec x in
+    check_bounds exec x arr i;
+    arr.(i) <- v;
+    stack
+  | Signal_assign (sg, e) ->
+    if not (Sigtable.schedule cx.cx_signals sg (eval cx exec e)) then
+      run_error "%s: signal assignment to non-signal %s" exec.ex_owner sg;
+    stack
+  | If (branches, els) ->
+    let rec choose = function
+      | [] -> Tstmts els :: stack
+      | (c, body) :: rest ->
+        if eval_bool cx exec c then Tstmts body :: stack else choose rest
     in
-    site.cs_pool <- PSpool p;
-    Tstmts site.cs_body :: Tpop_pool p :: stack
-  end
-  else Tstmts site.cs_body :: Tpop_frame :: stack
-
-(* Re-enter the pooled frame: same physical frame, same parameter cells,
-   so every staged closure and memoized resolution keyed on it stays hot.
-   Argument processing mirrors [fresh_call]'s order exactly, so a dynamic
-   error fires at the same point with the same message.  Returns [None]
-   (pool untouched, in-parameter cells may hold the new arguments but the
-   frame is not live) when an out-argument no longer resolves to the cell
-   the pool aliases — the caller falls back to a fresh frame. *)
-let reuse_pool cx exec site pr pool stack =
-  let ok = ref true in
-  let idx = ref 0 in
-  List.iter2
-    (fun prm arg ->
-      let i = !idx in
-      incr idx;
-      match (prm.prm_mode, arg) with
-      | Mode_in, Carg_expr ce -> pool.p_cells.(i) := ce_eval cx exec ce
-      | Mode_in, Carg_var x ->
-        begin match lookup cx exec x with
-        | Some v -> pool.p_cells.(i) := v
-        | None -> run_error "%s: unbound argument %s" exec.ex_owner x
-        end
-      | Mode_out, Carg_var x ->
-        begin match Env.find_cell exec.frame x with
-        | Some cell -> if cell != pool.p_cells.(i) then ok := false
-        | None ->
-          run_error "%s: out argument %s is not a variable" exec.ex_owner x
-        end
-      | Mode_out, Carg_expr _ ->
-        run_error "%s: expression passed to out parameter %s of %s"
-          exec.ex_owner prm.prm_name site.cs_name)
-    pr.prc_params site.cs_args;
-  if not !ok then None
-  else begin
-    Env.reinitialize pool.p_frame pr.prc_vars;
-    pool.p_busy <- true;
-    exec.frame <- pool.p_frame;
-    Some (Tstmts site.cs_body :: Tpop_pool pool :: stack)
-  end
-
-(* Enter a procedure, reusing the site's pooled frame when the call comes
-   from the same caller frame and the previous activation has returned.
-   The callee's declaration and compiled body are cached in the call
-   site. *)
-let enter_proc cx exec site stack =
-  let pr =
-    match site.cs_proc with
-    | Some pr -> pr
-    | None ->
-      let pr = find_proc cx site.cs_name in
-      site.cs_proc <- Some pr;
-      site.cs_body <- cstmts_of pr.prc_body;
-      pr
-  in
-  if List.length pr.prc_params <> List.length site.cs_args then
-    run_error "%s: call to %s with wrong arity" exec.ex_owner site.cs_name;
-  match site.cs_pool with
-  | PSpool pool when (not pool.p_busy) && pool.p_parent == exec.frame ->
-    begin match reuse_pool cx exec site pr pool stack with
-    | Some stack -> stack
-    | None -> fresh_call cx exec site pr ~pool:false stack
-    end
-  | PSpool _ | PSineligible -> fresh_call cx exec site pr ~pool:false stack
-  | PSnone -> fresh_call cx exec site pr ~pool:(pool_eligible pr) stack
+    choose branches
+  | While (c, body) -> Twhile (c, body) :: stack
+  | For (i, lo, hi, body) ->
+    let lo = eval_int cx exec lo in
+    let hi = eval_int cx exec hi in
+    Tfor (i, lo, hi, body) :: stack
+  | Wait_until c -> Twait c :: stack
+  | Call (name, args) -> call cx exec name args stack
+  | Emit (tag, e) ->
+    Trace.record cx.cx_trace ~delta:cx.cx_delta ~tag ~value:(eval cx exec e);
+    stack
 
 type status =
   | Progress  (** executed at least one step and can continue *)
   | Blocked of expr  (** stopped at an unsatisfied wait *)
   | Finished
 
-(* Execute one statement (already popped off the stack); returns the new
-   stack.  The stack is threaded as a value so the step loop can keep it
-   in a register instead of paying a mutable-field write per step. *)
-let exec_cstmt cx exec s stack =
-  match s with
-  | Cskip -> stack
-  | Cassign (x, ce, cache) ->
-    let v = ce_eval cx exec ce in
-    assign_cell cx exec x cache := v;
-    stack
-  | Cassign_idx (x, ci, ce, cache) ->
-    let i = ce_int cx exec ci in
-    let v = ce_eval cx exec ce in
-    let arr = target_array exec x cache in
-    if i < 0 || i >= Array.length arr then
-      run_error "%s: index %d out of bounds for %s (size %d)" exec.ex_owner i
-        x (Array.length arr)
-    else arr.(i) <- v;
-    stack
-  | Csignal_assign (sg, ce, idr) ->
-    let v = ce_eval cx exec ce in
-    let id = !idr in
-    if id >= 0 then Sigtable.schedule_id cx.cx_signals id v
-    else begin
-      match Sigtable.id_of cx.cx_signals sg with
-      | Some id ->
-        idr := id;
-        Sigtable.schedule_id cx.cx_signals id v
-      | None ->
-        run_error "%s: signal assignment to non-signal %s" exec.ex_owner sg
-    end;
-    stack
-  | Cif (branches, els) ->
-    let rec choose = function
-      | [] -> Tstmts els :: stack
-      | (c, body) :: rest ->
-        if ce_bool cx exec c then Tstmts body :: stack else choose rest
-    in
-    choose branches
-  | Cwhile (c, body) -> Twhile (c, body) :: stack
-  | Cfor (i, cache, lo, hi, body) ->
-    let lo = ce_int cx exec lo and hi = ce_int cx exec hi in
-    Tfor (i, cache, lo, hi, body) :: stack
-  | Cwait c -> Twait c :: stack
-  | Ccall site -> enter_proc cx exec site stack
-  | Cemit (tag, ce) ->
-    Trace.record cx.cx_trace ~delta:cx.cx_delta ~tag
-      ~value:(ce_eval cx exec ce);
-    stack
+let advance exec stack =
+  exec.stack <- stack;
+  Progress
 
-(* Terminal states surface as an exception so the step loop's common case
-   returns the new stack unboxed — a per-step [Ok] wrapper was the loop's
-   only allocation besides the stack cells themselves.  Terminals are rare
-   (once per activation, against several steps), so the raise is off the
-   hot path. *)
-exception Terminal of status
-
-(* One machine step over a threaded stack: returns the new stack, or
-   raises {!Terminal} with the machine's final status. *)
-let step_stack cx exec stack =
-  match stack with
-  | [] -> raise_notrace (Terminal Finished)
-  | task :: rest ->
-    begin match task with
-    | Tstmts [] -> rest
-    | Tstmts (s :: more) -> exec_cstmt cx exec s (Tstmts more :: rest)
-    | Twhile (c, body) ->
-      if ce_bool cx exec c then Tstmts body :: stack
-      else rest
-    | Tfor (i, cache, cur, hi, body) ->
-      if cur > hi then rest
-      else begin
-        for_cell cx exec i cache := Expr.vint cur;
-        Tstmts body :: Tfor (i, cache, cur + 1, hi, body) :: rest
-      end
-    | Twait c ->
-      if ce_bool cx exec c then rest
-      else raise_notrace (Terminal (Blocked c.ce_expr))
-    | Tpop_frame ->
-      begin match exec.frame.Env.f_parent with
-      | Some parent ->
-        exec.frame <- parent;
-        rest
-      | None -> run_error "%s: frame underflow" exec.ex_owner
-      end
-    | Tpop_pool pool ->
-      begin match exec.frame.Env.f_parent with
-      | Some parent ->
-        pool.p_busy <- false;
-        exec.frame <- parent;
-        rest
-      | None -> run_error "%s: frame underflow" exec.ex_owner
-      end
-    end
-
-(* One machine step.  Returns [Progress] unless the machine is blocked or
-   finished. *)
+(* One machine step: every task popped or rewritten is one step; an
+   unsatisfied wait and an empty stack consume none. *)
 let step cx exec =
-  match step_stack cx exec exec.stack with
-  | stack ->
-    exec.stack <- stack;
-    Progress
-  | exception Terminal status -> status
-
-(** Run the machine until it blocks, finishes, or exhausts [fuel] steps.
-    Returns the final status and the number of steps consumed.  The stack
-    lives in the loop, not in [exec], between steps — one field write per
-    suspension instead of one per step. *)
-let run cx exec ~fuel =
-  let rec go stack steps =
-    if steps >= fuel then begin
-      exec.stack <- stack;
-      (Progress, steps)
+  match exec.stack with
+  | [] -> Finished
+  | Twait c :: _ when not (eval_bool cx exec c) -> Blocked c
+  | (Twait _ | Tstmts []) :: rest -> advance exec rest
+  | Tstmts (s :: more) :: rest ->
+    advance exec (exec_stmt cx exec s (Tstmts more :: rest))
+  | Twhile (c, body) :: rest as stack ->
+    advance exec (if eval_bool cx exec c then Tstmts body :: stack else rest)
+  | Tfor (_, cur, hi, _) :: rest when cur > hi -> advance exec rest
+  | Tfor (i, cur, hi, body) :: rest ->
+    begin match Env.find_cell exec.frame i with
+    | Some cell ->
+      cell := Expr.vint cur;
+      advance exec (Tstmts body :: Tfor (i, cur + 1, hi, body) :: rest)
+    | None -> run_error "%s: for index %s is not a variable" exec.ex_owner i
     end
+  | Tpop_frame :: rest ->
+    begin match exec.frame.Env.f_parent with
+    | Some parent ->
+      exec.frame <- parent;
+      advance exec rest
+    | None -> run_error "%s: frame underflow" exec.ex_owner
+    end
+
+let run cx exec ~fuel =
+  let rec go steps =
+    if steps >= fuel then (Progress, steps)
     else
-      match step_stack cx exec stack with
-      | stack -> go stack (steps + 1)
-      | exception Terminal status ->
-        exec.stack <- stack;
-        (status, steps)
+      match step cx exec with
+      | Progress -> go (steps + 1)
+      | status -> (status, steps)
   in
-  go exec.stack 0
+  go 0

@@ -12,7 +12,7 @@
     {e charging} instruction, so the VM's step counts — an observable
     compared bit-for-bit by the differential tests — match the
     tree-walker without a per-dispatch tick.  The charge map mirrors
-    {!Interp.step_stack} exactly: one step per simple statement, per
+    {!Interp}'s task stack exactly: one step per simple statement, per
     taken if-branch (or else entry), per loop check, per block exit,
     per call entry and frame pop; a failed wait check charges nothing.
 
@@ -63,10 +63,12 @@ type prog = {
 (** A compiled call site.  The callee is resolved statically (the
     procedure list is fixed per program); a call to an unknown
     procedure or with wrong arity compiles to [Ifail_run] instead, at
-    the exact point the tree-walker would raise.  The pooled frame
-    discipline mirrors {!Interp}: the first completed call's frame and
-    compiled body are kept and re-entered by mutating parameter cells,
-    so descendants' baked resolutions stay valid. *)
+    the exact point the tree-walker would raise.  The frame and compiled
+    body of an eligible site's first call are kept as its pool and
+    re-entered by mutating parameter cells, so descendants' baked
+    resolutions stay valid; the tree-walker builds a fresh frame for
+    every call, so the differential tests check the pool against plain
+    call semantics. *)
 and call_site = {
   vs_name : string;
   vs_proc : proc_decl;
@@ -88,7 +90,6 @@ and vpool = {
   vp_prog : prog;  (** callee body compiled against [vp_frame] *)
   vp_regs : value array;
   vp_in_cells : (int * value ref) array;  (** (arg register, param cell) *)
-  mutable vp_busy : bool;  (** a call is live in the frame (recursion) *)
 }
 
 and instr =
@@ -147,7 +148,7 @@ and instr =
   | Iwait_sig_eq of int * value * wait_site  (** fused [wait until s = k] *)
   | Iwait_never of wait_site  (** constant-false condition: always blocks *)
   | Icall of call_site  (** push the callee activation; charges *)
-  | Iret  (** pop the activation (and release its pool); charges *)
+  | Iret  (** pop the activation; charges *)
   | Ihalt  (** leaf body finished; uncharged *)
 
 (* ------------------------------------------------------------------ *)

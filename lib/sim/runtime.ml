@@ -177,8 +177,8 @@ let rec instantiate kind parent_frame b =
 
 (* Rewind a previously-built subtree to its freshly-instantiated state,
    in place: variables take their initializers again (cells and arrays
-   are overwritten, never replaced, so memoized resolutions and staged
-   closures stay valid), leaf machines restart at the top of their
+   are overwritten, never replaced, so memoized resolutions and the
+   VM's baked operands stay valid), leaf machines restart at the top of their
    compiled bodies, sequential compositions re-enter their first arm.
    Observably identical to [instantiate] — same values, same steps —
    without rebuilding any frame, table or compiled body. *)
@@ -394,9 +394,8 @@ let rec blocked_descriptions : type m.
   | _, Ndone -> acc
   | Tree, Nleaf exec ->
     begin match exec.Interp.stack with
-    | Interp.Twait ce :: _ ->
-      describe_wait cx exec.Interp.ex_owner exec.Interp.frame
-        ce.Interp.ce_expr acc
+    | Interp.Twait c :: _ ->
+      describe_wait cx exec.Interp.ex_owner exec.Interp.frame c acc
     | _ -> Printf.sprintf "%s runnable" exec.Interp.ex_owner :: acc
     end
   | Bytecode, Nleaf t ->

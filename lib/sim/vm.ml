@@ -37,7 +37,6 @@ type activation = {
   act_regs : value array;
   mutable act_pc : int;
   act_frame : Env.frame;
-  act_pool : vpool option;  (** released (not busy) when this returns *)
 }
 
 type thread = {
@@ -69,12 +68,11 @@ let make ~owner ~frame stmts =
     th_steps = 0;
   }
 
-(** Rewind to the top of the compiled body.  Mirrors
-    {!Interp.reset_exec}: the compiled program and its baked operands
-    survive (the frames are being reused in place), the generation
-    bumps, and a pooled procedure frame abandoned mid-call stays busy —
-    later calls through that site fall back to fresh frames, exactly as
-    the tree-walker's pool does. *)
+(** Rewind to the top of the compiled body.  The compiled program and
+    its baked operands survive (the frames are being reused in place)
+    and the generation bumps.  Calls the rewind abandons need no
+    clean-up: the next call through their sites re-enters the pooled
+    frames (see {!enter_call}). *)
 let reset t =
   begin match t.th_root with
   | Some act ->
@@ -130,17 +128,15 @@ let call_frames t =
         if a.act_frame == t.th_base_frame then None else Some a.act_frame)
       (act :: t.th_callers)
 
-(** Put a thread back in its {!save}d state.  A pooled procedure frame in
-    the saved stack is marked busy again; a thread saved before its first
-    run restarts at the top of its body, as {!reset} leaves it. *)
+(** Put a thread back in its {!save}d state; a thread saved before its
+    first run restarts at the top of its body, as {!reset} leaves it. *)
 let restore sv =
   let t = sv.sv_thread in
   List.iter
     (fun sa ->
       let act = sa.sa_act in
       act.act_pc <- sa.sa_pc;
-      Array.blit sa.sa_regs 0 act.act_regs 0 (Array.length sa.sa_regs);
-      match act.act_pool with Some p -> p.vp_busy <- true | None -> ())
+      Array.blit sa.sa_regs 0 act.act_regs 0 (Array.length sa.sa_regs))
     sv.sv_stack;
   begin match sv.sv_stack with
   | cur :: callers ->
@@ -190,32 +186,36 @@ let ensure_cur cx t =
         act_regs = fresh_regs prog;
         act_pc = 0;
         act_frame = t.th_base_frame;
-        act_pool = None;
       }
     in
     t.th_root <- Some act;
     t.th_cur <- Some act;
     act
 
-(* Enter a call site: reuse the pooled frame when free, else build a
-   fresh frame (and, on the site's first completed setup, the pool).
-   In-arguments were evaluated into registers by the preceding
-   instructions; out-parameters were resolved at compile time. *)
-let enter_call cx t site (regs : value array) =
+(* Enter a call site: re-enter the site's pooled frame, else build a
+   fresh frame (and, at an eligible site's first call, keep it as the
+   pool).  In-arguments were evaluated into registers by the preceding
+   instructions; out-parameters were resolved at compile time.
+
+   A pooled frame never serves two live calls.  The site belongs to one
+   compiled program, and a program has at most one live activation: the
+   root program's is the thread's body, a fresh frame's program is its
+   own, and a pooled program's is entered only from its site, whose own
+   program's single activation is suspended at the call until it
+   returns.  So a rewind that abandons calls leaves nothing to release. *)
+let enter_call cx site (regs : value array) =
   let pr = site.vs_proc in
   match site.vs_pool with
-  | VPpool p when not p.vp_busy ->
+  | VPpool p ->
     Array.iter (fun (r, cell) -> cell := regs.(r)) p.vp_in_cells;
     Env.reinitialize p.vp_frame pr.prc_vars;
-    p.vp_busy <- true;
     {
       act_prog = p.vp_prog;
       act_regs = p.vp_regs;
       act_pc = 0;
       act_frame = p.vp_frame;
-      act_pool = Some p;
     }
-  | (VPnone | VPineligible | VPpool _) as st ->
+  | VPnone | VPineligible ->
     let frame =
       Env.make ~parent:site.vs_frame ~owner:site.vs_name pr.prc_vars
     in
@@ -233,34 +233,19 @@ let enter_call cx t site (regs : value array) =
         ~signals:cx.Interp.cx_signals ~procs:cx.Interp.cx_procs
         ~epilogue:`Ret pr.prc_body
     in
-    let regs' = fresh_regs prog in
-    let pool =
-      match st with
-      | VPnone when site.vs_pool_ok ->
-        let p =
-          {
-            vp_frame = frame;
-            vp_prog = prog;
-            vp_regs = regs';
-            vp_in_cells = Array.of_list (List.rev !in_cells);
-            vp_busy = true;
-          }
-        in
-        site.vs_pool <- VPpool p;
-        Some p
-      | VPnone ->
-        site.vs_pool <- VPineligible;
-        None
-      | VPineligible | VPpool _ -> None
-    in
-    ignore t;
-    {
-      act_prog = prog;
-      act_regs = regs';
-      act_pc = 0;
-      act_frame = frame;
-      act_pool = pool;
-    }
+    let regs = fresh_regs prog in
+    if site.vs_pool == VPnone then
+      site.vs_pool <-
+        (if site.vs_pool_ok then
+           VPpool
+             {
+               vp_frame = frame;
+               vp_prog = prog;
+               vp_regs = regs;
+               vp_in_cells = Array.of_list (List.rev !in_cells);
+             }
+         else VPineligible);
+    { act_prog = prog; act_regs = regs; act_pc = 0; act_frame = frame }
 
 (* The dispatch loop.  [exec]/[charge]/[block] are top-level (not nested
    in [run]) so an activation costs no closure-group allocation; all the
@@ -420,15 +405,11 @@ let rec exec cx sigs t fuel act (code : instr array) (regs : value array)
       | Iwait_never site -> block t act site steps
       | Icall site ->
         act.act_pc <- pc + 1;
-        let callee = enter_call cx t site regs in
+        let callee = enter_call cx site regs in
         t.th_callers <- act :: t.th_callers;
         t.th_cur <- Some callee;
         charge cx sigs t fuel callee callee.act_prog.pr_code callee.act_regs 0 steps
       | Iret ->
-        begin match act.act_pool with
-        | Some p -> p.vp_busy <- false
-        | None -> ()
-        end;
         begin match t.th_callers with
         | caller :: rest ->
           t.th_callers <- rest;

@@ -84,10 +84,8 @@ let apply_unop op v =
 let eval ?(lookup_idx = fun x _ -> eval_error "cannot index %s here" x)
     ~lookup =
   (* The recursion captures the lookups once instead of re-applying the
-     optional argument at every node — this is the simulator's innermost
-     loop, and per-node partial applications dominated its allocation.
-     Partially applying [eval ~lookup_idx ~lookup] yields a reusable
-     evaluator; {!Sim.Interp} caches one per process. *)
+     optional argument at every node, so partially applying
+     [eval ~lookup_idx ~lookup] yields a reusable evaluator. *)
   let rec go e =
     match e with
     | Const v -> v
@@ -111,35 +109,6 @@ let eval ?(lookup_idx = fun x _ -> eval_error "cannot index %s here" x)
     | Unop (op, a) -> apply_unop op (go a)
   in
   go
-
-let compile ?(resolve_idx = fun x -> fun _ -> eval_error "cannot index %s here" x)
-    ~resolve_ref e =
-  (* Stage the traversal: resolve every reference once, up front, and
-     return a closure tree that only dereferences.  The thunks returned
-     by [resolve_ref] may themselves raise on call — an unbound name
-     under a short-circuited operand must not fail any earlier than
-     {!eval} would have. *)
-  let rec go e =
-    match e with
-    | Const v -> fun () -> v
-    | Ref x -> resolve_ref x
-    | Index (x, i) ->
-      let gi = go i and f = resolve_idx x in
-      fun () -> f (as_int (gi ()))
-    | Binop (And, a, b) ->
-      let ga = go a and gb = go b in
-      fun () -> if as_bool (ga ()) then gb () else vfalse
-    | Binop (Or, a, b) ->
-      let ga = go a and gb = go b in
-      fun () -> if as_bool (ga ()) then vtrue else gb ()
-    | Binop (op, a, b) ->
-      let ga = go a and gb = go b in
-      fun () -> apply_binop op (ga ()) (gb ())
-    | Unop (op, a) ->
-      let ga = go a in
-      fun () -> apply_unop op (ga ())
-  in
-  go e
 
 let eval_const e =
   match eval ~lookup:(fun _ -> None) e with

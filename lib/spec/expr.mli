@@ -41,21 +41,6 @@ val eval :
     and array reads through [lookup_idx] (which defaults to failing).
     @raise Eval_error on unbound references or ill-typed operations. *)
 
-val compile :
-  ?resolve_idx:(string -> int -> value) ->
-  resolve_ref:(string -> unit -> value) ->
-  expr ->
-  unit ->
-  value
-(** [compile ~resolve_ref e] stages [e]: every reference is resolved once
-    through [resolve_ref] (which returns a read thunk), and the result is
-    a closure evaluating [e] with no further name lookups.  Sound only
-    while the resolutions stay valid — the simulator uses it for wait and
-    loop conditions, whose frame never changes across re-evaluations.
-    Short-circuit and error behavior match {!eval} exactly: a resolver
-    thunk that raises does so only when its operand is actually
-    demanded. *)
-
 val vint : int -> Ast.value
 (** [VInt n], interned for small [n] — structurally identical to a fresh
     [VInt n], but hot loops reuse one block. *)
@@ -88,9 +73,7 @@ val as_int : value -> int
 val refs : expr -> string list
 (** All referenced names (including indexed array bases), in order of
     first occurrence, without duplicates.  Computed afresh on every call:
-    the simulator does not ask twice for the same wait condition, because
-    the bytecode VM classifies each wait site at compile time and the
-    tree engine caches the classification per site. *)
+    the bytecode VM classifies each wait site once, at compile time. *)
 
 val exists_ref : (string -> bool) -> expr -> bool
 (** [exists_ref f e] is true when [f] holds for some name {!refs} lists,

@@ -905,6 +905,42 @@ let test_client_submit_stable_id () =
   Alcotest.(check (list (option string))) "no id without retries" [ None ]
     (List.map submitted_id seen)
 
+(* Every dial failure names the endpoint exactly once: a refused
+   connect, and a daemon that hangs up on the auth frame or answers it
+   with junk. *)
+let test_client_dial_errors () =
+  let failure ?token endpoint =
+    let client =
+      Serve.Client.create ?token ~timeout_s:5.0 ~retries:0 ~backoff_ms:1
+        endpoint
+    in
+    match Serve.Client.call client Serve.Protocol.Ping with
+    | Error msg -> msg
+    | Ok reply -> Alcotest.failf "reply from a failed dial: %s" reply
+  in
+  let names_once label endpoint why msg =
+    let ep = Serve.Server.endpoint_to_string endpoint in
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: %S names %s once" label msg ep)
+      true
+      (String.starts_with
+         ~prefix:(Printf.sprintf "cannot connect to %s: %s" ep why)
+         msg)
+  in
+  let missing = Serve.Server.Unix_path (fresh_socket_path ()) in
+  names_once "no daemon" missing "No such file or directory" (failure missing);
+  List.iter
+    (fun (label, answer, why) ->
+      ignore
+        (with_fake_daemon answer (fun endpoint ->
+             names_once label endpoint why (failure ~token:"t" endpoint))))
+    [
+      ("hang-up during auth", (fun _ _ -> None),
+       "connection closed during authentication");
+      ("junk auth reply", (fun _ _ -> Some "junk"),
+       "unreadable authentication reply: ");
+    ]
+
 (* --- scheduler journal resume ------------------------------------------- *)
 
 let fresh_journal_path () =
@@ -1265,6 +1301,8 @@ let () =
             test_client_no_resend;
           Alcotest.test_case "generated submit id is stable" `Quick
             test_client_submit_stable_id;
+          Alcotest.test_case "dial failures name the endpoint once" `Quick
+            test_client_dial_errors;
         ] );
       ( "scheduler",
         [
