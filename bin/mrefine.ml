@@ -1041,45 +1041,41 @@ let serve_cmd =
       | Sys_error msg -> or_die (Error ("cannot create cache directory: " ^ msg))
       | Invalid_argument msg -> or_die (Error msg)
     in
-    let journal =
-      Option.map
-        (fun path ->
-          try Checkpoint.Journal.open_ ~path ~meta:Serve.Scheduler.journal_meta
-          with Checkpoint.Journal.Journal_error msg -> or_die (Error msg))
-        journal
+    let serve journal =
+      let scheduler =
+        Serve.Scheduler.create ?journal ~jobs ~max_jobs ~max_pending
+          ?default_deadline_s:deadline session
+      in
+      let config =
+        {
+          d with
+          cfg_token = token;
+          cfg_max_connections = max_connections;
+          cfg_max_frame_bytes = max_frame_bytes;
+          cfg_idle_timeout_s =
+            (if idle_timeout <= 0. then None else Some idle_timeout);
+          cfg_write_timeout_s =
+            (if write_timeout <= 0. then None else Some write_timeout);
+        }
+      in
+      let server =
+        try Serve.Server.start ~config ?listen ~socket scheduler
+        with Unix.Unix_error (err, _, msg) -> or_die (cannot_listen socket err msg)
+      in
+      let stop _ = Serve.Server.stop server in
+      Sys.set_signal Sys.sigterm (Sys.Signal_handle stop);
+      Sys.set_signal Sys.sigint (Sys.Signal_handle stop);
+      Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+      (match Serve.Server.tcp_port server with
+      | Some port ->
+        Printf.eprintf "mrefine serve: listening on %s and tcp port %d%s\n%!"
+          socket port
+          (if token = None then " (no token!)" else "")
+      | None -> Printf.eprintf "mrefine serve: listening on %s\n%!" socket);
+      Serve.Server.run server;
+      Ok ()
     in
-    let scheduler =
-      Serve.Scheduler.create ?journal ~jobs ~max_jobs ~max_pending
-        ?default_deadline_s:deadline session
-    in
-    let config =
-      {
-        d with
-        cfg_token = token;
-        cfg_max_connections = max_connections;
-        cfg_max_frame_bytes = max_frame_bytes;
-        cfg_idle_timeout_s =
-          (if idle_timeout <= 0. then None else Some idle_timeout);
-        cfg_write_timeout_s =
-          (if write_timeout <= 0. then None else Some write_timeout);
-      }
-    in
-    let server =
-      try Serve.Server.start ~config ?listen ~socket scheduler
-      with Unix.Unix_error (err, _, msg) -> or_die (cannot_listen socket err msg)
-    in
-    let stop _ = Serve.Server.stop server in
-    Sys.set_signal Sys.sigterm (Sys.Signal_handle stop);
-    Sys.set_signal Sys.sigint (Sys.Signal_handle stop);
-    Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-    (match Serve.Server.tcp_port server with
-    | Some port ->
-      Printf.eprintf "mrefine serve: listening on %s and tcp port %d%s\n%!"
-        socket port
-        (if token = None then " (no token!)" else "")
-    | None -> Printf.eprintf "mrefine serve: listening on %s\n%!" socket);
-    Serve.Server.run server;
-    Option.iter Checkpoint.Journal.close journal
+    or_die (Command.with_journal journal ~meta:Serve.Scheduler.journal_meta serve)
   in
   Cmd.v
     (info "serve"

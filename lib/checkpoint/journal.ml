@@ -7,137 +7,92 @@ exception Journal_error of string
 
 type t = {
   j_path : string;
-  j_meta : string;
   mutable j_fd : Unix.file_descr option;
   j_table : (string, string) Hashtbl.t;
-  mutable j_seq : (string * string) list;  (* reversed append order *)
+  mutable j_keys : string list;  (* reversed order of first append *)
   j_lock : Mutex.t;
 }
 
 let errorf fmt = Printf.ksprintf (fun s -> raise (Journal_error s)) fmt
 
-let meta_digest components =
-  Digest.to_hex (Digest.string (String.concat "\x00" components))
-
-let rec mkdir_p path =
-  if path <> "" && path <> "/" && path <> "." && not (Sys.file_exists path)
-  then begin
-    mkdir_p (Filename.dirname path);
-    try Unix.mkdir path 0o755
-    with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
-(* One record: [u32 length][MD5 of payload][payload], built as a single
-   string so the append is one [write] — after a kill the file holds at
-   most one torn record, which replay then truncates away. *)
-let encode_record payload =
-  let len = String.length payload in
-  let b = Buffer.create (len + 20) in
-  Buffer.add_char b (Char.chr ((len lsr 24) land 0xff));
-  Buffer.add_char b (Char.chr ((len lsr 16) land 0xff));
-  Buffer.add_char b (Char.chr ((len lsr 8) land 0xff));
-  Buffer.add_char b (Char.chr (len land 0xff));
-  Buffer.add_string b (Digest.string payload);
-  Buffer.add_string b payload;
-  Buffer.contents b
-
 (* Read every intact record; stop at the first torn or corrupt one.
    Returns the payloads and the offset just past the last good record. *)
-let read_records ic =
-  let header = try really_input_string ic (String.length magic) with
-    | End_of_file -> errorf "not a journal: file shorter than its magic"
+let read_records ~path ic =
+  let header =
+    try really_input_string ic (String.length magic)
+    with End_of_file -> errorf "%s is not a journal: too short" path
   in
   if not (String.equal header magic) then
-    errorf "not a journal: bad magic %S" header;
-  let payloads = ref [] in
-  let good_end = ref (pos_in ic) in
-  (try
-     while true do
-       let hdr = really_input_string ic 4 in
-       let len =
-         (Char.code hdr.[0] lsl 24)
-         lor (Char.code hdr.[1] lsl 16)
-         lor (Char.code hdr.[2] lsl 8)
-         lor Char.code hdr.[3]
-       in
-       let digest = really_input_string ic 16 in
-       let payload = really_input_string ic len in
-       if not (String.equal (Digest.string payload) digest) then
-         raise Exit;  (* checksum mismatch: torn or rotted tail *)
-       payloads := payload :: !payloads;
-       good_end := pos_in ic
-     done
-   with End_of_file | Exit -> ());
-  (List.rev !payloads, !good_end)
-
-let decode_entry payload =
-  match (Marshal.from_string payload 0 : string * string) with
-  | kv -> Some kv
-  | exception (Failure _ | Invalid_argument _) -> None
+    errorf "%s is not a journal: bad magic %S" path header;
+  let rec go acc good_end =
+    match Blob.input_frame ic with
+    | Some payload -> go (payload :: acc) (pos_in ic)
+    | None -> (List.rev acc, good_end)
+  in
+  go [] (pos_in ic)
 
 let record_entry t key blob =
-  Hashtbl.replace t.j_table key blob;
-  t.j_seq <- (key, blob) :: t.j_seq
+  if not (Hashtbl.mem t.j_table key) then t.j_keys <- key :: t.j_keys;
+  Hashtbl.replace t.j_table key blob
 
+(* One record is built as a single string so the append is one [write]:
+   after a kill the file holds at most one torn record, which replay then
+   truncates away. *)
 let append_raw fd payload =
-  let record = Bytes.of_string (encode_record payload) in
-  let n = Bytes.length record in
-  let written = Unix.write fd record 0 n in
+  let record = Blob.frame payload in
+  let n = String.length record in
+  let written = Unix.write_substring fd record 0 n in
   if written <> n then errorf "short write (%d of %d bytes)" written n;
   Unix.fsync fd
 
-let open_ ~path ~meta =
-  mkdir_p (Filename.dirname path);
+let open_file ~path ~meta =
+  Blob.mkdir_p (Filename.dirname path);
   let t =
     {
       j_path = path;
-      j_meta = meta;
       j_fd = None;
       j_table = Hashtbl.create 64;
-      j_seq = [];
+      j_keys = [];
       j_lock = Mutex.create ();
     }
   in
-  if Sys.file_exists path then begin
-    let ic = open_in_bin path in
-    let payloads, good_end =
-      Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () ->
-          read_records ic)
-    in
-    begin match payloads with
-    | [] -> ()  (* magic only: a journal killed before its meta record *)
-    | recorded_meta :: entries ->
-      if not (String.equal recorded_meta meta) then
-        errorf
-          "journal %s records a different specification or configuration \
-           (meta %s, expected %s) — resume with the original inputs or \
-           start a fresh journal"
-          path recorded_meta meta;
-      List.iter
-        (fun payload ->
-          (* An undecodable-but-checksummed payload cannot happen short of
-             a format change; skip it rather than fail the resume. *)
-          match decode_entry payload with
-          | Some (key, blob) -> record_entry t key blob
-          | None -> ())
-        entries
-    end;
-    let fd = Unix.openfile path [ Unix.O_WRONLY ] 0o644 in
-    t.j_fd <- Some fd;
-    Unix.ftruncate fd good_end;  (* drop the torn tail, if any *)
-    ignore (Unix.lseek fd good_end Unix.SEEK_SET);
-    if payloads = [] then append_raw fd meta
-  end
-  else begin
-    let fd =
-      Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_EXCL ] 0o644
-    in
-    t.j_fd <- Some fd;
-    let header = Bytes.of_string magic in
-    ignore (Unix.write fd header 0 (Bytes.length header));
-    append_raw fd meta
+  let payloads, good_end =
+    if Sys.file_exists path then
+      In_channel.with_open_bin path (read_records ~path)
+    else ([], 0)
+  in
+  begin match payloads with
+  | [] -> ()  (* a new journal, or one killed before its meta record *)
+  | recorded_meta :: entries ->
+    if not (String.equal recorded_meta meta) then
+      errorf
+        "journal %s records a different specification or configuration \
+         (meta %s, expected %s) — resume with the original inputs or \
+         start a fresh journal"
+        path recorded_meta meta;
+    List.iter
+      (fun payload ->
+        (* An undecodable-but-checksummed payload cannot happen short of
+           a format change; skip it rather than fail the resume. *)
+        match Blob.decode_pair payload with
+        | Some (key, blob) -> record_entry t key blob
+        | None -> ())
+      entries
   end;
+  let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT ] 0o644 in
+  t.j_fd <- Some fd;
+  Unix.ftruncate fd good_end;  (* drop the torn tail, if any *)
+  ignore (Unix.lseek fd good_end Unix.SEEK_SET);
+  if good_end = 0 then
+    ignore (Unix.write_substring fd magic 0 (String.length magic));
+  if payloads = [] then append_raw fd meta;
   t
+
+let open_ ~path ~meta =
+  try open_file ~path ~meta with
+  | Sys_error msg -> errorf "cannot open journal %s: %s" path msg
+  | Unix.Unix_error (err, _, _) ->
+    errorf "cannot open journal %s: %s" path (Unix.error_message err)
 
 let with_lock t f =
   Mutex.lock t.j_lock;
@@ -150,26 +105,16 @@ let append t ~key blob =
       match t.j_fd with
       | None -> errorf "journal %s is closed" t.j_path
       | Some fd ->
-        append_raw fd (Marshal.to_string (key, blob) []);
+        append_raw fd (Blob.encode_pair key blob);
         record_entry t key blob)
 
 let entries t =
   with_lock t (fun () ->
       (* Append order, each key at its first position with its winning
          (last-recorded) blob. *)
-      let seen = Hashtbl.create 16 in
-      List.filter_map
-        (fun (key, _) ->
-          if Hashtbl.mem seen key then None
-          else begin
-            Hashtbl.add seen key ();
-            Some (key, Hashtbl.find t.j_table key)
-          end)
-        (List.rev t.j_seq))
+      List.rev_map (fun key -> (key, Hashtbl.find t.j_table key)) t.j_keys)
 
 let length t = with_lock t (fun () -> Hashtbl.length t.j_table)
-let meta t = t.j_meta
-let path t = t.j_path
 
 let close t =
   with_lock t (fun () ->

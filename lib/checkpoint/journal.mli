@@ -10,10 +10,11 @@
     "coref-journal-1\n"                        magic line
     [u32 length][16-byte MD5 of payload][payload]   repeated
     v}
-    The first record's payload is the {e meta} string — a digest binding
-    the journal to the producing configuration; {!open_} refuses to
-    resume when it does not match.  Every later payload is an opaque
-    [(key, blob)] pair.
+    Each record is one {!Blob.frame}.  The first record's payload is the
+    {e meta} string — a digest binding the journal to the producing
+    configuration; {!open_} refuses to resume when it does not match.
+    Every later payload is a {!Blob.encode_pair} [(key, blob)] pair,
+    whose bytes do not depend on the build.
 
     Crash safety: records are appended in one [write] and fsynced, so
     after a [SIGKILL] the file is a valid journal followed by at most
@@ -33,9 +34,10 @@ val open_ : path:string -> meta:string -> t
 (** Open [path] for resume-and-append, creating it (and its parent
     directories) when missing.  Replays every intact record into memory
     and truncates any torn tail.
-    @raise Journal_error when the file exists but is not a journal, or
-    records a different [meta] (the journal belongs to a different
-    specification or configuration). *)
+    @raise Journal_error naming [path] when the file or its directory
+    cannot be created, opened or read, when the file is not a journal,
+    or when it records a different [meta] (the journal belongs to a
+    different specification or configuration). *)
 
 val find : t -> string -> string option
 (** The blob last recorded for a key, if any. *)
@@ -50,13 +52,5 @@ val entries : t -> (string * string) list
 val length : t -> int
 (** Number of recorded entries (after last-wins dedup). *)
 
-val meta : t -> string
-
-val path : t -> string
-
 val close : t -> unit
 (** Close the underlying descriptor.  Later {!append}s raise. *)
-
-val meta_digest : string list -> string
-(** Canonical meta string: hex digest over the components — callers bind
-    a journal to (spec digest, configuration fields, format version). *)

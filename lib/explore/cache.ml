@@ -1,16 +1,14 @@
 (** Mutex-protected memo table with optional one-file-per-key disk
     persistence and an optional LRU residency cap.  See the interface
-    for the concurrency contract. *)
-
-(* Bump when the marshalled layout of cached values or the entry framing
-   changes: stale disk entries from an older build then read as misses
-   instead of garbage.  v5: length-prefixed, checksummed blobs. *)
-let format_version = "coref-explore-cache-6\n"
+    for the concurrency contract.  Values are {!Checkpoint.Blob} blobs
+    and each disk file is one frame around one; the blob's build stamp,
+    not a version number kept here, makes another build's entries
+    misses. *)
 
 type stats = { hits : int; misses : int }
 
 type t = {
-  table : (string, string) Hashtbl.t;  (* key -> marshalled value *)
+  table : (string, string) Hashtbl.t;  (* key -> Checkpoint.Blob blob *)
   lock : Mutex.t;
   dir : string option;
   max_entries : int option;  (* in-memory residency caps; disk is unbounded *)
@@ -27,14 +25,6 @@ let with_lock t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
-let rec mkdir_p path =
-  if path <> "" && path <> "/" && path <> "." && not (Sys.file_exists path)
-  then begin
-    mkdir_p (Filename.dirname path);
-    try Sys.mkdir path 0o755
-    with Sys_error _ when Sys.file_exists path -> ()
-  end
-
 let create ?dir ?max_entries ?max_bytes () =
   (match max_entries with
   | Some n when n < 1 -> invalid_arg "Cache.create: max_entries < 1"
@@ -42,7 +32,7 @@ let create ?dir ?max_entries ?max_bytes () =
   (match max_bytes with
   | Some n when n < 1 -> invalid_arg "Cache.create: max_bytes < 1"
   | _ -> ());
-  Option.iter mkdir_p dir;
+  Option.iter Checkpoint.Blob.mkdir_p dir;
   {
     table = Hashtbl.create 64;
     lock = Mutex.create ();
@@ -57,17 +47,8 @@ let create ?dir ?max_entries ?max_bytes () =
     misses = 0;
   }
 
-let digest_key components =
-  Digest.to_hex (Digest.string (String.concat "\x00" components))
-
 let file_of t key =
   Option.map (fun dir -> Filename.concat dir (key ^ ".memo")) t.dir
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
 
 (* Write-to-temp + rename so concurrent processes never observe a
    half-written entry. *)
@@ -75,54 +56,23 @@ let write_file path data =
   let tmp =
     Printf.sprintf "%s.%d.tmp" path (Hashtbl.hash (path, data, Sys.time ()))
   in
-  let oc = open_out_bin tmp in
-  Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () ->
-      output_string oc data);
+  Out_channel.with_open_bin tmp (fun oc -> output_string oc data);
   Sys.rename tmp path
-
-(* Entry framing behind the version prefix: [u32 length][16-byte MD5 of
-   blob][blob].  A partially-written file that survived a crash — short
-   of the declared length, or bit-rotted — fails the length or checksum
-   check and reads as a miss, never as a [Marshal] exception. *)
-let frame blob =
-  let len = String.length blob in
-  let b = Buffer.create (len + 20) in
-  Buffer.add_char b (Char.chr ((len lsr 24) land 0xff));
-  Buffer.add_char b (Char.chr ((len lsr 16) land 0xff));
-  Buffer.add_char b (Char.chr ((len lsr 8) land 0xff));
-  Buffer.add_char b (Char.chr (len land 0xff));
-  Buffer.add_string b (Digest.string blob);
-  Buffer.add_string b blob;
-  Buffer.contents b
-
-let unframe data =
-  let vn = String.length format_version in
-  if String.length data < vn + 20 then None
-  else if not (String.equal (String.sub data 0 vn) format_version) then None
-  else
-    let len =
-      (Char.code data.[vn] lsl 24)
-      lor (Char.code data.[vn + 1] lsl 16)
-      lor (Char.code data.[vn + 2] lsl 8)
-      lor Char.code data.[vn + 3]
-    in
-    if String.length data <> vn + 20 + len then None
-    else
-      let digest = String.sub data (vn + 4) 16 in
-      let blob = String.sub data (vn + 20) len in
-      if String.equal (Digest.string blob) digest then Some blob else None
 
 let disk_find t key =
   match file_of t key with
   | None -> None
   | Some path ->
-    (try unframe (read_file path) with Sys_error _ | End_of_file -> None)
+    (try
+       Checkpoint.Blob.unframe
+         (In_channel.with_open_bin path In_channel.input_all)
+     with Sys_error _ -> None)
 
 let disk_add t key blob =
   match file_of t key with
   | None -> ()
   | Some path ->
-    (try write_file path (format_version ^ frame blob)
+    (try write_file path (Checkpoint.Blob.frame blob)
      with Sys_error _ -> ())
 
 let entry_bytes key blob = String.length key + String.length blob
@@ -209,16 +159,11 @@ let evict t key =
       | None -> ()
       | Some path -> (try Sys.remove path with Sys_error _ -> ()))
 
-let unmarshal_opt blob =
-  match Marshal.from_string blob 0 with
-  | v -> Some v
-  | exception (Failure _ | Invalid_argument _) -> None
-
 let find_or_add ?(count_stats = true) t key compute =
   let cached =
     match lookup t ~count:count_stats key with
     | Some blob ->
-      let v = unmarshal_opt blob in
+      let v = Checkpoint.Blob.of_blob blob in
       if v = None && count_stats then begin
         (* Account the corrupt entry as the miss it really was. *)
         with_lock t (fun () ->
@@ -233,7 +178,7 @@ let find_or_add ?(count_stats = true) t key compute =
   | None ->
     evict t key;
     let v = compute () in
-    let blob = Marshal.to_string v [] in
+    let blob = Checkpoint.Blob.to_blob v in
     with_lock t (fun () ->
         insert_resident t key blob;
         disk_add t key blob);

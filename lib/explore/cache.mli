@@ -1,9 +1,11 @@
 (** Content-hashed memoization of candidate evaluations.  A cache maps a
-    key — the hex digest of (spec digest, canonical partition, model) as
-    built by {!Evaluate} — to a marshalled value, in a mutex-protected
-    in-memory table optionally backed by a directory on disk (one file
-    per key, written atomically), so repeated sweeps and annealing
-    restarts never re-refine identical candidates, across processes.
+    key — the {!Checkpoint.Blob.digest} of (spec digest, canonical
+    partition, model) as built by {!Evaluate} — to a {!Checkpoint.Blob}
+    blob (a value marshalled behind the build stamp), in a
+    mutex-protected in-memory table optionally backed by a directory on
+    disk (one file per key, written atomically), so repeated sweeps and
+    annealing restarts never re-refine identical candidates, across
+    processes.
 
     The value type is the caller's: each {e key domain} must store one
     type only (the marshalling round-trip is untyped), so callers mixing
@@ -22,10 +24,11 @@ val create :
   ?dir:string -> ?max_entries:int -> ?max_bytes:int -> unit -> t
 (** A fresh, empty cache.  With [dir], entries are also persisted under
     that directory (created if missing) and looked up there on an
-    in-memory miss.  Disk entries are length-prefixed and checksummed
-    behind a format-version line, so an unreadable, truncated (e.g. a
-    partial write surviving a crash) or bit-rotted file reads as a miss
-    — never as a [Marshal] failure — and is evicted on recompute.
+    in-memory miss.  Each file is one {!Checkpoint.Blob.frame}, so an
+    unreadable, truncated (e.g. a partial write surviving a crash) or
+    bit-rotted file reads as a miss, and so does a blob written by
+    another build (a different {!Checkpoint.Blob.stamp}); the entry is
+    then recomputed and rewritten.
 
     [max_entries] / [max_bytes] bound the {e in-memory} resident set: a
     long-lived process (the [mrefine serve] daemon) cannot grow without
@@ -36,9 +39,6 @@ val create :
     an evicted entry is recomputed on its next miss.  Disk usage is
     never bounded by these caps.
     @raise Invalid_argument when a cap is < 1. *)
-
-val digest_key : string list -> string
-(** Stable hex key of the given components (order-sensitive). *)
 
 val find_or_add : ?count_stats:bool -> t -> string -> (unit -> 'a) -> 'a * bool
 (** [find_or_add t key compute] returns the cached value for [key]

@@ -65,29 +65,22 @@ type ctx = {
   cx_spec : Spec.Ast.program;
   cx_graph : Agraph.Access_graph.t;
   cx_digest : string;
-  cx_alloc : Arch.Allocation.t option;
 }
 
 let spec_digest p =
   Digest.to_hex (Digest.string (Spec.Printer.program_to_string p))
 
-let make_ctx ?alloc spec =
+let make_ctx spec =
   {
     cx_spec = spec;
     cx_graph = Agraph.Access_graph.of_program spec;
     cx_digest = spec_digest spec;
-    cx_alloc = alloc;
   }
 
 let default_alloc ~n_parts =
   Arch.Allocation.make
     (List.init n_parts (fun i ->
          if i = 0 then Arch.Catalog.i8086 else Arch.Catalog.asic_10k))
-
-let alloc_for ctx (c : Candidate.t) =
-  match ctx.cx_alloc with
-  | Some a -> a
-  | None -> default_alloc ~n_parts:c.Candidate.c_n_parts
 
 let partition_of ctx (c : Candidate.t) =
   Design_search.run ~seed:c.Candidate.c_seed ~steps:c.Candidate.c_steps
@@ -103,7 +96,7 @@ let partition_repr part =
          (Partition.objects part))
 
 let cache_key ~spec_digest ~partition ~model =
-  Cache.digest_key
+  Checkpoint.Blob.digest
     [ spec_digest; partition_repr partition; Core.Model.name model ]
 
 let max_bus_rate env plan =
@@ -177,7 +170,7 @@ let lint_counts ?cache refined =
   | None -> compute ()
   | Some cache ->
     let key =
-      Cache.digest_key [ "lint"; Digest.to_hex (Digest.string printed) ]
+      Checkpoint.Blob.digest [ "lint"; Digest.to_hex (Digest.string printed) ]
     in
     fst (Cache.find_or_add ~count_stats:false cache key compute)
 
@@ -185,9 +178,11 @@ let lint_counts ?cache refined =
    (spec, partition, model) — exactly what the cache key covers; the
    deadline checkpoints can only abort it (via {!Deadline}, which
    propagates out of the cache so nothing transient is ever stored),
-   never change its value. *)
-let refine_and_measure ?cache ?poll ~checkpoint ctx alloc part
+   never change its value.  The allocation follows from the partition's
+   part count. *)
+let refine_and_measure ?cache ?poll ~checkpoint ctx part
     (model : Core.Model.t) =
+  let alloc = default_alloc ~n_parts:(Partition.n_parts part) in
   match Core.Refiner.refine ctx.cx_spec ctx.cx_graph part model with
   | exception Core.Refiner.Refine_error msg -> Error (Refine_failed msg)
   | r ->
@@ -250,7 +245,6 @@ let run ?cache ?deadline_s ?poll:external_poll ctx (c : Candidate.t) =
     match poll with Some f when f () -> raise Deadline | _ -> ()
   in
   match
-    let alloc = alloc_for ctx c in
     (* Check before the partition search too: a cancelled or expired
        candidate must not pay a full annealing run first. *)
     checkpoint ();
@@ -258,7 +252,7 @@ let run ?cache ?deadline_s ?poll:external_poll ctx (c : Candidate.t) =
     checkpoint ();
     let model = c.Candidate.c_model in
     let compute () =
-      refine_and_measure ?cache ?poll ~checkpoint ctx alloc part model
+      refine_and_measure ?cache ?poll ~checkpoint ctx part model
     in
     (match cache with
     | None -> (compute (), false)

@@ -69,14 +69,13 @@ type result = {
 }
 
 type ctx
-(** Shared per-sweep context: the specification, its access graph, its
-    printed-form digest and the allocation. *)
+(** Shared per-sweep context: the specification, its access graph and
+    its printed-form digest. *)
 
-val make_ctx :
-  ?alloc:Arch.Allocation.t -> Spec.Ast.program -> ctx
+val make_ctx : Spec.Ast.program -> ctx
 (** Derive the access graph and spec digest once for a whole sweep.
-    Without [alloc], each candidate uses {!default_alloc} for its own
-    part count. *)
+    Each candidate uses {!default_alloc} for its own part count, which
+    the candidate's cache key determines. *)
 
 val default_alloc : n_parts:int -> Arch.Allocation.t
 (** The paper's shape: component 0 an Intel8086-class processor, every

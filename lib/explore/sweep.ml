@@ -68,7 +68,7 @@ let result_objectives (r : Evaluate.result) =
    parameters.  Deliberately *not* the candidate list — resuming with
    more seeds or models reuses every overlapping result. *)
 let journal_meta config spec =
-  Checkpoint.Journal.meta_digest
+  Checkpoint.Blob.digest
     [
       "explore-sweep-2";
       Evaluate.spec_digest spec;
@@ -76,18 +76,10 @@ let journal_meta config spec =
       string_of_int config.steps;
     ]
 
-let decode_outcome blob =
-  match
-    (Marshal.from_string blob 0
-      : (Evaluate.metrics, Evaluate.failure) Stdlib.result)
-  with
-  | outcome -> Some outcome
-  | exception (Failure _ | Invalid_argument _) -> None
-
-let run ?cache ?alloc ?journal ?evaluate config spec =
+let run ?cache ?journal ?evaluate config spec =
   let cache = match cache with Some c -> c | None -> Cache.create () in
   let before = Cache.stats cache in
-  let ctx = Evaluate.make_ctx ?alloc spec in
+  let ctx = Evaluate.make_ctx spec in
   let evaluate =
     match evaluate with
     | Some f -> f
@@ -108,7 +100,7 @@ let run ?cache ?alloc ?journal ?evaluate config spec =
           | Some j ->
             Option.bind
               (Checkpoint.Journal.find j (Candidate.label c))
-              decode_outcome
+              Checkpoint.Blob.of_blob
         in
         match replayed with
         | Some outcome ->
@@ -132,7 +124,7 @@ let run ?cache ?alloc ?journal ?evaluate config spec =
     | Some j when Evaluate.definitive r.Evaluate.r_outcome ->
       Checkpoint.Journal.append j
         ~key:(Candidate.label c)
-        (Marshal.to_string r.Evaluate.r_outcome [])
+        (Checkpoint.Blob.to_blob r.Evaluate.r_outcome)
     | _ -> ());
     r
   in

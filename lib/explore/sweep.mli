@@ -62,7 +62,6 @@ val journal_meta : config -> Spec.Ast.program -> string
 
 val run :
   ?cache:Cache.t ->
-  ?alloc:Arch.Allocation.t ->
   ?journal:Checkpoint.Journal.t ->
   ?evaluate:(Candidate.t -> Evaluate.result) ->
   config ->

@@ -393,7 +393,7 @@ let engine_simulate ~config ~hooks ?ordering p =
    configuration.  Resuming against a different design or configuration
    is refused by {!Checkpoint.Journal.open_}. *)
 let journal_meta config (r : Core.Refiner.t) =
-  Checkpoint.Journal.meta_digest
+  Checkpoint.Blob.digest
     [
       "faults-campaign-1";
       Spec.Printer.program_to_string r.Core.Refiner.rf_program;
@@ -404,11 +404,6 @@ let journal_meta config (r : Core.Refiner.t) =
       string_of_int config.cf_sim.Sim.Engine.max_deltas;
       Sim.Memord.policy_to_string config.cf_ordering;
     ]
-
-let decode_run blob =
-  match (Marshal.from_string blob 0 : run) with
-  | rn -> Some rn
-  | exception (Failure _ | Invalid_argument _) -> None
 
 let run ?(config = default_config) ?(simulate = engine_simulate) ?journal
     (r : Core.Refiner.t) =
@@ -481,7 +476,8 @@ let run ?(config = default_config) ?(simulate = engine_simulate) ?journal
         match journal with
         | None -> None
         | Some j ->
-          Option.bind (Checkpoint.Journal.find j key) decode_run
+          Option.bind (Checkpoint.Journal.find j key)
+            Checkpoint.Blob.of_blob
       in
       (match replayed with
       | Some rn -> Some rn
@@ -515,8 +511,7 @@ let run ?(config = default_config) ?(simulate = engine_simulate) ?journal
            as a result. *)
         (match journal with
         | Some j when rn.run_outcome <> Timed_out ->
-          Checkpoint.Journal.append j ~key
-            (Marshal.to_string rn [])
+          Checkpoint.Journal.append j ~key (Checkpoint.Blob.to_blob rn)
         | _ -> ());
         Some rn)
   in

@@ -165,7 +165,7 @@ let litmus_request j =
    {!Explore.Evaluate}'s refinement and lint entries. *)
 let refine_key (elab : Session.elab) (d : Command.design) =
   let p = d.Command.partitioning in
-  Explore.Cache.digest_key
+  Checkpoint.Blob.digest
     [
       "serve-refine-1";
       elab.Session.el_digest;

@@ -1,6 +1,6 @@
 (** Job scheduler; see the interface. *)
 
-let journal_meta = Checkpoint.Journal.meta_digest [ "mrefine-serve-journal"; "1" ]
+let journal_meta = Checkpoint.Blob.digest [ "mrefine-serve-journal"; "1" ]
 
 type job = {
   j_id : string;

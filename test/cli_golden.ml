@@ -37,14 +37,21 @@ let invocations =
       [ "quality"; fig1; "--model"; "2" ] @ fig1_assign;
       [ "quality"; spec "medical.sc"; "--parts"; "3" ];
       (* input errors: a missing file, an incomplete partition, a bad
-         flag value *)
+         flag value, journals that cannot be opened *)
       [ "parse"; "nonexistent.sc" ];
       [ "refine"; fig1; "--assign"; "A=0" ];
       [ "cosim"; fig1; "--model"; "9" ];
+      [ "faults"; spec "medical.sc"; "--seeds"; "1"; "--resume";
+        "/dev/null/sub/j.journal" ];
+      [ "explore"; spec "fig2.sc"; "--seeds"; "1"; "--steps"; "10";
+        "--no-cache"; "--resume"; "/dev/null/j.journal" ];
+      [ "explore"; spec "fig2.sc"; "--seeds"; "1"; "--steps"; "10";
+        "--no-cache"; "--resume"; "../examples/specs" ];
       (* daemon flag errors, all caught before any socket is touched *)
       [ "serve"; "--socket"; "golden.sock"; "--jobs"; "0" ];
       [ "serve"; "--socket"; "golden.sock"; "--max-frame-bytes"; "100" ];
       [ "serve"; "--socket"; "golden.sock"; "--listen"; "/tmp/x.sock" ];
+      [ "serve"; "--socket"; "golden.sock"; "--journal"; "/dev/null/x.journal" ];
       [ "client"; "--connect"; "/tmp/x.sock"; "--ping" ];
       [ "client"; "--retries=-1"; "--ping" ];
       [ "client"; "--submit"; "refine" ];

@@ -5,6 +5,7 @@
 
 open Explore
 open Helpers
+module Blob = Checkpoint.Blob
 
 (* --- pool ---------------------------------------------------------------- *)
 
@@ -183,17 +184,17 @@ let test_cache_persists_across_instances () =
   let calls = ref 0 in
   let compute () = incr calls; [ "deep"; "value" ] in
   let c1 = Cache.create ~dir () in
-  let _ = Cache.find_or_add c1 (Cache.digest_key [ "x" ]) compute in
+  let _ = Cache.find_or_add c1 (Blob.digest [ "x" ]) compute in
   (* A second process (modelled by a fresh instance) must hit on disk. *)
   let c2 = Cache.create ~dir () in
-  let v, cached = Cache.find_or_add c2 (Cache.digest_key [ "x" ]) compute in
+  let v, cached = Cache.find_or_add c2 (Blob.digest [ "x" ]) compute in
   Alcotest.(check (list string)) "round-trip" [ "deep"; "value" ] v;
   Alcotest.(check bool) "disk hit" true cached;
   Alcotest.(check int) "computed once across instances" 1 !calls
 
 let test_cache_tolerates_corrupt_files () =
   let dir = fresh_temp_dir () in
-  let key = Cache.digest_key [ "corrupt" ] in
+  let key = Blob.digest [ "corrupt" ] in
   let oc = open_out_bin (Filename.concat dir (key ^ ".memo")) in
   output_string oc "not a cache entry";
   close_out oc;
@@ -203,11 +204,11 @@ let test_cache_tolerates_corrupt_files () =
   Alcotest.(check bool) "treated as miss" false cached
 
 let test_cache_tolerates_corrupt_blob () =
-  (* A version-valid file whose marshalled payload is damaged (truncated
+  (* A framed file whose marshalled payload is damaged (truncated
      on disk, bit rot) must read as a miss, not raise — and the damaged
      file must be replaced by the recomputed value. *)
   let dir = fresh_temp_dir () in
-  let key = Cache.digest_key [ "corrupt-blob" ] in
+  let key = Blob.digest [ "corrupt-blob" ] in
   let c0 = Cache.create ~dir () in
   let v0, _ = Cache.find_or_add c0 key (fun () -> 41) in
   Alcotest.(check int) "initial value" 41 v0;
@@ -285,15 +286,15 @@ let test_cache_byte_cap_evicts_to_disk () =
   let dir = fresh_temp_dir () in
   let big = String.make 4096 'x' in
   let c = Cache.create ~dir ~max_bytes:6000 () in
-  ignore (Cache.find_or_add c (Cache.digest_key [ "one" ]) (fun () -> big));
-  ignore (Cache.find_or_add c (Cache.digest_key [ "two" ]) (fun () -> big));
+  ignore (Cache.find_or_add c (Blob.digest [ "one" ]) (fun () -> big));
+  ignore (Cache.find_or_add c (Blob.digest [ "two" ]) (fun () -> big));
   Alcotest.(check bool) "byte cap enforced" true
     (Cache.resident_bytes c <= 6000);
   Alcotest.(check bool) "evicted something" true (Cache.evictions c >= 1);
   (* The demoted entry was persisted at add time: looking it up again is
      a disk hit, not a recompute. *)
   let v, cached =
-    Cache.find_or_add c (Cache.digest_key [ "one" ]) (fun () -> "recomputed")
+    Cache.find_or_add c (Blob.digest [ "one" ]) (fun () -> "recomputed")
   in
   Alcotest.(check string) "demoted value intact" big v;
   Alcotest.(check bool) "served from disk" true cached
@@ -638,6 +639,115 @@ let test_journal_closed_append_raises () =
   | () -> Alcotest.fail "append on a closed journal must raise"
   | exception Journal.Journal_error _ -> ()
 
+(* --- exhaustive recovery: every truncation, every flipped byte ---------- *)
+
+let read_bytes path = In_channel.with_open_bin path In_channel.input_all
+
+let write_bytes path data =
+  Out_channel.with_open_bin path (fun oc -> output_string oc data)
+
+(* [data] cut at every offset, and [data] with each byte XORed with 0xFF,
+   each tagged with the offset of the first damaged byte. *)
+let damaged data =
+  List.init (String.length data) (fun n -> (n, String.sub data 0 n))
+  @ List.init (String.length data) (fun i ->
+        ( i,
+          String.mapi
+            (fun j c -> if j = i then Char.chr (Char.code c lxor 0xff) else c)
+            data ))
+
+(* Heap bytes [f] allocates: reading a damaged file may cost a small
+   multiple of its size plus fixed set-up and GC slack (4 MiB), never
+   what a corrupt length field asks for (up to 4 GiB). *)
+let check_allocation ~label ~size f =
+  let before = Gc.allocated_bytes () in
+  let v = f () in
+  let used = Gc.allocated_bytes () -. before in
+  if used > float_of_int ((16 * size) + (4 lsl 20)) then
+    Alcotest.failf "%s: allocated %.0f bytes for a %d-byte file" label used
+      size;
+  v
+
+let test_journal_exhaustive_recovery () =
+  let path = fresh_journal_path () in
+  let records = [ ("a", "1"); ("b", String.make 40 'b'); ("c", "3") ] in
+  let j = Journal.open_ ~path ~meta:"m1" in
+  let meta_end = file_size path in
+  let ends =
+    List.map
+      (fun (key, blob) -> Journal.append j ~key blob; file_size path)
+      records
+  in
+  Journal.close j;
+  let good = read_bytes path in
+  let magic_len = 16 in
+  List.iteri
+    (fun case (n, data) ->
+      (* Damage at offset [n] keeps exactly the records that end by [n]. *)
+      let intact =
+        List.filteri (fun i _ -> List.nth ends i <= n) records
+      in
+      let label = Printf.sprintf "damage at %d of %d" n (String.length good) in
+      (* A new file per case: rewriting one file in place makes some file
+         systems flush it on every later truncate or unlink. *)
+      let path = Printf.sprintf "%s.%d" path case in
+      write_bytes path data;
+      (match
+         check_allocation ~label ~size:(String.length data) (fun () ->
+             Journal.open_ ~path ~meta:"m1")
+       with
+      | j ->
+        let replayed = Journal.entries j in
+        Journal.close j;
+        if n < magic_len then Alcotest.failf "%s: damaged magic accepted" label;
+        Alcotest.(check (list (pair string string))) label intact replayed
+      | exception Journal.Journal_error _ ->
+        if n >= meta_end then
+          Alcotest.failf "%s: refused with magic and meta intact" label);
+      Sys.remove path)
+    (damaged good)
+
+let test_cache_exhaustive_recovery () =
+  let dir = fresh_temp_dir () in
+  let key = Blob.digest [ "exhaustive" ] in
+  let value = [ "deep"; "value" ] in
+  ignore (Cache.find_or_add (Cache.create ~dir ()) key (fun () -> value));
+  let file = key ^ ".memo" in
+  let good = read_bytes (Filename.concat dir file) in
+  List.iter
+    (fun (n, data) ->
+      let label = Printf.sprintf "damage at %d of %d" n (String.length good) in
+      (* A new directory per case, as for the journal above. *)
+      let dir = fresh_temp_dir () in
+      write_bytes (Filename.concat dir file) data;
+      let v, cached =
+        check_allocation ~label ~size:(String.length data) (fun () ->
+            Cache.find_or_add (Cache.create ~dir ()) key (fun () -> []))
+      in
+      if cached then Alcotest.(check (list string)) label value v
+      else Alcotest.(check (list string)) (label ^ ": miss") [] v;
+      Sys.remove (Filename.concat dir file);
+      Sys.rmdir dir)
+    (damaged good)
+
+(* [blob] as another build would have written it: same value, other
+   stamp. *)
+let other_build blob =
+  let n = String.length Blob.stamp in
+  String.make n '0' ^ String.sub blob n (String.length blob - n)
+
+let test_cache_other_build_misses () =
+  let dir = fresh_temp_dir () in
+  let key = Blob.digest [ "other-build" ] in
+  ignore (Cache.find_or_add (Cache.create ~dir ()) key (fun () -> 41));
+  let path = Filename.concat dir (key ^ ".memo") in
+  (match Blob.unframe (read_bytes path) with
+  | Some blob -> write_bytes path (Blob.frame (other_build blob))
+  | None -> Alcotest.fail "cache file is not one frame");
+  let v, cached = Cache.find_or_add (Cache.create ~dir ()) key (fun () -> 7) in
+  Alcotest.(check bool) "another build's entry is a miss" false cached;
+  Alcotest.(check int) "recomputed" 7 v
+
 (* --- resilience: deadlines, crashes, resume ------------------------------ *)
 
 let test_evaluate_deadline_times_out_uncached () =
@@ -836,6 +946,8 @@ let () =
           tc "LRU touch on hit" test_cache_lru_touch_on_hit;
           tc "byte cap demotes to disk" test_cache_byte_cap_evicts_to_disk;
           tc "rejects bad caps" test_cache_rejects_bad_caps;
+          tc "exhaustive truncate and flip" test_cache_exhaustive_recovery;
+          tc "another build's entry misses" test_cache_other_build_misses;
         ] );
       ( "pareto",
         [
@@ -867,6 +979,7 @@ let () =
           tc "checksum stops replay" test_journal_checksum_stops_replay;
           tc "meta mismatch refuses" test_journal_meta_mismatch_refuses;
           tc "closed append raises" test_journal_closed_append_raises;
+          tc "exhaustive truncate and flip" test_journal_exhaustive_recovery;
         ] );
       ( "resilience",
         [

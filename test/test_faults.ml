@@ -364,6 +364,43 @@ let test_campaign_kill_resume_round_trip () =
     (1 + (n_runs - 3)) (* golden + the non-replayed runs *)
     !calls
 
+(* A journaled run written by another build (here: the same blob under a
+   different stamp, as older builds wrote no stamp at all) reads as
+   missing: the resumed campaign re-simulates exactly that run and reports
+   the same as a fresh campaign. *)
+let test_campaign_other_build_recomputes () =
+  let r = medical_refined ~harden:true Core.Model.Model2 in
+  let config = { small_config with Faults.Campaign.cf_seeds = 2 } in
+  let meta = Faults.Campaign.journal_meta config r in
+  let full_path = fresh_journal_path () in
+  let jf = Checkpoint.Journal.open_ ~path:full_path ~meta in
+  let full = Faults.Campaign.run ~config ~journal:jf r in
+  let recorded = Checkpoint.Journal.entries jf in
+  Checkpoint.Journal.close jf;
+  let path = fresh_journal_path () in
+  let j = Checkpoint.Journal.open_ ~path ~meta in
+  let n = String.length Checkpoint.Blob.stamp in
+  List.iteri
+    (fun i (key, blob) ->
+      Checkpoint.Journal.append j ~key
+        (if i = 0 then
+           String.make n '0' ^ String.sub blob n (String.length blob - n)
+         else blob))
+    recorded;
+  Checkpoint.Journal.close j;
+  let jr = Checkpoint.Journal.open_ ~path ~meta in
+  let calls = ref 0 in
+  let simulate ~config ~hooks ?ordering p =
+    incr calls;
+    Sim.Engine.run ~config ~hooks ?ordering p
+  in
+  let resumed = Faults.Campaign.run ~config ~simulate ~journal:jr r in
+  Checkpoint.Journal.close jr;
+  Alcotest.(check (list string)) "same report as a fresh campaign"
+    (campaign_fingerprint full)
+    (campaign_fingerprint resumed);
+  Alcotest.(check int) "golden run plus the one unreadable run" 2 !calls
+
 let test_campaign_journal_meta_binds_config () =
   let r = medical_refined ~harden:false Core.Model.Model2 in
   let config = { small_config with Faults.Campaign.cf_seeds = 2 } in
@@ -741,6 +778,8 @@ let () =
           tc "stops at first timeout" test_campaign_stops_at_first_timeout;
           tc "kill-resume round-trip" test_campaign_kill_resume_round_trip;
           tc "journal meta binds config" test_campaign_journal_meta_binds_config;
+          tc "another build's run recomputes"
+            test_campaign_other_build_recomputes;
         ] );
       ( "properties",
         [

@@ -1024,6 +1024,58 @@ let test_cancelled_pending_survives_restart () =
   Serve.Scheduler.shutdown scheduler;
   Checkpoint.Journal.close journal
 
+(* fixtures/serve_parent.journal was written by `mrefine serve --journal`
+   built from the tree before journals and caches shared one record codec:
+   refine, lint and faults jobs that finished, failed or were cancelled.
+   Replayed here, every job keeps the state, output and error its records
+   hold, and each finished job's output is what this build computes for
+   the same job. *)
+let test_older_journal_replays () =
+  let path = fresh_journal_path () in
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc
+        (In_channel.with_open_bin "fixtures/serve_parent.journal"
+           In_channel.input_all));
+  let journal =
+    Checkpoint.Journal.open_ ~path ~meta:Serve.Scheduler.journal_meta
+  in
+  let recorded = Checkpoint.Journal.entries journal in
+  let record kind id = List.assoc (kind ^ "/" ^ id) recorded in
+  let string_member name outcome =
+    match Serve.Protocol.member name outcome with
+    | Some (Serve.Protocol.String s) -> Some s
+    | _ -> None
+  in
+  let scheduler = Serve.Scheduler.create ~journal (Serve.Session.create ()) in
+  List.iter
+    (fun (id, state) ->
+      let v =
+        match Serve.Scheduler.status scheduler id with
+        | Some v -> v
+        | None -> Alcotest.failf "job %s lost on replay" id
+      in
+      Alcotest.(check string) (id ^ " state") state
+        (Serve.Protocol.state_name v.Serve.Scheduler.v_state);
+      let outcome = Result.get_ok (Serve.Protocol.parse (record "done" id)) in
+      Alcotest.(check (option string)) (id ^ " output")
+        (string_member "output" outcome) v.Serve.Scheduler.v_output;
+      Alcotest.(check (option string)) (id ^ " error")
+        (string_member "error" outcome) v.Serve.Scheduler.v_error;
+      if state = "done" then
+        let job = Result.get_ok (Serve.Protocol.parse (record "spec" id)) in
+        match
+          Serve.Jobs.run ~session:(Serve.Session.create ())
+            ~poll:(fun () -> false) job
+        with
+        | Ok o ->
+          Alcotest.(check (option string)) (id ^ " output in this build")
+            (Some o.Serve.Jobs.o_output) v.Serve.Scheduler.v_output
+        | Error msg -> Alcotest.failf "job %s fails in this build: %s" id msg)
+    [ ("r1", "failed"); ("l1", "done"); ("b1", "failed"); ("f1", "failed");
+      ("r2", "done"); ("f2", "done"); ("c1", "cancelled") ];
+  Serve.Scheduler.shutdown scheduler;
+  Checkpoint.Journal.close journal
+
 let test_max_jobs_backpressure () =
   let session = Serve.Session.create () in
   let scheduler = Serve.Scheduler.create ~max_jobs:1 session in
@@ -1310,6 +1362,8 @@ let () =
             `Quick test_restart_replays_done_and_resumes_inflight;
           Alcotest.test_case "cancelled pending survives restart" `Quick
             test_cancelled_pending_survives_restart;
+          Alcotest.test_case "older journal replays unchanged" `Quick
+            test_older_journal_replays;
           Alcotest.test_case "max-jobs backpressure" `Quick
             test_max_jobs_backpressure;
           Alcotest.test_case "max-pending admission control" `Quick
