@@ -9,6 +9,19 @@ let spec name = "../examples/specs/" ^ name
 let fig1 = spec "fig1.sc"
 let fig1_assign = [ "--assign"; "A=0,B=1,C=0,x=1" ]
 
+(* Every machine-readable report, pinned byte for byte: these are the
+   outputs other tools read. *)
+let json_invocations =
+  [
+    [ "lint"; "--json"; spec "medical.sc" ];
+    [ "lint"; "--json"; "fixtures/lint_race.sc" ];
+    [ "lint"; "--fix"; "--json"; "fixtures/lint_fixable.sc" ];
+    [ "litmus"; "--shape"; "sb"; "--seeds"; "1"; "--json" ];
+    [ "faults"; spec "medical.sc"; "--json"; "--seeds"; "1" ];
+    [ "explore"; spec "fig2.sc"; "--json"; "--seeds"; "1"; "--steps"; "10";
+      "--no-cache" ];
+  ]
+
 let invocations =
   [
     [ "parse"; fig1 ];
@@ -36,6 +49,9 @@ let invocations =
       @ fig1_assign;
       [ "quality"; fig1; "--model"; "2" ] @ fig1_assign;
       [ "quality"; spec "medical.sc"; "--parts"; "3" ];
+    ]
+  @ json_invocations
+  @ [
       (* input errors: a missing file, an incomplete partition, a bad
          flag value, journals that cannot be opened *)
       [ "parse"; "nonexistent.sc" ];
