@@ -1132,7 +1132,7 @@ let client_cmd =
       & opt_all string []
       & info [ "arg" ] ~docv:"KEY=VALUE"
           ~doc:"Extra job field, e.g. $(b,--arg parts=3), $(b,--arg \
-                json=true), $(b,--arg models=[\\\"model1\\\"]).  VALUE is \
+                json=true), $(b,--arg models=[\"model1\"]).  VALUE is \
                 parsed as JSON when possible, else taken as a string.  \
                 Repeatable.")
   in

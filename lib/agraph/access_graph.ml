@@ -154,9 +154,6 @@ let of_program ?while_iterations ?objects (p : Ast.program) =
 let data_edges_of_var g v =
   List.filter (fun e -> String.equal e.de_variable v) g.g_data
 
-let data_edges_of_behavior g b =
-  List.filter (fun e -> String.equal e.de_behavior b) g.g_data
-
 let behaviors_accessing g v =
   List.sort_uniq String.compare
     (List.map (fun e -> e.de_behavior) (data_edges_of_var g v))

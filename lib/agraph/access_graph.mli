@@ -44,8 +44,6 @@ val default_objects : Ast.program -> string list
 
 val data_edges_of_var : t -> string -> data_edge list
 
-val data_edges_of_behavior : t -> string -> data_edge list
-
 val behaviors_accessing : t -> string -> string list
 (** Deduplicated object behaviors with an edge to the given variable. *)
 

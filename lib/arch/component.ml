@@ -60,10 +60,6 @@ let clock_mhz c =
   | Asic a -> a.asic_clock_mhz
   | Memory _ -> 0.0
 
-let is_processor c = match c.c_kind with Processor _ -> true | _ -> false
-let is_asic c = match c.c_kind with Asic _ -> true | _ -> false
-let is_memory c = match c.c_kind with Memory _ -> true | _ -> false
-
 let pp ppf c =
   match c.c_kind with
   | Processor p ->

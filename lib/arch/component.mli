@@ -51,8 +51,4 @@ val memory : name:string -> ports:int -> width:int -> words:int -> t
 val clock_mhz : t -> float
 (** Clock of the component; memories report 0. *)
 
-val is_processor : t -> bool
-val is_asic : t -> bool
-val is_memory : t -> bool
-
 val pp : Format.formatter -> t -> unit

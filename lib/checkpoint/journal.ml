@@ -56,13 +56,22 @@ let open_file ~path ~meta =
       j_lock = Mutex.create ();
     }
   in
-  let payloads, good_end =
+  let payloads, good_end, size =
     if Sys.file_exists path then
-      In_channel.with_open_bin path (read_records ~path)
-    else ([], 0)
+      In_channel.with_open_bin path (fun ic ->
+          let payloads, good_end = read_records ~path ic in
+          (payloads, good_end, Int64.to_int (In_channel.length ic)))
+    else ([], 0, 0)
   in
   begin match payloads with
-  | [] -> ()  (* a new journal, or one killed before its meta record *)
+  | [] ->
+    (* A new journal, or one killed before its meta record was whole.  A
+       file long enough to hold the whole meta frame was not killed
+       there: its meta is damaged, and truncating it would drop every
+       record after it. *)
+    if size - String.length magic >= String.length (Blob.frame meta) then
+      errorf "journal %s has a damaged meta record; it was left untouched"
+        path
   | recorded_meta :: entries ->
     if not (String.equal recorded_meta meta) then
       errorf

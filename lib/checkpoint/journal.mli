@@ -21,7 +21,10 @@
     one torn record.  {!open_} stops at the first record whose length,
     checksum or decoding fails and truncates the file back to the last
     good record before reopening it for append — a torn tail costs one
-    result, never the journal.
+    result, never the journal.  A file that ends inside its meta record
+    was killed before the journal began and starts afresh; a whole meta
+    record that does not read is damage, and {!open_} refuses it rather
+    than truncate the records after it.
 
     All operations are thread-safe; worker domains may append
     concurrently. *)
@@ -36,7 +39,8 @@ val open_ : path:string -> meta:string -> t
     and truncates any torn tail.
     @raise Journal_error naming [path] when the file or its directory
     cannot be created, opened or read, when the file is not a journal,
-    or when it records a different [meta] (the journal belongs to a
+    when its meta record is damaged (the file is left untouched), or
+    when it records a different [meta] (the journal belongs to a
     different specification or configuration). *)
 
 val find : t -> string -> string option

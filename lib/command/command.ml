@@ -315,29 +315,25 @@ module Lint = struct
     | Fix, _ -> Error "fix needs exactly one spec"
 
   let fix_json (r : Lint.Fixer.result) =
-    let esc = Spec.Diagnostic.json_escape in
+    let open Spec.Json in
     let entry code loc key text =
-      Printf.sprintf "{\"code\":\"%s\",\"loc\":\"%s\",\"%s\":\"%s\"}" (esc code)
-        (esc loc) key (esc text)
+      Obj [ ("code", String code); ("loc", String loc); (key, String text) ]
     in
-    let applied =
-      List.map
-        (fun (a : Lint.Fixer.applied) ->
-          entry a.Lint.Fixer.fx_code a.Lint.Fixer.fx_loc "note"
-            a.Lint.Fixer.fx_note)
-        r.Lint.Fixer.x_applied
+    let applied (a : Lint.Fixer.applied) =
+      entry a.Lint.Fixer.fx_code a.Lint.Fixer.fx_loc "note" a.Lint.Fixer.fx_note
     in
-    let refused =
-      List.map
-        (fun (f : Lint.Fixer.refused) ->
-          entry f.Lint.Fixer.fr_code f.Lint.Fixer.fr_loc "reason"
-            f.Lint.Fixer.fr_reason)
-        r.Lint.Fixer.x_refused
+    let refused (f : Lint.Fixer.refused) =
+      entry f.Lint.Fixer.fr_code f.Lint.Fixer.fr_loc "reason"
+        f.Lint.Fixer.fr_reason
     in
-    Printf.sprintf
-      "{\"changed\":%b,\"applied\":[%s],\"refused\":[%s],\"source\":\"%s\"}"
-      r.Lint.Fixer.x_changed (String.concat "," applied)
-      (String.concat "," refused) (esc r.Lint.Fixer.x_source)
+    to_string
+      (Obj
+         [
+           ("changed", Bool r.Lint.Fixer.x_changed);
+           ("applied", List (List.map applied r.Lint.Fixer.x_applied));
+           ("refused", List (List.map refused r.Lint.Fixer.x_refused));
+           ("source", String r.Lint.Fixer.x_source);
+         ])
 
   let render req = function
     | Diagnostics ts ->

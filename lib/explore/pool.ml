@@ -1,26 +1,13 @@
 (** Domain-based worker pool.  Determinism strategy: items live in an
     array; workers claim indices from one [Atomic.t] counter and write
     [results.(i)], so the output depends only on [f] and the input order,
-    never on domain scheduling.  Per-item exceptions are captured with
-    their index and backtrace; {!map} re-raises the one with the smallest
-    index after the join, which makes even the failure mode independent
-    of the worker count. *)
+    never on domain scheduling.  Per-item exceptions are confined to
+    their index, retried, and reported in place. *)
 
 let default_jobs () = max 1 (Domain.recommended_domain_count ())
 
-type error = {
-  e_index : int;
-  e_exn : exn;
-  e_backtrace : Printexc.raw_backtrace;
-}
-
-let error_to_string e =
-  let bt = Printexc.raw_backtrace_to_string e.e_backtrace in
-  Printf.sprintf "item %d raised %s%s" e.e_index (Printexc.to_string e.e_exn)
-    (if bt = "" then "" else "\n" ^ bt)
-
-(* The shared core: claim indices from one counter, run [g] (which never
-   raises — it captures), join.  [jobs <= 1] runs inline on the calling
+(* Claim indices from one counter, run [g] (which never raises — it
+   captures), join.  [jobs <= 1] runs inline on the calling
    domain with identical results. *)
 let run_indexed ~jobs ~g arr =
   let n = Array.length arr in
@@ -47,26 +34,6 @@ let run_indexed ~jobs ~g arr =
   |> List.map (function
        | Some r -> r
        | None -> assert false (* every index was claimed *))
-
-let try_map ~jobs ~f items =
-  if jobs < 1 then invalid_arg "Pool.map: jobs < 1";
-  let arr = Array.of_list items in
-  if Array.length arr = 0 then []
-  else
-    run_indexed ~jobs arr ~g:(fun i x ->
-        match f x with
-        | v -> Ok v
-        | exception e ->
-          let bt = Printexc.get_raw_backtrace () in
-          Error { e_index = i; e_exn = e; e_backtrace = bt })
-
-let map ~jobs ~f items =
-  try_map ~jobs ~f items
-  |> List.map (function
-       | Ok v -> v
-       | Error e -> Printexc.raise_with_backtrace e.e_exn e.e_backtrace)
-
-let iter ~jobs ~f items = ignore (map ~jobs ~f:(fun x -> f x) items)
 
 (* --- supervision -------------------------------------------------------- *)
 

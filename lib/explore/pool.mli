@@ -1,12 +1,10 @@
 (** A fixed-size worker pool over OCaml 5 domains for embarrassingly
     parallel evaluation.  The pool guarantees a {e deterministic} result:
-    [map ~jobs ~f items] returns exactly [List.map f items] — results in
-    input order — no matter how many domains execute it or how the
-    scheduler interleaves them.  Work is handed out through a shared
-    atomic counter, so long and short jobs balance automatically.
+    results come back in input order, no matter how many domains
+    execute them or how the scheduler interleaves them.  Work is handed
+    out through a shared atomic counter, so long and short jobs balance
+    automatically.
 
-    Two failure disciplines are offered: {!map}/{!try_map} treat an
-    exception as fatal to the item (and {!map} to the whole call), while
     {!supervise} isolates worker exceptions, retries each failing item
     with bounded exponential backoff and quarantines repeat offenders as
     structured {!failure}s — the degraded-but-valid mode long sweeps
@@ -14,36 +12,6 @@
 
 val default_jobs : unit -> int
 (** The runtime's recommended domain count for this machine (at least 1). *)
-
-(** What a failed item raised, where, and from where: the input position
-    survives into the payload so callers can report which item died. *)
-type error = {
-  e_index : int;  (** position of the item in the input list *)
-  e_exn : exn;
-  e_backtrace : Printexc.raw_backtrace;
-      (** captured at the raise point inside the worker *)
-}
-
-val error_to_string : error -> string
-(** ["item N raised exn"] plus the backtrace when one was recorded. *)
-
-val map : jobs:int -> f:('a -> 'b) -> 'a list -> 'b list
-(** Apply [f] to every item on [min jobs (length items)] domains (the
-    calling domain counts as one; [jobs <= 1] runs everything inline).
-    Results are returned in input order.  If [f] raises, the exception
-    with the {e smallest input index} is re-raised after all domains have
-    drained — with its original backtrace, also independent of the worker
-    count.
-    @raise Invalid_argument when [jobs < 1]. *)
-
-val try_map :
-  jobs:int -> f:('a -> 'b) -> 'a list -> ('b, error) result list
-(** {!map} without the re-raise: every item's outcome in input order,
-    exceptions captured as {!error}s.
-    @raise Invalid_argument when [jobs < 1]. *)
-
-val iter : jobs:int -> f:('a -> unit) -> 'a list -> unit
-(** [map] for side effects only.  [f] must be safe to run concurrently. *)
 
 (** {1 Supervised execution} *)
 
@@ -74,7 +42,9 @@ val supervise :
   f:('a -> 'b) ->
   'a list ->
   ('b, failure) result list
-(** Run every item under supervision: an exception from [f] is confined
+(** Run every item under supervision on [min jobs (length items)]
+    domains (the calling domain counts as one; [jobs <= 1] runs
+    everything inline): an exception from [f] is confined
     to its item and retried up to [sv_retries] times with exponential
     backoff; an item that exhausts its retries is quarantined as a
     {!failure} while every other item still completes.  Results are in

@@ -271,65 +271,69 @@ let to_text ?(top = 0) t =
 
 (* --- JSON report --------------------------------------------------------- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let json_of_result (r : Evaluate.result) =
+  let open Spec.Json in
   let c = r.Evaluate.r_candidate in
   let base =
-    Printf.sprintf
-      "\"candidate\":\"%s\",\"seed\":%d,\"bias\":\"%s\",\"model\":\"%s\",\"cached\":%b,\"replayed\":%b"
-      (json_escape (Candidate.label c))
-      c.Candidate.c_seed
-      (Candidate.bias_name c.Candidate.c_bias)
-      (Core.Model.name c.Candidate.c_model)
-      r.Evaluate.r_cached r.Evaluate.r_replayed
+    [
+      ("candidate", String (Candidate.label c));
+      ("seed", Int c.Candidate.c_seed);
+      ("bias", String (Candidate.bias_name c.Candidate.c_bias));
+      ("model", String (Core.Model.name c.Candidate.c_model));
+      ("cached", Bool r.Evaluate.r_cached);
+      ("replayed", Bool r.Evaluate.r_replayed);
+    ]
   in
   match r.Evaluate.r_outcome with
   | Error f ->
-    Printf.sprintf "{%s,\"failure\":\"%s\",\"error\":\"%s\"}" base
-      (Evaluate.failure_kind f)
-      (json_escape (Evaluate.failure_message f))
+    Obj
+      (base
+      @ [
+          ("failure", String (Evaluate.failure_kind f));
+          ("error", String (Evaluate.failure_message f));
+        ])
   | Ok m ->
-    Printf.sprintf
-      "{%s,\"locals\":%d,\"globals\":%d,\"comm_bits\":%d,\
-       \"max_bus_rate_mbps\":%.4f,\"buses\":%d,\"memories\":%d,\
-       \"lines\":%d,\"growth\":%.4f,\"pins\":%d,\"gates\":%d,\
-       \"software_bytes\":%d,\"exec_seconds\":%.6f,\"check_ok\":%b,\
-       \"lint_errors\":%d,\"lint_warnings\":%d,\
-       \"live_dead_stores\":%d,\"live_write_only\":%d,\
-       \"robustness\":%.4f}"
-      base m.Evaluate.e_locals m.Evaluate.e_globals m.Evaluate.e_comm_bits
-      m.Evaluate.e_max_bus_rate m.Evaluate.e_bus_count m.Evaluate.e_memories
-      m.Evaluate.e_lines m.Evaluate.e_growth m.Evaluate.e_pins
-      m.Evaluate.e_gates m.Evaluate.e_software_bytes
-      m.Evaluate.e_exec_seconds m.Evaluate.e_check_ok
-      m.Evaluate.e_lint_errors m.Evaluate.e_lint_warnings
-      m.Evaluate.e_live_dead_stores m.Evaluate.e_live_write_only
-      m.Evaluate.e_robustness
+    Obj
+      (base
+      @ [
+          ("locals", Int m.Evaluate.e_locals);
+          ("globals", Int m.Evaluate.e_globals);
+          ("comm_bits", Int m.Evaluate.e_comm_bits);
+          ("max_bus_rate_mbps", fixed 4 m.Evaluate.e_max_bus_rate);
+          ("buses", Int m.Evaluate.e_bus_count);
+          ("memories", Int m.Evaluate.e_memories);
+          ("lines", Int m.Evaluate.e_lines);
+          ("growth", fixed 4 m.Evaluate.e_growth);
+          ("pins", Int m.Evaluate.e_pins);
+          ("gates", Int m.Evaluate.e_gates);
+          ("software_bytes", Int m.Evaluate.e_software_bytes);
+          ("exec_seconds", fixed 6 m.Evaluate.e_exec_seconds);
+          ("check_ok", Bool m.Evaluate.e_check_ok);
+          ("lint_errors", Int m.Evaluate.e_lint_errors);
+          ("lint_warnings", Int m.Evaluate.e_lint_warnings);
+          ("live_dead_stores", Int m.Evaluate.e_live_dead_stores);
+          ("live_write_only", Int m.Evaluate.e_live_write_only);
+          ("robustness", fixed 4 m.Evaluate.e_robustness);
+        ])
 
 let to_json ?(top = 0) t =
-  Printf.sprintf
-    "{\"candidates\":%d,\"jobs\":%d,\"cache\":{\"hits\":%d,\"misses\":%d,\
-     \"hit_rate\":%.4f},\"coverage\":%.4f,\"replayed\":%d,\
-     \"failures\":{%s},\"results\":[%s],\"pareto\":[%s]}"
-    (List.length t.sw_results) t.sw_jobs t.sw_hits t.sw_misses (hit_rate t)
-    t.sw_coverage t.sw_replayed
-    (String.concat ","
-       (List.map
-          (fun (kind, n) -> Printf.sprintf "\"%s\":%d" (json_escape kind) n)
-          t.sw_failures))
-    (String.concat "," (List.map json_of_result (take top t.sw_results)))
-    (String.concat "," (List.map json_of_result t.sw_frontier))
+  let open Spec.Json in
+  to_string
+    (Obj
+       [
+         ("candidates", Int (List.length t.sw_results));
+         ("jobs", Int t.sw_jobs);
+         ( "cache",
+           Obj
+             [
+               ("hits", Int t.sw_hits);
+               ("misses", Int t.sw_misses);
+               ("hit_rate", fixed 4 (hit_rate t));
+             ] );
+         ("coverage", fixed 4 t.sw_coverage);
+         ("replayed", Int t.sw_replayed);
+         ( "failures",
+           Obj (List.map (fun (kind, n) -> (kind, Int n)) t.sw_failures) );
+         ("results", List (List.map json_of_result (take top t.sw_results)));
+         ("pareto", List (List.map json_of_result t.sw_frontier));
+       ])

@@ -609,23 +609,27 @@ let to_text report =
     (Printf.sprintf "  robustness %.3f\n" report.rp_robustness);
   Buffer.contents buf
 
+(* The pinned multi-line layout, one class or run per line; strings and
+   the robustness figure are rendered by {!Spec.Json}. *)
 let to_json report =
+  let str s = Spec.Json.(to_string (String s)) in
   let buf = Buffer.create 2048 in
   Buffer.add_string buf "{\n";
   Buffer.add_string buf
-    (Printf.sprintf "  \"design\": %S,\n  \"hardened\": %b,\n  \"seeds\": %d,\n"
-       report.rp_design report.rp_hardened report.rp_seeds);
+    (Printf.sprintf "  \"design\": %s,\n  \"hardened\": %b,\n  \"seeds\": %d,\n"
+       (str report.rp_design) report.rp_hardened report.rp_seeds);
   Buffer.add_string buf
-    (Printf.sprintf "  \"robustness\": %.4f,\n" report.rp_robustness);
+    (Printf.sprintf "  \"robustness\": %s,\n"
+       Spec.Json.(to_string (fixed 4 report.rp_robustness)));
   Buffer.add_string buf "  \"classes\": [\n";
   let class_lines =
     List.map
       (fun (cls, counts) ->
         Printf.sprintf
-          "    {\"class\": %S, \"survived\": %d, \"recovered\": %d, \
+          "    {\"class\": %s, \"survived\": %d, \"recovered\": %d, \
            \"deadlock\": %d, \"silent_corruption\": %d, \"step_limit\": %d, \
            \"timed_out\": %d}"
-          (Fault.cls_name cls)
+          (str (Fault.cls_name cls))
           (List.assoc Survived counts)
           (List.assoc Detected_recovered counts)
           (List.assoc Deadlock counts)
@@ -640,16 +644,14 @@ let to_json report =
     List.map
       (fun rn ->
         Printf.sprintf
-          "    {\"seed\": %d, \"class\": %S, \"outcome\": %S, \"deltas\": %d, \
+          "    {\"seed\": %d, \"class\": %s, \"outcome\": %s, \"deltas\": %d, \
            \"faults\": [%s]}"
           rn.run_seed
-          (Fault.cls_name rn.run_class)
-          (outcome_name rn.run_outcome)
+          (str (Fault.cls_name rn.run_class))
+          (str (outcome_name rn.run_outcome))
           rn.run_deltas
           (String.concat ", "
-             (List.map
-                (fun f -> Printf.sprintf "%S" (Fault.describe f))
-                rn.run_faults)))
+             (List.map (fun f -> str (Fault.describe f)) rn.run_faults)))
       report.rp_runs
   in
   Buffer.add_string buf (String.concat ",\n" run_lines);

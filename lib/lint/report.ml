@@ -76,17 +76,22 @@ let to_text targets =
   Buffer.contents buf
 
 let to_json targets =
-  Printf.sprintf "{\"targets\":[%s],\"errors\":%d,\"warnings\":%d}"
-    (String.concat ","
-       (List.map
-          (fun t ->
-            Printf.sprintf
-              "{\"name\":\"%s\",\"phase\":\"%s\",\"errors\":%d,\
-               \"warnings\":%d,\"diagnostics\":[%s]}"
-              (Diagnostic.json_escape t.t_name)
-              (phase_name t.t_phase)
-              (Diagnostic.count Diagnostic.Error t.t_diags)
-              (Diagnostic.count Diagnostic.Warning t.t_diags)
-              (String.concat "," (List.map Diagnostic.to_json t.t_diags)))
-          targets))
-    (errors targets) (warnings targets)
+  let target t =
+    Json.(
+      Obj
+        [
+          ("name", String t.t_name);
+          ("phase", String (phase_name t.t_phase));
+          ("errors", Int (Diagnostic.count Diagnostic.Error t.t_diags));
+          ("warnings", Int (Diagnostic.count Diagnostic.Warning t.t_diags));
+          ("diagnostics", List (List.map Diagnostic.to_json t.t_diags));
+        ])
+  in
+  Json.(
+    to_string
+      (Obj
+         [
+           ("targets", List (List.map target targets));
+           ("errors", Int (errors targets));
+           ("warnings", Int (warnings targets));
+         ]))

@@ -199,45 +199,41 @@ let to_text (rp : report) =
     (race_diagnostics rp);
   Buffer.contents buf
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_json (rp : report) =
+  let open Json in
   let entry e =
-    Printf.sprintf
-      "{\"shape\":\"%s\",\"ordering\":\"%s\",\"seed\":%d,\"fault\":%s,\
-       \"verdict\":\"%s\",\"observed\":{%s},\"kernels_agree\":%b,\
-       \"diverted\":%d,\"reordered\":%d,\"deltas\":%d}"
-      (json_escape e.en_shape) (json_escape e.en_ordering) e.en_seed
-      (match e.en_fault with
-      | None -> "null"
-      | Some f -> "\"" ^ json_escape f ^ "\"")
-      (Classify.to_string e.en_verdict)
-      (String.concat ","
-         (List.map
-            (fun (x, v) ->
-              Printf.sprintf "\"%s\":\"%s\"" (json_escape x) (json_escape v))
-            e.en_observed))
-      e.en_kernels_agree e.en_diverted e.en_reordered e.en_deltas
+    Obj
+      [
+        ("shape", String e.en_shape);
+        ("ordering", String e.en_ordering);
+        ("seed", Int e.en_seed);
+        ("fault", match e.en_fault with None -> Null | Some f -> String f);
+        ("verdict", String (Classify.to_string e.en_verdict));
+        ( "observed",
+          Obj (List.map (fun (x, v) -> (x, String v)) e.en_observed) );
+        ("kernels_agree", Bool e.en_kernels_agree);
+        ("diverted", Int e.en_diverted);
+        ("reordered", Int e.en_reordered);
+        ("deltas", Int e.en_deltas);
+      ]
   in
-  Printf.sprintf
-    "{\"schema\":\"coref-litmus-1\",\"entries\":[%s],\"summary\":{\
-     \"sc_consistent\":%d,\"weak_allowed\":%d,\"forbidden\":%d,\
-     \"deadlock\":%d,\"corruption\":%d,\"kernel_mismatches\":%d},\
-     \"race\":[%s]}\n"
-    (String.concat "," (List.map entry rp.rp_entries))
-    rp.rp_sc_consistent rp.rp_weak_allowed rp.rp_forbidden rp.rp_deadlock
-    rp.rp_corruption rp.rp_kernel_mismatches
-    (String.concat ","
-       (List.map Diagnostic.to_json (race_diagnostics rp)))
+  let summary =
+    Obj
+      [
+        ("sc_consistent", Int rp.rp_sc_consistent);
+        ("weak_allowed", Int rp.rp_weak_allowed);
+        ("forbidden", Int rp.rp_forbidden);
+        ("deadlock", Int rp.rp_deadlock);
+        ("corruption", Int rp.rp_corruption);
+        ("kernel_mismatches", Int rp.rp_kernel_mismatches);
+      ]
+  in
+  to_string
+    (Obj
+       [
+         ("schema", String "coref-litmus-1");
+         ("entries", List (List.map entry rp.rp_entries));
+         ("summary", summary);
+         ("race", List (List.map Diagnostic.to_json (race_diagnostics rp)));
+       ])
+  ^ "\n"

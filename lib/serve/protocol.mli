@@ -9,42 +9,15 @@
     them), so framing is trivial and torn requests are detected as
     parse errors.
 
-    The JSON values here are self-contained: a hand-rolled parser and
-    printer (no external dependency), covering objects, arrays,
-    strings with standard escapes (including [\uXXXX], encoded to
-    UTF-8), integers, floats, booleans and null. *)
+    The JSON codec is {!Spec.Json}, included here so the wire's names
+    ([Protocol.Obj], [Protocol.parse], the field accessors) stay where
+    daemon clients look for them.  Its parser bounds nesting, so an
+    unauthenticated peer cannot make one frame cost more than its
+    length. *)
 
-(** A JSON document. *)
-type json =
-  | Null
-  | Bool of bool
-  | Int of int
-  | Float of float
-  | String of string
-  | List of json list
-  | Obj of (string * json) list
+include module type of struct include Spec.Json end
 
-val parse : string -> (json, string) result
-(** Parse one JSON document (surrounding whitespace allowed; trailing
-    garbage is an error). *)
-
-val to_string : json -> string
-(** Compact one-line rendering; strings are escaped so the result never
-    contains a raw newline. *)
-
-(** {1 Accessors} *)
-
-val member : string -> json -> json option
-(** Field lookup on an object; [None] on missing field or non-object. *)
-
-val string_field : ?default:string -> string -> json -> (string, string) result
-val int_field : ?default:int -> string -> json -> (int, string) result
-val float_field : ?default:float -> string -> json -> (float option, string) result
-val bool_field : ?default:bool -> string -> json -> (bool, string) result
-
-val string_list_field :
-  ?default:string list -> string -> json -> (string list, string) result
-(** A field holding an array of strings (numbers are stringified). *)
+type json = t
 
 (** {1 Requests} *)
 

@@ -161,24 +161,3 @@ let var_users ?while_iterations p =
       in
       (v.v_name, users))
     p.p_vars
-
-(** Names of all signals read or written anywhere in the program
-    (behaviors and procedures), used by refinement checks. *)
-let used_signal_names p =
-  let signal_names = List.map (fun s -> s.s_name) p.p_signals in
-  let from_stmts stmts =
-    List.filter (fun s -> List.mem s signal_names) (Stmt.reads stmts)
-    @ Stmt.signal_writes stmts
-  in
-  let acc =
-    Behavior.fold
-      (fun acc b ->
-        match b.b_body with
-        | Leaf stmts -> from_stmts stmts @ acc
-        | Seq _ | Par _ -> acc)
-      [] p.p_top
-  in
-  let acc =
-    List.fold_left (fun acc pr -> from_stmts pr.prc_body @ acc) acc p.p_procs
-  in
-  List.sort_uniq String.compare acc

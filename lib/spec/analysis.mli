@@ -27,6 +27,3 @@ val accesses_of : ?while_iterations:int -> program -> string -> access list
 
 val var_users : ?while_iterations:int -> program -> (string * string list) list
 (** For every program variable, the behaviors accessing it. *)
-
-val used_signal_names : program -> string list
-(** All signals read or written anywhere in the program, sorted. *)

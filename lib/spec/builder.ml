@@ -38,7 +38,6 @@ let ( <-- ) x e = Assign (x, e)
 let ( <== ) s e = Signal_assign (s, e)
 let if_ c then_ else_ = If ([ (c, then_) ], else_)
 let while_ c body = While (c, body)
-let for_ i lo hi body = For (i, lo, hi, body)
 let wait_until c = Wait_until c
 let call name args = Call (name, args)
 let emit tag e = Emit (tag, e)

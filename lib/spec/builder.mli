@@ -34,7 +34,6 @@ val ( <== ) : string -> expr -> stmt
 
 val if_ : expr -> stmt list -> stmt list -> stmt
 val while_ : expr -> stmt list -> stmt
-val for_ : string -> expr -> expr -> stmt list -> stmt
 val wait_until : expr -> stmt
 val call : string -> arg list -> stmt
 val emit : string -> expr -> stmt

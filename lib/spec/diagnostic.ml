@@ -73,32 +73,17 @@ let to_string d =
   end;
   Buffer.contents buf
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_json d =
-  Printf.sprintf
-    "{\"code\":\"%s\",\"severity\":\"%s\",\"pass\":\"%s\",\"path\":[%s],\
-     \"loc\":\"%s\",\"message\":\"%s\"}"
-    (json_escape d.d_code)
-    (severity_name d.d_severity)
-    (json_escape d.d_pass)
-    (String.concat ","
-       (List.map (fun p -> "\"" ^ json_escape p ^ "\"") d.d_path))
-    (json_escape d.d_loc)
-    (json_escape d.d_message)
+  Json.(
+    Obj
+      [
+        ("code", String d.d_code);
+        ("severity", String (severity_name d.d_severity));
+        ("pass", String d.d_pass);
+        ("path", List (List.map (fun p -> String p) d.d_path));
+        ("loc", String d.d_loc);
+        ("message", String d.d_message);
+      ])
 
 let count sev ds =
   List.length (List.filter (fun d -> d.d_severity = sev) ds)

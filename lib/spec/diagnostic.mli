@@ -59,12 +59,9 @@ val path_string : t -> string
 val to_string : t -> string
 (** One line: [severity[CODE] path: message (at loc)]. *)
 
-val to_json : t -> string
+val to_json : t -> Json.t
 (** A JSON object with fields [code], [severity], [pass], [path],
     [loc], [message]. *)
-
-val json_escape : string -> string
-(** Escape a string for embedding in a JSON literal. *)
 
 val count : severity -> t list -> int
 val errors : t list -> t list

@@ -8,8 +8,6 @@ type locations = {
   loc_decls : (string * int) list;
 }
 
-let no_locations = { loc_behaviors = []; loc_procedures = []; loc_decls = [] }
-
 type state = {
   toks : Lexer.located array;
   mutable pos : int;

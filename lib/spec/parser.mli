@@ -16,8 +16,6 @@ type locations = {
   loc_decls : (string * int) list;  (** program and behavior vars, signals *)
 }
 
-val no_locations : locations
-
 val program_of_string : string -> (program, string) result
 (** Parse a whole program.  The error string includes the line number. *)
 

@@ -160,6 +160,3 @@ let line_count p =
   String.split_on_char '\n' (program_to_string p)
   |> List.filter (fun l -> String.trim l <> "")
   |> List.length
-
-let pp_program ppf p = Format.pp_print_string ppf (program_to_string p)
-let pp_behavior ppf b = Format.pp_print_string ppf (behavior_to_string b)

@@ -18,7 +18,3 @@ val stmts_to_string : ?indent:int -> stmt list -> string
 
 val line_count : program -> int
 (** Number of non-empty lines in [program_to_string]. *)
-
-val pp_program : Format.formatter -> program -> unit
-
-val pp_behavior : Format.formatter -> behavior -> unit

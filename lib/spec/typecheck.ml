@@ -350,8 +350,3 @@ let check (p : program) : (unit, error list) result =
   match diagnostics p with
   | [] -> Ok ()
   | ds -> Error (List.map (fun d -> d.Diagnostic.d_message) ds)
-
-let check_exn p =
-  match check p with
-  | Ok () -> p
-  | Error errs -> invalid_arg (String.concat "; " errs)

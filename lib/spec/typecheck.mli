@@ -22,7 +22,3 @@ val diagnostics : Ast.program -> Diagnostic.t list
 val check : Ast.program -> (unit, error list) result
 (** String-compatible shim over {!diagnostics}: the diagnostic messages
     in the same sorted order. *)
-
-val check_exn : Ast.program -> Ast.program
-(** Identity when well typed.
-    @raise Invalid_argument with the concatenated messages otherwise. *)

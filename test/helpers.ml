@@ -69,3 +69,16 @@ let final r name =
   | None -> Alcotest.failf "no final value for %s" name
 
 let tc name f = Alcotest.test_case name `Quick f
+
+(** Run [f], failing the test if it allocates more heap than reading
+    [size] bytes of untrusted input should cost: a small multiple of
+    [size] plus fixed set-up and GC slack (4 MiB), never what a corrupt
+    length field or a hostile document asks for. *)
+let check_allocation ~label ~size f =
+  let before = Gc.allocated_bytes () in
+  let v = f () in
+  let used = Gc.allocated_bytes () -. before in
+  if used > float_of_int ((16 * size) + (4 lsl 20)) then
+    Alcotest.failf "%s: allocated %.0f bytes for %d bytes of input" label used
+      size;
+  v

@@ -501,6 +501,183 @@ let test_numeric_fields () =
         "top must be >= 0");
     ]
 
+(* --help=plain of the root and of every subcommand it lists exits 0
+   and prints nothing on stderr (a doc string cmdliner cannot read is
+   reported there). *)
+let test_help_plain () =
+  let err = Filename.temp_file "help" ".err" in
+  let help args =
+    let out = Filename.temp_file "help" ".out" in
+    let code =
+      Sys.command
+        (Filename.quote_command mrefine ~stdout:out ~stderr:err
+           (args @ [ "--help=plain" ]))
+    in
+    let text = In_channel.with_open_bin out In_channel.input_all in
+    Sys.remove out;
+    let what = String.concat " " ("mrefine" :: args) in
+    Alcotest.(check int) (what ^ " --help=plain: exit") 0 code;
+    Alcotest.(check string) (what ^ " --help=plain: stderr") ""
+      (In_channel.with_open_bin err In_channel.input_all);
+    text
+  in
+  (* Command names sit at seven spaces' indent in the COMMANDS section. *)
+  let rec commands in_section = function
+    | [] -> []
+    | l :: rest when String.length l > 0 && l.[0] <> ' ' ->
+      commands (String.equal l "COMMANDS") rest
+    | l :: rest when in_section && String.length l > 7
+                     && String.sub l 0 7 = "       " && l.[7] <> ' ' ->
+      List.hd (String.split_on_char ' ' (String.sub l 7 (String.length l - 7)))
+      :: commands in_section rest
+    | _ :: rest -> commands in_section rest
+  in
+  let subs = commands false (String.split_on_char '\n' (help [])) in
+  Alcotest.(check bool) "found the subcommands" true (List.length subs >= 15);
+  List.iter (fun sub -> ignore (help [ sub ])) subs;
+  Sys.remove err
+
+(* --- JSON: every --json report parses with the one codec ------------------ *)
+
+module Json = Spec.Json
+
+(* The reports pinned in cli_golden.expected; the compact ones print on
+   one line, so re-printing what was parsed gives back the same bytes. *)
+let json_reports =
+  [
+    (true, [ "lint"; "--json"; spec "medical.sc" ]);
+    (true, [ "lint"; "--json"; fixture "lint_race.sc" ]);
+    (true, [ "lint"; "--fix"; "--json"; fixture "lint_fixable.sc" ]);
+    (true, [ "litmus"; "--shape"; "sb"; "--seeds"; "1"; "--json" ]);
+    (false, [ "faults"; spec "medical.sc"; "--json"; "--seeds"; "1" ]);
+    (* fixed decimals ("coverage":1.0000) re-print shorter *)
+    (false, [ "explore"; spec "fig2.sc"; "--json"; "--seeds"; "1"; "--steps";
+              "10"; "--no-cache" ]);
+  ]
+
+let report_texts =
+  lazy (List.map (fun (_, args) -> stdout_of args) json_reports)
+
+let test_reports_parse () =
+  List.iter2
+    (fun (compact, args) text ->
+      let what = String.concat " " args in
+      match Json.parse text with
+      | Error msg -> Alcotest.failf "%s: %s" what msg
+      | Ok j ->
+        if compact then
+          Alcotest.(check string) (what ^ ": re-printed") (String.trim text)
+            (Json.to_string j))
+    json_reports (Lazy.force report_texts)
+
+let request_frames =
+  List.map
+    (fun r -> Json.to_string (Serve.Protocol.request_to_json r))
+    Serve.Protocol.
+      [
+        Auth "s3cret\"\n";
+        Submit
+          {
+            sb_id = Some "job-1";
+            sb_job =
+              Obj
+                [ ("kind", String "explore"); ("seeds", List [ Int 1; Int 2 ]);
+                  ("deadline", Float 0.25); ("json", Bool true);
+                  ("spec", String "program p is\n\tbehavior \"x\"");
+                  ("retries", Null) ];
+          };
+        Status "job-1";
+        Result { rs_id = "job-1"; rs_wait = true };
+        Cancel "job-1";
+        Stats;
+        Ping;
+        Shutdown;
+      ]
+
+(* One frame of '[' as large as the daemon's default --max-frame-bytes:
+   refused at the depth bound, before work or memory proportional to
+   its length. *)
+let test_deep_nesting () =
+  let frame = String.make (4 lsl 20) '[' in
+  (match
+     check_allocation ~label:"4 MiB of '['" ~size:Json.max_depth (fun () ->
+         Json.parse frame)
+   with
+  | Ok _ -> Alcotest.fail "unterminated nesting accepted"
+  | Error msg ->
+    Alcotest.(check bool) ("names the bound: " ^ msg) true
+      (contains ~sub:"nesting deeper than" msg));
+  let nest n = String.make n '[' ^ String.make n ']' in
+  Alcotest.(check bool) "max_depth levels parse" true
+    (Result.is_ok (Json.parse (nest Json.max_depth)));
+  Alcotest.(check bool) "one more is refused" true
+    (Result.is_error (Json.parse (nest (Json.max_depth + 1))))
+
+let json_gen =
+  let open QCheck.Gen in
+  let str = string_size ~gen:char (0 -- 12) in
+  let finite = map (fun f -> if Float.is_finite f then f else 0.5) float in
+  let scalar =
+    oneof
+      [ return Json.Null; map (fun b -> Json.Bool b) bool;
+        map (fun n -> Json.Int n) int; map (fun f -> Json.Float f) finite;
+        map (fun s -> Json.String s) str ]
+  in
+  sized_size (0 -- 4)
+  @@ fix (fun self n ->
+         if n = 0 then scalar
+         else
+           frequency
+             [ (2, scalar);
+               ( 1,
+                 map (fun xs -> Json.List xs)
+                   (list_size (0 -- 4) (self (n - 1))) );
+               ( 1,
+                 map (fun kvs -> Json.Obj kvs)
+                   (list_size (0 -- 4) (pair str (self (n - 1)))) ) ])
+
+let prop_roundtrip =
+  QCheck.Test.make ~count:1000 ~name:"parse (to_string j) = Ok j"
+    (QCheck.make ~print:Json.to_string json_gen)
+    (fun j -> Json.parse (Json.to_string j) = Ok j)
+
+(* Damaged documents: a byte flipped, a truncation, or the head of one
+   document spliced onto the tail of another.  Each gives Ok or Error —
+   never an exception — at bounded allocation. *)
+let prop_damaged_documents =
+  let docs = lazy (Array.of_list (Lazy.force report_texts @ request_frames)) in
+  let gen =
+    let open QCheck.Gen in
+    let* docs = return (Lazy.force docs) in
+    let* a = oneofa docs in
+    let* b = oneofa docs in
+    let* i = 0 -- String.length a in
+    let* j = 0 -- String.length b in
+    let* byte = char in
+    oneofl
+      [ (if i < String.length a then
+           String.mapi (fun k c -> if k = i then byte else c) a
+         else a);
+        String.sub a 0 i;
+        String.sub a 0 i ^ String.sub b j (String.length b - j) ]
+  in
+  QCheck.Test.make ~count:2000 ~name:"damaged documents never raise"
+    (QCheck.make ~print:(fun s -> String.escaped s) gen)
+    (fun s ->
+      match
+        check_allocation ~label:"damaged document" ~size:(String.length s)
+          (fun () -> Json.parse s)
+      with
+      | Ok _ | Error _ -> true)
+
+let json_tests =
+  [
+    tc "pinned reports parse" test_reports_parse;
+    tc "deep nesting fails fast" test_deep_nesting;
+    QCheck_alcotest.to_alcotest prop_roundtrip;
+    QCheck_alcotest.to_alcotest prop_damaged_documents;
+  ]
+
 let () =
   Alcotest.run "cli"
     [
@@ -531,6 +708,8 @@ let () =
           tc "bad partition arguments" test_bad_partition_args;
           tc "lint fix rules" test_lint_fix_rules;
           tc "daemon input errors" test_daemon_input_errors;
+          tc "help of every subcommand" test_help_plain;
         ] );
       ("cli = serve", differential_tests);
+      ("json", json_tests);
     ]

@@ -9,6 +9,15 @@ module Blob = Checkpoint.Blob
 
 (* --- pool ---------------------------------------------------------------- *)
 
+(* Every item's value, failing the test on a quarantined item. *)
+let supervised ?supervisor ~jobs ~f items =
+  List.map
+    (function
+      | Ok v -> v
+      | Error (fl : Pool.failure) ->
+        Alcotest.failf "item %d quarantined: %s" fl.Pool.f_index fl.Pool.f_exn)
+    (Pool.supervise ?supervisor ~jobs ~f items)
+
 let test_pool_matches_list_map () =
   let items = List.init 100 Fun.id in
   let f x = (x * x) + 1 in
@@ -18,64 +27,56 @@ let test_pool_matches_list_map () =
       Alcotest.(check (list int))
         (Printf.sprintf "jobs=%d" jobs)
         expected
-        (Pool.map ~jobs ~f items))
+        (supervised ~jobs ~f items))
     [ 1; 2; 4; 8 ]
 
 let test_pool_more_jobs_than_items () =
   Alcotest.(check (list int)) "3 items, 16 jobs" [ 2; 4; 6 ]
-    (Pool.map ~jobs:16 ~f:(fun x -> 2 * x) [ 1; 2; 3 ])
+    (supervised ~jobs:16 ~f:(fun x -> 2 * x) [ 1; 2; 3 ])
 
 let test_pool_empty_and_singleton () =
-  Alcotest.(check (list int)) "empty" [] (Pool.map ~jobs:4 ~f:succ []);
-  Alcotest.(check (list int)) "singleton" [ 8 ] (Pool.map ~jobs:4 ~f:succ [ 7 ])
+  Alcotest.(check (list int)) "empty" [] (supervised ~jobs:4 ~f:succ []);
+  Alcotest.(check (list int)) "singleton" [ 8 ]
+    (supervised ~jobs:4 ~f:succ [ 7 ])
 
 let test_pool_rejects_bad_jobs () =
-  Alcotest.check_raises "jobs=0" (Invalid_argument "Pool.map: jobs < 1")
-    (fun () -> ignore (Pool.map ~jobs:0 ~f:succ [ 1 ]))
+  Alcotest.check_raises "jobs=0" (Invalid_argument "Pool.supervise: jobs < 1")
+    (fun () -> ignore (Pool.supervise ~jobs:0 ~f:succ [ 1 ]))
 
 let test_pool_exception_is_deterministic () =
-  (* Items 30 and 60 fail; the smallest-index failure must win at every
-     worker count. *)
+  (* Items 30 and 60 always fail; exactly those two are quarantined, in
+     place and with their own exception, at every worker count. *)
   let f x = if x = 30 || x = 60 then failwith (string_of_int x) else x in
+  let supervisor =
+    { Pool.sv_retries = 0; sv_backoff_s = 0.0; sv_max_backoff_s = 0.0 }
+  in
   List.iter
     (fun jobs ->
-      match Pool.map ~jobs ~f (List.init 100 Fun.id) with
-      | _ -> Alcotest.fail "expected an exception"
-      | exception Failure msg ->
-        Alcotest.(check string)
-          (Printf.sprintf "first failure wins at jobs=%d" jobs)
-          "30" msg)
+      let failed =
+        List.filter_map
+          (function
+            | Ok _ -> None
+            | Error (fl : Pool.failure) ->
+              Some (fl.Pool.f_index, fl.Pool.f_exn))
+          (Pool.supervise ~supervisor ~jobs ~f (List.init 100 Fun.id))
+      in
+      Alcotest.(check (list (pair int string)))
+        (Printf.sprintf "quarantined at jobs=%d" jobs)
+        [ (30, Printexc.to_string (Failure "30"));
+          (60, Printexc.to_string (Failure "60")) ]
+        failed)
     [ 1; 3; 7 ]
 
-let test_pool_iter_runs_everything () =
-  let hits = Array.make 50 0 in
-  Pool.iter ~jobs:4 ~f:(fun i -> hits.(i) <- hits.(i) + 1)
-    (List.init 50 Fun.id);
+let test_pool_runs_every_item_once () =
+  let hits = Array.init 50 (fun _ -> Atomic.make 0) in
+  ignore
+    (supervised ~jobs:4
+       ~f:(fun i -> Atomic.incr hits.(i))
+       (List.init 50 Fun.id));
   Alcotest.(check (list int)) "each item once" (List.init 50 (fun _ -> 1))
-    (Array.to_list hits)
+    (Array.to_list (Array.map Atomic.get hits))
 
 (* --- supervised pool ----------------------------------------------------- *)
-
-let test_try_map_reports_index () =
-  let f x = if x = 3 then failwith "three" else x + 1 in
-  List.iter
-    (fun jobs ->
-      let results = Pool.try_map ~jobs ~f (List.init 10 Fun.id) in
-      List.iteri
-        (fun i r ->
-          match r with
-          | Ok v when i <> 3 ->
-            Alcotest.(check int) (Printf.sprintf "item %d" i) (i + 1) v
-          | Ok _ -> Alcotest.fail "item 3 should have failed"
-          | Error (e : Pool.error) ->
-            Alcotest.(check int) "failing index survives" 3 e.Pool.e_index;
-            (match e.Pool.e_exn with
-            | Failure msg -> Alcotest.(check string) "original exn" "three" msg
-            | _ -> Alcotest.fail "wrong exception");
-            Alcotest.(check bool) "printable" true
-              (String.length (Pool.error_to_string e) > 0))
-        results)
-    [ 1; 4 ]
 
 let test_supervise_all_ok () =
   let items = List.init 30 Fun.id in
@@ -235,7 +236,7 @@ let test_cache_concurrent_hammer () =
   let keys = List.init 8 string_of_int in
   let work = List.concat (List.init 25 (fun _ -> keys)) in
   let results =
-    Pool.map ~jobs:4
+    supervised ~jobs:4
       ~f:(fun k -> fst (Cache.find_or_add c k (fun () -> int_of_string k)))
       work
   in
@@ -656,18 +657,6 @@ let damaged data =
             (fun j c -> if j = i then Char.chr (Char.code c lxor 0xff) else c)
             data ))
 
-(* Heap bytes [f] allocates: reading a damaged file may cost a small
-   multiple of its size plus fixed set-up and GC slack (4 MiB), never
-   what a corrupt length field asks for (up to 4 GiB). *)
-let check_allocation ~label ~size f =
-  let before = Gc.allocated_bytes () in
-  let v = f () in
-  let used = Gc.allocated_bytes () -. before in
-  if used > float_of_int ((16 * size) + (4 lsl 20)) then
-    Alcotest.failf "%s: allocated %.0f bytes for a %d-byte file" label used
-      size;
-  v
-
 let test_journal_exhaustive_recovery () =
   let path = fresh_journal_path () in
   let records = [ ("a", "1"); ("b", String.make 40 'b'); ("c", "3") ] in
@@ -700,10 +689,15 @@ let test_journal_exhaustive_recovery () =
         let replayed = Journal.entries j in
         Journal.close j;
         if n < magic_len then Alcotest.failf "%s: damaged magic accepted" label;
+        (* A whole but damaged meta frame is refused, never truncated. *)
+        if case >= String.length good && n < meta_end then
+          Alcotest.failf "%s: damaged meta accepted" label;
         Alcotest.(check (list (pair string string))) label intact replayed
       | exception Journal.Journal_error _ ->
         if n >= meta_end then
-          Alcotest.failf "%s: refused with magic and meta intact" label);
+          Alcotest.failf "%s: refused with magic and meta intact" label;
+        Alcotest.(check string) (label ^ ": refused file untouched") data
+          (read_bytes path));
       Sys.remove path)
     (damaged good)
 
@@ -920,8 +914,7 @@ let () =
           tc "empty/singleton" test_pool_empty_and_singleton;
           tc "rejects jobs<1" test_pool_rejects_bad_jobs;
           tc "deterministic failure" test_pool_exception_is_deterministic;
-          tc "iter covers all" test_pool_iter_runs_everything;
-          tc "try_map reports index" test_try_map_reports_index;
+          tc "runs every item once" test_pool_runs_every_item_once;
         ] );
       ( "supervisor",
         [

@@ -64,7 +64,7 @@ let test_diagnostic_render () =
     (fun frag ->
       Alcotest.(check bool) ("text has " ^ frag) true (contains s frag))
     [ "error"; "RACE001"; "TOP/B1"; "variable x is racy"; "at x" ];
-  let j = Diagnostic.to_json d in
+  let j = Json.to_string (Diagnostic.to_json d) in
   List.iter
     (fun frag ->
       Alcotest.(check bool) ("json has " ^ frag) true (contains j frag))
@@ -76,9 +76,10 @@ let test_diagnostic_render () =
     ];
   Alcotest.(check bool) "json escaping" true
     (contains
-       (Diagnostic.to_json
-          (Diagnostic.make ~code:"X001" ~severity:Diagnostic.Info ~pass:"t"
-             "a \"quoted\" thing"))
+       (Json.to_string
+          (Diagnostic.to_json
+             (Diagnostic.make ~code:"X001" ~severity:Diagnostic.Info ~pass:"t"
+                "a \"quoted\" thing")))
        {|a \"quoted\" thing|})
 
 (* --- fixture specs: one seeded defect each ----------------------------- *)

@@ -512,6 +512,35 @@ let test_tcp_token_auth () =
       Alcotest.(check bool) "accept_errors exposed" true
         (nested_int "server" "accept_errors" v >= 0))
 
+(* A frame of '[' as large as the default frame cap is refused at the
+   JSON depth bound, whether or not the peer has authenticated, and the
+   daemon keeps serving. *)
+let test_deep_frame_rejected () =
+  let config =
+    { Serve.Server.default_config with cfg_token = Some "sekrit" }
+  in
+  let frame = String.make config.cfg_max_frame_bytes '[' in
+  let listen = Serve.Server.Tcp { host = "127.0.0.1"; port = 0 } in
+  with_server_full ~config ~listen (fun server _socket ->
+      let port = Option.get (Serve.Server.tcp_port server) in
+      (let conn = connect_tcp port in
+       Fun.protect ~finally:(fun () -> close_conn conn) @@ fun () ->
+       let ok, v = reply_ok (roundtrip conn frame) in
+       Alcotest.(check bool) "unauthenticated deep frame refused" false ok;
+       Alcotest.(check bool) "names auth" true
+         (contains_sub ~sub:"auth" (reply_string "error" v)));
+      let conn = connect_tcp port in
+      Fun.protect ~finally:(fun () -> close_conn conn) @@ fun () ->
+      let ok, _ = reply_ok (roundtrip conn (auth_line "sekrit")) in
+      Alcotest.(check bool) "token accepted" true ok;
+      let ok, v = reply_ok (roundtrip conn frame) in
+      Alcotest.(check bool) "authenticated deep frame refused" false ok;
+      Alcotest.(check bool) "bad request names the bound" true
+        (contains_sub ~sub:"bad request: nesting deeper than"
+           (reply_string "error" v));
+      let ok, _ = reply_ok (roundtrip conn "{\"op\":\"ping\"}") in
+      Alcotest.(check bool) "ping after deep frame" true ok)
+
 let test_mid_job_disconnect () =
   with_server (fun socket ->
       (* Submit, then vanish before the result: the job must finish and
@@ -1327,6 +1356,8 @@ let () =
           Alcotest.test_case "oversized frame rejected" `Quick
             test_oversized_frame_rejected;
           Alcotest.test_case "TCP token auth" `Quick test_tcp_token_auth;
+          Alcotest.test_case "deep JSON frame rejected" `Quick
+            test_deep_frame_rejected;
           Alcotest.test_case "mid-job disconnect" `Quick
             test_mid_job_disconnect;
           Alcotest.test_case "idle timeout reaps connection" `Quick
