@@ -53,11 +53,6 @@ let outbound_leaf ?style ?harden ~naming ~partition
     ~inter_requester () =
   let name = Naming.fresh naming (Printf.sprintf "BIF_out_%d" partition) in
   let fwd = Naming.fresh naming (Printf.sprintf "bif_fwd_%d" partition) in
-  let drive_reply =
-    match harden with
-    | None -> [ Builder.(req.Protocol.bs_data <== Expr.ref_ fwd) ]
-    | Some h -> Protocol.slv_drive_data h req (Expr.ref_ fwd)
-  in
   let read_branch =
     ( Expr.(ref_ req.Protocol.bs_rd = tru),
       bracket inter_requester
@@ -66,7 +61,7 @@ let outbound_leaf ?style ?harden ~naming ~partition
             ( Protocol.mst_receive_name inter,
               [ Arg_expr (Ref req.Protocol.bs_addr); Arg_var fwd ] );
         ]
-      @ drive_reply
+      @ Protocol.slv_drive_data ?harden req (Expr.ref_ fwd)
       @ Protocol.slv_complete ?style ?harden req )
   in
   let write_branch =
@@ -83,9 +78,10 @@ let outbound_leaf ?style ?harden ~naming ~partition
            ])
       @ Protocol.slv_complete ?style ?harden req )
   in
-  let wdg = match harden with None -> [] | Some _ -> Protocol.wdg_vars in
   Behavior.leaf
-    ~vars:(Builder.var fwd (TInt inter.Protocol.bs_data_width) :: wdg)
+    ~vars:
+      (Builder.var fwd (TInt inter.Protocol.bs_data_width)
+      :: Protocol.wdg_vars harden)
     name
     (Protocol.slave_loop ?style ?harden req [ read_branch; write_branch ])
 
@@ -94,8 +90,7 @@ let outbound_leaf ?style ?harden ~naming ~partition
 let inbound_leaf ?style ?harden ?shadows ~naming ~partition
     ~(inter : Protocol.bus_signals) ~addr_of ~vars () =
   let name = Naming.fresh naming (Printf.sprintf "BIF_in_%d" partition) in
-  let wdg = match harden with None -> [] | Some _ -> Protocol.wdg_vars in
-  Behavior.leaf ~vars:wdg name
+  Behavior.leaf ~vars:(Protocol.wdg_vars harden) name
     (Protocol.slave_loop_selective ?style inter
        (Memory_gen.branches_for ?style ?harden ?shadows inter ~addr_of vars))
 
@@ -103,21 +98,14 @@ let inbound_leaf ?style ?harden ?shadows ~naming ~partition
 let local_server_leaf ?style ?harden ?shadows ~naming ~partition
     ~(local : Protocol.bus_signals) ~addr_of ~vars () =
   let name = Naming.fresh naming (Printf.sprintf "LM_serve_%d" partition) in
-  let wdg = match harden with None -> [] | Some _ -> Protocol.wdg_vars in
-  Behavior.leaf ~vars:wdg name
+  Behavior.leaf ~vars:(Protocol.wdg_vars harden) name
     (Protocol.slave_loop ?style ?harden local
        (Memory_gen.branches_for ?style ?harden ?shadows local ~addr_of vars))
 
 (** The whole memory subsystem of one partition. *)
 let memsys ?style ?harden ~naming cfg =
   let name = Naming.fresh naming (Printf.sprintf "MEMSYS_%d" cfg.bif_partition) in
-  let shadows, storage =
-    match harden with
-    | None -> ([], cfg.bif_vars)
-    | Some _ ->
-      let shadows, decls = Memory_gen.make_shadows ~naming cfg.bif_vars in
-      (shadows, cfg.bif_vars @ decls)
-  in
+  let shadows, storage = Memory_gen.storage ?harden ~naming cfg.bif_vars in
   let children =
     List.filter_map Fun.id
       [

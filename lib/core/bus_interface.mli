@@ -33,5 +33,5 @@ val memsys :
   Ast.behavior
 (** The whole memory subsystem of one partition.  With [harden] every
     serving process uses the watchdog slave handshake and the shared
-    storage is TMR-protected ({!Memory_gen.make_shadows}).
+    storage is TMR-protected ({!Memory_gen.storage}).
     @raise Invalid_argument on a request bus without an inter bus. *)

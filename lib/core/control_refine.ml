@@ -32,73 +32,15 @@ let rec home ~is_object ~home_of b =
     in
     first_child (Behavior.children b)
 
-(* The control handshake spans whole behavior-body executions, which take
-   many more delta cycles than one bus transfer; the hardened watchdogs at
-   this level get proportionally more patience so that fault-free long
-   bodies do not trigger (harmless but noisy) spurious retries. *)
-let ctrl_patience (h : Protocol.harden_cfg) = h.Protocol.hd_patience * 8
-
 (* The B_CTRL leaf: a four-phase handshake activating the remote B_NEW.
-   Hardened, each phase is a bounded watchdog loop re-driving [start]
-   (catching a dropped rise/fall quickly through own-line readback). *)
+   The handshake spans whole behavior-body executions, which take many
+   more delta cycles than one bus transfer; a hardened controller's wait
+   for [done] gets proportionally more patience so that fault-free long
+   bodies do not trigger (harmless but noisy) spurious retries. *)
 let ctrl_leaf ?harden name ~start ~done_ =
-  match harden with
-  | None ->
-    Behavior.leaf name
-      [
-        Builder.(start <== Expr.tru);
-        Builder.wait_until Expr.(ref_ done_ = tru);
-        Builder.(start <== Expr.fls);
-        Builder.wait_until Expr.(ref_ done_ = fls);
-      ]
-  | Some h ->
-    Behavior.leaf ~vars:Protocol.wdg_vars name
-      ((Builder.(start <== Expr.tru)
-        :: Protocol.watch h ~patience:(ctrl_patience h) ~label:start
-             ~cond:Expr.(ref_ done_ = tru)
-             ~bad:Expr.(ref_ start = fls)
-             ~redrive:[ Builder.(start <== Expr.tru) ]
-             ())
-      @ (Builder.(start <== Expr.fls)
-         :: Protocol.watch h ~label:start
-              ~cond:Expr.(ref_ done_ = fls)
-              ~bad:Expr.(ref_ start = tru)
-              ~redrive:[ Builder.(start <== Expr.fls) ]
-              ()))
-
-(* The wrapper-side completion handshake: signal [done], wait for the
-   controller to release [start], release [done].  Hardened, the [done]
-   rise is re-asserted (never re-executing the body) while [start] stays
-   high, and the fall is verified in a bounded loop. *)
-let completion ?harden ~start ~done_ () =
-  match harden with
-  | None ->
-    [
-      Builder.(done_ <== Expr.tru);
-      Builder.wait_until Expr.(ref_ start = fls);
-      Builder.(done_ <== Expr.fls);
-    ]
-  | Some h ->
-    (Builder.(done_ <== Expr.tru)
-     :: Protocol.watch h ~label:done_
-          ~cond:Expr.(ref_ start = fls)
-          ~bad:Expr.(ref_ done_ = fls)
-          ~redrive:[ Builder.(done_ <== Expr.tru) ]
-          ())
-    @ (Builder.(done_ <== Expr.fls)
-       :: Protocol.watch h ~label:done_
-            ~cond:Expr.(ref_ done_ = fls)
-            ~redrive:[ Builder.(done_ <== Expr.fls) ]
-            ())
-
-(* Watchdog locals, avoiding accidental capture when a wrapped behavior
-   already declares a same-named local. *)
-let add_wdg_vars vars =
-  vars
-  @ List.filter
-      (fun (v : var_decl) ->
-        not (List.exists (fun (w : var_decl) -> w.v_name = v.v_name) vars))
-      Protocol.wdg_vars
+  Behavior.leaf ~vars:(Protocol.wdg_vars harden) name
+    (Protocol.four_phase_request ?harden ~slack:8 ~label:start ~start ~done_
+       ())
 
 (* The leaf wrapper scheme (Figure 4b): the original statements inside a
    perpetual serve loop bracketed by the handshake.  The locals are
@@ -115,10 +57,14 @@ let leaf_scheme ?harden ~new_name ~start ~done_ inner =
         Assign (v.v_name, Const init))
       inner.b_vars
   in
+  (* Watchdog locals, avoiding accidental capture when a wrapped behavior
+     already declares a same-named local. *)
+  let declared (v : var_decl) =
+    List.exists (fun (w : var_decl) -> w.v_name = v.v_name) inner.b_vars
+  in
   let vars =
-    match harden with
-    | None -> inner.b_vars
-    | Some _ -> add_wdg_vars inner.b_vars
+    inner.b_vars
+    @ List.filter (fun v -> not (declared v)) (Protocol.wdg_vars harden)
   in
   Behavior.leaf ~vars new_name
     [
@@ -126,7 +72,7 @@ let leaf_scheme ?harden ~new_name ~start ~done_ inner =
         (Builder.wait_until Expr.(ref_ start = tru)
          :: reinit
         @ stmts
-        @ completion ?harden ~start ~done_ ());
+        @ Protocol.four_phase_complete ?harden ~label:done_ ~start ~done_ ());
     ]
 
 (* The non-leaf wrapper scheme (Figure 4c): a sequential composition of a
@@ -137,12 +83,9 @@ let nonleaf_scheme ~naming ?harden ~new_name ~start ~done_ inner =
   let wait_leaf =
     Behavior.leaf wait_name [ Builder.wait_until Expr.(ref_ start = tru) ]
   in
-  let fin_vars =
-    match harden with None -> [] | Some _ -> Protocol.wdg_vars
-  in
   let fin_leaf =
-    Behavior.leaf ~vars:fin_vars fin_name
-      (completion ?harden ~start ~done_ ())
+    Behavior.leaf ~vars:(Protocol.wdg_vars harden) fin_name
+      (Protocol.four_phase_complete ?harden ~label:done_ ~start ~done_ ())
   in
   Behavior.seq new_name
     [

@@ -46,4 +46,4 @@ val run :
     for leaves (the paper notes both are legal for leaves; the leaf scheme
     of Figure 4b is the default because it is simpler).  With [harden]
     every [B_start] / [B_done] handshake phase becomes a bounded watchdog
-    loop with idempotent level re-driving (see {!Protocol.watch}). *)
+    loop with idempotent level re-driving (see {!Protocol.await}). *)

@@ -36,84 +36,72 @@ let vote_stmts bs ~addr ~store (r1, r2) =
     served at its single address; an array is served over its address
     range, the element selected by [bus_addr - base].  [shadows] maps a
     scalar to its TMR shadow pair (hardened memories only; arrays are not
-    triplicated). *)
+    triplicated): a read votes first, a write refreshes the shadows. *)
 let branches_for ?style ?harden ?(shadows = []) bs ~addr_of vars =
+  let open Protocol in
+  let serve strobe at body =
+    (Expr.(ref_ strobe = tru && at), body @ slv_complete ?style ?harden bs)
+  in
+  let read at ?(vote = []) value =
+    serve bs.bs_rd at (vote @ slv_drive_data ?harden bs value)
+  in
   List.concat_map
     (fun v ->
       let addr = addr_of v.v_name in
       match v.v_ty with
       | TBool | TInt _ ->
-        begin match (harden, List.assoc_opt v.v_name shadows) with
-        | Some h, Some pair ->
-          let read_guard =
-            Expr.(ref_ bs.Protocol.bs_rd = tru && ref_ bs.Protocol.bs_addr = int addr)
-          in
-          let write_guard =
-            Expr.(ref_ bs.Protocol.bs_wr = tru && ref_ bs.Protocol.bs_addr = int addr)
-          in
-          let r1, r2 = pair in
-          [
-            ( read_guard,
-              vote_stmts bs ~addr ~store:v.v_name pair
-              @ Protocol.slv_drive_data h bs (Expr.ref_ v.v_name)
-              @ Protocol.slv_complete ?style ~harden:h bs );
-            ( write_guard,
+        let at = Expr.(ref_ bs.bs_addr = int addr) in
+        let vote, refresh =
+          match List.assoc_opt v.v_name shadows with
+          | None -> ([], [])
+          | Some ((r1, r2) as pair) ->
+            ( vote_stmts bs ~addr ~store:v.v_name pair,
               [
-                Builder.(v.v_name <-- Expr.ref_ bs.Protocol.bs_data);
                 Builder.(r1 <-- Expr.ref_ v.v_name);
                 Builder.(r2 <-- Expr.ref_ v.v_name);
-              ]
-              @ Protocol.slv_complete ?style ~harden:h bs );
-          ]
-        | _ ->
-          [
-            Protocol.slv_send_branch ?style ?harden bs ~addr ~var:v.v_name;
-            Protocol.slv_receive_branch ?style ?harden bs ~addr ~var:v.v_name;
-          ]
-        end
+              ] )
+        in
+        [
+          read at ~vote (Expr.ref_ v.v_name);
+          serve bs.bs_wr at
+            (Builder.(v.v_name <-- Expr.ref_ bs.bs_data) :: refresh);
+        ]
       | TArray (_, size) ->
-        let a = Ref bs.Protocol.bs_addr in
+        let a = Ref bs.bs_addr in
         let last = addr + size - 1 in
         let in_range = Expr.(a >= int addr && a <= int last) in
         let element = Expr.(a - int addr) in
-        let drive_element =
-          match harden with
-          | None ->
-            [ Builder.(bs.Protocol.bs_data <== Index (v.v_name, element)) ]
-          | Some h -> Protocol.slv_drive_data h bs (Index (v.v_name, element))
-        in
         [
-          ( Expr.(ref_ bs.Protocol.bs_rd = tru && in_range),
-            drive_element @ Protocol.slv_complete ?style ?harden bs );
-          ( Expr.(ref_ bs.Protocol.bs_wr = tru && in_range),
-            Assign_idx (v.v_name, element, Ref bs.Protocol.bs_data)
-            :: Protocol.slv_complete ?style ?harden bs );
+          read in_range (Index (v.v_name, element));
+          serve bs.bs_wr in_range
+            [ Assign_idx (v.v_name, element, Ref bs.bs_data) ];
         ])
     vars
 
-(** Allocate TMR shadow declarations for the scalars of [vars]: for every
-    scalar [x], fresh [x_r1] / [x_r2] copies with the same type and
-    initial value.  Returns the shadow map and the declarations to append
-    to the memory's storage. *)
-let make_shadows ~naming vars =
-  let pairs =
-    List.filter_map
-      (fun v ->
-        match v.v_ty with
-        | TArray _ -> None
-        | TBool | TInt _ ->
-          let r1 = Naming.fresh naming (v.v_name ^ "_r1") in
-          let r2 = Naming.fresh naming (v.v_name ^ "_r2") in
-          Some (v, r1, r2))
+(** The storage of a memory holding [vars]: hardened, every scalar [x]
+    gets fresh [x_r1] / [x_r2] TMR shadows with the same type and initial
+    value.  Returns the shadow map and the storage declarations. *)
+let storage ?harden ~naming vars =
+  match harden with
+  | None -> ([], vars)
+  | Some _ ->
+    let pairs =
+      List.filter_map
+        (fun v ->
+          match v.v_ty with
+          | TArray _ -> None
+          | TBool | TInt _ ->
+            let r1 = Naming.fresh naming (v.v_name ^ "_r1") in
+            let r2 = Naming.fresh naming (v.v_name ^ "_r2") in
+            Some (v, r1, r2))
+        vars
+    in
+    ( List.map (fun (v, r1, r2) -> (v.v_name, (r1, r2))) pairs,
       vars
-  in
-  let shadows = List.map (fun (v, r1, r2) -> (v.v_name, (r1, r2))) pairs in
-  let decls =
-    List.concat_map
-      (fun (v, r1, r2) -> [ { v with v_name = r1 }; { v with v_name = r2 } ])
-      pairs
-  in
-  (shadows, decls)
+      @ List.concat_map
+          (fun (v, r1, r2) ->
+            [ { v with v_name = r1 }; { v with v_name = r2 } ])
+          pairs )
 
 (** A memory behavior named [name] holding [vars] and serving the port
     buses [buses].  With no port the memory is pure storage (an empty
@@ -122,14 +110,8 @@ let make_shadows ~naming vars =
     storage.  Hardened memories get TMR shadows for their scalars and
     watchdog locals for their serving loops. *)
 let memory ?style ?harden ~naming ~name ~vars ~addr_of ~buses () =
-  let shadows, storage =
-    match harden with
-    | None -> ([], vars)
-    | Some _ ->
-      let shadows, decls = make_shadows ~naming vars in
-      (shadows, vars @ decls)
-  in
-  let wdg = match harden with None -> [] | Some _ -> Protocol.wdg_vars in
+  let shadows, storage = storage ?harden ~naming vars in
+  let wdg = Protocol.wdg_vars harden in
   let branches bs = branches_for ?style ?harden ~shadows bs ~addr_of vars in
   match buses with
   | [] -> Behavior.leaf ~vars:storage name []

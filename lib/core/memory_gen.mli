@@ -24,12 +24,14 @@ val branches_for :
     order.  [shadows] maps a scalar's name to its TMR shadow pair
     (hardened memories only). *)
 
-val make_shadows :
+val storage :
+  ?harden:Protocol.harden_cfg ->
   naming:Naming.t ->
   Ast.var_decl list ->
   (string * (string * string)) list * Ast.var_decl list
-(** Fresh [x_r1] / [x_r2] TMR shadow declarations for every scalar:
-    the shadow map plus the declarations to append to the storage. *)
+(** The shadow map and storage declarations of a memory holding the
+    variables: hardened, fresh [x_r1] / [x_r2] TMR shadows follow the
+    variables for every scalar [x]; plain, the variables alone. *)
 
 val memory :
   ?style:Protocol.style ->

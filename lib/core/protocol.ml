@@ -85,6 +85,25 @@ type harden_cfg = {
   hd_retries : int;  (** retries before the process fail-stops *)
 }
 
+(* One bus transfer completes within a handful of delta cycles, so 32
+   fruitless cycles is already a confident timeout; six retries of
+   exponential backoff give a total patience of 32 * 63 ~ 2000 cycles,
+   far below the default delta budget, so a persistent fault fail-stops
+   long before [Step_limit]. *)
+let hardening naming ~harden =
+  if harden then
+    Some
+      {
+        hd_tick = Naming.fresh naming "wdg_tick";
+        hd_patience = 32;
+        hd_retries = 6;
+      }
+  else None
+
+let tick_signals = function
+  | None -> []
+  | Some h -> [ Builder.bool_signal ~init:false h.hd_tick ]
+
 let retry_tag label = "WDG_RETRY_" ^ label
 let abort_tag label = "WDG_ABORT_" ^ label
 
@@ -94,30 +113,31 @@ let abort_tag label = "WDG_ABORT_" ^ label
     Equivalence judgements and fault classification filter these. *)
 let reserved_tag_prefixes = [ "WDG_"; "FLT_"; "MEM_UNMAPPED_" ]
 
-(** Watchdog bookkeeping locals; add to every procedure or behavior leaf
-    whose body contains a {!watch} loop.  The names are reserved for the
-    generated code ([wdg_] prefix). *)
-let wdg_vars =
-  [
-    Builder.bool_var "wdg_t";
-    Builder.int_var ~init:0 "wdg_w";
-    Builder.int_var ~init:0 "wdg_lim";
-    Builder.int_var ~init:0 "wdg_n";
-  ]
+(** Watchdog bookkeeping locals of a hardened procedure or behavior leaf;
+    none for a plain one.  The names are reserved for the generated code
+    ([wdg_] prefix). *)
+let wdg_vars = function
+  | None -> []
+  | Some _ ->
+    [
+      Builder.bool_var "wdg_t";
+      Builder.int_var ~init:0 "wdg_w";
+      Builder.int_var ~init:0 "wdg_lim";
+      Builder.int_var ~init:0 "wdg_n";
+    ]
 
-(** [watch h ~patience ~label ~cond ~redrive ()] — a bounded watchdog
-    wait until [cond].  Every round passes one delta cycle via the shared
-    tick; after [patience] fruitless cycles — or immediately when [bad]
-    holds (the driver's own-line self check, catching dropped or stuck-at
-    updates) — the [redrive] statements re-issue the request idempotently
-    and the patience doubles.  After [hd_retries] retries the process
-    emits [WDG_ABORT_<label>] and fail-stops, turning a persistent fault
-    into an honest deadlock instead of silent corruption. *)
-let watch h ?(patience = 0) ?(bad = Expr.fls) ~label ~cond ~redrive () =
-  let patience = if patience > 0 then patience else h.hd_patience in
+(* A bounded watchdog wait until [cond].  Every round passes one delta
+   cycle via the shared tick; after [slack * hd_patience] fruitless
+   cycles — or immediately when [bad] holds (the driver's own-line self
+   check, catching dropped or stuck-at updates) — the [redrive]
+   statements re-issue the request idempotently and the patience
+   doubles.  After [hd_retries] retries the process emits
+   [WDG_ABORT_<label>] and fail-stops, turning a persistent fault into an
+   honest deadlock instead of silent corruption. *)
+let watch h ~slack ~bad ~label ~cond ~redrive =
   [
     Builder.("wdg_w" <-- Expr.int 0);
-    Builder.("wdg_lim" <-- Expr.int patience);
+    Builder.("wdg_lim" <-- Expr.int (h.hd_patience * slack));
     Builder.("wdg_n" <-- Expr.int 0);
     Builder.while_ (Expr.not_ cond)
       [
@@ -147,222 +167,123 @@ let watch h ?(patience = 0) ?(bad = Expr.fls) ~label ~cond ~redrive () =
       ];
   ]
 
-(** The master-side write protocol.  Four-phase: drive address, data and
-    [wr], raise [start], wait for the slave's [done], then release the
-    bus.  Two-phase: drive the request lines, flip [start], and wait for
-    [done] to catch up.
+(** A blocking wait: plain, one [wait until]; hardened, a {!watch}. *)
+let await ?harden ?(slack = 1) ?(bad = Expr.fls) ~label ~cond ~redrive () =
+  match harden with
+  | None -> [ Builder.wait_until cond ]
+  | Some h -> watch h ~slack ~bad ~label ~cond ~redrive
 
-    With [harden] every blocking wait becomes a {!watch} loop and the
-    request lines are driven {e and read back} before [start] is raised,
-    so a dropped or stuck line is re-driven (or fail-stopped) before the
-    slave can act on stale values. *)
-let mst_send_proc ?(style = Four_phase) ?harden bs =
-  let body =
-    match (style, harden) with
-    | Four_phase, None ->
-      [
-        Builder.(bs.bs_addr <== Expr.ref_ "a");
-        Builder.(bs.bs_data <== Expr.ref_ "d");
-        Builder.(bs.bs_wr <== Expr.tru);
-        Builder.(bs.bs_start <== Expr.tru);
-        Builder.wait_until Expr.(ref_ bs.bs_done = tru);
-        Builder.(bs.bs_start <== Expr.fls);
-        Builder.(bs.bs_wr <== Expr.fls);
-        Builder.wait_until Expr.(ref_ bs.bs_done = fls);
-      ]
-    | Two_phase, None ->
-      (* The target parity is latched in a local first: [start] only
-         commits at the next delta, so waiting on [done = start] directly
-         would satisfy itself with the stale value. *)
-      [
-        Builder.(bs.bs_addr <== Expr.ref_ "a");
-        Builder.(bs.bs_data <== Expr.ref_ "d");
-        Builder.(bs.bs_wr <== Expr.tru);
-        Builder.(bs.bs_rd <== Expr.fls);
-        Builder.("t" <-- Expr.not_ (Expr.ref_ bs.bs_done));
-        Builder.(bs.bs_start <== Expr.ref_ "t");
-        Builder.wait_until Expr.(ref_ bs.bs_done = ref_ "t");
-      ]
-    | Four_phase, Some h ->
-      let label = mst_send_name bs in
-      let drive =
+(* [e1 op (e2 op ...)] over a non-empty list. *)
+let rec chain op = function
+  | [] -> invalid_arg "Protocol.chain"
+  | [ e ] -> e
+  | e :: rest -> op e (chain op rest)
+
+(** Drive the lines; hardened, then read them back in a {!watch} that
+    re-drives them. *)
+let drive ?harden ~label lines =
+  let assign = List.map (fun (line, v) -> Builder.(line <== v)) lines in
+  assign
+  @
+  match harden with
+  | None -> []
+  | Some h ->
+    watch h ~slack:1 ~bad:Expr.fls ~label
+      ~cond:
+        (chain Expr.( && ) (List.map (fun (l, v) -> Expr.(ref_ l = v)) lines))
+      ~redrive:assign
+
+(* --- the handshakes ---------------------------------------------------- *)
+
+(** The master side of a four-phase handshake: raise [start], wait for
+    [done], run [latch], lower [start] and the [strobes], wait for [done]
+    to fall.  The bus masters and the [B_CTRL] leaves both use it. *)
+let four_phase_request ?harden ?slack ?(strobes = []) ?(latch = []) ~label
+    ~start ~done_ () =
+  let held = start :: strobes in
+  let lower = List.map (fun l -> Builder.(l <== Expr.fls)) held in
+  (Builder.(start <== Expr.tru)
+   :: await ?harden ?slack ~label
+        ~cond:Expr.(ref_ done_ = tru)
+        ~bad:Expr.(ref_ start = fls)
+        ~redrive:[ Builder.(start <== Expr.tru) ]
+        ())
+  @ latch @ lower
+  @ await ?harden ~label
+      ~cond:Expr.(ref_ done_ = fls)
+      ~bad:(chain Expr.( || ) (List.map (fun l -> Expr.(ref_ l = tru)) held))
+      ~redrive:lower ()
+
+(** The slave side of a four-phase handshake: raise [done], wait for the
+    master to release [start], lower [done].  The bus slaves and the
+    [B_NEW] wrappers both use it. *)
+let four_phase_complete ?harden ~label ~start ~done_ () =
+  (Builder.(done_ <== Expr.tru)
+   :: await ?harden ~label
+        ~cond:Expr.(ref_ start = fls)
+        ~bad:Expr.(ref_ done_ = fls)
+        ~redrive:[ Builder.(done_ <== Expr.tru) ]
+        ())
+  @ drive ?harden ~label [ (done_, Expr.fls) ]
+
+type direction = Send | Receive
+
+(** One master procedure.  Both directions drive the address (and, on a
+    send, the data) with the direction's strobe — on the two-phase bus
+    also clearing the other strobe — and read them back before the
+    handshake; a receive latches [data] into [d] once [done] answers.
+    Four-phase: {!four_phase_request}.  Two-phase: flip [start] and wait
+    for [done] to catch up; the target parity is latched in a local
+    first, because [start] only commits at the next delta and waiting on
+    [done = start] directly would satisfy itself with the stale value. *)
+let mst_proc ~style ?harden bs dir =
+  let name, strobe, other, data, latch, d_param =
+    match dir with
+    | Send ->
+      ( mst_send_name bs, bs.bs_wr, bs.bs_rd, [ (bs.bs_data, Expr.ref_ "d") ],
+        [], Builder.param_in )
+    | Receive ->
+      ( mst_receive_name bs, bs.bs_rd, bs.bs_wr, [],
+        [ Builder.("d" <-- Expr.ref_ bs.bs_data) ], Builder.param_out )
+  in
+  let label = name in
+  let lines, handshake, parity =
+    match style with
+    | Four_phase ->
+      ( [ (strobe, Expr.tru) ],
+        four_phase_request ?harden ~strobes:[ strobe ] ~latch ~label
+          ~start:bs.bs_start ~done_:bs.bs_done (),
+        [] )
+    | Two_phase ->
+      ( [ (strobe, Expr.tru); (other, Expr.fls) ],
         [
-          Builder.(bs.bs_addr <== Expr.ref_ "a");
-          Builder.(bs.bs_data <== Expr.ref_ "d");
-          Builder.(bs.bs_wr <== Expr.tru);
-        ]
-      in
-      let lines_ok =
-        Expr.(
-          ref_ bs.bs_addr = ref_ "a"
-          && ref_ bs.bs_data = ref_ "d"
-          && ref_ bs.bs_wr = tru)
-      in
-      drive
-      @ watch h ~label ~cond:lines_ok ~redrive:drive ()
-      @ [ Builder.(bs.bs_start <== Expr.tru) ]
-      @ watch h ~label
-          ~cond:Expr.(ref_ bs.bs_done = tru)
-          ~bad:Expr.(ref_ bs.bs_start = fls)
-          ~redrive:[ Builder.(bs.bs_start <== Expr.tru) ]
-          ()
-      @ [
-          Builder.(bs.bs_start <== Expr.fls); Builder.(bs.bs_wr <== Expr.fls);
-        ]
-      @ watch h ~label
-          ~cond:Expr.(ref_ bs.bs_done = fls)
-          ~bad:Expr.(ref_ bs.bs_start = tru || ref_ bs.bs_wr = tru)
-          ~redrive:
-            [
-              Builder.(bs.bs_start <== Expr.fls);
-              Builder.(bs.bs_wr <== Expr.fls);
-            ]
-          ()
-    | Two_phase, Some h ->
-      let label = mst_send_name bs in
-      let drive =
-        [
-          Builder.(bs.bs_addr <== Expr.ref_ "a");
-          Builder.(bs.bs_data <== Expr.ref_ "d");
-          Builder.(bs.bs_wr <== Expr.tru);
-          Builder.(bs.bs_rd <== Expr.fls);
-        ]
-      in
-      let lines_ok =
-        Expr.(
-          ref_ bs.bs_addr = ref_ "a"
-          && ref_ bs.bs_data = ref_ "d"
-          && ref_ bs.bs_wr = tru
-          && ref_ bs.bs_rd = fls)
-      in
-      drive
-      @ watch h ~label ~cond:lines_ok ~redrive:drive ()
-      @ [
           Builder.("t" <-- Expr.not_ (Expr.ref_ bs.bs_done));
           Builder.(bs.bs_start <== Expr.ref_ "t");
         ]
-      @ watch h ~label
-          ~cond:Expr.(ref_ bs.bs_done = ref_ "t")
-          ~bad:Expr.(ref_ bs.bs_start <> ref_ "t")
-          ~redrive:[ Builder.(bs.bs_start <== Expr.ref_ "t") ]
-          ()
+        @ await ?harden ~label
+            ~cond:Expr.(ref_ bs.bs_done = ref_ "t")
+            ~bad:Expr.(ref_ bs.bs_start <> ref_ "t")
+            ~redrive:[ Builder.(bs.bs_start <== Expr.ref_ "t") ]
+            ()
+        @ latch,
+        [ Builder.bool_var "t" ] )
   in
-  Builder.proc (mst_send_name bs)
+  Builder.proc name
     ~params:
       [
         Builder.param_in "a" (TInt bs.bs_addr_width);
-        Builder.param_in "d" (TInt bs.bs_data_width);
+        d_param "d" (TInt bs.bs_data_width);
       ]
-    ~vars:
-      ((match style with
-       | Four_phase -> []
-       | Two_phase -> [ Builder.bool_var "t" ])
-      @ match harden with None -> [] | Some _ -> wdg_vars)
-    body
+    ~vars:(parity @ wdg_vars harden)
+    (drive ?harden ~label (((bs.bs_addr, Expr.ref_ "a") :: data) @ lines)
+    @ handshake)
 
-(** The master-side read protocol.  The hardened variant reads back its
-    own request lines before raising [start] (see {!mst_send_proc}); the
-    returned data line itself is verified slave-side
-    ({!slv_send_branch}), which commits and checks [data] {e before}
-    signalling [done], so a hardened master never latches a value the
-    slave has not confirmed. *)
-let mst_receive_proc ?(style = Four_phase) ?harden bs =
-  let body =
-    match (style, harden) with
-    | Four_phase, None ->
-      [
-        Builder.(bs.bs_addr <== Expr.ref_ "a");
-        Builder.(bs.bs_rd <== Expr.tru);
-        Builder.(bs.bs_start <== Expr.tru);
-        Builder.wait_until Expr.(ref_ bs.bs_done = tru);
-        Builder.("d" <-- Expr.ref_ bs.bs_data);
-        Builder.(bs.bs_start <== Expr.fls);
-        Builder.(bs.bs_rd <== Expr.fls);
-        Builder.wait_until Expr.(ref_ bs.bs_done = fls);
-      ]
-    | Two_phase, None ->
-      [
-        Builder.(bs.bs_addr <== Expr.ref_ "a");
-        Builder.(bs.bs_rd <== Expr.tru);
-        Builder.(bs.bs_wr <== Expr.fls);
-        Builder.("t" <-- Expr.not_ (Expr.ref_ bs.bs_done));
-        Builder.(bs.bs_start <== Expr.ref_ "t");
-        Builder.wait_until Expr.(ref_ bs.bs_done = ref_ "t");
-        Builder.("d" <-- Expr.ref_ bs.bs_data);
-      ]
-    | Four_phase, Some h ->
-      let label = mst_receive_name bs in
-      let drive =
-        [
-          Builder.(bs.bs_addr <== Expr.ref_ "a");
-          Builder.(bs.bs_rd <== Expr.tru);
-        ]
-      in
-      let lines_ok =
-        Expr.(ref_ bs.bs_addr = ref_ "a" && ref_ bs.bs_rd = tru)
-      in
-      drive
-      @ watch h ~label ~cond:lines_ok ~redrive:drive ()
-      @ [ Builder.(bs.bs_start <== Expr.tru) ]
-      @ watch h ~label
-          ~cond:Expr.(ref_ bs.bs_done = tru)
-          ~bad:Expr.(ref_ bs.bs_start = fls)
-          ~redrive:[ Builder.(bs.bs_start <== Expr.tru) ]
-          ()
-      @ [
-          Builder.("d" <-- Expr.ref_ bs.bs_data);
-          Builder.(bs.bs_start <== Expr.fls);
-          Builder.(bs.bs_rd <== Expr.fls);
-        ]
-      @ watch h ~label
-          ~cond:Expr.(ref_ bs.bs_done = fls)
-          ~bad:Expr.(ref_ bs.bs_start = tru || ref_ bs.bs_rd = tru)
-          ~redrive:
-            [
-              Builder.(bs.bs_start <== Expr.fls);
-              Builder.(bs.bs_rd <== Expr.fls);
-            ]
-          ()
-    | Two_phase, Some h ->
-      let label = mst_receive_name bs in
-      let drive =
-        [
-          Builder.(bs.bs_addr <== Expr.ref_ "a");
-          Builder.(bs.bs_rd <== Expr.tru);
-          Builder.(bs.bs_wr <== Expr.fls);
-        ]
-      in
-      let lines_ok =
-        Expr.(
-          ref_ bs.bs_addr = ref_ "a"
-          && ref_ bs.bs_rd = tru
-          && ref_ bs.bs_wr = fls)
-      in
-      drive
-      @ watch h ~label ~cond:lines_ok ~redrive:drive ()
-      @ [
-          Builder.("t" <-- Expr.not_ (Expr.ref_ bs.bs_done));
-          Builder.(bs.bs_start <== Expr.ref_ "t");
-        ]
-      @ watch h ~label
-          ~cond:Expr.(ref_ bs.bs_done = ref_ "t")
-          ~bad:Expr.(ref_ bs.bs_start <> ref_ "t")
-          ~redrive:[ Builder.(bs.bs_start <== Expr.ref_ "t") ]
-          ()
-      @ [ Builder.("d" <-- Expr.ref_ bs.bs_data) ]
-  in
-  Builder.proc (mst_receive_name bs)
-    ~params:
-      [
-        Builder.param_in "a" (TInt bs.bs_addr_width);
-        Builder.param_out "d" (TInt bs.bs_data_width);
-      ]
-    ~vars:
-      ((match style with
-       | Four_phase -> []
-       | Two_phase -> [ Builder.bool_var "t" ])
-      @ match harden with None -> [] | Some _ -> wdg_vars)
-    body
+(** The master-side write and read protocols.  The returned data line of
+    a hardened read is verified slave-side ({!slv_drive_data}), which
+    commits and checks [data] {e before} signalling [done], so a
+    hardened master never latches a value the slave has not confirmed. *)
+let mst_procs ?(style = Four_phase) ?harden bs =
+  [ mst_proc ~style ?harden bs Send; mst_proc ~style ?harden bs Receive ]
 
 (** Statements for the master: [call MST_receive_b(addr, out target)]. *)
 let master_read bs ~addr ~target =
@@ -371,52 +292,21 @@ let master_read bs ~addr ~target =
 let master_write bs ~addr ~value =
   Call (mst_send_name bs, [ Arg_expr (Expr.int addr); Arg_expr value ])
 
-(** The slave-side completion handshake.  Four-phase: raise [done], wait
-    for the master to release [start], lower [done].  Two-phase: copy
-    [start] into [done].
-
-    Hardened: each phase is a {!watch} loop with own-line readback — a
-    dropped [done] rise is re-driven while [start] is still high (the
-    slave does {e not} re-execute the request body, the level is simply
-    re-asserted), and a dropped [done] fall is re-driven in a bounded
-    verify loop, so the bus is guaranteed idle (or the slave has
-    fail-stopped) before the next transaction. *)
+(** The slave-side completion handshake.  Four-phase:
+    {!four_phase_complete}.  Two-phase: copy [start] into [done] and wait
+    for the completion to commit, otherwise the serving loop would still
+    see the request pending and re-serve it within the same delta. *)
 let slv_complete ?(style = Four_phase) ?harden bs =
-  match (style, harden) with
-  | Four_phase, None ->
-    [
-      Builder.(bs.bs_done <== Expr.tru);
-      Builder.wait_until Expr.(ref_ bs.bs_start = fls);
-      Builder.(bs.bs_done <== Expr.fls);
-    ]
-  | Two_phase, None ->
-    (* Wait for the completion to commit, otherwise the serving loop would
-       still see the request pending and re-serve it within the same
-       delta. *)
-    [
-      Builder.(bs.bs_done <== Expr.ref_ bs.bs_start);
-      Builder.wait_until Expr.(ref_ bs.bs_done = ref_ bs.bs_start);
-    ]
-  | Four_phase, Some h ->
-    let label = "SLV_" ^ bs.bs_label in
-    [ Builder.(bs.bs_done <== Expr.tru) ]
-    @ watch h ~label
-        ~cond:Expr.(ref_ bs.bs_start = fls)
-        ~bad:Expr.(ref_ bs.bs_done = fls)
-        ~redrive:[ Builder.(bs.bs_done <== Expr.tru) ]
-        ()
-    @ [ Builder.(bs.bs_done <== Expr.fls) ]
-    @ watch h ~label
-        ~cond:Expr.(ref_ bs.bs_done = fls)
-        ~redrive:[ Builder.(bs.bs_done <== Expr.fls) ]
-        ()
-  | Two_phase, Some h ->
-    let label = "SLV_" ^ bs.bs_label in
-    [ Builder.(bs.bs_done <== Expr.ref_ bs.bs_start) ]
-    @ watch h ~label
-        ~cond:Expr.(ref_ bs.bs_done = ref_ bs.bs_start)
-        ~redrive:[ Builder.(bs.bs_done <== Expr.ref_ bs.bs_start) ]
-        ()
+  let label = "SLV_" ^ bs.bs_label in
+  match style with
+  | Four_phase ->
+    four_phase_complete ?harden ~label ~start:bs.bs_start ~done_:bs.bs_done ()
+  | Two_phase ->
+    Builder.(bs.bs_done <== Expr.ref_ bs.bs_start)
+    :: await ?harden ~label
+         ~cond:Expr.(ref_ bs.bs_done = ref_ bs.bs_start)
+         ~redrive:[ Builder.(bs.bs_done <== Expr.ref_ bs.bs_start) ]
+         ()
 
 (** The slave-side request condition: a transaction is pending. *)
 let slv_pending ?(style = Four_phase) bs =
@@ -431,35 +321,13 @@ let slv_idle ?(style = Four_phase) bs =
   | Four_phase -> Expr.(ref_ bs.bs_start = fls)
   | Two_phase -> Expr.(ref_ bs.bs_start = ref_ bs.bs_done)
 
-(** Hardened data drive: commit [bs_data] and read it back in a bounded
-    verify loop {e before} the completion handshake raises [done], so a
-    hardened master never latches an uncommitted or corrupted data line
-    (a stuck data bus exhausts the retries and fail-stops the slave
-    instead of completing with a wrong value). *)
-let slv_drive_data h bs value =
-  [ Builder.(bs.bs_data <== value) ]
-  @ watch h ~label:("SLV_" ^ bs.bs_label)
-      ~cond:Expr.(ref_ bs.bs_data = value)
-      ~redrive:[ Builder.(bs.bs_data <== value) ]
-      ()
-
-(** A slave response branch serving a read of the storage location [var]
-    at [addr] (the paper's [SLV_send]). *)
-let slv_send_branch ?style ?harden bs ~addr ~var:store =
-  let drive =
-    match harden with
-    | None -> [ Builder.(bs.bs_data <== Expr.ref_ store) ]
-    | Some h -> slv_drive_data h bs (Expr.ref_ store)
-  in
-  ( Expr.(ref_ bs.bs_rd = tru && ref_ bs.bs_addr = int addr),
-    drive @ slv_complete ?style ?harden bs )
-
-(** A slave response branch serving a write (the paper's
-    [SLV_receive]). *)
-let slv_receive_branch ?style ?harden bs ~addr ~var:store =
-  ( Expr.(ref_ bs.bs_wr = tru && ref_ bs.bs_addr = int addr),
-    (Builder.(store <-- Expr.ref_ bs.bs_data) :: slv_complete ?style ?harden bs)
-  )
+(** The slave's data drive, read back {e before} the completion
+    handshake raises [done] when hardened, so a hardened master never
+    latches an uncommitted or corrupted data line (a stuck data bus
+    exhausts the retries and fail-stops the slave instead of completing
+    with a wrong value). *)
+let slv_drive_data ?harden bs value =
+  drive ?harden ~label:("SLV_" ^ bs.bs_label) [ (bs.bs_data, value) ]
 
 (** One full slave serving loop over the given response branches.  The
     final branch answers unmapped addresses with an [emit] marker and a

@@ -41,19 +41,34 @@ val signal_decls : bus_signals -> Ast.sig_decl list
 val mst_send_name : bus_signals -> string
 val mst_receive_name : bus_signals -> string
 
-(** Configuration of the hardened (watchdog + bounded-retry) protocol
-    variant.  Every blocking handshake wait becomes a self-paced watchdog
-    loop: after [hd_patience] fruitless delta cycles (doubling on every
-    retry — exponential backoff) the waiting party idempotently re-drives
-    its request/acknowledge lines, and after [hd_retries] retries it
-    emits a [WDG_ABORT_*] marker and fail-stops — a persistent fault
-    becomes an honest deadlock, never silent corruption.  All hardened
-    parties pace themselves on the shared [hd_tick] signal. *)
+(** {1 Hardening}
+
+    The hardened (watchdog + bounded-retry) variant is not a second copy
+    of each handshake: every handshake below is written once over two
+    internal primitives, a blocking wait and a drive of lines, and only
+    these two look at [?harden].  Plain, a wait is one [wait until] and a
+    drive is the assignments alone.  Hardened, every wait becomes a
+    self-paced watchdog loop — after [hd_patience] fruitless delta cycles
+    (doubling on every retry, exponential backoff) the waiting party
+    idempotently re-drives its request/acknowledge lines, and after
+    [hd_retries] retries it emits a [WDG_ABORT_*] marker and fail-stops,
+    so a persistent fault becomes an honest deadlock, never silent
+    corruption — and the lines just driven are read back the same way.
+    All hardened parties pace themselves on the shared [hd_tick]
+    signal. *)
+
 type harden_cfg = {
   hd_tick : string;  (** the shared watchdog tick signal *)
   hd_patience : int;  (** delta cycles before the first retry *)
   hd_retries : int;  (** retries before the process fail-stops *)
 }
+
+val hardening : Naming.t -> harden:bool -> harden_cfg option
+(** The watchdog configuration of a design ([None] unless [harden]):
+    a fresh [wdg_tick] signal, patience 32, 6 retries. *)
+
+val tick_signals : harden_cfg option -> Ast.sig_decl list
+(** The declaration of the tick signal; none for a plain design. *)
 
 val retry_tag : string -> string
 (** [retry_tag label] is the [WDG_RETRY_<label>] marker tag. *)
@@ -66,36 +81,42 @@ val reserved_tag_prefixes : string list
     ([WDG_], [FLT_], [MEM_UNMAPPED_]); equivalence judgements and fault
     classification filter these out. *)
 
-val wdg_vars : Ast.var_decl list
-(** Watchdog bookkeeping locals ([wdg_t], [wdg_w], [wdg_lim], [wdg_n]);
-    declare in every procedure or behavior leaf whose body contains a
-    {!watch} loop. *)
+val wdg_vars : harden_cfg option -> Ast.var_decl list
+(** Watchdog bookkeeping locals ([wdg_t], [wdg_w], [wdg_lim], [wdg_n])
+    of every procedure or behavior leaf that runs a handshake below; none
+    for a plain design. *)
 
-val watch :
-  harden_cfg ->
-  ?patience:int ->
-  ?bad:Ast.expr ->
+(** {1 Handshakes} *)
+
+val four_phase_request :
+  ?harden:harden_cfg ->
+  ?slack:int ->
+  ?strobes:string list ->
+  ?latch:Ast.stmt list ->
   label:string ->
-  cond:Ast.expr ->
-  redrive:Ast.stmt list ->
+  start:string ->
+  done_:string ->
   unit ->
   Ast.stmt list
-(** A bounded watchdog wait until [cond]: one delta cycle passes per
-    round (tick toggling); after [patience] (default [hd_patience])
-    fruitless cycles or as soon as [bad] holds (own-line readback check),
-    the [redrive] statements re-issue the request and patience doubles;
-    after [hd_retries] retries the process emits [WDG_ABORT_<label>] and
-    fail-stops. *)
+(** The requesting side of a four-phase handshake: raise [start], wait
+    for [done] ([slack] widens this wait's watchdog), run [latch], lower
+    [start] and the [strobes], wait for [done] to fall.  The bus masters
+    and the [B_CTRL] leaves share it. *)
 
-val mst_send_proc :
-  ?style:style -> ?harden:harden_cfg -> bus_signals -> Ast.proc_decl
-(** The master-side write protocol as a procedure [MST_send_<bus>(a, d)].
-    Hardened: request lines are driven and read back before [start] is
-    raised; every wait is a bounded watchdog loop. *)
+val four_phase_complete :
+  ?harden:harden_cfg -> label:string -> start:string -> done_:string ->
+  unit -> Ast.stmt list
+(** The completing side: raise [done], wait for [start] to fall, lower
+    [done] (read back when hardened).  The bus slaves and the [B_NEW]
+    wrappers share it; hardened, the [done] rise is re-driven (not
+    re-executed) while [start] stays high. *)
 
-val mst_receive_proc :
-  ?style:style -> ?harden:harden_cfg -> bus_signals -> Ast.proc_decl
-(** The master-side read protocol [MST_receive_<bus>(a, out d)]. *)
+val mst_procs :
+  ?style:style -> ?harden:harden_cfg -> bus_signals -> Ast.proc_decl list
+(** The master-side protocol procedures [MST_send_<bus>(a, d)] and
+    [MST_receive_<bus>(a, out d)], from one generator over the direction.
+    The request lines are driven, and read back when hardened, before
+    [start] moves. *)
 
 val master_read : bus_signals -> addr:int -> target:string -> Ast.stmt
 (** [call MST_receive_<bus>(addr, out target)]. *)
@@ -104,31 +125,19 @@ val master_write : bus_signals -> addr:int -> value:Ast.expr -> Ast.stmt
 
 val slv_complete :
   ?style:style -> ?harden:harden_cfg -> bus_signals -> Ast.stmt list
-(** The slave-side completion handshake.  Hardened: the [done] rise is
-    re-driven (not re-executed) while [start] stays high, and the fall is
-    verified in a bounded loop. *)
+(** The slave-side completion handshake: {!four_phase_complete}, or the
+    two-phase copy of [start] into [done]. *)
 
 val slv_drive_data :
-  harden_cfg -> bus_signals -> Ast.expr -> Ast.stmt list
-(** Drive the data bus and verify the committed value before completing
-    the handshake (hardened slaves only). *)
+  ?harden:harden_cfg -> bus_signals -> Ast.expr -> Ast.stmt list
+(** Drive the data bus; hardened, the committed value is read back
+    before the completion handshake. *)
 
 val slv_pending : ?style:style -> bus_signals -> Ast.expr
 (** A transaction is pending on the bus. *)
 
 val slv_idle : ?style:style -> bus_signals -> Ast.expr
 (** The current transaction (served by another slave) is over. *)
-
-val slv_send_branch :
-  ?style:style -> ?harden:harden_cfg -> bus_signals -> addr:int ->
-  var:string -> Ast.expr * Ast.stmt list
-(** Response branch serving a read of the storage location (the paper's
-    [SLV_send]). *)
-
-val slv_receive_branch :
-  ?style:style -> ?harden:harden_cfg -> bus_signals -> addr:int ->
-  var:string -> Ast.expr * Ast.stmt list
-(** Response branch serving a write (the paper's [SLV_receive]). *)
 
 val slave_loop :
   ?style:style -> ?harden:harden_cfg -> bus_signals ->

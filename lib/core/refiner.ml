@@ -10,14 +10,6 @@ type options = {
 let default_options =
   { force_nonleaf = false; protocol = Protocol.Four_phase; harden = false }
 
-(* Watchdog parameters of the hardened protocol: one bus transfer
-   completes within a handful of delta cycles, so 32 fruitless cycles is
-   already a confident timeout; six retries of exponential backoff give a
-   total patience of 32 * 63 ~ 2000 cycles, far below the default delta
-   budget, so a persistent fault fail-stops long before [Step_limit]. *)
-let harden_patience = 32
-let harden_retries = 6
-
 type bus_inst = {
   bi_role : Bus_plan.bus_role;
   bi_signals : Protocol.bus_signals;
@@ -212,16 +204,7 @@ let refine ?(options = default_options) p g part model =
   in
   let naming = Naming.of_program p in
   let n_parts = Partitioning.Partition.n_parts part in
-  let hcfg =
-    if options.harden then
-      Some
-        {
-          Protocol.hd_tick = Naming.fresh naming "wdg_tick";
-          hd_patience = harden_patience;
-          hd_retries = harden_retries;
-        }
-    else None
-  in
+  let hcfg = Protocol.hardening naming ~harden:options.harden in
 
   (* 1. Control-related refinement: distribute the behavior tree. *)
   let ctrl =
@@ -578,12 +561,7 @@ let refine ?(options = default_options) p g part model =
   let protocol_procs =
     List.concat_map
       (fun bi ->
-        [
-          Protocol.mst_send_proc ~style:options.protocol ?harden:hcfg
-            bi.bi_signals;
-          Protocol.mst_receive_proc ~style:options.protocol ?harden:hcfg
-            bi.bi_signals;
-        ])
+        Protocol.mst_procs ~style:options.protocol ?harden:hcfg bi.bi_signals)
       buses
   in
   let servers =
@@ -599,10 +577,7 @@ let refine ?(options = default_options) p g part model =
       p_vars = [];
       p_signals =
         p.p_signals @ ctrl.Control_refine.cr_signals @ bus_signal_decls
-        @ arb_signal_decls
-        @ (match hcfg with
-          | Some h -> [ Builder.bool_signal ~init:false h.Protocol.hd_tick ]
-          | None -> []);
+        @ arb_signal_decls @ Protocol.tick_signals hcfg;
       p_procs = p.p_procs @ protocol_procs;
       p_top = top;
       p_servers = servers;

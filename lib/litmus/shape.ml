@@ -191,12 +191,7 @@ let coherence () =
    memory keeps its sc classification under every ordering. *)
 let memory ~harden () =
   let naming = Naming.of_names [] in
-  let hcfg =
-    if harden then
-      Some
-        { Protocol.hd_tick = "wdg_tick"; hd_patience = 32; hd_retries = 6 }
-    else None
-  in
+  let hcfg = Protocol.hardening naming ~harden in
   let bus label =
     Protocol.make_bus_signals naming ~label ~addr_width:1 ~data_width:8
   in
@@ -224,17 +219,10 @@ let memory ~harden () =
         ]
       ~signals:
         (Protocol.signal_decls b0 @ Protocol.signal_decls b1
-        @
-        match hcfg with
-        | Some h -> [ Builder.bool_signal ~init:false h.Protocol.hd_tick ]
-        | None -> [])
+        @ Protocol.tick_signals hcfg)
       ~procs:
-        [
-          Protocol.mst_send_proc ?harden:hcfg b0;
-          Protocol.mst_receive_proc ?harden:hcfg b0;
-          Protocol.mst_send_proc ?harden:hcfg b1;
-          Protocol.mst_receive_proc ?harden:hcfg b1;
-        ]
+        (Protocol.mst_procs ?harden:hcfg b0
+        @ Protocol.mst_procs ?harden:hcfg b1)
       ~servers:[ "MEM" ]
       (Behavior.par "TOP" [ master "M0" b0 1 "r0"; master "M1" b1 2 "r1"; mem ])
   in

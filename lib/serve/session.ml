@@ -12,17 +12,18 @@ type t = {
   s_cache : Explore.Cache.t;
   s_elab : (string, elab) Hashtbl.t;
   s_last_use : (string, int) Hashtbl.t;
-  s_cap : int;
   mutable s_tick : int;
   mutable s_hits : int;
   mutable s_misses : int;
   s_mutex : Mutex.t;
 }
 
-let create ?cache_dir ?cache_entries ?cache_bytes ?(elab_entries = 64)
-    ?(sim_sessions = 8) () =
-  if elab_entries < 1 then
-    invalid_arg "Session.create: elab_entries < 1";
+let elab_entries = 64
+
+(* A daemon juggles more concurrent programs than a CLI run. *)
+let sim_sessions = 8
+
+let create ?cache_dir ?cache_entries ?cache_bytes () =
   Sim.Engine.set_session_cap sim_sessions;
   let s_cache =
     Explore.Cache.create ?dir:cache_dir ?max_entries:cache_entries
@@ -32,7 +33,6 @@ let create ?cache_dir ?cache_entries ?cache_bytes ?(elab_entries = 64)
     s_cache;
     s_elab = Hashtbl.create 64;
     s_last_use = Hashtbl.create 64;
-    s_cap = elab_entries;
     s_tick = 0;
     s_hits = 0;
     s_misses = 0;
@@ -50,7 +50,7 @@ let touch t digest =
   Hashtbl.replace t.s_last_use digest t.s_tick
 
 let evict_to_cap t =
-  while Hashtbl.length t.s_elab > t.s_cap do
+  while Hashtbl.length t.s_elab > elab_entries do
     let victim =
       Hashtbl.fold
         (fun key tick acc ->

@@ -26,21 +26,15 @@ type elab = {
 
 type t
 
+val elab_entries : int
+(** The elaboration cache's bound (64 entries, LRU-evicted). *)
+
 val create :
-  ?cache_dir:string ->
-  ?cache_entries:int ->
-  ?cache_bytes:int ->
-  ?elab_entries:int ->
-  ?sim_sessions:int ->
-  unit ->
-  t
+  ?cache_dir:string -> ?cache_entries:int -> ?cache_bytes:int -> unit -> t
 (** A fresh session.  [cache_dir] / [cache_entries] / [cache_bytes] feed
-    the shared {!Explore.Cache.create}; [elab_entries] bounds the
-    elaboration cache (default 64, LRU-evicted); [sim_sessions] widens
-    the per-domain simulator session cap ({!Sim.Engine.set_session_cap},
-    default 8 — a daemon juggles more concurrent programs than a CLI
-    run).
-    @raise Invalid_argument when a cap is < 1.
+    the shared {!Explore.Cache.create}.  Creating a session widens the
+    per-domain simulator session cap ({!Sim.Engine.set_session_cap}) to
+    8: a daemon juggles more concurrent programs than a CLI run.
     @raise Sys_error when the cache directory cannot be created. *)
 
 val cache : t -> Explore.Cache.t

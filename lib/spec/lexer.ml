@@ -71,17 +71,33 @@ let tokenize src =
           | '\\' ->
             if !i + 1 >= n then raise (Lex_error ("unterminated string", !lnum))
             else begin
-              let e = src.[!i + 1] in
-              let decoded =
-                match e with
-                | 'n' -> '\n'
-                | 't' -> '\t'
-                | '"' -> '"'
-                | '\\' -> '\\'
-                | other -> other
+              (* The escapes the printer's [%S] writes: the named ones
+                 and [\DDD] (a decimal byte); any other escaped
+                 character stands for itself. *)
+              let decimal =
+                !i + 3 < n
+                && is_digit src.[!i + 1]
+                && is_digit src.[!i + 2]
+                && is_digit src.[!i + 3]
               in
-              Buffer.add_char buf decoded;
-              i := !i + 2;
+              if decimal then begin
+                let digits = String.sub src (!i + 1) 3 in
+                let code = int_of_string digits in
+                if code > 255 then
+                  raise (Lex_error ("bad escape \\" ^ digits, !lnum));
+                Buffer.add_char buf (Char.chr code);
+                i := !i + 4
+              end
+              else begin
+                Buffer.add_char buf
+                  (match src.[!i + 1] with
+                  | 'n' -> '\n'
+                  | 't' -> '\t'
+                  | 'r' -> '\r'
+                  | 'b' -> '\b'
+                  | other -> other);
+                i := !i + 2
+              end;
               scan ()
             end
           | ch ->

@@ -1308,15 +1308,14 @@ let test_session_elaboration_cache () =
   | Error _ -> ()
 
 let test_session_elab_lru () =
-  let session = Serve.Session.create ~elab_entries:2 () in
+  let session = Serve.Session.create () in
+  let cap = Serve.Session.elab_entries in
   let specs =
-    List.map
-      (fun name ->
+    List.init (cap + 1) (fun i ->
         Printf.sprintf
-          "program %s is\n  var x : int<8> := 0;\n  behavior TOP : leaf is\n  \
+          "program p_%d is\n  var x : int<8> := 0;\n  behavior TOP : leaf is\n  \
            begin\n    x := 1;\n  end behavior\nend program\n"
-          name)
-      [ "p_one"; "p_two"; "p_three" ]
+          i)
   in
   List.iter
     (fun src ->
@@ -1325,7 +1324,7 @@ let test_session_elab_lru () =
       | Error msg -> Alcotest.fail msg)
     specs;
   let stats = Serve.Session.stats session in
-  Alcotest.(check int) "capped at 2" 2 stats.Serve.Session.st_elab_entries
+  Alcotest.(check int) "capped" cap stats.Serve.Session.st_elab_entries
 
 let () =
   Alcotest.run "serve"

@@ -468,6 +468,39 @@ let test_refined_roundtrip () =
   let p' = Parser.program_of_string_exn (Printer.program_to_string p) in
   Alcotest.check program_testable "roundtrip" p p'
 
+(* Emit tags are printed with OCaml's [%S] escapes ([\r], [\b],
+   [\DDD], ...); the lexer must decode every one of them. *)
+let test_emit_tag_bytes_roundtrip () =
+  let tag_program tag =
+    Program.make "tags" (Behavior.leaf "TOP" [ Builder.emit tag (Expr.int 1) ])
+  in
+  let check tag =
+    let p = tag_program tag in
+    let p' = Parser.program_of_string_exn (Printer.program_to_string p) in
+    Alcotest.check program_testable (String.escaped tag) p p'
+  in
+  for b = 0 to 255 do
+    check (Printf.sprintf "a%cb" (Char.chr b))
+  done;
+  check (String.init 256 Char.chr)
+
+let test_refined_emit_tag_simulates () =
+  let src =
+    "program cafe is\n  behavior TOP : leaf is\n  begin\n\
+    \    emit \"caf\195\169\r\" 1;\n  end behavior\nend program\n"
+  in
+  let p = Parser.program_of_string_exn src in
+  let g = Agraph.Access_graph.of_program p in
+  let r = refine p (Partitioning.Greedy.run g ~n_parts:1) Core.Model.Model2 in
+  let printed = Printer.program_to_string r.Core.Refiner.rf_program in
+  let tags q =
+    List.map
+      (fun e -> e.Sim.Trace.ev_tag)
+      (Sim.Engine.run (Parser.program_of_string_exn q)).Sim.Engine.r_trace
+  in
+  Alcotest.(check (list string)) "emits" [ "caf\195\169\r" ] (tags printed);
+  Alcotest.(check (list string)) "as the source" (tags src) (tags printed)
+
 let prop_generated_roundtrip =
   QCheck.Test.make ~count:50 ~name:"generated program roundtrip"
     QCheck.(make Gen.(map (fun seed ->
@@ -837,6 +870,8 @@ let () =
         [
           tc "workload roundtrip" test_program_roundtrip;
           tc "refined roundtrip" test_refined_roundtrip;
+          tc "emit tag bytes roundtrip" test_emit_tag_bytes_roundtrip;
+          tc "refined emit tag simulates" test_refined_emit_tag_simulates;
           QCheck_alcotest.to_alcotest prop_generated_roundtrip;
           tc "parse errors" test_parse_errors;
           tc "located parse" test_located_parse;
