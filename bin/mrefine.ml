@@ -611,10 +611,13 @@ let faults_cmd =
   in
   let run spec_path req resume output =
     let p, g = load_graph spec_path in
-    let on_refined r =
-      if not req.Command.Faults.design.harden then robust_warnings r
+    let refine () =
+      let design = req.Command.Faults.design in
+      let r = Command.refine p g design in
+      if not design.harden then Result.iter robust_warnings r;
+      r
     in
-    let rp = or_die (Command.Faults.run ?resume ~on_refined p g req) in
+    let rp = or_die (Command.Faults.run ?resume ~refine req) in
     write_out output (Command.Faults.render req rp)
   in
   Cmd.v

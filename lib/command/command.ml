@@ -437,15 +437,16 @@ module Faults = struct
       json = false;
     }
 
-  (** Validate, refine, then run the campaign.  [resume] is a checkpoint
-      journal path; [on_refined] sees the design before the campaign. *)
-  let run ?poll ?resume ?on_refined p g req =
+  (** Validate, get the refined [req.design] from [refine], then run
+      the campaign.  [refine] is the caller's: the CLI refines once, the
+      daemon reuses a memoized design.  [resume] is a checkpoint journal
+      path. *)
+  let run ?poll ?resume ~refine req =
     let* () = at_least "seeds" 1 req.seeds in
     let* () = non_empty "classes" req.classes in
     let* () = deadline_ok req.deadline in
     let* () = check_poll poll in
-    let* r = refine p g req.design in
-    Option.iter (fun f -> f r) on_refined;
+    let* r = refine () in
     let* () = check_poll poll in
     let config =
       {

@@ -77,6 +77,8 @@ let make_ctx spec =
     cx_digest = spec_digest spec;
   }
 
+let graph ctx = ctx.cx_graph
+
 let default_alloc ~n_parts =
   Arch.Allocation.make
     (List.init n_parts (fun i ->

@@ -77,6 +77,9 @@ val make_ctx : Spec.Ast.program -> ctx
     Each candidate uses {!default_alloc} for its own part count, which
     the candidate's cache key determines. *)
 
+val graph : ctx -> Agraph.Access_graph.t
+(** The specification's access graph, built once by {!make_ctx}. *)
+
 val default_alloc : n_parts:int -> Arch.Allocation.t
 (** The paper's shape: component 0 an Intel8086-class processor, every
     other component a 10k-gate ASIC. *)

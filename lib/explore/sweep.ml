@@ -79,11 +79,11 @@ let journal_meta config spec =
 let run ?cache ?journal ?evaluate config spec =
   let cache = match cache with Some c -> c | None -> Cache.create () in
   let before = Cache.stats cache in
-  let ctx = Evaluate.make_ctx spec in
   let evaluate =
     match evaluate with
     | Some f -> f
-    | None -> Evaluate.run ~cache ?deadline_s:config.deadline_s ctx
+    | None ->
+      Evaluate.run ~cache ?deadline_s:config.deadline_s (Evaluate.make_ctx spec)
   in
   let candidates =
     Candidate.enumerate ~n_parts:config.n_parts ~steps:config.steps

@@ -185,7 +185,8 @@ let run_refine ~session ~poll (elab : Session.elab) j =
     Explore.Cache.find_or_add ~count_stats:false (Session.cache session)
       (refine_key elab req) (fun () ->
         Result.map Command.Refine.render
-          (Command.Refine.run elab.el_program elab.el_graph req))
+          (Command.Refine.run elab.el_program
+             (Explore.Evaluate.graph elab.el_ctx) req))
   in
   let* text = text in
   Ok
@@ -245,9 +246,17 @@ let run_explore ~session ~poll (elab : Session.elab) j =
         ];
     }
 
-let run_faults ~session:_ ~poll (elab : Session.elab) j =
+(* Every campaign on one (spec, design) gets the same physical refined
+   program, so the simulator's session for it stays warm across jobs. *)
+let run_faults ~session ~poll (elab : Session.elab) j =
   let* req = faults_request j in
-  let* rp = Command.Faults.run ~poll elab.el_program elab.el_graph req in
+  let refine () =
+    Session.refined session elab ~key:(refine_key elab req.design) (fun () ->
+        Command.refine elab.el_program
+          (Explore.Evaluate.graph elab.el_ctx)
+          req.design)
+  in
+  let* rp = Command.Faults.run ~poll ~refine req in
   Ok { o_output = Command.Faults.render req rp; o_meta = [] }
 
 (* The litmus job runs the built-in weak-memory shapes: no spec. *)

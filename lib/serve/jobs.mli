@@ -28,7 +28,8 @@
              -> Command.Litmus.request
     v}
     Served refine results are memoized in the session cache under their
-    parameters. *)
+    parameters; a faults job takes its refined design from the session's
+    refinement memo ({!Session.refined}) under the same key. *)
 
 (** A finished job: the report text plus structured facts about it for
     the reply envelope (e.g. lint error counts, sweep coverage). *)

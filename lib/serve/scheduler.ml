@@ -483,6 +483,13 @@ let stats t =
               ("misses", Protocol.Int session_stats.Session.st_elab_misses);
               ("entries", Protocol.Int session_stats.Session.st_elab_entries);
             ] );
+        ( "refined_cache",
+          Protocol.Obj
+            [
+              ("hits", Protocol.Int session_stats.Session.st_refined_hits);
+              ("misses", Protocol.Int session_stats.Session.st_refined_misses);
+              ("entries", Protocol.Int session_stats.Session.st_refined_entries);
+            ] );
         ( "eval_cache",
           Protocol.Obj
             [

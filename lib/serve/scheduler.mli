@@ -112,8 +112,9 @@ val cancel : t -> string -> (view, string) result
 val stats : t -> (string * Protocol.json) list
 (** Counters for the [stats] reply: jobs by state, batches dispatched,
     busy/full submit rejections, the recent mean per-job latency behind
-    the backpressure hint, the session's elaboration-cache and the
-    shared evaluation cache's hit/miss/resident/eviction figures. *)
+    the backpressure hint, the session's elaboration-cache and
+    refinement-memo hits/misses/entries, and the shared evaluation
+    cache's hit/miss/resident/eviction figures. *)
 
 val shutdown : t -> unit
 (** Stop accepting submits, wake every waiter, finish the in-flight

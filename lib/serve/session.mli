@@ -5,13 +5,21 @@
 
     The elaboration cache memoizes, under the content digest of the
     specification {e source text}, everything a job derives before doing
-    real work: the parsed program, its source-line table, the access
-    graph and the {!Explore.Evaluate} context.  Two requests carrying
-    the same source — the common case for a client iterating on
-    parameters — share one physical [Ast.program] value, which is
-    exactly what {!Sim.Engine}'s domain-local session cache keys on, so
-    repeated simulations of a served spec rewind a live kernel instead
-    of re-elaborating it.
+    real work: the parsed program, its source-line table and the
+    {!Explore.Evaluate} context (which holds the access graph).  Two
+    requests carrying the same source — the common case for a client
+    iterating on parameters — share one physical [Ast.program] value.
+
+    Each resident elaboration also carries a small memo of the designs
+    refined from it ({!refined}).  Refinement is a deterministic
+    function of (specification, design), so every fault campaign on one
+    served (spec, design) simulates one physical refined program — which
+    is exactly what {!Sim.Engine}'s domain-local session cache keys on:
+    the engine session, its VM code and its golden-prefix checkpoints
+    stay live from job to job instead of being rebuilt.  That reuse
+    holds within one domain.  With [--jobs 1] every batch runs in the
+    dispatcher's domain; with more, {!Explore.Pool} spawns fresh domains
+    per batch, so jobs landing there save only the refine step.
 
     All operations are thread-safe; connection handlers and pool workers
     share one session. *)
@@ -20,14 +28,17 @@ type elab = {
   el_digest : string;  (** content digest of the source text *)
   el_program : Spec.Ast.program;
   el_locations : Spec.Parser.locations;
-  el_graph : Agraph.Access_graph.t;
-  el_ctx : Explore.Evaluate.ctx;
+  el_ctx : Explore.Evaluate.ctx;  (** its access graph: {!Explore.Evaluate.graph} *)
 }
 
 type t
 
 val elab_entries : int
 (** The elaboration cache's bound (64 entries, LRU-evicted). *)
+
+val refined_entries : int
+(** The bound of each elaboration's refinement memo (8 designs,
+    LRU-evicted). *)
 
 val create :
   ?cache_dir:string -> ?cache_entries:int -> ?cache_bytes:int -> unit -> t
@@ -46,10 +57,26 @@ val elaborate : t -> source:string -> (elab, string) result
     are returned (never cached — they are cheap to rediscover and keep
     the table small). *)
 
+val refined :
+  t ->
+  elab ->
+  key:string ->
+  (unit -> (Core.Refiner.t, string) result) ->
+  (Core.Refiner.t, string) result
+(** [refined t elab ~key refine]: the refinement of [elab] memoized
+    under [key] (which must name the whole design), or [refine ()],
+    remembered on success.  [refine] runs outside the lock; errors are
+    returned and never cached.  The memo belongs to [elab]'s cache
+    entry: once that elaboration is evicted its refinements go with it,
+    and a job still holding it refines afresh and stores nothing. *)
+
 type stats = {
   st_elab_hits : int;
   st_elab_misses : int;
   st_elab_entries : int;  (** resident elaborations *)
+  st_refined_hits : int;
+  st_refined_misses : int;  (** failed refinements count here too *)
+  st_refined_entries : int;  (** refinements resident over all elaborations *)
 }
 
 val stats : t -> stats

@@ -89,6 +89,7 @@ let tokenize src =
                 i := !i + 4
               end
               else begin
+                if src.[!i + 1] = '\n' then incr lnum;
                 Buffer.add_char buf
                   (match src.[!i + 1] with
                   | 'n' -> '\n'
@@ -101,6 +102,7 @@ let tokenize src =
               scan ()
             end
           | ch ->
+            if ch = '\n' then incr lnum;
             Buffer.add_char buf ch;
             incr i;
             scan ()

@@ -184,9 +184,11 @@ def cold_lint(spec_path):
 def serve_faults():
     """Hardened fault campaigns on examples/specs/medical.sc: five classes
     times two base seeds, each job submitted twice to one daemon without
-    a journal.  A campaign's faulty runs start from the checkpoints its
-    earlier runs recorded in the warm simulator session; every served
-    output must be byte-identical to the cold CLI's."""
+    a journal.  All ten share one design, so the daemon refines it once
+    (one refinement-memo miss) and every later job reuses that refined
+    program: its warm simulator session, whose checkpoints earlier
+    campaigns recorded.  The second round must be ten memo hits, and
+    every served output byte-identical to the cold CLI's."""
     path = "examples/specs/medical.sc"
     classes = ["bit-flip", "drop-handshake", "delay-handshake",
                "stuck-line", "grant-starvation"]
@@ -203,6 +205,7 @@ def serve_faults():
     c = Client()
     text = spec_text(path)
     served = 0
+    memo = []
     for _ in range(2):
         for cls, base in cases:
             job = {"kind": "faults", "spec": text, "harden": True,
@@ -216,11 +219,16 @@ def serve_faults():
                 f"served {cls} campaign (base seed {base}) differs from " \
                 "the cold CLI"
             served += 1
+        m = c.rpc({"op": "stats"})["refined_cache"]
+        memo.append((m["hits"], m["misses"]))
+    assert memo == [(9, 1), (19, 1)], \
+        f"refinement memo (hits, misses) after each round: {memo}, " \
+        "expected [(9, 1), (19, 1)]"
     c.rpc({"op": "shutdown"})
     c.close()
     proc.wait(timeout=30)
     print(f"{served} served hardened fault campaigns byte-identical to "
-          "the cold CLI")
+          "the cold CLI; one refinement, then memo hits")
 
 
 def serve_speed():

@@ -1326,6 +1326,124 @@ let test_session_elab_lru () =
   let stats = Serve.Session.stats session in
   Alcotest.(check int) "capped" cap stats.Serve.Session.st_elab_entries
 
+(* --- the refinement memo -------------------------------------------------- *)
+
+let faults_job ?(src = fig1_src) fields =
+  Serve.Protocol.Obj
+    (("kind", Serve.Protocol.String "faults")
+    :: ("spec", Serve.Protocol.String src)
+    :: ("seeds", Serve.Protocol.Int 2)
+    :: ("json", Serve.Protocol.Bool true)
+    :: fields)
+
+let run_job session job =
+  Serve.Jobs.run ~session ~poll:(fun () -> false) job
+  |> Result.map (fun o -> o.Serve.Jobs.o_output)
+
+let refined_counts session =
+  let st = Serve.Session.stats session in
+  Serve.Session.(st.st_refined_hits, st.st_refined_misses, st.st_refined_entries)
+
+let counts = Alcotest.(triple int int int)
+
+let test_refined_memo_hit () =
+  let session = Serve.Session.create () in
+  let job = faults_job [ ("harden", Serve.Protocol.Bool true) ] in
+  let first = run_job session job in
+  Alcotest.(check bool) "campaign ran" true (Result.is_ok first);
+  Alcotest.check counts "first run misses" (0, 1, 1) (refined_counts session);
+  let second = run_job session job in
+  Alcotest.check counts "second run hits" (1, 1, 1) (refined_counts session);
+  Alcotest.(check (result string string)) "byte-identical" first second;
+  Alcotest.(check (result string string))
+    "as on a fresh session" first
+    (run_job (Serve.Session.create ()) job)
+
+let test_refined_memo_keys_design () =
+  let session = Serve.Session.create () in
+  List.iter
+    (fun fields ->
+      Alcotest.(check bool) "campaign ran" true
+        (Result.is_ok (run_job session (faults_job fields))))
+    [
+      [];
+      [ ("harden", Serve.Protocol.Bool true) ];
+      [ ("model", Serve.Protocol.String "3") ];
+    ];
+  Alcotest.check counts "three designs, three entries" (0, 3, 3)
+    (refined_counts session)
+
+let test_refined_memo_follows_elab () =
+  let session = Serve.Session.create () in
+  let elab =
+    match Serve.Session.elaborate session ~source:fig1_src with
+    | Ok e -> e
+    | Error msg -> Alcotest.fail msg
+  in
+  ignore (run_job session (faults_job []));
+  Alcotest.check counts "memoized" (0, 1, 1) (refined_counts session);
+  for i = 1 to Serve.Session.elab_entries do
+    let src =
+      Printf.sprintf
+        "program q_%d is\n  var x : int<8> := 0;\n  behavior TOP : leaf is\n\
+        \  begin\n    x := 1;\n  end behavior\nend program\n"
+        i
+    in
+    match Serve.Session.elaborate session ~source:src with
+    | Ok _ -> ()
+    | Error msg -> Alcotest.fail msg
+  done;
+  Alcotest.check counts "dropped with its elaboration" (0, 1, 0)
+    (refined_counts session);
+  (* A job still holding the evicted elaboration refines afresh and
+     stores nothing. *)
+  let refine () =
+    Command.refine elab.Serve.Session.el_program
+      (Explore.Evaluate.graph elab.Serve.Session.el_ctx)
+      Command.default_design
+  in
+  (match Serve.Session.refined session elab ~key:"k" refine with
+  | Ok _ -> ()
+  | Error msg -> Alcotest.fail msg);
+  Alcotest.check counts "stale elaboration stores nothing" (0, 2, 0)
+    (refined_counts session)
+
+(* A procedure touching a variable that partitioning moves into a
+   memory: the refiner refuses it. *)
+let unrefinable_src =
+  let open Spec in
+  Printer.program_to_string
+    (Program.make
+       ~vars:[ Builder.int_var "v" ]
+       ~procs:[ Builder.proc "touch" [ Ast.Assign ("v", Expr.int 1) ] ]
+       "bad"
+       (Behavior.seq "T"
+          [
+            Behavior.arm (Behavior.leaf "L1" [ Ast.Call ("touch", []) ]);
+            Behavior.arm (Behavior.leaf "L2" [ Ast.Assign ("v", Expr.int 2) ]);
+          ]))
+
+let test_refined_errors_not_cached () =
+  let session = Serve.Session.create () in
+  List.iter
+    (fun (src, fields, frag) ->
+      let job = faults_job ~src fields in
+      let first = run_job session job in
+      let second = run_job session job in
+      (match first with
+      | Ok _ -> Alcotest.failf "unrefinable design ran (%s)" frag
+      | Error msg ->
+        Alcotest.(check bool) (msg ^ " names the problem") true
+          (contains_sub ~sub:frag msg));
+      Alcotest.(check (result string string)) "same error twice" first second)
+    [
+      (unrefinable_src, [ ("assign", Serve.Protocol.String "L1=0,L2=1,v=1") ],
+       "accesses partitioned variable v");
+      (fig1_src, [ ("assign", Serve.Protocol.String "A=7,B=1,C=0,x=1") ],
+       "A assigned to partition 7");
+    ];
+  Alcotest.check counts "nothing cached" (0, 4, 0) (refined_counts session)
+
 let () =
   Alcotest.run "serve"
     [
@@ -1412,5 +1530,13 @@ let () =
             test_session_elaboration_cache;
           Alcotest.test_case "elaboration LRU cap" `Quick
             test_session_elab_lru;
+          Alcotest.test_case "faults job reuses its refinement" `Quick
+            test_refined_memo_hit;
+          Alcotest.test_case "refinement memo keys the whole design" `Quick
+            test_refined_memo_keys_design;
+          Alcotest.test_case "refinements leave with their elaboration"
+            `Quick test_refined_memo_follows_elab;
+          Alcotest.test_case "refinement errors are not cached" `Quick
+            test_refined_errors_not_cached;
         ] );
     ]

@@ -437,6 +437,22 @@ let test_lexer_errors () =
   Alcotest.check_raises "unterminated" (Lexer.Lex_error ("unterminated string", 1))
     (fun () -> ignore (Lexer.tokenize "\"abc"))
 
+(* A newline inside a string literal, raw or escaped, still counts as a
+   line: the [@] below sits on line 7. *)
+let test_lexer_multiline_string_lines () =
+  List.iter
+    (fun newline ->
+      let src =
+        "program ml is\n  var x : int<8> := 0;\n  behavior TOP : leaf is\n\
+        \  begin\n    emit \"a" ^ newline ^ "b\" x;\n    @\n  end behavior\n\
+         end program\n"
+      in
+      Alcotest.(check (result reject string))
+        (String.escaped newline)
+        (Error "lex error at line 7: illegal character '@'")
+        (Parser.program_of_string src))
+    [ "\n"; "\\\n" ]
+
 let test_lexer_two_char_ops () =
   let kinds src = List.map (fun t -> t.Lexer.tok) (Lexer.tokenize src) in
   Alcotest.(check bool) "le" true (List.mem Lexer.LE (kinds "a <= b"));
@@ -864,6 +880,7 @@ let () =
           tc "line numbers" test_lexer_line_numbers;
           tc "strings" test_lexer_string;
           tc "errors" test_lexer_errors;
+          tc "multi-line string line numbers" test_lexer_multiline_string_lines;
           tc "two-char ops" test_lexer_two_char_ops;
         ] );
       ( "parser/printer",
