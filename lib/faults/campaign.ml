@@ -431,7 +431,7 @@ let run ?(config = default_config) ?(simulate = engine_simulate) ?journal
         (Sim.Memord.make ~policy ~seed:config.cf_base_seed
            ~port_of:(port_of_buses r.Core.Refiner.rf_buses))
   in
-  let counting_hooks, schedule = Inject.counting () in
+  let counting_hooks, golden_log = Inject.counting () in
   let golden =
     simulate ~config:config.cf_sim
       ~hooks:(with_poll counting_hooks)
@@ -455,7 +455,7 @@ let run ?(config = default_config) ?(simulate = engine_simulate) ?journal
       Sim.Engine.max_deltas = (golden_deltas * 10) + 50_000;
     }
   in
-  let occurrences = Inject.occurrences schedule in
+  let occurrences = Inject.occurrences golden_log in
   let targets = enumerate r occurrences in
   let golden_side = prepare ~storage:targets.tg_storage golden in
   let run_one seed cls =
@@ -489,7 +489,7 @@ let run ?(config = default_config) ?(simulate = engine_simulate) ?journal
         let outcome, deltas =
           match
             simulate ~config:budget
-              ~hooks:(with_poll (Inject.hooks ~golden:schedule faults))
+              ~hooks:(with_poll (Inject.hooks ~golden:golden_log faults))
               ?ordering:(ordering ()) program
           with
           | result ->

@@ -1,8 +1,14 @@
 (** Deterministic, seeded fault-injection campaigns against a refined
-    design.  One golden (fault-free) run learns the design's commit
-    schedule and reference behavior; then, per seed and fault class, one
-    randomly drawn (seed-reproducible) fault is injected and the outcome
-    classified against the golden run. *)
+    design.  One golden (fault-free) run learns the design's commit log
+    and reference behavior; then, per seed and fault class, one randomly
+    drawn (seed-reproducible) fault is injected and the outcome
+    classified against the golden run.
+
+    The golden run's only hooks are its commit log ({!Inject.counting})
+    and the cancellation poll, so under sequentially consistent commits
+    {!Sim.Engine} serves a repeated campaign's golden run from the warm
+    session's golden memo instead of simulating it again; under a weak
+    [cf_ordering] it always simulates. *)
 
 type outcome =
   | Survived  (** same observable behavior, no recovery action needed *)
@@ -78,8 +84,8 @@ type targets = {
 
 val enumerate : Core.Refiner.t -> (string, int) Hashtbl.t -> targets
 (** Enumerate injection targets, keeping only signals with at least one
-    committed update in the golden run (the occurrence table of
-    {!Inject.counting}). *)
+    committed update in the golden run (the occurrence table
+    {!Inject.occurrences} of the golden commit log). *)
 
 val classify :
   storage:(string * int) list ->

@@ -5,7 +5,7 @@
     post-commit hook delivers delayed updates and flips memory bits.
     Each hook is installed only when some fault needs it.
 
-    Given the golden run's commit schedule, the hooks also declare the
+    Given the golden run's commit log, the hooks also declare the
     first delta cycle at which any of their faults can act
     ([h_fault_from]): before it the run is the golden run, so the kernel
     may start it from a checkpoint.  Occurrence [k] of a signal is then
@@ -15,44 +15,7 @@
 
 open Spec
 
-(* Per signal, the delta cycle of every committed update of the golden
-   run, ascending, in the first [c_n] entries of a growable array: one
-   word per commit, and no allocation per commit but the doublings. *)
-type commits = { mutable c_n : int; mutable c_deltas : int array }
-type schedule = (string, commits) Hashtbl.t
-
-let record_commit (golden : schedule) name delta =
-  match Hashtbl.find golden name with
-  | c ->
-    if c.c_n = Array.length c.c_deltas then begin
-      let grown = Array.make (2 * c.c_n) 0 in
-      Array.blit c.c_deltas 0 grown 0 c.c_n;
-      c.c_deltas <- grown
-    end;
-    c.c_deltas.(c.c_n) <- delta;
-    c.c_n <- c.c_n + 1
-  | exception Not_found ->
-    Hashtbl.add golden name { c_n = 1; c_deltas = Array.make 8 delta }
-
-(* The delta of the signal's [k]-th golden commit (1-based), and how many
-   of its golden commits come before delta [q]. *)
-let nth_commit (golden : schedule) s k =
-  match Hashtbl.find_opt golden s with
-  | Some c when k >= 1 && k <= c.c_n -> Some c.c_deltas.(k - 1)
-  | Some _ | None -> None
-
-let commits_before (golden : schedule) s q =
-  match Hashtbl.find_opt golden s with
-  | None -> 0
-  | Some c ->
-    let n = ref 0 in
-    while !n < c.c_n && c.c_deltas.(!n) < q do incr n done;
-    !n
-
-let occurrences (golden : schedule) =
-  let t = Hashtbl.create (Hashtbl.length golden) in
-  Hashtbl.iter (fun s c -> Hashtbl.replace t s c.c_n) golden;
-  t
+let occurrences = Sim.Commit_log.counts
 
 (* Stuck-at models a failed line and overrides transient faults on the
    same signal; drop and delay are checked in specification order.  [k]
@@ -104,7 +67,7 @@ let rec counter name = function
    commit the intercept would drop, delay or force, or for a bit flip the
    cycle just before the one after which it flips.  An occurrence the
    golden run never reaches can only be reached after another fault has
-   acted; without the golden schedule, occurrence faults act from 0. *)
+   acted; without the golden log, occurrence faults act from 0. *)
 let acts_from golden = function
   | Fault.Flip_bit f -> max 0 (f.fl_delta - 1)
   | Fault.Stuck_at f -> max 0 f.st_delta
@@ -112,7 +75,7 @@ let acts_from golden = function
   | Fault.Delay_update { dl_signal = s; dl_occurrence = k; _ } ->
     begin match golden with
     | None -> 0
-    | Some g -> Option.value ~default:max_int (nth_commit g s k)
+    | Some g -> Option.value ~default:max_int (Sim.Commit_log.nth g s k)
     end
 
 let hooks ?golden faults =
@@ -129,7 +92,7 @@ let hooks ?golden faults =
         let before =
           match golden with
           | None -> 0
-          | Some g -> commits_before g s from
+          | Some g -> Sim.Commit_log.count_before g s from
         in
         (s, ref before))
       (List.filter_map target faults)
@@ -184,18 +147,9 @@ let hooks ?golden faults =
     h_on_commit = (if flips = [] && not delays then None else Some on_commit);
     h_poll = None;
     h_fault_from = Some from;
+    h_log = None;
   }
 
 let counting () =
-  let golden : schedule = Hashtbl.create 64 in
-  let intercept ~delta name _ =
-    record_commit golden name delta;
-    Sim.Sigtable.Pass
-  in
-  ( {
-      Sim.Engine.h_intercept = Some intercept;
-      h_on_commit = None;
-      h_poll = None;
-      h_fault_from = None;
-    },
-    golden )
+  let golden = Sim.Commit_log.create () in
+  ({ Sim.Engine.no_hooks with Sim.Engine.h_log = Some golden }, golden)

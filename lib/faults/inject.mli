@@ -1,18 +1,16 @@
 (** Turning fault specifications into simulation hooks. *)
 
-type schedule
-(** The golden (fault-free) run's commit schedule: per signal, the delta
-    cycle of every committed update. *)
+val counting : unit -> Sim.Engine.hooks * Sim.Commit_log.t
+(** Hooks that carry only a fresh commit log, for the golden run: the
+    kernel fills the log with the delta cycle of every committed update of
+    every signal.  They act from delta 0 ([h_fault_from = None]), and
+    {!Sim.Engine} may serve the run from its golden memo. *)
 
-val counting : unit -> Sim.Engine.hooks * schedule
-(** Pass-through hooks that record every signal's committed updates, for
-    the golden run.  They act from delta 0 ([h_fault_from = None]). *)
-
-val occurrences : schedule -> (string, int) Hashtbl.t
-(** How many committed updates each signal has in the schedule: what
+val occurrences : Sim.Commit_log.t -> (string, int) Hashtbl.t
+(** How many committed updates each signal has in the golden log: what
     occurrence-based faults can aim at. *)
 
-val hooks : ?golden:schedule -> Fault.spec list -> Sim.Engine.hooks
+val hooks : ?golden:Sim.Commit_log.t -> Fault.spec list -> Sim.Engine.hooks
 (** Hooks injecting the given faults: the signal-update intercept applies
     drop / delay / stuck-at decisions, the post-commit hook re-delivers
     delayed updates and flips memory bits.  Each hook is installed only

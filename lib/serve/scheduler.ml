@@ -454,6 +454,7 @@ let cancel t id =
 
 let stats t =
   let session_stats = Session.stats t.sc_session in
+  let sim = Sim.Engine.sessions_stats () in
   let cache = Session.cache t.sc_session in
   let cache_stats = Explore.Cache.stats cache in
   locked t (fun () ->
@@ -489,6 +490,14 @@ let stats t =
               ("hits", Protocol.Int session_stats.Session.st_refined_hits);
               ("misses", Protocol.Int session_stats.Session.st_refined_misses);
               ("entries", Protocol.Int session_stats.Session.st_refined_entries);
+            ] );
+        ( "sim_sessions",
+          Protocol.Obj
+            [
+              ("golden_hits", Protocol.Int sim.Sim.Engine.se_golden_hits);
+              ("golden_misses", Protocol.Int sim.Sim.Engine.se_golden_misses);
+              ("sessions", Protocol.Int sim.Sim.Engine.se_sessions);
+              ("checkpoints", Protocol.Int sim.Sim.Engine.se_checkpoints);
             ] );
         ( "eval_cache",
           Protocol.Obj

@@ -113,8 +113,15 @@ val stats : t -> (string * Protocol.json) list
 (** Counters for the [stats] reply: jobs by state, batches dispatched,
     busy/full submit rejections, the recent mean per-job latency behind
     the backpressure hint, the session's elaboration-cache and
-    refinement-memo hits/misses/entries, and the shared evaluation
-    cache's hit/miss/resident/eviction figures. *)
+    refinement-memo hits/misses/entries, the simulator session store
+    ([sim_sessions]: golden-memo hits and misses, sessions resident,
+    checkpoints held; see {!Sim.Engine.sessions_stats}), and the shared
+    evaluation cache's hit/miss/resident/eviction figures.
+
+    [sim_sessions] is the store of the calling domain.  The stats
+    handler runs in the daemon's main domain, where the dispatcher runs
+    every job under [--jobs 1]; with [--jobs > 1] the jobs that land on
+    pool domains are not seen. *)
 
 val shutdown : t -> unit
 (** Stop accepting submits, wake every waiter, finish the in-flight

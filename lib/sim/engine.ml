@@ -42,7 +42,13 @@
     Every run starts from the same scheduler state (no slot or
     registration outlives a run), so a checkpoint stands for that delta
     of any run with the same program, slice and trace setting, and a
-    resumed run reports the counters of a run from delta 0. *)
+    resumed run reports the counters of a run from delta 0.
+
+    Golden memo: a run whose only hooks are a commit log (and a poll),
+    under sequentially consistent commits, is a pure function of the
+    program and the config.  The session keeps the last such run's
+    result, counters and log, and a later one with the same config is
+    served from them without simulating. *)
 
 open Spec
 include Runtime
@@ -131,11 +137,25 @@ type session = {
   mutable ss_busy : bool;
       (** a run is live in this session (reentrancy guard); a session
           abandoned mid-run by an exception is evicted, never reused *)
+  mutable ss_stale : bool;
+      (** a run has moved the state since elaboration or the last
+          rewind *)
   mutable ss_ck_key : int * bool;
       (** the [slice] and [trace_signals] the checkpoints were taken
           under *)
   mutable ss_ck_every : int;  (** delta spacing of the checkpoints *)
   mutable ss_checkpoints : checkpoint list;  (** ascending delta *)
+  mutable ss_golden : golden option;
+      (** the last completed log-only run of this session *)
+}
+
+(* A pure run, as the golden memo keeps it: its config, result, counters
+   and commit log. *)
+and golden = {
+  gd_config : config;
+  gd_result : result;
+  gd_stats : sched_stats;
+  gd_log : Commit_log.t;
 }
 
 (* The kernel state at the top of a scheduling round, right after the
@@ -191,16 +211,28 @@ let set_session_cap n =
   if n < 1 then invalid_arg "Engine.set_session_cap: cap < 1";
   Atomic.set session_cap_atomic n
 
-(* Sessions are keyed by physical program. *)
-let session_store_key : (Ast.program * session) list ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [])
+(* A domain's sessions, keyed by physical program, most recently used
+   first, and its golden-memo counters. *)
+type store = {
+  mutable st_sessions : (Ast.program * session) list;
+  mutable st_golden_hits : int;
+  mutable st_golden_misses : int;
+}
 
-(* Check a session out of the domain-local store: rewind the stored one,
+let store_key : store Domain.DLS.key =
+  Domain.DLS.new_key (fun () ->
+      { st_sessions = []; st_golden_hits = 0; st_golden_misses = 0 })
+
+let rec take n = function
+  | e :: rest when n > 0 -> e :: take (n - 1) rest
+  | _ -> []
+
+(* Check a session out of the domain-local store, moving it to the front,
    or elaborate from scratch on a miss.  A hit is only taken when the
    session is idle — a reentrant run of the same program (or a run racing
-   a store eviction) gets a throwaway fresh session instead. *)
-let checkout_session (p : Ast.program) =
-  let store = Domain.DLS.get session_store_key in
+   a store eviction) gets a throwaway fresh session instead.  The session
+   is not rewound: {!rewind} does that before it simulates. *)
+let checkout_session store (p : Ast.program) =
   let fresh () =
     let cx =
       {
@@ -218,43 +250,47 @@ let checkout_session (p : Ast.program) =
       ss_slots = [||];
       ss_wait_sets = Array.make (Sigtable.n_signals cx.Interp.cx_signals) [];
       ss_busy = true;
+      ss_stale = false;
       ss_ck_key = (0, false);
       ss_ck_every = checkpoint_spacing;
       ss_checkpoints = [];
+      ss_golden = None;
     }
   in
-  match List.find_opt (fun (p', _) -> p' == p) !store with
-  | Some (_, ss) when not ss.ss_busy ->
+  match List.partition (fun (p', _) -> p' == p) store.st_sessions with
+  | [ ((_, ss) as hit) ], rest when not ss.ss_busy ->
     ss.ss_busy <- true;
-    (* Rewind to the freshly-elaborated state.  Hooks are cleared here
-       and re-installed per run; variables, signals, trace and delta
-       counter take their construction-time values.  The scheduler
-       starts empty, as in a fresh session: no slot and no wait-set
-       registration outlives a run, so a run's counters depend on its
-       program and hooks alone — which is what lets a checkpoint taken
-       in one run stand for the same delta of any other. *)
+    store.st_sessions <- hit :: rest;
+    ss
+  | _ :: _, _ -> fresh ()
+  | [], _ ->
+    let ss = fresh () in
+    store.st_sessions <- (p, ss) :: take (session_cap () - 1) store.st_sessions;
+    ss
+
+(* Rewind a session to the freshly-elaborated state.  Hooks are cleared
+   here and re-installed per run; variables, signals, trace and delta
+   counter take their construction-time values.  The scheduler starts
+   empty: no slot and no wait-set registration outlives a run, so a
+   run's counters depend on its program and hooks alone — which is what
+   lets a checkpoint taken in one run stand for the same delta of any
+   other.  A freshly elaborated session is in that state already, and
+   is not walked.  Called before every simulated run. *)
+let rewind (p : Ast.program) ss =
+  if ss.ss_stale then begin
     Sigtable.reset ss.ss_cx.Interp.cx_signals;
     Trace.clear ss.ss_cx.Interp.cx_trace;
     ss.ss_cx.Interp.cx_delta <- 0;
     Env.reinitialize ss.ss_root_frame p.Ast.p_vars;
     reset_node ss.ss_root;
     ss.ss_slots <- [||];
-    Array.fill ss.ss_wait_sets 0 (Array.length ss.ss_wait_sets) [];
-    ss
-  | Some _ -> fresh ()
-  | None ->
-    let ss = fresh () in
-    let rec take n = function
-      | [] -> []
-      | _ when n <= 0 -> []
-      | e :: rest -> e :: take (n - 1) rest
-    in
-    store := (p, ss) :: take (session_cap () - 1) !store;
-    ss
+    Array.fill ss.ss_wait_sets 0 (Array.length ss.ss_wait_sets) []
+  end;
+  ss.ss_stale <- true
 
-let evict_session (p : Ast.program) ss =
-  let store = Domain.DLS.get session_store_key in
-  store := List.filter (fun (p', ss') -> p' != p || ss' != ss) !store
+let evict_session store (p : Ast.program) ss =
+  store.st_sessions <-
+    List.filter (fun (p', ss') -> p' != p || ss' != ss) store.st_sessions
 
 (* Take a checkpoint of the session as it stands at the top of a round.
    The scheduler counters and the signal trace live in the run, so the
@@ -379,33 +415,7 @@ let run_in_session ~(config : config) ~(hooks : hooks) ~ordering
   and leaf_runs = ref 0
   and wakes = ref 0
   and rebuilds = ref 0 in
-  (* The ordering layer sees every update the fault intercept lets
-     through (post-rewrite), and may divert it into a port FIFO. *)
-  let base_intercept =
-    match hooks.h_intercept with
-    | None -> None
-    | Some f -> Some (fun name v -> f ~delta:cx.Interp.cx_delta name v)
-  in
-  begin match (base_intercept, ordering) with
-  | None, None -> ()
-  | Some f, None -> Sigtable.set_intercept sigs (Some f)
-  | base, Some mo ->
-    Sigtable.set_intercept sigs
-      (Some
-         (fun name v ->
-           let act =
-             match base with None -> Sigtable.Pass | Some f -> f name v
-           in
-           let capture v =
-             Memord.capture mo ~delta:cx.Interp.cx_delta name v
-           in
-           match act with
-           | Sigtable.Drop -> Sigtable.Drop
-           | Sigtable.Pass ->
-             if capture v then Sigtable.Drop else Sigtable.Pass
-           | Sigtable.Rewrite v' ->
-             if capture v' then Sigtable.Drop else Sigtable.Rewrite v'))
-  end;
+  install_intercept cx hooks ordering;
   (* Apply one scheduler-chosen release of diverted port updates: pokes,
      not schedules, so the delta counter is untouched and waiters wake
      through the notify hook exactly as fault pokes do. *)
@@ -812,23 +822,89 @@ let run_in_session ~(config : config) ~(hooks : hooks) ~ordering
       st_rebuilds = !rebuilds;
     } )
 
+(* The commit log of a run the golden memo may serve: one whose only
+   hooks are the log and a poll, under sequentially consistent commits. *)
+let golden_log hooks ordering =
+  match (hooks, ordering) with
+  | { h_log = Some log; h_intercept = None; h_on_commit = None; _ }, None ->
+    Some log
+  | _ -> None
+
+(* One run in a checked-out session: served from the golden memo, or
+   simulated. *)
+let serve_or_simulate store ss ~config ~hooks ~ordering p =
+  match golden_log hooks ordering with
+  | None ->
+    rewind p ss;
+    run_in_session ~config ~hooks ~ordering p ss
+  | Some log ->
+    begin match ss.ss_golden with
+    (* The poll still runs once: a cancelled golden run simulates, and so
+       ends [Cancelled] as it would without the memo. *)
+    | Some gd when gd.gd_config = config && not (poll_cancelled hooks) ->
+      store.st_golden_hits <- store.st_golden_hits + 1;
+      Commit_log.append log ~from:gd.gd_log;
+      (gd.gd_result, gd.gd_stats)
+    | Some _ | None ->
+      store.st_golden_misses <- store.st_golden_misses + 1;
+      (* The run records into a log of its own, so the memo keeps exactly
+         its commits whatever the caller's log already held. *)
+      let own = Commit_log.create () in
+      rewind p ss;
+      let ((result, stats) as res) =
+        run_in_session ~config ~hooks:{ hooks with h_log = Some own }
+          ~ordering p ss
+      in
+      Commit_log.append log ~from:own;
+      if result.r_outcome <> Cancelled then
+        ss.ss_golden <-
+          Some
+            {
+              gd_config = config;
+              gd_result = result;
+              gd_stats = stats;
+              gd_log = own;
+            };
+      res
+    end
+
 let run_stats ?(config = default_config) ?(hooks = no_hooks) ?ordering
     (p : Ast.program) =
-  let ss = checkout_session p in
-  match run_in_session ~config ~hooks ~ordering p ss with
+  let store = Domain.DLS.get store_key in
+  let ss = checkout_session store p in
+  match serve_or_simulate store ss ~config ~hooks ~ordering p with
   | res ->
     ss.ss_busy <- false;
     res
   | exception e ->
     (* An abandoned mid-run session is in an unknown state: never reuse
        it. *)
-    evict_session p ss;
+    evict_session store p ss;
     raise e
 
 let run ?config ?hooks ?ordering p = fst (run_stats ?config ?hooks ?ordering p)
 
 let checkpoint_deltas (p : Ast.program) =
-  let store = Domain.DLS.get session_store_key in
-  match List.find_opt (fun (p', _) -> p' == p) !store with
-  | Some (_, ss) -> List.map (fun ck -> ck.ck_delta) ss.ss_checkpoints
+  let store = Domain.DLS.get store_key in
+  match List.assq_opt p store.st_sessions with
+  | Some ss -> List.map (fun ck -> ck.ck_delta) ss.ss_checkpoints
   | None -> []
+
+type sessions_stats = {
+  se_golden_hits : int;
+  se_golden_misses : int;
+  se_sessions : int;
+  se_checkpoints : int;
+}
+
+let sessions_stats () =
+  let store = Domain.DLS.get store_key in
+  {
+    se_golden_hits = store.st_golden_hits;
+    se_golden_misses = store.st_golden_misses;
+    se_sessions = List.length store.st_sessions;
+    se_checkpoints =
+      List.fold_left
+        (fun n (_, ss) -> n + List.length ss.ss_checkpoints)
+        0 store.st_sessions;
+  }

@@ -65,12 +65,15 @@ type probe = Runtime.probe = {
     run stops with {!Cancelled} instead of spinning to the step limit.
     [h_fault_from] is the hooks' promise that they act on nothing before
     a delta cycle, which lets {!run} start from a checkpoint (see
-    {!Runtime.hooks}). *)
+    {!Runtime.hooks}).  [h_log] records every committed update, and a
+    run with no other hooks but [h_poll] may be served from the golden
+    memo (see {!run}). *)
 type hooks = Runtime.hooks = {
   h_intercept : (delta:int -> string -> Ast.value -> Sigtable.action) option;
   h_on_commit : (probe -> unit) option;
   h_poll : (unit -> bool) option;
   h_fault_from : int option;
+  h_log : Commit_log.t option;
 }
 
 val no_hooks : hooks
@@ -88,8 +91,9 @@ type sched_stats = {
 val session_cap : unit -> int
 (** Capacity of the per-domain session cache: how many distinct physical
     programs keep their fully elaborated simulation state (frames and
-    compiled bodies) and their checkpoints alive between runs.  Defaults
-    to 4 — enough for a CLI invocation's cosim pairs. *)
+    compiled bodies), their checkpoints and their golden memo alive
+    between runs.  The least recently run program is evicted first.
+    Defaults to 4 — enough for a CLI invocation's cosim pairs. *)
 
 val set_session_cap : int -> unit
 (** Widen (or narrow) the session cache, e.g. for a long-lived daemon
@@ -124,6 +128,19 @@ val run :
     spacing doubles), and they go with the session.  Runs
     with [h_fault_from = None] or an [ordering] neither record nor use
     checkpoints.
+
+    Golden memo.  A run whose only hooks are an [h_log] (plus,
+    optionally, [h_poll]) and that has no [ordering] is pure: its result,
+    {!sched_stats} and commit log are a function of the program and the
+    [config].  The program's session keeps one such run, keyed by the
+    whole [config], and a later qualifying run with an equal [config]
+    returns the stored result and counters and appends the stored commits
+    to its log without simulating.  It still calls [h_poll] once; if that
+    says stop, it simulates as without the memo (and so ends
+    {!Cancelled}).  A qualifying run with another [config] simulates and
+    replaces the entry; cancelled runs and runs that raise are never
+    stored.  The entry goes with its session: on eviction, and with the
+    throwaway session a reentrant run gets.  {!Reference} keeps no memo.
     @raise Interp.Run_error on dynamic errors (unbound names, type
     confusion) — run {!Spec.Program.validate} and {!Spec.Typecheck.check}
     first to rule these out statically. *)
@@ -134,6 +151,18 @@ val checkpoint_spacing : int
 val checkpoint_deltas : Ast.program -> int list
 (** The deltas of the checkpoints this domain's session of the program
     holds, ascending ([[]] without a session). *)
+
+type sessions_stats = {
+  se_golden_hits : int;  (** qualifying runs served from the golden memo *)
+  se_golden_misses : int;  (** qualifying runs simulated *)
+  se_sessions : int;  (** sessions resident *)
+  se_checkpoints : int;  (** checkpoints those sessions hold *)
+}
+
+val sessions_stats : unit -> sessions_stats
+(** The calling domain's session store: its golden-memo counters since
+    the domain started, and what it holds now.  Other domains' sessions
+    are not seen. *)
 
 val run_stats :
   ?config:config ->

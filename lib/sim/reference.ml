@@ -29,35 +29,10 @@ let run ?(config = default_config) ?(hooks = no_hooks) ?ordering
   let total_steps = ref 0 in
   let outcome = ref None in
   let signal_trace = ref [] in
-  (* Same intercept composition as the event-driven kernel: the fault
-     hook decides first, then the ordering layer may divert the write
-     into a port FIFO.  The two kernels see identical capture/release
-     sequences, so a (policy, seed) pair replays bit-identically. *)
-  let base_intercept =
-    match hooks.h_intercept with
-    | None -> None
-    | Some f -> Some (fun name v -> f ~delta:cx.Interp.cx_delta name v)
-  in
-  begin match (base_intercept, ordering) with
-  | None, None -> ()
-  | Some f, None -> Sigtable.set_intercept cx.Interp.cx_signals (Some f)
-  | base, Some mo ->
-    Sigtable.set_intercept cx.Interp.cx_signals
-      (Some
-         (fun name v ->
-           let act =
-             match base with None -> Sigtable.Pass | Some f -> f name v
-           in
-           let capture v =
-             Memord.capture mo ~delta:cx.Interp.cx_delta name v
-           in
-           match act with
-           | Sigtable.Drop -> Sigtable.Drop
-           | Sigtable.Pass ->
-             if capture v then Sigtable.Drop else Sigtable.Pass
-           | Sigtable.Rewrite v' ->
-             if capture v' then Sigtable.Drop else Sigtable.Rewrite v'))
-  end;
+  (* The event-driven kernel's intercept composition.  This kernel fills
+     the commit log itself and keeps no golden memo, so its golden run
+     owes nothing to the engine. *)
+  install_intercept cx hooks ordering;
   (* Same release points as the event-driven kernel (post-commit and
      quiescent rounds), so the scheduler consumes its seed identically
      and a (policy, seed) pair replays bit-identically on both. *)

@@ -71,14 +71,67 @@ type hooks = {
           delta [q], so the run is the hook-free run until delta [q] —
           {!Engine} may resume it from a checkpoint.  [None]: live from
           delta 0. *)
+  h_log : Commit_log.t option;
+      (** records every scheduled update at commit time, before the
+          intercept and the ordering layer see it *)
 }
 
 let no_hooks =
-  { h_intercept = None; h_on_commit = None; h_poll = None; h_fault_from = None }
+  {
+    h_intercept = None;
+    h_on_commit = None;
+    h_poll = None;
+    h_fault_from = None;
+    h_log = None;
+  }
 
 (* The round-boundary cancellation check both kernels share. *)
 let poll_cancelled hooks =
   match hooks.h_poll with None -> false | Some f -> f ()
+
+(* The update intercept both kernels install for a run: the commit log
+   records every scheduled update, the fault hook decides, then the
+   ordering layer may divert what it lets through (post-rewrite) into a
+   port FIFO.  Both kernels see identical capture/release sequences, so a
+   (policy, seed) pair replays bit-identically on both.  Without a log,
+   a fault hook or an ordering, no intercept is installed: the commit
+   path is literally unchanged. *)
+let install_intercept (cx : Interp.context) hooks ordering =
+  let base =
+    match (hooks.h_log, hooks.h_intercept) with
+    | None, None -> None
+    | None, Some f -> Some (fun name v -> f ~delta:cx.Interp.cx_delta name v)
+    | Some log, None ->
+      Some
+        (fun name _ ->
+          Commit_log.record log name cx.Interp.cx_delta;
+          Sigtable.Pass)
+    | Some log, Some f ->
+      Some
+        (fun name v ->
+          let delta = cx.Interp.cx_delta in
+          Commit_log.record log name delta;
+          f ~delta name v)
+  in
+  match (base, ordering) with
+  | None, None -> ()
+  | Some f, None -> Sigtable.set_intercept cx.Interp.cx_signals (Some f)
+  | base, Some mo ->
+    Sigtable.set_intercept cx.Interp.cx_signals
+      (Some
+         (fun name v ->
+           let act =
+             match base with None -> Sigtable.Pass | Some f -> f name v
+           in
+           let capture v =
+             Memord.capture mo ~delta:cx.Interp.cx_delta name v
+           in
+           match act with
+           | Sigtable.Drop -> Sigtable.Drop
+           | Sigtable.Pass ->
+             if capture v then Sigtable.Drop else Sigtable.Pass
+           | Sigtable.Rewrite v' ->
+             if capture v' then Sigtable.Drop else Sigtable.Rewrite v'))
 
 (** The leaf machine a process tree runs, indexed by the machine's type:
     the tree-walking interpreter ({!Interp}), which the polling

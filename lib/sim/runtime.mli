@@ -55,8 +55,15 @@ type hooks = {
           on every commit up to delta [q]; the run is therefore the
           hook-free run up to delta [q], and {!Engine} may start it from a
           checkpoint of that run instead of from delta 0.  [None]: the
-          hooks may act from delta 0 ({!no_hooks}, the golden counting
-          hooks).  {!Reference} ignores it and always replays from 0. *)
+          hooks may act from delta 0 ({!no_hooks}, and the golden hooks,
+          which carry only an [h_log]).  {!Reference} ignores it and
+          always replays from 0. *)
+  h_log : Commit_log.t option;
+      (** The run's commit log: both kernels record into it every
+          scheduled update at commit time, tagged with the delta cycle
+          being committed, before [h_intercept] and the [ordering] layer
+          see it.  A run whose only hooks are the log (and [h_poll]) is
+          pure, and {!Engine} may serve it from its golden memo. *)
 }
 
 val no_hooks : hooks
@@ -64,6 +71,13 @@ val no_hooks : hooks
 val poll_cancelled : hooks -> bool
 (** The round-boundary cancellation check both kernels share: [false]
     without an [h_poll] hook. *)
+
+val install_intercept : Interp.context -> hooks -> Memord.t option -> unit
+(** Install the run's update intercept on the context's signal store, the
+    same for both kernels: the commit log records the update, the fault
+    hook decides, then the ordering layer may divert what passes into a
+    port FIFO.  Without a log, a fault hook and an ordering nothing is
+    installed. *)
 
 (** {1 The instantiated process tree} *)
 

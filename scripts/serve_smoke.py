@@ -187,7 +187,10 @@ def serve_faults():
     a journal.  All ten share one design, so the daemon refines it once
     (one refinement-memo miss) and every later job reuses that refined
     program: its warm simulator session, whose checkpoints earlier
-    campaigns recorded.  The second round must be ten memo hits, and
+    campaigns recorded.  The second round must be ten memo hits, every
+    one of its golden runs served from that session's golden memo (under
+    the default --jobs 1 the daemon runs jobs in the domain that answers
+    stats), and
     every served output byte-identical to the cold CLI's."""
     path = "examples/specs/medical.sc"
     classes = ["bit-flip", "drop-handshake", "delay-handshake",
@@ -206,6 +209,7 @@ def serve_faults():
     text = spec_text(path)
     served = 0
     memo = []
+    golden = []
     for _ in range(2):
         for cls, base in cases:
             job = {"kind": "faults", "spec": text, "harden": True,
@@ -219,16 +223,24 @@ def serve_faults():
                 f"served {cls} campaign (base seed {base}) differs from " \
                 "the cold CLI"
             served += 1
-        m = c.rpc({"op": "stats"})["refined_cache"]
+        stats = c.rpc({"op": "stats"})
+        m = stats["refined_cache"]
         memo.append((m["hits"], m["misses"]))
+        g = stats["sim_sessions"]
+        golden.append((g["golden_hits"], g["golden_misses"]))
     assert memo == [(9, 1), (19, 1)], \
         f"refinement memo (hits, misses) after each round: {memo}, " \
         "expected [(9, 1), (19, 1)]"
+    second = (golden[1][0] - golden[0][0], golden[1][1] - golden[0][1])
+    assert second == (10, 0), \
+        f"golden memo (hits, misses) of the second round: {second}, " \
+        "expected (10, 0)"
     c.rpc({"op": "shutdown"})
     c.close()
     proc.wait(timeout=30)
     print(f"{served} served hardened fault campaigns byte-identical to "
-          "the cold CLI; one refinement, then memo hits")
+          "the cold CLI; one refinement, then memo hits; the second "
+          "round's golden runs all served from the golden memo")
 
 
 def serve_speed():

@@ -561,6 +561,7 @@ let always_on_hooks faults =
     h_on_commit = Some on_commit;
     h_poll = None;
     h_fault_from = None;
+    h_log = None;
   }
 
 let flip = Faults.Fault.Flip_bit { fl_var = "i"; fl_bit = 0; fl_delta = 3 }

@@ -1408,6 +1408,52 @@ let test_refined_memo_follows_elab () =
   Alcotest.check counts "stale elaboration stores nothing" (0, 2, 0)
     (refined_counts session)
 
+(* Both jobs simulate one refined program, so the second campaign's
+   golden run is served from the engine session's golden memo: the
+   dispatcher runs jobs in this domain under [--jobs 1], and the stats
+   reply's [sim_sessions] object counts the hit. *)
+let test_golden_memo_served () =
+  let fields =
+    [
+      ("kind", Serve.Protocol.String "faults");
+      ("spec", Serve.Protocol.String fig1_src);
+      ("seeds", Serve.Protocol.Int 2);
+      ("json", Serve.Protocol.Bool true);
+      ("harden", Serve.Protocol.Bool true);
+    ]
+  in
+  let fresh = run_job (Serve.Session.create ()) (Serve.Protocol.Obj fields) in
+  with_server (fun socket ->
+      let conn = connect socket in
+      Fun.protect ~finally:(fun () -> close_conn conn) @@ fun () ->
+      let golden () =
+        let _, v = reply_ok (roundtrip conn "{\"op\":\"stats\"}") in
+        ( nested_int "sim_sessions" "golden_hits" v,
+          nested_int "sim_sessions" "golden_misses" v )
+      in
+      let run () =
+        let ok, v = reply_ok (roundtrip conn (submit_line fields)) in
+        Alcotest.(check bool) "submitted" true ok;
+        let r = await_result conn (reply_string "id" v) in
+        Alcotest.(check string) "done" "done" (reply_string "state" r);
+        reply_string "output" r
+      in
+      let step () =
+        let h0, m0 = golden () in
+        let out = run () in
+        let h1, m1 = golden () in
+        (out, (h1 - h0, m1 - m0))
+      in
+      let first, golden_first = step () in
+      let second, golden_second = step () in
+      Alcotest.(check (pair int int)) "first job simulates its golden run"
+        (0, 1) golden_first;
+      Alcotest.(check (pair int int)) "second job is a golden hit" (1, 0)
+        golden_second;
+      Alcotest.(check string) "byte-identical" first second;
+      Alcotest.(check (result string string))
+        "as on a fresh session" fresh (Ok second))
+
 (* A procedure touching a variable that partitioning moves into a
    memory: the refiner refuses it. *)
 let unrefinable_src =
@@ -1538,5 +1584,7 @@ let () =
             `Quick test_refined_memo_follows_elab;
           Alcotest.test_case "refinement errors are not cached" `Quick
             test_refined_errors_not_cached;
+          Alcotest.test_case "faults job reuses its golden run" `Quick
+            test_golden_memo_served;
         ] );
     ]

@@ -887,6 +887,21 @@ let test_checkpoint_evicted () =
   check_resumed "resumed in the new session" ~config p (fun () ->
       Faults.Inject.hooks ~golden:schedule faults)
 
+(* The store is least recently used first out: a program run between
+   every insertion keeps its session, and its checkpoints, past any
+   number of newer programs. *)
+let test_checkpoint_lru () =
+  let p, _, _, _, _, config = checkpoint_case () in
+  ignore (Sim.Engine.run ~config ~hooks:inert p);
+  let held = Sim.Engine.checkpoint_deltas p in
+  Alcotest.(check bool) "recorded" true (held <> []);
+  for _ = 1 to Sim.Engine.session_cap () + 1 do
+    ignore (Sim.Engine.run ~config (fresh_copy p));
+    ignore (Sim.Engine.run ~config p)
+  done;
+  Alcotest.(check (list int)) "kept past the cap" held
+    (Sim.Engine.checkpoint_deltas p)
+
 (* Refined generated specs (Model2 or Model4 by seed parity) under a
    random fault acting from a random delta [q]: a bit flip right after
    [q], a stuck line from [q], a dropped occurrence (its golden delta is
@@ -958,6 +973,165 @@ let prop_resume_agrees =
           (String.concat "; " (List.map Faults.Fault.describe faults))
           m)
 
+(* --- the golden memo ------------------------------------------------------- *)
+
+(* A run whose only hooks are a commit log is served from its session's
+   golden memo when its config matches the stored run's.  A hit must be
+   indistinguishable from a fresh session's run — result, scheduler
+   counters and log — and the engine's log must equal the polling
+   kernel's, which never serves a stored run. *)
+
+let golden_counts () =
+  let st = Sim.Engine.sessions_stats () in
+  (st.Sim.Engine.se_golden_hits, st.Sim.Engine.se_golden_misses)
+
+(* One engine run with a fresh commit log added to [hooks]: its result,
+   counters, log, and whether the memo served it. *)
+let logged_run ?(config = diff_config) ?(hooks = Sim.Engine.no_hooks) ?ordering
+    p =
+  let log = Sim.Commit_log.create () in
+  let hits, _ = golden_counts () in
+  let r, st =
+    Sim.Engine.run_stats ~config
+      ~hooks:{ hooks with Sim.Engine.h_log = Some log }
+      ?ordering p
+  in
+  (r, st, Sim.Commit_log.to_list log, fst (golden_counts ()) > hits)
+
+let hardened d m =
+  let options = { Core.Refiner.default_options with harden = true } in
+  (Core.Refiner.refine ~options Medical.spec Medical.graph d.Designs.d_partition
+     m)
+    .Core.Refiner.rf_program
+
+let golden_cases () =
+  List.concat_map
+    (fun d ->
+      List.map
+        (fun m ->
+          ( Printf.sprintf "%s/%s" d.Designs.d_name (Core.Model.name m),
+            hardened d m ))
+        Core.Model.all)
+    Designs.all
+  @ [ ("generated/7", (snd (refined_generated 7)).Core.Refiner.rf_program) ]
+
+let hardened_model2 () = hardened Designs.design1 Core.Model.Model2
+
+let check_hit label ~expected hit =
+  Alcotest.(check bool) (label ^ ": served from the memo") expected hit
+
+let test_golden_hit () =
+  List.iter
+    (fun (label, p) ->
+      ignore (logged_run p);
+      let r, st, log, hit = logged_run p in
+      check_hit label ~expected:true hit;
+      let fr, fst, flog, fhit = logged_run (fresh_copy p) in
+      check_hit (label ^ " (fresh session)") ~expected:false fhit;
+      check_same label `Vm `Vm r fr;
+      Alcotest.(check bool) (label ^ ": same counters") true (st = fst);
+      Alcotest.(check bool) (label ^ ": same log") true (log = flog);
+      let rlog = Sim.Commit_log.create () in
+      let rr =
+        Sim.Reference.run ~config:diff_config
+          ~hooks:{ Sim.Engine.no_hooks with Sim.Engine.h_log = Some rlog }
+          p
+      in
+      check_same label `Vm `Reference r rr;
+      Alcotest.(check bool)
+        (label ^ ": engine log = reference log")
+        true
+        (log = Sim.Commit_log.to_list rlog && log <> []))
+    (golden_cases ())
+
+let test_golden_keys () =
+  let p = hardened_model2 () in
+  ignore (logged_run p);
+  let _, _, _, hit = logged_run p in
+  check_hit "same config" ~expected:true hit;
+  (* Each config differs from the one stored before it, and each miss
+     must still be the run a fresh session gives. *)
+  List.iter
+    (fun (label, config) ->
+      let r, st, log, hit = logged_run ~config p in
+      check_hit label ~expected:false hit;
+      let fr, fst, flog, _ = logged_run ~config (fresh_copy p) in
+      check_same label `Vm `Vm r fr;
+      Alcotest.(check bool) (label ^ ": same counters and log") true
+        (st = fst && log = flog))
+    [
+      ( "another max_deltas",
+        { diff_config with Sim.Engine.max_deltas = diff_config.max_deltas - 1 } );
+      ("another slice", { diff_config with Sim.Engine.slice = 77 });
+      ("another trace setting", { diff_config with Sim.Engine.trace_signals = false });
+    ];
+  (* The memo leaves with its session. *)
+  for _ = 1 to Sim.Engine.session_cap () do
+    ignore (Sim.Engine.run ~config:diff_config (fresh_copy p))
+  done;
+  let _, _, _, hit = logged_run p in
+  check_hit "after eviction" ~expected:false hit
+
+let test_golden_never () =
+  let p = hardened_model2 () in
+  ignore (logged_run p);
+  let pass = Some (fun ~delta:_ _ _ -> Sim.Sigtable.Pass) in
+  let sc () =
+    Sim.Memord.make ~policy:Sim.Memord.Sc ~seed:1 ~port_of:(fun _ -> None)
+  in
+  List.iter
+    (fun (label, hooks, ordering) ->
+      let _, _, _, hit = logged_run ~hooks ?ordering p in
+      check_hit label ~expected:false hit)
+    [
+      ("with an ordering", Sim.Engine.no_hooks, Some (sc ()));
+      ( "with an intercept",
+        { Sim.Engine.no_hooks with Sim.Engine.h_intercept = pass },
+        None );
+      ( "with a post-commit hook",
+        { Sim.Engine.no_hooks with Sim.Engine.h_on_commit = Some ignore },
+        None );
+    ];
+  (* None of those replaced the stored run. *)
+  let _, _, _, hit = logged_run p in
+  check_hit "log-only again" ~expected:true hit;
+  (* A run that raises is not stored. *)
+  let crash =
+    Spec.Program.make
+      ~vars:[ Spec.Builder.int_var ~init:0 "zero"; Spec.Builder.int_var "ok" ]
+      "crash"
+      (Spec.Behavior.leaf "L" (s "ok := 1 / zero;"))
+  in
+  for i = 1 to 2 do
+    let hits, misses = golden_counts () in
+    (match logged_run crash with
+    | _ -> Alcotest.fail "division by zero completed"
+    | exception Spec.Expr.Eval_error _ -> ());
+    Alcotest.(check (pair int int))
+      (Printf.sprintf "raising run %d simulates" i)
+      (hits, misses + 1) (golden_counts ())
+  done
+
+let test_golden_cancelled () =
+  let p = hardened_model2 () in
+  let stop = { Sim.Engine.no_hooks with Sim.Engine.h_poll = Some (fun () -> true) } in
+  let cancelled label (r, _, _, hit) =
+    check_hit label ~expected:false hit;
+    Alcotest.(check string) label "cancelled"
+      (Sim.Engine.outcome_to_string r.Sim.Engine.r_outcome)
+  in
+  (* On a warm session: the poll still stops the run. *)
+  let warm, _, _, _ = logged_run p in
+  cancelled "warm session" (logged_run ~hooks:stop p);
+  let r, _, _, hit = logged_run p in
+  check_hit "stored run kept" ~expected:true hit;
+  check_same "stored run kept" `Vm `Vm r warm;
+  (* On a cold session: the cancelled run is not stored. *)
+  let q = fresh_copy p in
+  cancelled "cold session" (logged_run ~hooks:stop q);
+  let _, _, _, hit = logged_run q in
+  check_hit "cancelled run not stored" ~expected:false hit
+
 (* --- qcheck: generated specs, both kernels ----------------------------- *)
 
 let prop_kernels_agree =
@@ -1024,6 +1198,14 @@ let () =
           tc "resume boundaries" test_checkpoint_boundaries;
           tc "cancelled resume" test_checkpoint_cancelled;
           tc "evicted session" test_checkpoint_evicted;
+          tc "least recently used evicted" test_checkpoint_lru;
+        ] );
+      ( "golden memo",
+        [
+          tc "hit = fresh run = reference" test_golden_hit;
+          tc "config is the key" test_golden_keys;
+          tc "never with other hooks" test_golden_never;
+          tc "poll still cancels" test_golden_cancelled;
         ] );
       ( "properties",
         [
