@@ -49,6 +49,8 @@ let invocations =
       @ fig1_assign;
       [ "quality"; fig1; "--model"; "2" ] @ fig1_assign;
       [ "quality"; spec "medical.sc"; "--parts"; "3" ];
+      (* the built-in workloads and their refined medical designs *)
+      [ "lint"; "--workloads" ];
     ]
   @ json_invocations
   @ [
