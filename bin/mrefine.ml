@@ -791,30 +791,23 @@ let lint_cmd =
       { Command.Lint.t_name; t_program; t_phase = phase; t_locations = None }
     in
     let builtin =
-      [
-        ("fig1", Workloads.Smallspecs.fig1);
-        ("fig2", Workloads.Smallspecs.fig2);
-        ("pingpong", Workloads.Smallspecs.ping_pong);
-        ("medical", Workloads.Medical.spec);
-        ("elevator", Workloads.Elevator.spec);
-        ("fir", Workloads.Fir.spec);
-      ]
+      List.map
+        (fun name -> (name, Workloads.Builtin.program name))
+        Workloads.Builtin.names
     in
+    let medical = List.assoc "medical" builtin in
+    let graph = Agraph.Access_graph.of_program medical in
     let refined =
       List.concat_map
-        (fun (d : Workloads.Designs.design) ->
+        (fun (d : Workloads.Builtin.design) ->
           List.map
             (fun m ->
-              let r =
-                Core.Refiner.refine Workloads.Medical.spec
-                  Workloads.Medical.graph d.Workloads.Designs.d_partition m
-              in
+              let r = Core.Refiner.refine medical graph d.d_partition m in
               target ~phase:Lint.Registry.Post
-                ( Printf.sprintf "medical/%s/%s" d.Workloads.Designs.d_name
-                    (Core.Model.name m),
+                ( Printf.sprintf "medical/%s/%s" d.d_name (Core.Model.name m),
                   r.Core.Refiner.rf_program ))
             Core.Model.all)
-        Workloads.Designs.all
+        (Workloads.Builtin.designs graph)
     in
     List.map target builtin @ refined
   in

@@ -43,8 +43,15 @@ let vbool b = if b then vtrue else vfalse
 
 (* Small integers likewise: loop counters and protocol data values live
    in a narrow range, and arithmetic re-boxing them was the next biggest
-   allocation after booleans. *)
-let vint_small = Array.init 1024 (fun n -> VInt n)
+   allocation after booleans.  The table is filled in a loop rather than
+   built with [Array.init]: that would seed [caml_make_vect] with a young
+   block, which forces collections at start-up. *)
+let vint_small =
+  let a = Array.make 1024 vfalse in
+  for n = 0 to 1023 do
+    a.(n) <- VInt n
+  done;
+  a
 
 let vint n =
   if Stdlib.( && ) (Stdlib.( >= ) n 0) (Stdlib.( < ) n 1024) then

@@ -27,6 +27,15 @@ let keywords =
     "bool"; "int";
   ]
 
+(* Looked up for every identifier the lexer scans, so a hash table
+   rather than a list walk. *)
+module Kw = Hashtbl.Make (String)
+
+let keyword_table =
+  let t = Kw.create 64 in
+  List.iter (fun k -> Kw.replace t k ()) keywords;
+  t
+
 let is_ident_start c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
 let is_ident_char c = is_ident_start c || (c >= '0' && c <= '9')
 let is_digit c = c >= '0' && c <= '9'
@@ -37,7 +46,8 @@ let tokenize src =
   let lnum = ref 1 in
   let emit tok = toks := { tok; lnum = !lnum } :: !toks in
   let i = ref 0 in
-  let peek k = if !i + k < n then Some src.[!i + k] else None in
+  (* ['\000'] past the end, which no two-character token continues with *)
+  let peek k = if !i + k < n then src.[!i + k] else '\000' in
   while !i < n do
     let c = src.[!i] in
     if c = '\n' then begin
@@ -45,7 +55,7 @@ let tokenize src =
       incr i
     end
     else if c = ' ' || c = '\t' || c = '\r' then incr i
-    else if c = '-' && peek 1 = Some '-' then begin
+    else if c = '-' && peek 1 = '-' then begin
       (* comment to end of line *)
       while !i < n && src.[!i] <> '\n' do incr i done
     end
@@ -53,7 +63,8 @@ let tokenize src =
       let start = !i in
       while !i < n && is_ident_char src.[!i] do incr i done;
       let word = String.sub src start (!i - start) in
-      if List.mem word keywords then emit (KW word) else emit (IDENT word)
+      if Kw.mem keyword_table word then emit (KW word)
+      else emit (IDENT word)
     end
     else if is_digit c then begin
       let start = !i in
@@ -114,11 +125,11 @@ let tokenize src =
       let two tok = emit tok; i := !i + 2 in
       let one tok = emit tok; incr i in
       match (c, peek 1) with
-      | ':', Some '=' -> two ASSIGN
-      | '-', Some '>' -> two ARROW
-      | '<', Some '=' -> two LE
-      | '>', Some '=' -> two GE
-      | '/', Some '=' -> two NEQ
+      | ':', '=' -> two ASSIGN
+      | '-', '>' -> two ARROW
+      | '<', '=' -> two LE
+      | '>', '=' -> two GE
+      | '/', '=' -> two NEQ
       | '(', _ -> one LPAREN
       | ')', _ -> one RPAREN
       | '[', _ -> one LBRACKET

@@ -1,139 +1,3 @@
-(** A second embedded case study: an elevator controller, modelled on the
-    running example of the authors' book ("Specification and design of
-    embedded systems", the paper's reference [5]).  Unlike the medical
-    system it is control-dominated: a request scanner, a direction
-    planner, a motor sequencer and a door sequencer, with a cabin-position
-    loop.  Used to check that the experimental conclusions are not
-    specific to the medical workload. *)
-
-open Spec
-
-let s = Parser.stmts_of_string_exn
-let e = Parser.expr_of_string_exn
-
-let variables =
-  [
-    Builder.int_var ~width:8 ~init:0 "floor";  (* current cabin floor *)
-    Builder.int_var ~width:8 ~init:0 "target";  (* chosen destination *)
-    Builder.int_var ~width:8 ~init:0 "requests";  (* pending request queue *)
-    Builder.int_var ~width:8 ~init:0 "direction";  (* 0 idle, 1 up, 2 down *)
-    Builder.int_var ~width:8 ~init:0 "motor";  (* 0 stop, 1 up, 2 down *)
-    Builder.int_var ~width:8 ~init:0 "door";  (* 0 closed .. 3 open *)
-    Builder.int_var ~width:8 ~init:0 "trips";  (* completed services *)
-    Builder.int_var ~width:16 ~init:0 "wear";  (* accumulated motor wear *)
-    Builder.bool_var ~init:false "overload";
-    Builder.int_var ~width:8 ~init:0 "load";  (* cabin load estimate *)
-  ]
-
-(* R -; W requests floor direction motor door trips wear load *)
-let init_ctrl =
-  Behavior.leaf "E_INIT"
-    (s
-       "requests := 45; floor := 0; direction := 0; motor := 0; door := 0; \
-        trips := 0; wear := 0; load := 3;")
-
-(* R requests floor; W target direction.  The request queue is a packed
-   counter: the next destination is derived from its low digits. *)
-let scan =
-  Behavior.leaf "SCAN"
-    (s
-       "target := requests % 6;         if target > floor then direction := 1;         elsif target < floor then direction := 2;         else direction := 0; end if;")
-
-(* R load; W overload *)
-let weigh =
-  Behavior.leaf "WEIGH"
-    (s "if load > 8 then overload := true; else overload := false; end if;")
-
-(* R direction overload; W motor wear *)
-let motor_start =
-  Behavior.leaf "MOTOR_START"
-    (s
-       "if not overload then motor := direction; else motor := 0; end if;\n\
-        wear := wear + motor * 3;")
-
-(* R motor floor target; W floor *)
-let travel =
-  Behavior.leaf "TRAVEL"
-    (s
-       "while motor = 1 and floor < target do floor := floor + 1; end while;\n\
-        while motor = 2 and floor > target do floor := floor - 1; end while;")
-
-(* R -; W motor *)
-let motor_stop = Behavior.leaf "MOTOR_STOP" (s "motor := 0;")
-
-(* R requests; W requests — consume the served request *)
-let clear_request =
-  Behavior.leaf "CLEAR_REQUEST" (s "requests := requests / 2;")
-
-(* R door; W door *)
-let door_open =
-  Behavior.leaf "DOOR_OPEN" (s "while door < 3 do door := door + 1; end while;")
-
-(* R load; W load door *)
-let exchange =
-  Behavior.leaf "EXCHANGE"
-    (s "load := (load * 5 + 4) % 11; door := 3;")
-
-(* R door; W door *)
-let door_close =
-  Behavior.leaf "DOOR_CLOSE" (s "while door > 0 do door := door - 1; end while;")
-
-(* R trips floor; W trips *)
-let log_trip =
-  Behavior.leaf "LOG_TRIP"
-    (s "trips := trips + 1; emit \"served\" floor;")
-
-(* R trips wear; W - *)
-let report =
-  Behavior.leaf "E_REPORT" (s "emit \"trips\" trips; emit \"wear\" wear;")
-
-let door_cycle =
-  Behavior.seq "DOOR_CYCLE"
-    [
-      Behavior.arm door_open;
-      Behavior.arm exchange;
-      Behavior.arm door_close;
-    ]
-
-let service =
-  Behavior.seq "SERVICE"
-    [
-      Behavior.arm weigh;
-      Behavior.arm motor_start;
-      Behavior.arm travel;
-      Behavior.arm motor_stop;
-      Behavior.arm clear_request;
-      Behavior.arm door_cycle;
-      Behavior.arm log_trip;
-    ]
-
-let top =
-  Behavior.seq "ELEVATOR"
-    [
-      Behavior.arm init_ctrl;
-      Behavior.arm scan;
-      Behavior.arm service
-        (* keep serving while requests remain, then report *)
-        ~transitions:
-          [ Builder.goto ~cond:(e "requests > 0 and trips < 8") "SCAN";
-            Builder.goto "E_REPORT" ];
-      Behavior.arm report;
-    ]
-
-let spec = Program.validate_exn (Program.make ~vars:variables "elevator" top)
-
+let spec = Builtin.program "elevator"
 let graph = Agraph.Access_graph.of_program spec
-
-(** A sensible two-component split: the mechanical sequencing (motor,
-    travel, doors) on the ASIC, planning and logging on the processor. *)
-let partition =
-  let p1_behaviors =
-    [ "MOTOR_START"; "TRAVEL"; "MOTOR_STOP"; "DOOR_OPEN"; "DOOR_CLOSE" ]
-  in
-  let p1_variables = [ "motor"; "door" ] in
-  Partitioning.Partition.of_graph graph ~n_parts:2 (fun o ->
-      match o with
-      | Partitioning.Partition.Obj_behavior b ->
-        if List.mem b p1_behaviors then 1 else 0
-      | Partitioning.Partition.Obj_variable v ->
-        if List.mem v p1_variables then 1 else 0)
+let partition = Builtin.partition "elevator" graph

@@ -1,89 +1,9 @@
-(** A third case study exercising arrays: a 4-tap FIR filter — the
-    canonical datapath-dominated codesign workload.  A producer generates
-    a deterministic pseudo-sensor stream, the filter shifts a delay line
-    and convolves it with a coefficient array, and a collector
-    accumulates statistics.  Arrays map to memory address {e ranges}
-    during refinement, so this workload drives the indexed bus-protocol
-    path (address = base + index) through every implementation model. *)
+let spec = Builtin.program "fir"
 
-open Spec
-open Spec.Ast
-
-let s = Parser.stmts_of_string_exn
-let e = Parser.expr_of_string_exn
-
-let taps = 4
-
-let variables =
-  [
-    Builder.var "coeff" (TArray (16, taps)) ~init:(VInt 0);
-    Builder.var "delay" (TArray (16, taps)) ~init:(VInt 0);
-    Builder.int_var ~width:16 ~init:0 "sample";
-    Builder.int_var ~width:16 ~init:0 "output";
-    Builder.int_var ~width:16 ~init:0 "acc_energy";
-    Builder.int_var ~width:8 ~init:0 "n";
-    Builder.int_var ~width:16 ~init:7 "seed_v";
-  ]
-
-(* W coeff (element-wise) *)
-let load_coeffs =
-  Behavior.leaf "LOAD_COEFFS"
-    (s "coeff[0] := 3; coeff[1] := 5; coeff[2] := 5; coeff[3] := 3;")
-
-(* R seed_v; W seed_v sample *)
-let produce =
-  Behavior.leaf "PRODUCE"
-    (s "seed_v := (seed_v * 13 + 41) % 128; sample := seed_v - 64;")
-
-(* R delay sample coeff; W delay output *)
-let filter =
-  Behavior.leaf "FILTER"
-    ~vars:
-      [ Builder.int_var ~width:8 "k"; Builder.int_var ~width:16 ~init:0 "sum" ]
-    (s
-       "delay[3] := delay[2]; delay[2] := delay[1]; delay[1] := delay[0]; \
-        delay[0] := sample; \
-        sum := 0; \
-        for k := 0 to 3 do sum := sum + coeff[k] * delay[k]; end for; \
-        output := sum / 16;")
-
-(* R output acc_energy n; W acc_energy n *)
-let collect =
-  Behavior.leaf "COLLECT"
-    (s
-       "acc_energy := acc_energy + output * output; n := n + 1; \
-        emit \"y\" output;")
-
-(* R acc_energy n delay; W - *)
-let finish =
-  Behavior.leaf "FIR_DONE"
-    (s "emit \"energy\" acc_energy; emit \"tail\" delay[3];")
-
-let top =
-  Behavior.seq "FIR"
-    [
-      Behavior.arm load_coeffs;
-      Behavior.arm produce;
-      Behavior.arm filter;
-      Behavior.arm collect
-        ~transitions:
-          [ Builder.goto ~cond:(e "n < 10") "PRODUCE";
-            Builder.goto "FIR_DONE" ];
-      Behavior.arm finish;
-    ]
-
-let spec = Program.validate_exn (Program.make ~vars:variables "fir" top)
+let taps =
+  match Spec.Program.lookup_var spec "coeff" with
+  | Some { Spec.Ast.v_ty = TArray (_, n); _ } -> n
+  | _ -> invalid_arg "fir.sc: no coeff array"
 
 let graph = Agraph.Access_graph.of_program spec
-
-(** Datapath (filter + its arrays) on the ASIC; stream production and
-    collection on the processor. *)
-let partition =
-  let p1_behaviors = [ "LOAD_COEFFS"; "FILTER" ] in
-  let p1_variables = [ "coeff"; "delay"; "output" ] in
-  Partitioning.Partition.of_graph graph ~n_parts:2 (fun o ->
-      match o with
-      | Partitioning.Partition.Obj_behavior b ->
-        if List.mem b p1_behaviors then 1 else 0
-      | Partitioning.Partition.Obj_variable v ->
-        if List.mem v p1_variables then 1 else 0)
+let partition = Builtin.partition "fir" graph

@@ -2,9 +2,11 @@
     canonical datapath-dominated codesign workload.  Arrays map to memory
     address ranges during refinement, so this workload drives the indexed
     bus-protocol path (address = base + index) through every
-    implementation model. *)
+    implementation model.  The source is [examples/specs/fir.sc], loaded
+    through {!Builtin}. *)
 
 val taps : int
+(** The length of the [coeff] and [delay] arrays. *)
 
 val spec : Spec.Ast.program
 val graph : Agraph.Access_graph.t

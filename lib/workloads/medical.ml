@@ -1,169 +1,6 @@
-(** Reconstruction of the paper's experimental workload: "a real-time
-    embedded medical system used to measure a patient's bladder volume"
-    (Section 5), profiled as 16 behaviors, 14 variables and 52 data-access
-    channels.  The original SpecCharts source is not available, so this is
-    a synthetic system with exactly that access-graph profile: 16 leaf
-    behaviors in a four-level hierarchy, 14 program variables, and 52
-    derived (behavior, variable, direction) channels — the statistics
-    Figures 9 and 10 depend on.  The functional content (sample
-    acquisition, filtering, averaging, volume computation, thresholding,
-    display/alarm/logging) mirrors the described application. *)
-
-open Spec
-open Spec.Ast
-
-let e = Parser.expr_of_string_exn
-let s = Parser.stmts_of_string_exn
-
-let variables =
-  [
-    Builder.int_var ~width:8 ~init:0 "mode";
-    Builder.int_var ~width:16 ~init:0 "sample";
-    Builder.int_var ~width:16 ~init:0 "sum";
-    Builder.int_var ~width:8 ~init:0 "count";
-    Builder.int_var ~width:16 ~init:0 "average";
-    Builder.int_var ~width:16 ~init:0 "threshold";
-    Builder.int_var ~width:16 ~init:0 "volume";
-    Builder.int_var ~width:16 ~init:16 "calib_gain";
-    Builder.int_var ~width:16 ~init:0 "calib_offset";
-    Builder.int_var ~width:16 ~init:0 "peak";
-    Builder.bool_var ~init:false "valid";
-    Builder.int_var ~width:16 ~init:0 "display_code";
-    Builder.bool_var ~init:false "alarm_on";
-    Builder.int_var ~width:8 ~init:0 "log_index";
-  ]
-
-(* The 16 leaf behaviors.  Accesses are arranged to derive exactly 52
-   channels (see the comment at each leaf: R = read, W = write). *)
-
-(* W mode sum count calib_gain calib_offset log_index *)
-let init_leaf =
-  Behavior.leaf "INIT"
-    (s
-       "mode := 1; sum := 0; count := 0; calib_gain := 20; \
-        calib_offset := 5; log_index := 0;")
-
-(* R mode; W valid *)
-let self_test =
-  Behavior.leaf "SELF_TEST"
-    (s "if mode > 0 then valid := true; else valid := false; end if;")
-
-(* R calib_gain calib_offset; W threshold *)
-let calib_sense =
-  Behavior.leaf "CALIB_SENSE" (s "threshold := calib_gain * 8 + calib_offset;")
-
-(* R mode count; W sample *)
-let acquire =
-  Behavior.leaf "ACQUIRE" (s "sample := (mode * 17 + count * 13 + 23) % 101;")
-
-(* R sample calib_gain; W sample *)
-let filter =
-  Behavior.leaf "FILTER" (s "sample := (sample * calib_gain) / 16;")
-
-(* R sample sum count; W sum count *)
-let accumulate =
-  Behavior.leaf "ACCUMULATE" (s "sum := sum + sample; count := count + 1;")
-
-(* R sum count; W average *)
-let average_calc =
-  Behavior.leaf "AVERAGE_CALC"
-    (s "if count > 0 then average := sum / count; else average := 0; end if;")
-
-(* R average calib_gain calib_offset; W volume *)
-let volume_calc =
-  Behavior.leaf "VOLUME_CALC"
-    (s "volume := (average * calib_gain) / 8 + calib_offset;")
-
-(* R volume peak; W peak *)
-let peak_track =
-  Behavior.leaf "PEAK_TRACK"
-    (s "if volume > peak then peak := volume; end if;")
-
-(* R volume sample; W valid *)
-let validate =
-  Behavior.leaf "VALIDATE"
-    (s
-       "if volume > 0 and sample >= 0 then valid := true; \
-        else valid := false; end if;")
-
-(* R valid volume threshold; W alarm_on *)
-let thresh_check =
-  Behavior.leaf "THRESH_CHECK"
-    (s
-       "if valid and volume > threshold then alarm_on := true; \
-        else alarm_on := false; end if;")
-
-(* R volume mode; W display_code *)
-let display =
-  Behavior.leaf "DISPLAY" (s "display_code := (volume + mode * 3) % 256;")
-
-(* R alarm_on; W display_code *)
-let alarm =
-  Behavior.leaf "ALARM"
-    (s "if alarm_on then display_code := 999; end if;")
-
-(* R volume log_index; W log_index *)
-let log_leaf =
-  Behavior.leaf "LOG"
-    (s "emit \"log_volume\" volume; log_index := log_index + 1;")
-
-(* R valid alarm_on; W mode *)
-let notify =
-  Behavior.leaf "NOTIFY"
-    (s
-       "if valid and not alarm_on then mode := 2; else mode := 0; end if;")
-
-(* R mode; W mode *)
-let shutdown =
-  Behavior.leaf "SHUTDOWN" (s "emit \"final_mode\" mode; mode := mode - mode;")
-
-(* Hierarchy: the measurement loop iterates 8 times (TOC arc reading
-   [count], a variable ACCUMULATE already reads, so no extra channel). *)
-let measure_cycle =
-  Behavior.seq "MEASURE_CYCLE"
-    [
-      Behavior.arm acquire;
-      Behavior.arm filter;
-      Behavior.arm accumulate
-        ~transitions:
-          [ Builder.goto ~cond:(e "count < 8") "ACQUIRE"; Builder.complete () ];
-    ]
-
-let compute =
-  Behavior.seq "COMPUTE"
-    [
-      Behavior.arm average_calc;
-      Behavior.arm volume_calc;
-      Behavior.arm peak_track;
-    ]
-
-let analyze =
-  Behavior.seq "ANALYZE" [ Behavior.arm validate; Behavior.arm thresh_check ]
-
-let output =
-  Behavior.seq "OUTPUT"
-    [ Behavior.arm display; Behavior.arm alarm; Behavior.arm log_leaf ]
-
-let top =
-  Behavior.seq "MEDICAL"
-    [
-      Behavior.arm init_leaf;
-      Behavior.arm self_test;
-      Behavior.arm calib_sense;
-      Behavior.arm measure_cycle;
-      Behavior.arm compute;
-      Behavior.arm analyze;
-      Behavior.arm output;
-      Behavior.arm notify;
-      Behavior.arm shutdown;
-    ]
-
-let spec = Program.validate_exn (Program.make ~vars:variables "medical" top)
-
-(** The 16 partitionable objects: the leaf behaviors. *)
-let objects = Agraph.Access_graph.default_objects spec
-
+let spec = Builtin.program "medical"
 let graph = Agraph.Access_graph.of_program spec
+let objects = Agraph.Access_graph.default_objects spec
 
 let leaf_names =
   [
@@ -172,4 +9,5 @@ let leaf_names =
     "DISPLAY"; "ALARM"; "LOG"; "NOTIFY"; "SHUTDOWN";
   ]
 
-let variable_names = List.map (fun v -> v.v_name) variables
+let variables = spec.Spec.Ast.p_vars
+let variable_names = List.map (fun v -> v.Spec.Ast.v_name) variables

@@ -3,7 +3,8 @@
     16 behaviors, 14 variables and 52 data-access channels.  The original
     SpecCharts source is not public, so this is a synthetic system with
     exactly that access-graph profile; Figures 9 and 10 depend only on
-    those statistics. *)
+    those statistics.  The source is [examples/specs/medical.sc], parsed
+    through {!Builtin} when this module is initialized. *)
 
 val spec : Spec.Ast.program
 (** Validated; 16 leaf behaviors in a four-level hierarchy, 14 program

@@ -1,112 +1,7 @@
-(** Small pedagogical specifications: the running examples of the paper's
-    Figures 1 and 2, used by the quickstart example and many tests. *)
-
-open Spec
-
-let s = Parser.stmts_of_string_exn
-let e = Parser.expr_of_string_exn
-
-(** Figure 1(a): behaviors A, B, C and variable x; after A, if [x > 1]
-    control goes to B, if [x < 1] to C; B and C access x. *)
-let fig1 =
-  let a = Behavior.leaf "A" (s "x := 3; emit \"A\" x;") in
-  let b = Behavior.leaf "B" (s "x := x + 5; emit \"B\" x;") in
-  let c = Behavior.leaf "C" (s "emit \"C\" x;") in
-  let top =
-    Behavior.seq "TOP"
-      [
-        Behavior.arm a
-          ~transitions:
-            [ Builder.goto ~cond:(e "x > 1") "B";
-              Builder.goto ~cond:(e "x < 1") "C" ];
-        Behavior.arm b ~transitions:[ Builder.complete () ];
-        Behavior.arm c ~transitions:[ Builder.complete () ];
-      ]
-  in
-  Program.validate_exn
-    (Program.make
-       ~vars:[ Builder.int_var ~width:16 ~init:0 "x" ]
-       "fig1" top)
-
-(** The partition of Figure 1(c): A and C on component 0 (the processor),
-    B and x on component 1 (the ASIC). *)
-let fig1_partition =
-  Partitioning.Partition.make ~n_parts:2
-    [
-      (Partitioning.Partition.Obj_behavior "A", 0);
-      (Partitioning.Partition.Obj_behavior "B", 1);
-      (Partitioning.Partition.Obj_behavior "C", 0);
-      (Partitioning.Partition.Obj_variable "x", 1);
-    ]
-
-(** Figure 2: behaviors B1–B4 and variables v1–v7, partitioned between a
-    processor (B1, B2, v1–v4) and an ASIC (B3, B4, v5–v7); v1, v2, v3 are
-    local to the processor, v6 to the ASIC, and v4, v5, v7 are global. *)
-let fig2 =
-  let b1 = Behavior.leaf "B1" (s "v1 := v1 + 1; v2 := v1 * 2; v4 := v2 + v1;") in
-  let b2 =
-    Behavior.leaf "B2"
-      (s "v5 := v2 + v3 + v4 + v7; emit \"B2\" v5;")
-  in
-  let b3 =
-    Behavior.leaf "B3" (s "v6 := v5 * 2; v7 := v6 + v5; emit \"B3\" v7;")
-  in
-  let b4 =
-    Behavior.leaf "B4" (s "emit \"B4\" v6 + v7 + v4;")
-  in
-  let top =
-    Behavior.seq "TOP"
-      [ Behavior.arm b1; Behavior.arm b2; Behavior.arm b3; Behavior.arm b4 ]
-  in
-  Program.validate_exn
-    (Program.make
-       ~vars:
-         [
-           Builder.int_var ~width:16 ~init:1 "v1";
-           Builder.int_var ~width:16 ~init:0 "v2";
-           Builder.int_var ~width:16 ~init:2 "v3";
-           Builder.int_var ~width:16 ~init:0 "v4";
-           Builder.int_var ~width:16 ~init:0 "v5";
-           Builder.int_var ~width:16 ~init:0 "v6";
-           Builder.int_var ~width:16 ~init:0 "v7";
-         ]
-       "fig2" top)
-
-let fig2_partition =
-  let p1_behaviors = [ "B3"; "B4" ] in
-  let p1_variables = [ "v5"; "v6"; "v7" ] in
-  Partitioning.Partition.make ~n_parts:2
-    (List.map
-       (fun b ->
-         ( Partitioning.Partition.Obj_behavior b,
-           if List.mem b p1_behaviors then 1 else 0 ))
-       [ "B1"; "B2"; "B3"; "B4" ]
-    @ List.map
-        (fun v ->
-          ( Partitioning.Partition.Obj_variable v,
-            if List.mem v p1_variables then 1 else 0 ))
-        [ "v1"; "v2"; "v3"; "v4"; "v5"; "v6"; "v7" ])
-
-(** A tiny purely-sequential two-behavior program used by unit tests. *)
-let ping_pong =
-  let ping = Behavior.leaf "PING" (s "n := n + 1; emit \"ping\" n;") in
-  let pong = Behavior.leaf "PONG" (s "n := n * 2; emit \"pong\" n;") in
-  let top =
-    Behavior.seq "TOP"
-      [
-        Behavior.arm ping;
-        Behavior.arm pong
-          ~transitions:
-            [ Builder.goto ~cond:(e "n < 20") "PING"; Builder.complete () ];
-      ]
-  in
-  Program.validate_exn
-    (Program.make ~vars:[ Builder.int_var ~width:16 ~init:0 "n" ] "pingpong" top)
-
-let ping_pong_partition =
-  Partitioning.Partition.make ~n_parts:2
-    [
-      (Partitioning.Partition.Obj_behavior "PING", 0);
-      (Partitioning.Partition.Obj_behavior "PONG", 1);
-      (Partitioning.Partition.Obj_variable "n", 0);
-    ]
+let graph = Agraph.Access_graph.of_program
+let fig1 = Builtin.program "fig1"
+let fig1_partition = Builtin.partition "fig1" (graph fig1)
+let fig2 = Builtin.program "fig2"
+let fig2_partition = Builtin.partition "fig2" (graph fig2)
+let ping_pong = Builtin.program "pingpong"
+let ping_pong_partition = Builtin.partition "pingpong" (graph ping_pong)

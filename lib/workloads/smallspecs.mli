@@ -1,5 +1,7 @@
 (** Small pedagogical specifications: the running examples of the paper's
-    Figures 1 and 2, used by the quickstart example and many tests. *)
+    Figures 1 and 2, used by the quickstart example and many tests.  The
+    sources are [examples/specs/fig1.sc], [fig2.sc] and [pingpong.sc],
+    loaded through {!Builtin}. *)
 
 val fig1 : Spec.Ast.program
 (** Figure 1a: behaviors A, B, C and variable x; after A, control branches

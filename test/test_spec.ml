@@ -460,6 +460,32 @@ let test_lexer_two_char_ops () =
   Alcotest.(check bool) "neq" true (List.mem Lexer.NEQ (kinds "a /= b"));
   Alcotest.(check bool) "arrow" true (List.mem Lexer.ARROW (kinds "a -> b"))
 
+(* A one-character operator that ends the input has no second character
+   to pair with. *)
+let test_lexer_op_at_end () =
+  List.iter
+    (fun (src, tok) ->
+      Alcotest.(check bool) src true
+        (List.map (fun t -> t.Lexer.tok) (Lexer.tokenize src)
+        = [ Lexer.IDENT "a"; tok; Lexer.EOF ]))
+    [ ("a :", Lexer.COLON); ("a -", Lexer.MINUS); ("a <", Lexer.LT);
+      ("a >", Lexer.GT); ("a /", Lexer.SLASH) ]
+
+(* Every reserved word lexes as a keyword; words that contain, extend or
+   re-case one are identifiers. *)
+let test_lexer_keywords () =
+  let tok src =
+    match Lexer.tokenize src with
+    | [ t; { Lexer.tok = Lexer.EOF; _ } ] -> t.Lexer.tok
+    | _ -> Alcotest.failf "%S: not one token" src
+  in
+  List.iter
+    (fun k -> Alcotest.(check bool) k true (tok k = Lexer.KW k))
+    Lexer.keywords;
+  List.iter
+    (fun w -> Alcotest.(check bool) w true (tok w = Lexer.IDENT w))
+    [ "ends"; "endx"; "_if"; "IF"; "integer"; "In"; "nots"; "o" ]
+
 (* --- parser + printer ---------------------------------------------------- *)
 
 let test_program_roundtrip () =
@@ -882,6 +908,8 @@ let () =
           tc "errors" test_lexer_errors;
           tc "multi-line string line numbers" test_lexer_multiline_string_lines;
           tc "two-char ops" test_lexer_two_char_ops;
+          tc "operator at end of input" test_lexer_op_at_end;
+          tc "keywords" test_lexer_keywords;
         ] );
       ( "parser/printer",
         [

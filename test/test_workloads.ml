@@ -209,6 +209,40 @@ let test_fir_addresses_cover_arrays () =
   (* 8 array slots + 5 scalars = 13 addresses -> 4-bit address bus *)
   Alcotest.(check int) "addr width" 4 a.Core.Address.addr_width
 
+(* Each built-in workload and its shipped source text: the file must be
+   exactly the printed workload, parse back to it, and print back to
+   itself, so neither copy can drift from the other. *)
+let shipped =
+  [
+    ("fig1", Workloads.Smallspecs.fig1);
+    ("fig2", Workloads.Smallspecs.fig2);
+    ("pingpong", Workloads.Smallspecs.ping_pong);
+    ("medical", Workloads.Medical.spec);
+    ("elevator", Workloads.Elevator.spec);
+    ("fir", Workloads.Fir.spec);
+  ]
+
+let test_shipped_sources () =
+  List.iter
+    (fun (name, program) ->
+      let text =
+        In_channel.with_open_bin
+          ("../examples/specs/" ^ name ^ ".sc")
+          In_channel.input_all
+      in
+      Alcotest.(check string)
+        (name ^ ".sc is the printed workload")
+        text
+        (Spec.Printer.program_to_string program);
+      let parsed = Spec.Parser.program_of_string_exn text in
+      Alcotest.check program_testable (name ^ ".sc parses to the workload")
+        program parsed;
+      Alcotest.(check string)
+        (name ^ ".sc is a printer fixpoint")
+        text
+        (Spec.Printer.program_to_string parsed))
+    shipped
+
 let prop_generated_valid =
   QCheck.Test.make ~count:60 ~name:"generated specs validate"
     QCheck.(make Gen.(int_range 1 100_000))
@@ -247,6 +281,7 @@ let () =
           tc "profile and filter" test_fir_profile_and_filter;
           tc "array addressing" test_fir_addresses_cover_arrays;
         ] );
+      ("sources", [ tc "shipped .sc files" test_shipped_sources ]);
       ( "generator",
         [
           tc "determinism" test_generator_determinism;
