@@ -28,11 +28,14 @@ let of_program (p : Ast.program) =
     m_variables = List.length p.Ast.p_vars + local_vars;
   }
 
+let line_ratio ~original ~refined =
+  float_of_int refined /. float_of_int (max 1 original)
+
 (** Refined-over-original size ratio — the paper reports 11–19x for the
     medical system and uses it to argue a 10x productivity gain. *)
 let growth ~original ~refined =
-  float_of_int (Printer.line_count refined)
-  /. float_of_int (max 1 (Printer.line_count original))
+  line_ratio ~original:(Printer.line_count original)
+    ~refined:(Printer.line_count refined)
 
 let pp ppf m =
   Format.fprintf ppf

@@ -18,4 +18,7 @@ val growth : original:Spec.Ast.program -> refined:Spec.Ast.program -> float
     medical system and argues a ~10x productivity gain from automatic
     refinement. *)
 
+val line_ratio : original:int -> refined:int -> float
+(** {!growth} from line counts already taken. *)
+
 val pp : Format.formatter -> t -> unit

@@ -65,16 +65,19 @@ type ctx = {
   cx_spec : Spec.Ast.program;
   cx_graph : Agraph.Access_graph.t;
   cx_digest : string;
+  cx_lines : int;  (** [Printer.line_count cx_spec] *)
 }
 
-let spec_digest p =
-  Digest.to_hex (Digest.string (Spec.Printer.program_to_string p))
+let text_digest text = Digest.to_hex (Digest.string text)
+let spec_digest p = text_digest (Spec.Printer.program_to_string p)
 
 let make_ctx spec =
+  let printed = Spec.Printer.program_to_string spec in
   {
     cx_spec = spec;
     cx_graph = Agraph.Access_graph.of_program spec;
-    cx_digest = spec_digest spec;
+    cx_digest = text_digest printed;
+    cx_lines = Spec.Printer.count_lines printed;
   }
 
 let graph ctx = ctx.cx_graph
@@ -150,8 +153,7 @@ let probe_robustness ?poll (r : Core.Refiner.t) =
    skeletons, and the outer (spec, partition, model) key cannot see that.
    Keyed next to the refinement entries in the same cache, under a
    distinct key domain. *)
-let lint_counts ?cache refined =
-  let printed = Spec.Printer.program_to_string refined in
+let lint_counts ?cache ~printed refined =
   let compute () =
     let lint =
       Lint.Registry.run ~phase:Lint.Registry.Post ~typecheck:false ~flow:true
@@ -172,7 +174,7 @@ let lint_counts ?cache refined =
   | None -> compute ()
   | Some cache ->
     let key =
-      Checkpoint.Blob.digest [ "lint"; Digest.to_hex (Digest.string printed) ]
+      Checkpoint.Blob.digest [ "lint"; text_digest printed ]
     in
     fst (Cache.find_or_add ~count_stats:false cache key compute)
 
@@ -196,10 +198,14 @@ let refine_and_measure ?cache ?poll ~checkpoint ctx part
     in
     checkpoint ();
     let refined = r.Core.Refiner.rf_program in
+    (* The refined text is printed once: the lint memo key and the line
+       count both read it. *)
+    let printed = Spec.Printer.program_to_string refined in
+    let lines = Spec.Printer.count_lines printed in
     (* Structural lint of the refined output (the typecheck part is
        already inside Check.run / e_check_ok), memoized by output text. *)
     let lint_errors, lint_warnings, live_dead_stores, live_write_only =
-      lint_counts ?cache refined
+      lint_counts ?cache ~printed refined
     in
     checkpoint ();
     let env = Estimate.Rates.make_env ctx.cx_spec alloc part in
@@ -215,8 +221,8 @@ let refine_and_measure ?cache ?poll ~checkpoint ctx part
         e_max_bus_rate = max_bus_rate env plan;
         e_bus_count = List.length r.Core.Refiner.rf_buses;
         e_memories = List.length r.Core.Refiner.rf_memories;
-        e_lines = Spec.Printer.line_count refined;
-        e_growth = Core.Metrics.growth ~original:ctx.cx_spec ~refined;
+        e_lines = lines;
+        e_growth = Core.Metrics.line_ratio ~original:ctx.cx_lines ~refined:lines;
         e_pins = pins;
         e_gates = gates;
         e_software_bytes = sw;

@@ -105,10 +105,12 @@ let outcome_blob j =
          | [] -> []
          | meta -> [ ("meta", Protocol.Obj meta) ]))
 
+(* [blob] is rendered only when a journal is open: without one, a
+   finished job's output is never encoded a second time. *)
 let journal_append t ~key blob =
   match t.sc_journal with
   | None -> ()
-  | Some jr -> Checkpoint.Journal.append jr ~key blob
+  | Some jr -> Checkpoint.Journal.append jr ~key (blob ())
 
 (* --- job completion (mutex held) ---------------------------------------- *)
 
@@ -158,7 +160,7 @@ let finish t j outcome =
       j.j_state <- Protocol.Failed;
       j.j_error <- Some msg
     end);
-  journal_append t ~key:(done_key j.j_id) (outcome_blob j);
+  journal_append t ~key:(done_key j.j_id) (fun () -> outcome_blob j);
   Condition.broadcast t.sc_cond
 
 (* --- dispatcher --------------------------------------------------------- *)
@@ -413,7 +415,8 @@ let submit t ?id spec =
             in
             (* Journal before acknowledging: an acked id must survive a
                SIGKILL into the restarted daemon's table. *)
-            journal_append t ~key:(spec_key id) (Protocol.to_string spec);
+            journal_append t ~key:(spec_key id) (fun () ->
+                Protocol.to_string spec);
             Hashtbl.replace t.sc_table id j;
             Queue.add id t.sc_pending;
             Condition.broadcast t.sc_cond;
@@ -443,12 +446,12 @@ let cancel t id =
         | Protocol.Pending ->
           j.j_state <- Protocol.Cancelled;
           j.j_error <- Some Jobs.cancelled_message;
-          journal_append t ~key:(cancel_key id) "";
-          journal_append t ~key:(done_key id) (outcome_blob j);
+          journal_append t ~key:(cancel_key id) (fun () -> "");
+          journal_append t ~key:(done_key id) (fun () -> outcome_blob j);
           Condition.broadcast t.sc_cond
         | Protocol.Running ->
           Atomic.set j.j_cancel true;
-          journal_append t ~key:(cancel_key id) ""
+          journal_append t ~key:(cancel_key id) (fun () -> "")
         | Protocol.Done | Protocol.Failed | Protocol.Cancelled -> ());
         Ok (view_of_job j))
 

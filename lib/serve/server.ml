@@ -251,9 +251,7 @@ let process t conn line =
    timeout or would not drain our replies past the write timeout. *)
 exception Reap of string
 
-let write_all fd s =
-  let b = Bytes.of_string s in
-  let n = Bytes.length b in
+let write_all fd b n =
   let rec go off =
     if off < n then
       match Unix.write fd b off (n - off) with
@@ -263,6 +261,14 @@ let write_all fd s =
         raise (Reap "write timeout")
   in
   go 0
+
+(* Render [j] and its newline into [out], then write them: the reply's
+   only copy is the one out of the buffer. *)
+let write_reply fd out j =
+  Buffer.clear out;
+  Protocol.write out j;
+  Buffer.add_char out '\n';
+  write_all fd (Buffer.to_bytes out) (Buffer.length out)
 
 let set_timeouts config fd =
   let set opt v =
@@ -276,76 +282,90 @@ let handle_connection t conn =
   set_timeouts t.sv_config fd;
   let max_frame = t.sv_config.cfg_max_frame_bytes in
   let chunk_len = 8192 in
-  let chunk = Bytes.create chunk_len in
-  let pending = Buffer.create 256 in
+  (* Received bytes not yet taken as frames live in [!inbuf] from [!lo]
+     to [!hi]; [!searched] is where the newline scan resumes. *)
+  let inbuf = ref (Bytes.create chunk_len) in
+  let lo = ref 0 and hi = ref 0 in
   let searched = ref 0 in
   let discarding = ref false in
-  let reply j = write_all fd (Protocol.to_string j ^ "\n") in
+  let out = Buffer.create 4096 in
+  let reply j = write_reply fd out j in
+  let oversized () =
+    locked t (fun () ->
+        t.sv_counters.ct_oversized_frames <-
+          t.sv_counters.ct_oversized_frames + 1);
+    reply
+      (Protocol.error (Printf.sprintf "frame exceeds %d byte limit" max_frame))
+  in
+  let drop_pending () =
+    lo := 0;
+    hi := 0;
+    searched := 0
+  in
+  (* Room for one more chunk after [!hi]: slide the pending bytes to the
+     front, and grow only if they fill the buffer. *)
+  let make_room () =
+    if Bytes.length !inbuf - !hi < chunk_len then begin
+      let pending = !hi - !lo in
+      let dst =
+        if pending + chunk_len <= Bytes.length !inbuf then !inbuf
+        else Bytes.create (max (2 * Bytes.length !inbuf) (pending + chunk_len))
+      in
+      Bytes.blit !inbuf !lo dst 0 pending;
+      inbuf := dst;
+      searched := !searched - !lo;
+      lo := 0;
+      hi := pending
+    end
+  in
   (* Pull the next newline-terminated frame, enforcing the frame-size
      cap: an unterminated frame past the cap costs one error reply, the
      rest of it is swallowed up to its newline, and the connection stays
      protocol-correct for the next frame. *)
   let rec take_line () =
-    let len = Buffer.length pending in
-    let nl = ref (-1) in
-    let i = ref !searched in
-    while !nl < 0 && !i < len do
-      if Buffer.nth pending !i = '\n' then nl := !i;
-      incr i
+    let nl = ref !searched in
+    while !nl < !hi && Bytes.unsafe_get !inbuf !nl <> '\n' do
+      incr nl
     done;
-    if !nl >= 0 then begin
-      let line = Buffer.sub pending 0 !nl in
-      let rest = Buffer.sub pending (!nl + 1) (len - !nl - 1) in
-      Buffer.clear pending;
-      Buffer.add_string pending rest;
-      searched := 0;
+    if !nl < !hi then begin
+      let start = !lo and len = !nl - !lo in
+      lo := !nl + 1;
+      searched := !lo;
+      if !lo = !hi then drop_pending ();
       if !discarding then begin
         (* the tail of an oversized frame, already answered *)
         discarding := false;
         take_line ()
       end
-      else if String.length line > max_frame then begin
+      else if len > max_frame then begin
         (* a terminated frame can still arrive over the cap in one
            burst — same answer as the unterminated case *)
-        locked t (fun () ->
-            t.sv_counters.ct_oversized_frames <-
-              t.sv_counters.ct_oversized_frames + 1);
-        reply
-          (Protocol.error
-             (Printf.sprintf "frame exceeds %d byte limit" max_frame));
+        oversized ();
         take_line ()
       end
-      else `Line line
+      else `Line (Bytes.sub_string !inbuf start len)
     end
     else begin
-      searched := len;
-      if (not !discarding) && len > max_frame then begin
-        locked t (fun () ->
-            t.sv_counters.ct_oversized_frames <-
-              t.sv_counters.ct_oversized_frames + 1);
-        reply
-          (Protocol.error
-             (Printf.sprintf "frame exceeds %d byte limit" max_frame));
-        Buffer.clear pending;
-        searched := 0;
+      searched := !hi;
+      if (not !discarding) && !hi - !lo > max_frame then begin
+        oversized ();
+        drop_pending ();
         discarding := true
       end
-      else if !discarding then begin
-        Buffer.clear pending;
-        searched := 0
-      end;
-      match Unix.read fd chunk 0 chunk_len with
+      else if !discarding then drop_pending ();
+      make_room ();
+      match Unix.read fd !inbuf !hi chunk_len with
       | 0 ->
-        if Buffer.length pending > 0 && not !discarding then begin
+        if !hi > !lo && not !discarding then begin
           (* A torn final line (no trailing newline before the peer
              died) still gets its one reply before the close. *)
-          let line = Buffer.contents pending in
-          Buffer.clear pending;
+          let line = Bytes.sub_string !inbuf !lo (!hi - !lo) in
+          drop_pending ();
           `Last line
         end
         else `Eof
       | n ->
-        Buffer.add_subbytes pending chunk 0 n;
+        hi := !hi + n;
         take_line ()
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> take_line ()
       | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
@@ -408,15 +428,13 @@ let serve_conn t conn =
 let reject_capacity t fd =
   set_timeouts t.sv_config fd;
   (try
-     write_all fd
-       (Protocol.to_string
-          (Protocol.error_with "server at connection capacity"
-             [
-               ("busy", Protocol.Bool true);
-               ( "retry_after_ms",
-                 Protocol.Int (Scheduler.retry_after_ms t.sv_scheduler) );
-             ])
-       ^ "\n")
+     write_reply fd (Buffer.create 128)
+       (Protocol.error_with "server at connection capacity"
+          [
+            ("busy", Protocol.Bool true);
+            ( "retry_after_ms",
+              Protocol.Int (Scheduler.retry_after_ms t.sv_scheduler) );
+          ])
    with Reap _ | Unix.Unix_error _ -> ());
   try Unix.close fd with Unix.Unix_error _ -> ()
 

@@ -14,11 +14,17 @@ type t =
 (* Printer                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
+(* Escape [s] straight into [buf]: each run of bytes that need no escape
+   goes in with one [add_substring], so a long string costs a scan and a
+   blit, not a call per byte. *)
+let write_escaped buf s =
+  let n = String.length s in
+  let run = ref 0 in
+  for i = 0 to n - 1 do
+    let c = String.unsafe_get s i in
+    if c = '"' || c = '\\' || c < ' ' then begin
+      if i > !run then Buffer.add_substring buf s !run (i - !run);
+      (match c with
       | '"' -> Buffer.add_string buf "\\\""
       | '\\' -> Buffer.add_string buf "\\\\"
       | '\n' -> Buffer.add_string buf "\\n"
@@ -26,11 +32,11 @@ let escape s =
       | '\t' -> Buffer.add_string buf "\\t"
       | '\b' -> Buffer.add_string buf "\\b"
       | '\012' -> Buffer.add_string buf "\\f"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+      | c -> Printf.bprintf buf "\\u%04x" (Char.code c));
+      run := i + 1
+    end
+  done;
+  if n > !run then Buffer.add_substring buf s !run (n - !run)
 
 let float_repr f =
   if Float.is_integer f && Float.abs f < 1e16 then
@@ -50,7 +56,7 @@ let rec write buf = function
   | Fixed s -> Buffer.add_string buf s
   | String s ->
     Buffer.add_char buf '"';
-    Buffer.add_string buf (escape s);
+    write_escaped buf s;
     Buffer.add_char buf '"'
   | List xs ->
     Buffer.add_char buf '[';
@@ -66,7 +72,7 @@ let rec write buf = function
       (fun i (k, v) ->
         if i > 0 then Buffer.add_char buf ',';
         Buffer.add_char buf '"';
-        Buffer.add_string buf (escape k);
+        write_escaped buf k;
         Buffer.add_string buf "\":";
         write buf v)
       fields;
@@ -85,23 +91,29 @@ exception Bad of string
 
 type cursor = { src : string; mutable pos : int }
 
-let peek c = if c.pos < String.length c.src then Some c.src.[c.pos] else None
+(* The byte under the cursor, ['\000'] past the end: callers that must
+   tell a NUL byte from the end test [at_end] first. *)
+let peek c =
+  if c.pos < String.length c.src then String.unsafe_get c.src c.pos
+  else '\000'
+
+let at_end c = c.pos >= String.length c.src
 
 let advance c = c.pos <- c.pos + 1
 
 let skip_ws c =
-  let continue = ref true in
-  while !continue do
-    match peek c with
-    | Some (' ' | '\t' | '\n' | '\r') -> advance c
-    | _ -> continue := false
+  while
+    (not (at_end c))
+    && match peek c with ' ' | '\t' | '\n' | '\r' -> true | _ -> false
+  do
+    advance c
   done
 
 let expect c ch =
-  match peek c with
-  | Some x when x = ch -> advance c
-  | Some x -> raise (Bad (Printf.sprintf "expected '%c', found '%c'" ch x))
-  | None -> raise (Bad (Printf.sprintf "expected '%c', found end of input" ch))
+  if at_end c then
+    raise (Bad (Printf.sprintf "expected '%c', found end of input" ch))
+  else if peek c = ch then advance c
+  else raise (Bad (Printf.sprintf "expected '%c', found '%c'" ch (peek c)))
 
 let expect_word c w =
   if
@@ -129,93 +141,140 @@ let add_utf8 buf u =
     Buffer.add_char buf (Char.chr (0x80 lor (u land 0x3F)))
   end
 
+(* Exactly four hex digits: no sign and no [_], which [int_of_string]
+   would take. *)
 let hex4 c =
   if c.pos + 4 > String.length c.src then raise (Bad "truncated \\u escape");
   let s = String.sub c.src c.pos 4 in
   c.pos <- c.pos + 4;
-  match int_of_string_opt ("0x" ^ s) with
-  | Some n -> n
-  | None -> raise (Bad ("bad \\u escape: " ^ s))
+  let hex = function '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true | _ -> false in
+  if String.for_all hex s then int_of_string ("0x" ^ s)
+  else raise (Bad ("bad \\u escape: " ^ s))
 
+(* The end of the run of plain bytes from [i]: the next ['"'] or ['\\'],
+   or the end of input. *)
+let run_end src i =
+  let n = String.length src in
+  let j = ref i in
+  while
+    !j < n && match String.unsafe_get src !j with '"' | '\\' -> false | _ -> true
+  do
+    incr j
+  done;
+  !j
+
+let parse_escape c buf =
+  advance c;
+  if at_end c then raise (Bad "unterminated escape");
+  let e = peek c in
+  advance c;
+  match e with
+  | '"' -> Buffer.add_char buf '"'
+  | '\\' -> Buffer.add_char buf '\\'
+  | '/' -> Buffer.add_char buf '/'
+  | 'n' -> Buffer.add_char buf '\n'
+  | 'r' -> Buffer.add_char buf '\r'
+  | 't' -> Buffer.add_char buf '\t'
+  | 'b' -> Buffer.add_char buf '\b'
+  | 'f' -> Buffer.add_char buf '\012'
+  | 'u' ->
+    let u = hex4 c in
+    (* Surrogate pair: a high surrogate must be followed by
+       [\uDC00-\uDFFF]; anything else is kept as-is (replacement
+       would lose information the client sent). *)
+    let u =
+      if u >= 0xD800 && u <= 0xDBFF
+         && c.pos + 6 <= String.length c.src
+         && c.src.[c.pos] = '\\' && c.src.[c.pos + 1] = 'u'
+      then begin
+        let saved = c.pos in
+        c.pos <- c.pos + 2;
+        let lo = hex4 c in
+        if lo >= 0xDC00 && lo <= 0xDFFF then
+          0x10000 + ((u - 0xD800) lsl 10) + (lo - 0xDC00)
+        else begin
+          c.pos <- saved;
+          u
+        end
+      end
+      else u
+    in
+    add_utf8 buf u
+  | e -> raise (Bad (Printf.sprintf "bad escape '\\%c'" e))
+
+(* A string is copied a run at a time: one [String.sub] when it holds no
+   escape, else one [add_substring] per run between escapes. *)
 let parse_string c =
   expect c '"';
-  let buf = Buffer.create 16 in
-  let rec loop () =
-    match peek c with
-    | None -> raise (Bad "unterminated string")
-    | Some '"' -> advance c
-    | Some '\\' -> (
-      advance c;
-      match peek c with
-      | None -> raise (Bad "unterminated escape")
-      | Some e ->
-        advance c;
-        (match e with
-        | '"' -> Buffer.add_char buf '"'
-        | '\\' -> Buffer.add_char buf '\\'
-        | '/' -> Buffer.add_char buf '/'
-        | 'n' -> Buffer.add_char buf '\n'
-        | 'r' -> Buffer.add_char buf '\r'
-        | 't' -> Buffer.add_char buf '\t'
-        | 'b' -> Buffer.add_char buf '\b'
-        | 'f' -> Buffer.add_char buf '\012'
-        | 'u' ->
-          let u = hex4 c in
-          (* Surrogate pair: a high surrogate must be followed by
-             [\uDC00-\uDFFF]; anything else is kept as-is (replacement
-             would lose information the client sent). *)
-          let u =
-            if u >= 0xD800 && u <= 0xDBFF
-               && c.pos + 6 <= String.length c.src
-               && c.src.[c.pos] = '\\' && c.src.[c.pos + 1] = 'u'
-            then begin
-              let saved = c.pos in
-              c.pos <- c.pos + 2;
-              let lo = hex4 c in
-              if lo >= 0xDC00 && lo <= 0xDFFF then
-                0x10000 + ((u - 0xD800) lsl 10) + (lo - 0xDC00)
-              else begin
-                c.pos <- saved;
-                u
-              end
-            end
-            else u
-          in
-          add_utf8 buf u
-        | e -> raise (Bad (Printf.sprintf "bad escape '\\%c'" e)));
-        loop ())
-    | Some ch ->
-      advance c;
-      Buffer.add_char buf ch;
-      loop ()
+  let src = c.src in
+  let stop = run_end src c.pos in
+  if stop < String.length src && src.[stop] = '"' then begin
+    let s = String.sub src c.pos (stop - c.pos) in
+    c.pos <- stop + 1;
+    s
+  end
+  else begin
+    let buf = Buffer.create 64 in
+    let rec loop () =
+      let stop = run_end src c.pos in
+      Buffer.add_substring buf src c.pos (stop - c.pos);
+      c.pos <- stop;
+      if at_end c then raise (Bad "unterminated string")
+      else if peek c = '"' then advance c
+      else begin
+        parse_escape c buf;
+        loop ()
+      end
+    in
+    loop ();
+    Buffer.contents buf
+  end
+
+(* RFC 8259 numbers: [-?(0|[1-9][0-9]* )(.[0-9]+)?([eE][+-]?[0-9]+)?],
+   so no leading zeros, and a digit after every dot and exponent.  Each
+   step gives the offset after its part, or -1 once a part is bad. *)
+let number_ok s =
+  let n = String.length s in
+  let at i ch = i >= 0 && i < n && s.[i] = ch in
+  let rec digits i =
+    if i < n && s.[i] >= '0' && s.[i] <= '9' then digits (i + 1) else i
   in
-  loop ();
-  Buffer.contents buf
+  let some_digits i =
+    let j = if i < 0 then i else digits i in
+    if j = i then -1 else j
+  in
+  let i = if at 0 '-' then 1 else 0 in
+  let i = if at i '0' then i + 1 else some_digits i in
+  let i = if at i '.' then some_digits (i + 1) else i in
+  let i =
+    if at i 'e' || at i 'E' then
+      some_digits (if at (i + 1) '+' || at (i + 1) '-' then i + 2 else i + 1)
+    else i
+  in
+  i = n
 
 let parse_number c =
   let start = c.pos in
   let is_float = ref false in
-  let continue = ref true in
-  while !continue do
+  while
+    (not (at_end c))
+    &&
     match peek c with
-    | Some ('0' .. '9' | '-' | '+') -> advance c
-    | Some ('.' | 'e' | 'E') ->
+    | '0' .. '9' | '-' | '+' -> true
+    | '.' | 'e' | 'E' ->
       is_float := true;
-      advance c
-    | _ -> continue := false
+      true
+    | _ -> false
+  do
+    advance c
   done;
   let s = String.sub c.src start (c.pos - start) in
-  if !is_float then
-    match float_of_string_opt s with
-    | Some f -> Float f
-    | None -> raise (Bad ("bad number: " ^ s))
+  if not (number_ok s) then raise (Bad ("bad number: " ^ s))
+  else if !is_float then Float (float_of_string s)
   else
     match int_of_string_opt s with
     | Some n -> Int n
-    | None -> (
-      match float_of_string_opt s with
-      | Some f -> Float f
-      | None -> raise (Bad ("bad number: " ^ s)))
+    | None -> Float (float_of_string s)
 
 (* Far deeper than any report or request nests, and shallow enough that
    a frame of ['['s is refused after [max_depth] bytes instead of
@@ -224,16 +283,16 @@ let max_depth = 512
 
 let rec parse_value c depth =
   skip_ws c;
+  if at_end c then raise (Bad "empty input");
   match peek c with
-  | None -> raise (Bad "empty input")
-  | Some '"' -> String (parse_string c)
-  | Some ('{' | '[') when depth >= max_depth ->
+  | '"' -> String (parse_string c)
+  | '{' | '[' when depth >= max_depth ->
     raise
       (Bad (Printf.sprintf "nesting deeper than %d at offset %d" max_depth c.pos))
-  | Some '{' ->
+  | '{' ->
     advance c;
     skip_ws c;
-    if peek c = Some '}' then begin
+    if peek c = '}' then begin
       advance c;
       Obj []
     end
@@ -248,19 +307,19 @@ let rec parse_value c depth =
         fields := (k, v) :: !fields;
         skip_ws c;
         match peek c with
-        | Some ',' ->
+        | ',' ->
           advance c;
           fields_loop ()
-        | Some '}' -> advance c
+        | '}' -> advance c
         | _ -> raise (Bad "expected ',' or '}' in object")
       in
       fields_loop ();
       Obj (List.rev !fields)
     end
-  | Some '[' ->
+  | '[' ->
     advance c;
     skip_ws c;
-    if peek c = Some ']' then begin
+    if peek c = ']' then begin
       advance c;
       List []
     end
@@ -271,33 +330,33 @@ let rec parse_value c depth =
         items := v :: !items;
         skip_ws c;
         match peek c with
-        | Some ',' ->
+        | ',' ->
           advance c;
           items_loop ()
-        | Some ']' -> advance c
+        | ']' -> advance c
         | _ -> raise (Bad "expected ',' or ']' in array")
       in
       items_loop ();
       List (List.rev !items)
     end
-  | Some 't' ->
+  | 't' ->
     expect_word c "true";
     Bool true
-  | Some 'f' ->
+  | 'f' ->
     expect_word c "false";
     Bool false
-  | Some 'n' ->
+  | 'n' ->
     expect_word c "null";
     Null
-  | Some ('-' | '0' .. '9') -> parse_number c
-  | Some ch -> raise (Bad (Printf.sprintf "unexpected character '%c'" ch))
+  | '-' | '0' .. '9' -> parse_number c
+  | ch -> raise (Bad (Printf.sprintf "unexpected character '%c'" ch))
 
 let parse src =
   let c = { src; pos = 0 } in
   match parse_value c 0 with
   | v ->
     skip_ws c;
-    if c.pos <> String.length src then
+    if not (at_end c) then
       Error
         (Printf.sprintf "trailing garbage at offset %d" c.pos)
     else Ok v

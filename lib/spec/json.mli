@@ -6,7 +6,16 @@
     objects, arrays, strings with standard escapes (including [\uXXXX],
     encoded to UTF-8), integers, floats, booleans and null.  The parser
     is for untrusted input: it never raises, and it rejects nesting
-    deeper than {!max_depth} before doing work proportional to it. *)
+    deeper than {!max_depth} before doing work proportional to it.  It
+    is strict where RFC 8259 is: a [\u] escape takes exactly four hex
+    digits, and numbers have no leading zeros and no dot or exponent
+    without a digit after it.
+
+    Both directions move strings in runs: the printer escapes a string
+    into the output buffer one run of plain bytes at a time, and the
+    parser copies each run up to the next quote or backslash in one
+    call, so a long string costs a scan and a blit, not a call per
+    byte. *)
 
 (** A JSON document. *)
 type t =
@@ -28,6 +37,10 @@ val fixed : int -> float -> t
 val to_string : t -> string
 (** Compact one-line rendering; strings are escaped so the result never
     contains a raw newline.  Non-finite floats print as [null]. *)
+
+val write : Buffer.t -> t -> unit
+(** [write buf j] appends {!to_string}[ j] to [buf] without building the
+    string first. *)
 
 val max_depth : int
 (** The deepest nesting of arrays and objects {!parse} accepts. *)

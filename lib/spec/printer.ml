@@ -156,7 +156,19 @@ let program_to_string p = run (fun ctx -> emit_program ctx p)
 let behavior_to_string ?indent b = run ?indent (fun ctx -> emit_behavior ctx b)
 let stmts_to_string ?indent stmts = run ?indent (fun ctx -> emit_stmts ctx stmts)
 
-let line_count p =
-  String.split_on_char '\n' (program_to_string p)
-  |> List.filter (fun l -> String.trim l <> "")
-  |> List.length
+(* One pass: a line counts once it holds a byte [String.trim] would
+   keep. *)
+let count_lines text =
+  let count = ref 0 and blank = ref true in
+  String.iter
+    (function
+      | '\n' ->
+        if not !blank then incr count;
+        blank := true
+      | ' ' | '\t' | '\r' | '\012' -> ()
+      | _ -> blank := false)
+    text;
+  if not !blank then incr count;
+  !count
+
+let line_count p = count_lines (program_to_string p)

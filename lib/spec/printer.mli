@@ -18,3 +18,8 @@ val stmts_to_string : ?indent:int -> stmt list -> string
 
 val line_count : program -> int
 (** Number of non-empty lines in [program_to_string]. *)
+
+val count_lines : string -> int
+(** Number of lines of a text that are not empty once trimmed:
+    [line_count p = count_lines (program_to_string p)], for a caller
+    that already holds the printed text. *)

@@ -83,6 +83,20 @@ let test_json_rejects_malformed () =
       "{\"a\":1,}";
       "nul";
       "1e";
+      (* a \\u escape takes exactly four hex digits *)
+      "\"\\u0_41\"";
+      "\"\\u00_4\"";
+      "\"\\u+041\"";
+      "\"\\u 041\"";
+      "\"\\u00\"";
+      (* RFC 8259 numbers: no leading zeros, a digit after a dot *)
+      "01";
+      "-01";
+      "[00]";
+      "1.";
+      "1.e5";
+      "-";
+      "1e+";
     ]
 
 let test_request_codec () =
@@ -125,6 +139,131 @@ let test_states () =
     [ Pending; Running; Done; Failed; Cancelled ];
   Alcotest.(check bool) "pending not terminal" false (terminal Pending);
   Alcotest.(check bool) "done terminal" true (terminal Done)
+
+(* --- codec against the per-byte reference ------------------------------- *)
+
+(* The codec as it was before strings moved in runs: one escape per
+   byte, through a temporary buffer per string.  Every rendering must
+   stay byte-equal to it. *)
+let oracle_escape s =
+  let buf = Buffer.create (String.length s + 8) in
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | '\r' -> Buffer.add_string buf "\\r"
+      | '\t' -> Buffer.add_string buf "\\t"
+      | '\b' -> Buffer.add_string buf "\\b"
+      | '\012' -> Buffer.add_string buf "\\f"
+      | c when Char.code c < 0x20 ->
+        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char buf c)
+    s;
+  Buffer.contents buf
+
+let rec oracle_to_string (j : Serve.Protocol.json) =
+  let open Serve.Protocol in
+  match j with
+  | Null -> "null"
+  | Bool b -> string_of_bool b
+  | Int n -> string_of_int n
+  | Float f when not (Float.is_finite f) -> "null"
+  | Float f ->
+    if Float.is_integer f && Float.abs f < 1e16 then Printf.sprintf "%.1f" f
+    else Printf.sprintf "%.17g" f
+  | Fixed s -> s
+  | String s -> "\"" ^ oracle_escape s ^ "\""
+  | List xs -> "[" ^ String.concat "," (List.map oracle_to_string xs) ^ "]"
+  | Obj fields ->
+    "{"
+    ^ String.concat ","
+        (List.map
+           (fun (k, v) -> "\"" ^ oracle_escape k ^ "\":" ^ oracle_to_string v)
+           fields)
+    ^ "}"
+
+(* Byte strings biased towards what the escaper treats specially: quotes,
+   backslashes and control bytes, often adjacent or at either end, among
+   plain runs and multi-byte UTF-8. *)
+let wire_bytes_gen =
+  let open QCheck.Gen in
+  let piece =
+    frequency
+      [ (3, map (String.make 1) (oneofl [ '"'; '\\' ]));
+        (3, map (fun n -> String.make 1 (Char.chr n)) (0 -- 31));
+        (3, map (String.make 1) (char_range ' ' '~'));
+        (2, string_size ~gen:(char_range 'a' 'z') (1 -- 24));
+        ( 2,
+          oneofl
+            [ "\xc3\xa9"; "\xe2\x82\xac"; "\xf0\x9f\x98\x80"; "\x7f"; "/";
+              "\\u0041" ] );
+        (1, map (String.make 1) char) ]
+  in
+  map (String.concat "") (list_size (0 -- 24) piece)
+
+let prop_encoder_matches_oracle =
+  QCheck.Test.make ~count:2000 ~name:"strings and keys encode as the oracle"
+    (QCheck.make ~print:String.escaped wire_bytes_gen)
+    (fun s ->
+      let open Serve.Protocol in
+      let docs =
+        [ String s; Obj [ (s, String s) ]; List [ String s; Obj [ (s, Int 1) ] ] ]
+      in
+      List.for_all
+        (fun j ->
+          let text = to_string j in
+          text = oracle_to_string j && parse text = Ok j)
+        docs)
+
+(* The decoder reads every form a peer may send: short escapes, [\\u]
+   escapes in either case and [\\/], not only what the encoder writes. *)
+let prop_decoder_reads_every_escape =
+  let gen =
+    let open QCheck.Gen in
+    let* s = wire_bytes_gen in
+    let* picks = list_repeat (String.length s) (0 -- 2) in
+    return (s, picks)
+  in
+  let encode (s, picks) =
+    let buf = Buffer.create 64 in
+    List.iteri
+      (fun i pick ->
+        let c = s.[i] in
+        let u hex = Printf.bprintf buf hex (Char.code c) in
+        let needs = c = '"' || c = '\\' || Char.code c < 0x20 in
+        match (pick, c) with
+        | _ when Char.code c >= 0x80 -> Buffer.add_char buf c
+        | 0, _ when not needs -> Buffer.add_char buf c
+        | 0, _ -> Buffer.add_string buf (oracle_escape (String.make 1 c))
+        | 1, '/' -> Buffer.add_string buf "\\/"
+        | 1, _ -> u "\\u%04x"
+        | _ -> u "\\u%04X")
+      picks;
+    "\"" ^ Buffer.contents buf ^ "\""
+  in
+  QCheck.Test.make ~count:2000 ~name:"every escape form decodes"
+    (QCheck.make ~print:(fun x -> String.escaped (encode x)) gen)
+    (fun ((s, _) as x) -> Serve.Protocol.parse (encode x) = Ok (Serve.Protocol.String s))
+
+(* A string frame as large as the daemon's default frame cap parses at
+   a small multiple of its size, with and without escapes in it. *)
+let test_json_big_string () =
+  let size = Serve.Server.default_config.cfg_max_frame_bytes in
+  List.iter
+    (fun (label, s) ->
+      let frame = Serve.Protocol.to_string (Serve.Protocol.String s) in
+      match
+        Helpers.check_allocation ~label ~size:(String.length frame) (fun () ->
+            Serve.Protocol.parse frame)
+      with
+      | Ok (Serve.Protocol.String s') ->
+        Alcotest.(check bool) (label ^ " round-trips") true (s = s')
+      | Ok _ | Error _ -> Alcotest.failf "%s: not parsed back" label)
+    [ ("plain 4 MiB string", String.init size (fun i -> Char.chr (97 + (i mod 26))));
+      ( "4 MiB string with escapes",
+        String.init size (fun i -> if i mod 64 = 63 then '\n' else 'x') ) ]
 
 (* --- live server helpers ------------------------------------------------ *)
 
@@ -457,6 +596,120 @@ let test_oversized_frame_rejected () =
       let _, v = reply_ok (roundtrip conn "{\"op\":\"stats\"}") in
       Alcotest.(check bool) "oversized counter" true
         (nested_int "server" "oversized_frames" v >= 2))
+
+(* Frames written straight to the socket, not through a channel, so the
+   test decides where the server's reads can end. *)
+let write_raw (_, _, fd) s =
+  let rec go off =
+    if off < String.length s then
+      go (off + Unix.write_substring fd s off (String.length s - off))
+  in
+  go 0
+
+let status_frame id = Printf.sprintf "{\"op\":\"status\",\"id\":%S}\n" id
+
+(* The reply to [status_frame id]: proof that frame, and only it, was
+   answered next. *)
+let expect_status_reply conn id =
+  let ok, v = reply_ok (recv conn) in
+  Alcotest.(check bool) (id ^ " answered") false ok;
+  Alcotest.(check string) (id ^ " reply") (Printf.sprintf "unknown job %S" id)
+    (reply_string "error" v)
+
+let expect_pong conn =
+  let ok, v = reply_ok (roundtrip conn "{\"op\":\"ping\"}") in
+  Alcotest.(check bool) "ping answered" true ok;
+  Alcotest.(check bool) "and nothing else before it" true
+    (Serve.Protocol.member "pong" v = Some (Serve.Protocol.Bool true))
+
+let test_frame_split_everywhere () =
+  with_server (fun socket ->
+      let conn = connect socket in
+      Fun.protect ~finally:(fun () -> close_conn conn) @@ fun () ->
+      let len = String.length (status_frame "s000") in
+      for cut = 1 to len - 1 do
+        let id = Printf.sprintf "s%03d" cut in
+        let frame = status_frame id in
+        write_raw conn (String.sub frame 0 cut);
+        (* give the server a chance to read the head on its own *)
+        Thread.delay 0.002;
+        write_raw conn (String.sub frame cut (len - cut));
+        expect_status_reply conn id
+      done;
+      expect_pong conn)
+
+(* Many frames in one write, enough of them that some straddle the
+   server's 8 KiB read chunks: one reply each, in order. *)
+let test_frames_in_one_write () =
+  with_server (fun socket ->
+      let conn = connect socket in
+      Fun.protect ~finally:(fun () -> close_conn conn) @@ fun () ->
+      let ids n = List.init n (Printf.sprintf "m%d") in
+      List.iter
+        (fun n ->
+          let burst = String.concat "" (List.map status_frame (ids n)) in
+          write_raw conn burst;
+          List.iter (expect_status_reply conn) (ids n))
+        [ 2; 10; 1000 ];
+      Alcotest.(check bool) "a burst past one read chunk" true
+        (String.length (String.concat "" (List.map status_frame (ids 1000)))
+        > 3 * 8192);
+      expect_pong conn)
+
+(* A request and a reply each larger than one read chunk: the served
+   reply is byte-for-byte the per-byte reference rendering of what the
+   job computes in-process. *)
+let test_large_frames_byte_identical () =
+  with_server (fun socket ->
+      let conn = connect socket in
+      Fun.protect ~finally:(fun () -> close_conn conn) @@ fun () ->
+      let src = Spec.Printer.program_to_string Workloads.Medical.spec in
+      (* a job ignores fields it does not read: the note pads the frame *)
+      let job =
+        Serve.Protocol.Obj
+          [ ("kind", Serve.Protocol.String "refine");
+            ("spec", Serve.Protocol.String src);
+            ("note", Serve.Protocol.String (String.make 9000 'n')) ]
+      in
+      let request =
+        Serve.Protocol.to_string
+          (Serve.Protocol.request_to_json
+             (Serve.Protocol.Submit { sb_id = Some "big"; sb_job = job }))
+      in
+      Alcotest.(check bool) "request past one read chunk" true
+        (String.length request > 8192);
+      let ok, _ = reply_ok (roundtrip conn request) in
+      Alcotest.(check bool) "submitted" true ok;
+      let served =
+        roundtrip conn
+          (Serve.Protocol.to_string
+             (Serve.Protocol.request_to_json
+                (Serve.Protocol.Result { rs_id = "big"; rs_wait = true })))
+      in
+      let o =
+        match
+          Serve.Jobs.run ~session:(Serve.Session.create ())
+            ~poll:(fun () -> false) job
+        with
+        | Ok o -> o
+        | Error msg -> Alcotest.failf "in-process refine failed: %s" msg
+      in
+      let expected =
+        oracle_to_string
+          (Serve.Protocol.ok
+             (Serve.Scheduler.view_fields
+                {
+                  Serve.Scheduler.v_id = "big";
+                  v_state = Serve.Protocol.Done;
+                  v_output = Some o.Serve.Jobs.o_output;
+                  v_error = None;
+                  v_meta = o.Serve.Jobs.o_meta;
+                  v_replayed = false;
+                }))
+      in
+      Alcotest.(check bool) "reply past one read chunk" true
+        (String.length expected > 8192);
+      Alcotest.(check bool) "reply byte-identical" true (served = expected))
 
 let auth_line token =
   Serve.Protocol.to_string
@@ -1105,6 +1358,94 @@ let test_older_journal_replays () =
   Serve.Scheduler.shutdown scheduler;
   Checkpoint.Journal.close journal
 
+(* Journal blobs are rendered only when a journal is open; when one is,
+   every record is the per-byte reference rendering of the job it
+   checkpoints: its JSON under spec/, its final state under done/. *)
+let test_journal_records_match_eager () =
+  let path = fresh_journal_path () in
+  let journal =
+    Checkpoint.Journal.open_ ~path ~meta:Serve.Scheduler.journal_meta
+  in
+  let scheduler =
+    Serve.Scheduler.create ~journal ~jobs:1 (Serve.Session.create ())
+  in
+  let submit id job =
+    match Serve.Scheduler.submit scheduler ~id job with
+    | Ok _ -> ()
+    | Error r -> Alcotest.fail r.Serve.Scheduler.rj_reason
+  in
+  let wait id =
+    match Serve.Scheduler.result scheduler ~wait:true id with
+    | Some v -> v
+    | None -> Alcotest.failf "job %s lost" id
+  in
+  let refine =
+    Serve.Protocol.Obj
+      [ ("kind", Serve.Protocol.String "refine");
+        ("spec", Serve.Protocol.String "program \"q\"\n\t\\ \x01 \xc3\xa9");
+        ("model", Serve.Protocol.Int 2) ]
+  in
+  let good =
+    Serve.Protocol.Obj
+      [ ("kind", Serve.Protocol.String "refine");
+        ("spec", Serve.Protocol.String fig1_src) ]
+  in
+  (* the blocker holds the single worker until it is cancelled *)
+  let blocker =
+    Serve.Protocol.Obj
+      [ ("kind", Serve.Protocol.String "explore");
+        ("spec", Serve.Protocol.String fig2_src);
+        ("steps", Serve.Protocol.Int 20_000);
+        ("retries", Serve.Protocol.Int 0);
+        ( "seeds",
+          Serve.Protocol.List
+            (List.init 1000 (fun i -> Serve.Protocol.Int (i + 1))) ) ]
+  in
+  submit "done" good;
+  let v_done = wait "done" in
+  submit "failed" refine;
+  let v_failed = wait "failed" in
+  submit "blocker" blocker;
+  let give_up = Unix.gettimeofday () +. 30.0 in
+  while
+    (Option.get (Serve.Scheduler.status scheduler "blocker"))
+      .Serve.Scheduler.v_state
+    <> Serve.Protocol.Running
+  do
+    if Unix.gettimeofday () > give_up then
+      Alcotest.fail "blocker never started";
+    Thread.delay 0.001
+  done;
+  submit "queued" good;
+  let v_queued = Result.get_ok (Serve.Scheduler.cancel scheduler "queued") in
+  ignore (Result.get_ok (Serve.Scheduler.cancel scheduler "blocker"));
+  let v_blocker = wait "blocker" in
+  Serve.Scheduler.shutdown scheduler;
+  let outcome v =
+    oracle_to_string
+      (Serve.Protocol.Obj
+         (List.filter
+            (fun (k, _) -> k <> "id" && k <> "replayed")
+            (Serve.Scheduler.view_fields v)))
+  in
+  List.iter
+    (fun (v, state) ->
+      Alcotest.(check string) "final state" state
+        (Serve.Protocol.state_name v.Serve.Scheduler.v_state))
+    [ (v_done, "done"); (v_failed, "failed"); (v_queued, "cancelled");
+      (v_blocker, "cancelled") ];
+  Alcotest.(check (list (pair string string)))
+    "records"
+    [ ("spec/done", oracle_to_string good); ("done/done", outcome v_done);
+      ("spec/failed", oracle_to_string refine);
+      ("done/failed", outcome v_failed);
+      ("spec/blocker", oracle_to_string blocker);
+      ("spec/queued", oracle_to_string good); ("cancel/queued", "");
+      ("done/queued", outcome v_queued); ("cancel/blocker", "");
+      ("done/blocker", outcome v_blocker) ]
+    (Checkpoint.Journal.entries journal);
+  Checkpoint.Journal.close journal
+
 let test_max_jobs_backpressure () =
   let session = Serve.Session.create () in
   let scheduler = Serve.Scheduler.create ~max_jobs:1 session in
@@ -1502,6 +1843,9 @@ let () =
             test_json_rejects_malformed;
           Alcotest.test_case "request codec" `Quick test_request_codec;
           Alcotest.test_case "states" `Quick test_states;
+          QCheck_alcotest.to_alcotest prop_encoder_matches_oracle;
+          QCheck_alcotest.to_alcotest prop_decoder_reads_every_escape;
+          Alcotest.test_case "4 MiB string frame" `Quick test_json_big_string;
         ] );
       ( "server",
         [
@@ -1518,6 +1862,12 @@ let () =
           Alcotest.test_case "idempotent submit" `Quick test_idempotent_submit;
           Alcotest.test_case "oversized frame rejected" `Quick
             test_oversized_frame_rejected;
+          Alcotest.test_case "a frame split at every byte" `Quick
+            test_frame_split_everywhere;
+          Alcotest.test_case "several frames in one write" `Quick
+            test_frames_in_one_write;
+          Alcotest.test_case "large request and reply byte-identical" `Quick
+            test_large_frames_byte_identical;
           Alcotest.test_case "TCP token auth" `Quick test_tcp_token_auth;
           Alcotest.test_case "deep JSON frame rejected" `Quick
             test_deep_frame_rejected;
@@ -1558,6 +1908,8 @@ let () =
             test_cancelled_pending_survives_restart;
           Alcotest.test_case "older journal replays unchanged" `Quick
             test_older_journal_replays;
+          Alcotest.test_case "journal records match eager renderings"
+            `Quick test_journal_records_match_eager;
           Alcotest.test_case "max-jobs backpressure" `Quick
             test_max_jobs_backpressure;
           Alcotest.test_case "max-pending admission control" `Quick
