@@ -20,6 +20,8 @@ let json_invocations =
     [ "faults"; spec "medical.sc"; "--json"; "--seeds"; "1" ];
     [ "explore"; spec "fig2.sc"; "--json"; "--seeds"; "1"; "--steps"; "10";
       "--no-cache" ];
+    (* a full default sweep: 36 partition searches of 4000 steps each *)
+    [ "explore"; spec "medical.sc"; "--json"; "--no-cache" ];
   ]
 
 let invocations =
@@ -32,6 +34,13 @@ let invocations =
   @ List.map
       (fun algo -> [ "partition"; spec "medical.sc"; "--algo"; algo ])
       [ "greedy"; "kl"; "annealing"; "clustering" ]
+  @ List.concat_map
+      (fun sc ->
+        List.map
+          (fun algo ->
+            [ "partition"; spec sc; "--algo"; algo; "--parts"; "3" ])
+          [ "annealing"; "kl" ])
+      [ "fig2.sc"; "elevator.sc"; "fir.sc" ]
   @ [
       [ "partition"; fig1 ] @ fig1_assign;
       [ "refine"; fig1; "--model"; "2" ] @ fig1_assign;
