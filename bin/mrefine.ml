@@ -1071,7 +1071,10 @@ let serve_cmd =
       Serve.Server.run server;
       Ok ()
     in
-    or_die (Command.with_journal journal ~meta:Serve.Scheduler.journal_meta serve)
+    or_die
+      (Command.with_journal journal
+         ~meta:(fun () -> Serve.Scheduler.journal_meta)
+         serve)
   in
   Cmd.v
     (info "serve"

@@ -96,13 +96,14 @@ let deadline_ok = function
 let non_empty what l =
   if l = [] then Error (what ^ " must be non-empty") else Ok ()
 
-(* Open the checkpoint journal at [path] (if any) under [meta], run [f]
-   with it and close it again. *)
+(* Open the checkpoint journal at [path] (if any) under [meta ()], run
+   [f] with it and close it again.  Without a journal [meta] is not
+   called: a meta can print and digest a whole design. *)
 let with_journal path ~meta f =
   match path with
   | None -> f None
   | Some path -> (
-    match Checkpoint.Journal.open_ ~path ~meta with
+    match Checkpoint.Journal.open_ ~path ~meta:(meta ()) with
     | exception Checkpoint.Journal.Journal_error msg -> Error msg
     | j ->
       Fun.protect
@@ -402,7 +403,8 @@ module Explore = struct
     let* config = config req in
     let* () = check_poll poll in
     let* sw =
-      with_journal resume ~meta:(Explore.Sweep.journal_meta config p)
+      with_journal resume
+        ~meta:(fun () -> Explore.Sweep.journal_meta config p)
         (fun journal ->
           Ok (Explore.Sweep.run ?cache ?journal ?evaluate config p))
     in
@@ -460,7 +462,8 @@ module Faults = struct
       }
     in
     let* report =
-      with_journal resume ~meta:(Faults.Campaign.journal_meta config r)
+      with_journal resume
+        ~meta:(fun () -> Faults.Campaign.journal_meta config r)
         (fun journal ->
           match Faults.Campaign.run ~config ?journal r with
           | report -> Ok report

@@ -16,36 +16,40 @@ let default_config =
 let random_partition rng g ~n_parts =
   Partition.of_graph g ~n_parts (fun _ -> Rng.int rng n_parts)
 
+(* The initial partition draws one part per object in graph order; each
+   step draws an object by its {!Index} number, which is its position in
+   {!Partition.objects}.  A rejected move is undone in place. *)
 let run_objective ?(config = default_config) ~objective g ~n_parts =
   let rng = Rng.create config.seed in
-  let current = ref (random_partition rng g ~n_parts) in
-  let current_cost = ref (objective !current) in
-  let best = ref !current in
+  let idx, current = Index.make g (random_partition rng g ~n_parts) in
+  let score = objective idx in
+  let current_cost = ref (score current) in
+  let best = Array.copy current in
   let best_cost = ref !current_cost in
-  let objs = List.map fst (Partition.objects !current) in
-  let n_objs = List.length objs in
+  let n_objs = Array.length idx.Index.objs in
   let temp = ref config.initial_temp in
   for _ = 1 to config.steps do
-    let o = List.nth objs (Rng.int rng n_objs) in
+    let o = Rng.int rng n_objs in
     let target = Rng.int rng n_parts in
-    let next = Partition.assign !current o target in
-    let next_cost = objective next in
+    let prev = current.(o) in
+    current.(o) <- target;
+    let next_cost = score current in
     let delta = next_cost -. !current_cost in
     let accept =
       delta <= 0.0
       || (!temp > 0.0 && Rng.float rng < exp (-.delta /. !temp))
     in
     if accept then begin
-      current := next;
       current_cost := next_cost;
       if next_cost < !best_cost then begin
-        best := next;
+        Array.blit current 0 best 0 n_objs;
         best_cost := next_cost
       end
-    end;
+    end
+    else current.(o) <- prev;
     temp := !temp *. config.cooling
   done;
-  !best
+  Index.to_partition idx best
 
 let run ?config ?weights g ~n_parts =
-  run_objective ?config ~objective:(fun p -> Cost.total ?weights g p) g ~n_parts
+  run_objective ?config ~objective:(Cost.total_at ?weights) g ~n_parts

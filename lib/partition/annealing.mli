@@ -13,12 +13,14 @@ val default_config : config
 
 val run_objective :
   ?config:config ->
-  objective:(Partition.t -> float) ->
+  objective:(Index.t -> int array -> float) ->
   Agraph.Access_graph.t ->
   n_parts:int ->
   Partition.t
 (** Minimize an arbitrary objective over complete partitions; returns the
-    best state visited. *)
+    best state visited.  [objective] is applied once to the search's
+    index, then to each candidate assignment, which it must not keep or
+    modify. *)
 
 val run :
   ?config:config -> ?weights:Cost.weights -> Agraph.Access_graph.t ->

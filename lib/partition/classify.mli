@@ -13,7 +13,8 @@ type report = {
 
 val classify :
   Agraph.Access_graph.t -> Partition.t -> string -> klass
-(** Classification of one variable.
+(** Classification of one variable; one the graph does not declare is
+    local.
     @raise Invalid_argument if the variable or one of its accessors is not
     assigned by the partition. *)
 
@@ -23,3 +24,8 @@ val report : Agraph.Access_graph.t -> Partition.t -> report
 val ratio : report -> float
 (** [|locals| / max 1 |globals|] — the design-characterization knob of the
     paper's three experimental designs. *)
+
+(** {2 Over an index and an assignment} *)
+
+val counts_at : Index.t -> int array -> int * int
+(** The numbers of local and global variables. *)

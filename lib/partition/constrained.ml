@@ -17,17 +17,17 @@ type problem = {
       (** cost of placing an object on a partition *)
 }
 
-let loads problem part =
-  let n = Partition.n_parts part in
-  let loads = Array.make n 0 in
-  List.iter
-    (fun (o, i) -> loads.(i) <- loads.(i) + problem.pr_object_cost i o)
-    (Partition.objects part);
+(* Capacity demand per partition of the objects [objs] placed by [a]. *)
+let loads_of problem ~n_parts objs a =
+  let loads = Array.make n_parts 0 in
+  Array.iteri
+    (fun k o ->
+      let i = a.(k) in
+      loads.(i) <- loads.(i) + problem.pr_object_cost i o)
+    objs;
   loads
 
-(** Total capacity overrun (0 = feasible). *)
-let overrun problem part =
-  let loads = loads problem part in
+let overrun_of problem loads =
   let total = ref 0 in
   Array.iteri
     (fun i load ->
@@ -36,16 +36,28 @@ let overrun problem part =
     loads;
   !total
 
+let loads problem part =
+  let objs = Array.of_list (Partition.objects part) in
+  loads_of problem ~n_parts:(Partition.n_parts part) (Array.map fst objs)
+    (Array.map snd objs)
+
+(** Total capacity overrun (0 = feasible). *)
+let overrun problem part = overrun_of problem (loads problem part)
+
 let is_feasible problem part = overrun problem part = 0
 
-let objective g problem part =
+let objective problem (idx : Index.t) a =
   (* Any overrun dwarfs any achievable communication cost. *)
-  let comm = float_of_int (Cost.comm_bits g part) in
-  let over = float_of_int (overrun problem part) in
+  let comm = float_of_int (Cost.comm_bits_at idx a) in
+  let over =
+    float_of_int
+      (overrun_of problem
+         (loads_of problem ~n_parts:idx.Index.n_parts idx.Index.objs a))
+  in
   comm +. (1.0e6 *. over)
 
 let run ?(seed = 42) ?(steps = 4000) (g : Access_graph.t) ~problem ~n_parts =
   if Array.length problem.pr_limits <> n_parts then
     invalid_arg "Constrained.run: one limit per partition required";
   let config = { Annealing.default_config with seed; steps } in
-  Annealing.run_objective ~config ~objective:(objective g problem) g ~n_parts
+  Annealing.run_objective ~config ~objective:(objective problem) g ~n_parts

@@ -10,45 +10,56 @@ type weights = {
 
 let default_weights = { w_comm = 1.0; w_balance = 0.25 }
 
-let part_of_behavior part b =
-  match Partition.part_of_behavior part b with
-  | Some i -> i
-  | None -> invalid_arg (Printf.sprintf "Cost: behavior %s unassigned" b)
+(* Raise for edge [k], whose variable part [pv] or behavior part is
+   [-1]; the variable is checked first. *)
+let unassigned (idx : Index.t) k pv =
+  let e = idx.Index.edges.(k) in
+  let what, name =
+    if pv < 0 then ("variable", e.Access_graph.de_variable)
+    else ("behavior", e.Access_graph.de_behavior)
+  in
+  invalid_arg (Printf.sprintf "Cost: %s %s unassigned" what name)
 
-let part_of_variable part v =
-  match Partition.part_of_variable part v with
-  | Some i -> i
-  | None -> invalid_arg (Printf.sprintf "Cost: variable %s unassigned" v)
+let comm_bits_at (idx : Index.t) a =
+  let eb = idx.Index.e_behavior and ev = idx.Index.e_variable in
+  let bits = idx.Index.e_bits in
+  let acc = ref 0 in
+  for k = 0 to Array.length bits - 1 do
+    let pv = a.(ev.(k)) and pb = a.(eb.(k)) in
+    if pv < 0 || pb < 0 then unassigned idx k pv;
+    if pb <> pv then acc := !acc + bits.(k)
+  done;
+  !acc
 
-(** Total bits crossing partition boundaries: for every data edge whose
-    behavior and variable live in different partitions, [count * bits]. *)
-let comm_bits (g : Access_graph.t) part =
-  List.fold_left
-    (fun acc (e : Access_graph.data_edge) ->
-      if
-        part_of_behavior part e.Access_graph.de_behavior
-        <> part_of_variable part e.Access_graph.de_variable
-      then acc + Access_graph.edge_bits e
-      else acc)
-    0 g.Access_graph.g_data
-
-(** Activity load of each partition: every data edge contributes its bits
-    to the partition of its behavior. *)
-let part_loads (g : Access_graph.t) part =
-  let loads = Array.make (Partition.n_parts part) 0.0 in
-  List.iter
-    (fun (e : Access_graph.data_edge) ->
-      let i = part_of_behavior part e.Access_graph.de_behavior in
-      loads.(i) <- loads.(i) +. float_of_int (Access_graph.edge_bits e))
-    g.Access_graph.g_data;
+let part_loads_at (idx : Index.t) a =
+  let eb = idx.Index.e_behavior and bits = idx.Index.e_bits in
+  let loads = Array.make idx.Index.n_parts 0.0 in
+  for k = 0 to Array.length bits - 1 do
+    let i = a.(eb.(k)) in
+    if i < 0 then unassigned idx k 0;
+    loads.(i) <- loads.(i) +. float_of_int bits.(k)
+  done;
   loads
 
-let imbalance g part =
-  let loads = part_loads g part in
-  let mx = Array.fold_left max neg_infinity loads in
-  let mn = Array.fold_left min infinity loads in
-  mx -. mn
+let imbalance_at idx a =
+  let loads = part_loads_at idx a in
+  let mx = ref neg_infinity and mn = ref infinity in
+  for i = 0 to Array.length loads - 1 do
+    let l = loads.(i) in
+    if l > !mx then mx := l;
+    if l < !mn then mn := l
+  done;
+  !mx -. !mn
 
-let total ?(weights = default_weights) g part =
-  (weights.w_comm *. float_of_int (comm_bits g part))
-  +. (weights.w_balance *. imbalance g part)
+let total_at ?(weights = default_weights) idx a =
+  (weights.w_comm *. float_of_int (comm_bits_at idx a))
+  +. (weights.w_balance *. imbalance_at idx a)
+
+let indexed f g part =
+  let idx, a = Index.make g part in
+  f idx a
+
+let comm_bits g part = indexed comm_bits_at g part
+let part_loads g part = indexed part_loads_at g part
+let imbalance g part = indexed imbalance_at g part
+let total ?weights g part = indexed (total_at ?weights) g part

@@ -1,5 +1,7 @@
 (** Partitioning cost: cross-partition communication plus load imbalance —
-    the objective the automatic partitioners minimize. *)
+    the objective the automatic partitioners minimize.  Each quantity is
+    defined once, over an {!Index}; the functions on a {!Partition.t}
+    index it and compute the same. *)
 
 type weights = {
   w_comm : float;  (** weight of cross-partition traffic (bits) *)
@@ -21,3 +23,8 @@ val imbalance : Agraph.Access_graph.t -> Partition.t -> float
 (** Spread between the most and least loaded partition. *)
 
 val total : ?weights:weights -> Agraph.Access_graph.t -> Partition.t -> float
+
+(** {2 Over an index and an assignment} *)
+
+val comm_bits_at : Index.t -> int array -> int
+val total_at : ?weights:weights -> Index.t -> int array -> float

@@ -13,22 +13,22 @@ let target_globals bias n_accessed =
   | Mostly_local -> max 1 (n_accessed / 4)
   | Mostly_global -> n_accessed - max 1 (n_accessed / 4)
 
-let objective g ~bias part =
-  let r = Classify.report g part in
-  let n_accessed = List.length r.Classify.locals + List.length r.Classify.globals in
+let objective ~bias (idx : Index.t) a =
+  let locals, globals = Classify.counts_at idx a in
+  let n_accessed = locals + globals in
   let target = target_globals bias n_accessed in
-  let deviation = abs (List.length r.Classify.globals - target) in
+  let deviation = abs (globals - target) in
   (* Also require every partition to hold at least one behavior, so all
      components are actually used. *)
-  let n = Partition.n_parts part in
+  let used = Array.make idx.Index.n_parts false in
+  Array.iter (fun b -> used.(a.(b)) <- true) idx.Index.behaviors;
   let empty_parts =
-    List.length
-      (List.filter (fun i -> Partition.behaviors_in part i = []) (List.init n (fun i -> i)))
+    Array.fold_left (fun n u -> if u then n else n + 1) 0 used
   in
   (1000.0 *. float_of_int deviation)
   +. (10000.0 *. float_of_int empty_parts)
-  +. (0.001 *. float_of_int (Cost.comm_bits g part))
+  +. (0.001 *. float_of_int (Cost.comm_bits_at idx a))
 
 let run ?(seed = 42) ?(steps = 4000) g ~n_parts ~bias =
   let config = { Annealing.default_config with seed; steps } in
-  Annealing.run_objective ~config ~objective:(objective g ~bias) g ~n_parts
+  Annealing.run_objective ~config ~objective:(objective ~bias) g ~n_parts

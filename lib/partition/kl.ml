@@ -1,69 +1,58 @@
 (** Kernighan–Lin / Fiduccia–Mattheyses style improvement: repeated passes
     of single-object moves.  Within a pass every object moves at most once
     (it is then locked); the pass keeps the best prefix of moves, and
-    passes repeat until no improvement is found. *)
+    passes repeat until no improvement is found.  Moves are scored over
+    one {!Index} of the graph, in place. *)
 
-let all_objects part = List.map fst (Partition.objects part)
+(* The cheapest move of an unlocked object to another part: objects in
+   index order, parts ascending, the first of equal costs. *)
+let best_move ?weights (idx : Index.t) a locked =
+  let best = ref None in
+  for o = 0 to Array.length idx.Index.objs - 1 do
+    if not locked.(o) then begin
+      let cur = a.(o) in
+      for i = 0 to idx.Index.n_parts - 1 do
+        if i <> cur then begin
+          a.(o) <- i;
+          let c = Cost.total_at ?weights idx a in
+          match !best with
+          | Some (bc, _, _) when not (c < bc) -> ()
+          | Some _ | None -> best := Some (c, o, i)
+        end
+      done;
+      a.(o) <- cur
+    end
+  done;
+  !best
 
-let best_move ?weights g part locked =
-  let n = Partition.n_parts part in
-  let candidates =
-    List.concat_map
-      (fun o ->
-        if List.exists (fun l -> Partition.compare_obj l o = 0) locked then []
-        else
-          match Partition.part_of part o with
-          | None -> []
-          | Some cur ->
-            List.filter_map
-              (fun i -> if i <> cur then Some (o, i) else None)
-              (List.init n (fun i -> i)))
-      (all_objects part)
-  in
-  let scored =
-    List.map
-      (fun (o, i) ->
-        let part' = Partition.assign part o i in
-        (Cost.total ?weights g part', o, i, part'))
-      candidates
-  in
-  match scored with
-  | [] -> None
-  | first :: rest ->
-    let best =
-      List.fold_left
-        (fun (bc, bo, bi, bp) (c, o, i, p) ->
-          if c < bc then (c, o, i, p) else (bc, bo, bi, bp))
-        first rest
-    in
-    Some best
-
-(* One KL pass: greedily apply best moves (even cost-increasing ones,
-   locking each moved object), remember the best intermediate state, and
-   return it. *)
-let one_pass ?weights ?(max_moves = 64) g part =
-  let rec go part locked best best_cost moves =
-    if moves >= max_moves then best
+(* One KL pass from [a] (cost [cost]): greedily apply best moves (even
+   cost-increasing ones, locking each moved object), remember the best
+   intermediate state, and return it with its cost. *)
+let one_pass ?weights ?(max_moves = 64) idx a cost =
+  let cur = Array.copy a in
+  let locked = Array.make (Array.length a) false in
+  let rec go best best_cost moves =
+    if moves >= max_moves then (best, best_cost)
     else
-      match best_move ?weights g part locked with
-      | None -> best
-      | Some (cost, o, _, part') ->
-        let best, best_cost =
-          if cost < best_cost then (part', cost) else (best, best_cost)
-        in
-        go part' (o :: locked) best best_cost (moves + 1)
+      match best_move ?weights idx cur locked with
+      | None -> (best, best_cost)
+      | Some (c, o, i) ->
+        cur.(o) <- i;
+        locked.(o) <- true;
+        if c < best_cost then go (Array.copy cur) c (moves + 1)
+        else go best best_cost (moves + 1)
   in
-  go part [] part (Cost.total ?weights g part) 0
+  go a cost 0
 
 let run ?weights ?(max_passes = 8) g part =
-  let rec go part cost pass =
-    if pass >= max_passes then part
+  let idx, a = Index.make g part in
+  let rec go a cost pass =
+    if pass >= max_passes then a
     else
-      let part' = one_pass ?weights g part in
-      let cost' = Cost.total ?weights g part' in
-      if cost' < cost then go part' cost' (pass + 1) else part
+      let a', cost' = one_pass ?weights idx a cost in
+      if cost' < cost then go a' cost' (pass + 1) else a
   in
-  go part (Cost.total ?weights g part) 0
+  Index.to_partition idx (go a (Cost.total_at ?weights idx a) 0)
 
 (** Convenience: greedy construction followed by KL refinement. *)
 let run_from_scratch ?weights g ~n_parts =

@@ -327,6 +327,324 @@ let test_constrained_rejects_bad_limits () =
     (Invalid_argument "Constrained.run: one limit per partition required")
     (fun () -> ignore (Constrained.run medical_g ~problem ~n_parts:2))
 
+(* --- indexed scoring = the string-map definitions ------------------------ *)
+
+(* The partitioners' scoring before it moved onto [Index]: string-map
+   lookups per data edge, a fresh user map per report, a new
+   [Partition.t] per annealing step and per KL candidate.  Kept verbatim
+   as the oracle the indexed code must match exactly. *)
+module Oracle = struct
+  open Agraph
+
+  let cost_part_of_behavior part b =
+    match Partition.part_of_behavior part b with
+    | Some i -> i
+    | None -> invalid_arg (Printf.sprintf "Cost: behavior %s unassigned" b)
+
+  let cost_part_of_variable part v =
+    match Partition.part_of_variable part v with
+    | Some i -> i
+    | None -> invalid_arg (Printf.sprintf "Cost: variable %s unassigned" v)
+
+  let comm_bits (g : Access_graph.t) part =
+    List.fold_left
+      (fun acc (e : Access_graph.data_edge) ->
+        if
+          cost_part_of_behavior part e.Access_graph.de_behavior
+          <> cost_part_of_variable part e.Access_graph.de_variable
+        then acc + Access_graph.edge_bits e
+        else acc)
+      0 g.Access_graph.g_data
+
+  let part_loads (g : Access_graph.t) part =
+    let loads = Array.make (Partition.n_parts part) 0.0 in
+    List.iter
+      (fun (e : Access_graph.data_edge) ->
+        let i = cost_part_of_behavior part e.Access_graph.de_behavior in
+        loads.(i) <- loads.(i) +. float_of_int (Access_graph.edge_bits e))
+      g.Access_graph.g_data;
+    loads
+
+  let imbalance g part =
+    let loads = part_loads g part in
+    let mx = Array.fold_left max neg_infinity loads in
+    let mn = Array.fold_left min infinity loads in
+    mx -. mn
+
+  let total ?(weights = Cost.default_weights) g part =
+    (weights.Cost.w_comm *. float_of_int (comm_bits g part))
+    +. (weights.Cost.w_balance *. imbalance g part)
+
+  let home_of part v =
+    match Partition.part_of_variable part v with
+    | Some i -> i
+    | None -> invalid_arg (Printf.sprintf "Classify: variable %s unassigned" v)
+
+  let classify_part_of_behavior part b =
+    match Partition.part_of_behavior part b with
+    | Some i -> i
+    | None -> invalid_arg (Printf.sprintf "Classify: behavior %s unassigned" b)
+
+  let report g part =
+    let users =
+      List.fold_left
+        (fun m (e : Agraph.Access_graph.data_edge) ->
+          let v = e.Agraph.Access_graph.de_variable in
+          let bs = Option.value (Spec.Names.Map.find_opt v m) ~default:[] in
+          Spec.Names.Map.add v (e.Agraph.Access_graph.de_behavior :: bs) m)
+        Spec.Names.Map.empty g.Agraph.Access_graph.g_data
+    in
+    let step (locals, globals, unaccessed) v =
+      match Spec.Names.Map.find_opt v users with
+      | None -> (locals, globals, v :: unaccessed)
+      | Some bs ->
+        let home = home_of part v in
+        let bs = List.sort_uniq String.compare bs in
+        if List.for_all (fun b -> classify_part_of_behavior part b = home) bs
+        then (v :: locals, globals, unaccessed)
+        else (locals, v :: globals, unaccessed)
+    in
+    let locals, globals, unaccessed =
+      List.fold_left step ([], [], []) g.Agraph.Access_graph.g_variables
+    in
+    {
+      Classify.locals = List.rev locals;
+      globals = List.rev globals;
+      unaccessed = List.rev unaccessed;
+    }
+
+  let target_globals bias n_accessed =
+    match bias with
+    | Design_search.Balanced -> n_accessed / 2
+    | Design_search.Mostly_local -> max 1 (n_accessed / 4)
+    | Design_search.Mostly_global -> n_accessed - max 1 (n_accessed / 4)
+
+  let design_objective g ~bias part =
+    let r = report g part in
+    let n_accessed = List.length r.Classify.locals + List.length r.Classify.globals in
+    let target = target_globals bias n_accessed in
+    let deviation = abs (List.length r.Classify.globals - target) in
+    let n = Partition.n_parts part in
+    let empty_parts =
+      List.length
+        (List.filter (fun i -> Partition.behaviors_in part i = []) (List.init n (fun i -> i)))
+    in
+    (1000.0 *. float_of_int deviation)
+    +. (10000.0 *. float_of_int empty_parts)
+    +. (0.001 *. float_of_int (comm_bits g part))
+
+  let loads problem part =
+    let n = Partition.n_parts part in
+    let loads = Array.make n 0 in
+    List.iter
+      (fun (o, i) ->
+        loads.(i) <- loads.(i) + problem.Constrained.pr_object_cost i o)
+      (Partition.objects part);
+    loads
+
+  let overrun problem part =
+    let loads = loads problem part in
+    let total = ref 0 in
+    Array.iteri
+      (fun i load ->
+        if i < Array.length problem.Constrained.pr_limits then
+          total := !total + max 0 (load - problem.Constrained.pr_limits.(i)))
+      loads;
+    !total
+
+  let constrained_objective g problem part =
+    let comm = float_of_int (comm_bits g part) in
+    let over = float_of_int (overrun problem part) in
+    comm +. (1.0e6 *. over)
+
+  let random_partition rng g ~n_parts =
+    Partition.of_graph g ~n_parts (fun _ -> Rng.int rng n_parts)
+
+  let run_objective ?(config = Annealing.default_config) ~objective g ~n_parts =
+    let rng = Rng.create config.Annealing.seed in
+    let current = ref (random_partition rng g ~n_parts) in
+    let current_cost = ref (objective !current) in
+    let best = ref !current in
+    let best_cost = ref !current_cost in
+    let objs = List.map fst (Partition.objects !current) in
+    let n_objs = List.length objs in
+    let temp = ref config.Annealing.initial_temp in
+    for _ = 1 to config.Annealing.steps do
+      let o = List.nth objs (Rng.int rng n_objs) in
+      let target = Rng.int rng n_parts in
+      let next = Partition.assign !current o target in
+      let next_cost = objective next in
+      let delta = next_cost -. !current_cost in
+      let accept =
+        delta <= 0.0
+        || (!temp > 0.0 && Rng.float rng < exp (-.delta /. !temp))
+      in
+      if accept then begin
+        current := next;
+        current_cost := next_cost;
+        if next_cost < !best_cost then begin
+          best := next;
+          best_cost := next_cost
+        end
+      end;
+      temp := !temp *. config.Annealing.cooling
+    done;
+    !best
+
+  let all_objects part = List.map fst (Partition.objects part)
+
+  let best_move ?weights g part locked =
+    let n = Partition.n_parts part in
+    let candidates =
+      List.concat_map
+        (fun o ->
+          if List.exists (fun l -> Partition.compare_obj l o = 0) locked then []
+          else
+            match Partition.part_of part o with
+            | None -> []
+            | Some cur ->
+              List.filter_map
+                (fun i -> if i <> cur then Some (o, i) else None)
+                (List.init n (fun i -> i)))
+        (all_objects part)
+    in
+    let scored =
+      List.map
+        (fun (o, i) ->
+          let part' = Partition.assign part o i in
+          (total ?weights g part', o, i, part'))
+        candidates
+    in
+    match scored with
+    | [] -> None
+    | first :: rest ->
+      let best =
+        List.fold_left
+          (fun (bc, bo, bi, bp) (c, o, i, p) ->
+            if c < bc then (c, o, i, p) else (bc, bo, bi, bp))
+          first rest
+      in
+      Some best
+
+  let one_pass ?weights ?(max_moves = 64) g part =
+    let rec go part locked best best_cost moves =
+      if moves >= max_moves then best
+      else
+        match best_move ?weights g part locked with
+        | None -> best
+        | Some (cost, o, _, part') ->
+          let best, best_cost =
+            if cost < best_cost then (part', cost) else (best, best_cost)
+          in
+          go part' (o :: locked) best best_cost (moves + 1)
+    in
+    go part [] part (total ?weights g part) 0
+
+  let kl ?weights ?(max_passes = 8) g part =
+    let rec go part cost pass =
+      if pass >= max_passes then part
+      else
+        let part' = one_pass ?weights g part in
+        let cost' = total ?weights g part' in
+        if cost' < cost then go part' cost' (pass + 1) else part
+    in
+    go part (total ?weights g part) 0
+end
+
+(* A generated graph and a random partition of it; [extra] also assigns a
+   behavior the graph does not have, which the partition-level functions
+   must carry along exactly as the string maps did. *)
+let gen_case =
+  QCheck.(
+    make
+      ~print:(fun (s, v, l, n, x) ->
+        Printf.sprintf "seed=%d vars=%d leaves=%d parts=%d extra=%b" s v l n x)
+      Gen.(
+        tup5 (int_range 1 5000) (int_range 1 10) (int_range 1 10)
+          (int_range 1 4) bool))
+
+let case_graph (seed, vars, leaves, n_parts, extra) =
+  let g =
+    Agraph.Access_graph.of_program
+      (Workloads.Generator.program
+         {
+           Workloads.Generator.default_config with
+           gen_seed = seed;
+           gen_vars = vars;
+           gen_leaves = leaves;
+           gen_par_branches = seed mod 3;
+         })
+  in
+  let part = Workloads.Generator.random_partition ~seed g ~n_parts in
+  let part =
+    if extra then
+      Partition.assign part (Partition.Obj_behavior "EXTRA") (seed mod n_parts)
+    else part
+  in
+  (g, part)
+
+let problem_of seed n_parts =
+  {
+    Constrained.pr_limits = Array.init n_parts (fun i -> 5 + ((seed + i) mod 17));
+    pr_object_cost =
+      (fun i o ->
+        match o with
+        | Partition.Obj_behavior b -> 1 + ((String.length b + i + seed) mod 5)
+        | Partition.Obj_variable _ -> 1 + i);
+  }
+
+let objects part =
+  List.map (fun (o, i) -> (Partition.obj_name o, i)) (Partition.objects part)
+
+let prop_indexed_scores =
+  QCheck.Test.make ~count:300 ~name:"indexed scores = string-map scores" gen_case
+    (fun ((seed, _, _, n_parts, _) as case) ->
+      let g, part = case_graph case in
+      let idx, a = Index.make g part in
+      let w = { Cost.w_comm = 0.3 +. float_of_int (seed mod 7); w_balance = 0.7 } in
+      let problem = problem_of seed n_parts in
+      Cost.total g part = Oracle.total g part
+      && Cost.total ~weights:w g part = Oracle.total ~weights:w g part
+      && Cost.total_at ~weights:w idx a = Oracle.total ~weights:w g part
+      && Cost.comm_bits g part = Oracle.comm_bits g part
+      && Cost.part_loads g part = Oracle.part_loads g part
+      && Cost.imbalance g part = Oracle.imbalance g part
+      && Classify.report g part = Oracle.report g part
+      && List.for_all
+           (fun bias ->
+             Design_search.objective ~bias idx a
+             = Oracle.design_objective g ~bias part)
+           [ Design_search.Balanced; Design_search.Mostly_local;
+             Design_search.Mostly_global ]
+      && Constrained.objective problem idx a
+         = Oracle.constrained_objective g problem part
+      && Constrained.loads problem part = Oracle.loads problem part
+      && Constrained.overrun problem part = Oracle.overrun problem part
+      && objects (Index.to_partition idx a) = objects part)
+
+let prop_indexed_searches =
+  QCheck.Test.make ~count:40 ~name:"indexed searches = string-map searches"
+    gen_case (fun ((seed, _, _, n_parts, _) as case) ->
+      let g, part = case_graph case in
+      let config = { Annealing.default_config with seed; steps = 300 } in
+      let problem = problem_of seed n_parts in
+      let same a b = objects a = objects b in
+      same (Annealing.run ~config g ~n_parts)
+        (Oracle.run_objective ~config ~objective:(Oracle.total g) g ~n_parts)
+      && List.for_all
+           (fun bias ->
+             same
+               (Design_search.run ~seed ~steps:300 g ~n_parts ~bias)
+               (Oracle.run_objective ~config
+                  ~objective:(Oracle.design_objective g ~bias) g ~n_parts))
+           [ Design_search.Balanced; Design_search.Mostly_local;
+             Design_search.Mostly_global ]
+      && same
+           (Constrained.run ~seed ~steps:300 g ~problem ~n_parts)
+           (Oracle.run_objective ~config
+              ~objective:(Oracle.constrained_objective g problem) g ~n_parts)
+      && same (Kl.run g part) (Oracle.kl g part))
+
 let prop_partitioners_complete =
   QCheck.Test.make ~count:30 ~name:"all partitioners yield complete partitions"
     QCheck.(make Gen.(pair (int_range 1 2000) (int_range 2 4)))
@@ -395,5 +713,7 @@ let () =
           tc "constrained: low comm" test_constrained_prefers_low_comm_among_feasible;
           tc "constrained: bad limits" test_constrained_rejects_bad_limits;
           QCheck_alcotest.to_alcotest prop_partitioners_complete;
+          QCheck_alcotest.to_alcotest prop_indexed_scores;
+          QCheck_alcotest.to_alcotest prop_indexed_searches;
         ] );
     ]

@@ -1580,6 +1580,22 @@ let test_lint_fix_fields () =
       (contains_sub ~sub:"\"changed\":false" o.Serve.Jobs.o_output)
   | Error msg -> Alcotest.fail msg
 
+(* A journal's meta is built only when a journal opens: for a faults job
+   it is the whole refined design, printed and digested. *)
+let test_journal_meta_lazy () =
+  Alcotest.(check (result bool string)) "no journal, no meta" (Ok true)
+    (Command.with_journal None
+       ~meta:(fun () -> failwith "forced")
+       (fun j -> Ok (Option.is_none j)));
+  let path = fresh_journal_path () in
+  let built = ref 0 in
+  Alcotest.(check (result bool string)) "journal opened" (Ok true)
+    (Command.with_journal (Some path)
+       ~meta:(fun () -> incr built; "meta")
+       (fun j -> Ok (Option.is_some j)));
+  Sys.remove path;
+  Alcotest.(check int) "meta built once" 1 !built
+
 (* Bad partition and sweep parameters are structured job errors, not
    exceptions escaping the job. *)
 let test_bad_partition_fields () =
@@ -1921,6 +1937,8 @@ let () =
             test_lint_fix_fields;
           Alcotest.test_case "bad partition fields" `Quick
             test_bad_partition_fields;
+          Alcotest.test_case "journal meta only with a journal" `Quick
+            test_journal_meta_lazy;
         ] );
       ( "session",
         [
