@@ -433,9 +433,14 @@ let run ?(config = default_config) ?(simulate = engine_simulate) ?journal
   in
   let counting_hooks, golden_log = Inject.counting () in
   let golden =
-    simulate ~config:config.cf_sim
-      ~hooks:(with_poll counting_hooks)
-      ?ordering:(ordering ()) program
+    match
+      simulate ~config:config.cf_sim
+        ~hooks:(with_poll counting_hooks)
+        ?ordering:(ordering ()) program
+    with
+    | result -> result
+    | exception Expr.Eval_error msg ->
+      raise (Campaign_error ("golden run failed: " ^ msg))
   in
   begin match golden.Sim.Engine.r_outcome with
   | Sim.Engine.Completed -> ()

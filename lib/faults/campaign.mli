@@ -124,9 +124,10 @@ val run :
     outcome but {!Timed_out} — is checkpointed as it completes, so a
     killed campaign resumes from where it died with an identical report.
     A faulty run that raises [Spec.Expr.Eval_error] classifies
-    {!Deadlock}; the same error in the golden run propagates.
+    {!Deadlock}.
     @raise Campaign_error when the golden run does not complete (including
-    a deadline firing during the golden run). *)
+    a deadline firing during the golden run) or raises
+    [Spec.Expr.Eval_error]. *)
 
 val summary : report -> (Fault.cls * (outcome * int) list) list
 (** Outcome counts per fault class, every outcome present. *)

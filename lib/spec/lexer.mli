@@ -25,6 +25,7 @@ val keywords : string list
 
 val tokenize : string -> located list
 (** Tokenize a whole source text.  Comments run from [--] to end of line.
-    @raise Lex_error on an illegal character or unterminated string. *)
+    @raise Lex_error on an illegal character, an unterminated string or
+    an integer literal past [max_int]. *)
 
 val token_to_string : token -> string

@@ -435,7 +435,17 @@ let test_lexer_errors () =
   Alcotest.check_raises "illegal char" (Lexer.Lex_error ("illegal character '@'", 1))
     (fun () -> ignore (Lexer.tokenize "@"));
   Alcotest.check_raises "unterminated" (Lexer.Lex_error ("unterminated string", 1))
-    (fun () -> ignore (Lexer.tokenize "\"abc"))
+    (fun () -> ignore (Lexer.tokenize "\"abc"));
+  Alcotest.check_raises "literal past max_int"
+    (Lexer.Lex_error ("integer literal out of range 100000000000000000000", 2))
+    (fun () -> ignore (Lexer.tokenize "x\n[100000000000000000000]"));
+  Alcotest.(check (result reject string))
+    "parse reports it"
+    (Error
+       "lex error at line 1: integer literal out of range \
+        100000000000000000000")
+    (Parser.program_of_string
+       "program p is var a : int<8>[100000000000000000000]; end program")
 
 (* A newline inside a string literal, raw or escaped, still counts as a
    line: the [@] below sits on line 7. *)
