@@ -24,7 +24,7 @@ let () =
     let graph = Agraph.Access_graph.of_program spec in
     let n_parts = 2 + (seed mod 2) in
     let part = Partitioning.Kl.run_from_scratch graph ~n_parts in
-    let report = Partitioning.Classify.report graph part in
+    let report = Partitioning.Classify.report part in
     Printf.printf
       "spec seed=%d: %d leaves, %d vars (%d local / %d global), p=%d\n" seed
       (List.length graph.Agraph.Access_graph.g_objects)

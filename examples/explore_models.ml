@@ -27,7 +27,7 @@ let () =
   let graph = Agraph.Access_graph.of_program spec in
   let part = Smallspecs.fig2_partition in
 
-  let report = Partitioning.Classify.report graph part in
+  let report = Partitioning.Classify.report part in
   Printf.printf "Figure 2 example: local variables {%s}, global variables {%s}\n"
     (String.concat ", " report.Partitioning.Classify.locals)
     (String.concat ", " report.Partitioning.Classify.globals);

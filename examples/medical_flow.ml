@@ -21,7 +21,7 @@ let () =
   List.iter
     (fun (d : Designs.design) ->
       let part = d.Designs.d_partition in
-      let report = Partitioning.Classify.report graph part in
+      let report = Partitioning.Classify.report part in
       Printf.printf "--- %s (%s): %d local / %d global variables ---\n"
         d.Designs.d_name d.Designs.d_description
         (List.length report.Partitioning.Classify.locals)

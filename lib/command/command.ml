@@ -153,10 +153,7 @@ let partition_of_assign g parts assign =
       (Ok [])
       (String.split_on_char ',' assign)
   in
-  let part = P.make ~n_parts:parts (List.rev assocs) in
-  match P.complete_for g part with
-  | Ok () -> Ok part
-  | Error msgs -> Error (String.concat "; " msgs)
+  P.make g ~n_parts:parts (List.rev assocs)
 
 (** Needs [parts >= 1].  A manual partition names every object of the
     graph once, each with an integer index in [\[0, parts)]. *)

@@ -52,7 +52,7 @@ let bpart part b =
    charges (see {!Refiner}); a variable with a reader outside its home
    partition must live in a globally reachable memory. *)
 let memory_assignment ?(extra_readers = []) model g part =
-  let report = Partitioning.Classify.report g part in
+  let report = Partitioning.Classify.report part in
   let globals = Spec.Names.Set.of_list report.Partitioning.Classify.globals in
   let readers =
     List.fold_left

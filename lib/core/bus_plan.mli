@@ -53,8 +53,10 @@ val build :
     partition) readers the refined structure introduces (TOC conditions
     re-evaluated by their composite's home partition); a variable read
     from outside its home partition is forced into a globally reachable
-    memory.
-    @raise Invalid_argument if the partition does not cover the graph. *)
+    memory.  Variables are classified over the graph the partition was
+    built on.
+    @raise Invalid_argument if the partition does not cover the graph (one
+    built over another graph, say). *)
 
 val memory_of : t -> string -> memory_id
 (** @raise Not_found for a name that is not a program variable. *)

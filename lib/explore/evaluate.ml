@@ -212,12 +212,12 @@ let refine_and_measure ?cache ?poll ~checkpoint ctx part
     let plan = r.Core.Refiner.rf_plan in
     let q = Core.Quality.of_refinement ~alloc r in
     let pins, gates, sw, secs = quality_totals q in
-    let cls = Classify.report ctx.cx_graph part in
+    let cls = Classify.report part in
     Ok
       {
         e_locals = List.length cls.Classify.locals;
         e_globals = List.length cls.Classify.globals;
-        e_comm_bits = Cost.comm_bits ctx.cx_graph part;
+        e_comm_bits = Cost.comm_bits part;
         e_max_bus_rate = max_bus_rate env plan;
         e_bus_count = List.length r.Core.Refiner.rf_buses;
         e_memories = List.length r.Core.Refiner.rf_memories;

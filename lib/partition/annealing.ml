@@ -13,27 +13,25 @@ type config = {
 let default_config =
   { seed = 42; initial_temp = 1000.0; cooling = 0.995; steps = 2000 }
 
-let random_partition rng g ~n_parts =
-  Partition.of_graph g ~n_parts (fun _ -> Rng.int rng n_parts)
-
 (* The initial partition draws one part per object in graph order; each
-   step draws an object by its {!Index} number, which is its position in
-   {!Partition.objects}.  A rejected move is undone in place. *)
+   step draws an object by its number, which is its position in
+   {!Partition.objects}, and moves it in the start's assignment, the
+   search's working array.  A rejected move is undone in place. *)
 let run_objective ?(config = default_config) ~objective g ~n_parts =
   let rng = Rng.create config.seed in
-  let idx, current = Index.make g (random_partition rng g ~n_parts) in
-  let score = objective idx in
-  let current_cost = ref (score current) in
+  let work = Partition.of_graph g ~n_parts (fun _ -> Rng.int rng n_parts) in
+  let current = work.Partition.parts in
+  let current_cost = ref (objective work) in
   let best = Array.copy current in
   let best_cost = ref !current_cost in
-  let n_objs = Array.length idx.Index.objs in
+  let n_objs = Array.length current in
   let temp = ref config.initial_temp in
   for _ = 1 to config.steps do
     let o = Rng.int rng n_objs in
     let target = Rng.int rng n_parts in
     let prev = current.(o) in
     current.(o) <- target;
-    let next_cost = score current in
+    let next_cost = objective work in
     let delta = next_cost -. !current_cost in
     let accept =
       delta <= 0.0
@@ -49,7 +47,7 @@ let run_objective ?(config = default_config) ~objective g ~n_parts =
     else current.(o) <- prev;
     temp := !temp *. config.cooling
   done;
-  Index.to_partition idx best
+  Partition.with_parts work best
 
 let run ?config ?weights g ~n_parts =
-  run_objective ?config ~objective:(Cost.total_at ?weights) g ~n_parts
+  run_objective ?config ~objective:(Cost.total ?weights) g ~n_parts

@@ -13,14 +13,13 @@ val default_config : config
 
 val run_objective :
   ?config:config ->
-  objective:(Index.t -> int array -> float) ->
+  objective:(Partition.t -> float) ->
   Agraph.Access_graph.t ->
   n_parts:int ->
   Partition.t
 (** Minimize an arbitrary objective over complete partitions; returns the
-    best state visited.  [objective] is applied once to the search's
-    index, then to each candidate assignment, which it must not keep or
-    modify. *)
+    best state visited.  [objective] scores the search's working
+    partition, which it must not keep or modify. *)
 
 val run :
   ?config:config -> ?weights:Cost.weights -> Agraph.Access_graph.t ->

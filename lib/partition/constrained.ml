@@ -17,43 +17,32 @@ type problem = {
       (** cost of placing an object on a partition *)
 }
 
-(* Capacity demand per partition of the objects [objs] placed by [a]. *)
-let loads_of problem ~n_parts objs a =
-  let loads = Array.make n_parts 0 in
+(** Capacity demand per partition under the problem's cost model. *)
+let loads problem (p : Partition.t) =
+  let loads = Array.make p.Partition.n_parts 0 in
   Array.iteri
     (fun k o ->
-      let i = a.(k) in
+      let i = p.Partition.parts.(k) in
       loads.(i) <- loads.(i) + problem.pr_object_cost i o)
-    objs;
+    p.Partition.objs;
   loads
 
-let overrun_of problem loads =
+(** Total capacity overrun (0 = feasible). *)
+let overrun problem p =
   let total = ref 0 in
   Array.iteri
     (fun i load ->
       if i < Array.length problem.pr_limits then
         total := !total + max 0 (load - problem.pr_limits.(i)))
-    loads;
+    (loads problem p);
   !total
 
-let loads problem part =
-  let objs = Array.of_list (Partition.objects part) in
-  loads_of problem ~n_parts:(Partition.n_parts part) (Array.map fst objs)
-    (Array.map snd objs)
+let is_feasible problem p = overrun problem p = 0
 
-(** Total capacity overrun (0 = feasible). *)
-let overrun problem part = overrun_of problem (loads problem part)
-
-let is_feasible problem part = overrun problem part = 0
-
-let objective problem (idx : Index.t) a =
+let objective problem p =
   (* Any overrun dwarfs any achievable communication cost. *)
-  let comm = float_of_int (Cost.comm_bits_at idx a) in
-  let over =
-    float_of_int
-      (overrun_of problem
-         (loads_of problem ~n_parts:idx.Index.n_parts idx.Index.objs a))
-  in
+  let comm = float_of_int (Cost.comm_bits p) in
+  let over = float_of_int (overrun problem p) in
   comm +. (1.0e6 *. over)
 
 let run ?(seed = 42) ?(steps = 4000) (g : Access_graph.t) ~problem ~n_parts =

@@ -18,9 +18,9 @@ val overrun : problem -> Partition.t -> int
 
 val is_feasible : problem -> Partition.t -> bool
 
-val objective : problem -> Index.t -> int array -> float
-(** The annealing objective: {!Cost.comm_bits_at} plus 10{^6} per unit
-    of overrun. *)
+val objective : problem -> Partition.t -> float
+(** The annealing objective: {!Cost.comm_bits} plus 10{^6} per unit of
+    overrun. *)
 
 val run :
   ?seed:int ->

@@ -14,7 +14,7 @@ val run :
 (** Anneal toward the requested global-variable count, with a small
     communication term and a penalty on empty partitions. *)
 
-val objective : bias:bias -> Index.t -> int array -> float
+val objective : bias:bias -> Partition.t -> float
 (** The annealing objective: 1000 per global variable off the bias's
     target count, 10000 per partition without a behavior, and 0.001 per
-    bit of {!Cost.comm_bits_at}. *)
+    bit of {!Cost.comm_bits}. *)

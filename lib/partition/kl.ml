@@ -1,20 +1,21 @@
 (** Kernighan–Lin / Fiduccia–Mattheyses style improvement: repeated passes
     of single-object moves.  Within a pass every object moves at most once
     (it is then locked); the pass keeps the best prefix of moves, and
-    passes repeat until no improvement is found.  Moves are scored over
-    one {!Index} of the graph, in place. *)
+    passes repeat until no improvement is found.  Moves are scored in
+    place, in the working array of a partition of the same graph. *)
 
-(* The cheapest move of an unlocked object to another part: objects in
-   index order, parts ascending, the first of equal costs. *)
-let best_move ?weights (idx : Index.t) a locked =
+(* The cheapest move of an unlocked object of [work] to another part:
+   objects in number order, parts ascending, the first of equal costs. *)
+let best_move ?weights (work : Partition.t) locked =
+  let a = work.Partition.parts in
   let best = ref None in
-  for o = 0 to Array.length idx.Index.objs - 1 do
+  for o = 0 to Array.length a - 1 do
     if not locked.(o) then begin
       let cur = a.(o) in
-      for i = 0 to idx.Index.n_parts - 1 do
+      for i = 0 to work.Partition.n_parts - 1 do
         if i <> cur then begin
           a.(o) <- i;
-          let c = Cost.total_at ?weights idx a in
+          let c = Cost.total ?weights work in
           match !best with
           | Some (bc, _, _) when not (c < bc) -> ()
           | Some _ | None -> best := Some (c, o, i)
@@ -28,13 +29,14 @@ let best_move ?weights (idx : Index.t) a locked =
 (* One KL pass from [a] (cost [cost]): greedily apply best moves (even
    cost-increasing ones, locking each moved object), remember the best
    intermediate state, and return it with its cost. *)
-let one_pass ?weights ?(max_moves = 64) idx a cost =
-  let cur = Array.copy a in
+let one_pass ?weights ?(max_moves = 64) part a cost =
+  let work = Partition.with_parts part (Array.copy a) in
+  let cur = work.Partition.parts in
   let locked = Array.make (Array.length a) false in
   let rec go best best_cost moves =
     if moves >= max_moves then (best, best_cost)
     else
-      match best_move ?weights idx cur locked with
+      match best_move ?weights work locked with
       | None -> (best, best_cost)
       | Some (c, o, i) ->
         cur.(o) <- i;
@@ -44,16 +46,16 @@ let one_pass ?weights ?(max_moves = 64) idx a cost =
   in
   go a cost 0
 
-let run ?weights ?(max_passes = 8) g part =
-  let idx, a = Index.make g part in
+let run ?weights ?(max_passes = 8) part =
   let rec go a cost pass =
     if pass >= max_passes then a
     else
-      let a', cost' = one_pass ?weights idx a cost in
+      let a', cost' = one_pass ?weights part a cost in
       if cost' < cost then go a' cost' (pass + 1) else a
   in
-  Index.to_partition idx (go a (Cost.total_at ?weights idx a) 0)
+  Partition.with_parts part
+    (go part.Partition.parts (Cost.total ?weights part) 0)
 
 (** Convenience: greedy construction followed by KL refinement. *)
 let run_from_scratch ?weights g ~n_parts =
-  run ?weights g (Greedy.run g ~n_parts)
+  run ?weights (Greedy.run g ~n_parts)

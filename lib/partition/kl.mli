@@ -2,9 +2,7 @@
     of single-object moves with per-pass locking; each pass keeps its best
     prefix of moves, and passes repeat until no improvement. *)
 
-val run :
-  ?weights:Cost.weights -> ?max_passes:int -> Agraph.Access_graph.t ->
-  Partition.t -> Partition.t
+val run : ?weights:Cost.weights -> ?max_passes:int -> Partition.t -> Partition.t
 (** Improve an existing partition; the result never costs more than the
     input under {!Cost.total}. *)
 

@@ -337,7 +337,7 @@ let workload_appendix name spec graph part =
   print_endline "";
   Printf.printf "== Appendix: %s, same comparison ==\n" name;
   let env = Estimate.Rates.make_env spec allocation part in
-  let report = Partitioning.Classify.report graph part in
+  let report = Partitioning.Classify.report part in
   Printf.printf
     "%s: %d lines, %d channels, %d local / %d global variables\n" name
     (Spec.Printer.line_count spec)

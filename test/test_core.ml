@@ -226,9 +226,13 @@ let test_plan_bus_of_access () =
     = Core.Bus_plan.Chain_request 0)
 
 let test_plan_incomplete_partition_rejected () =
-  let empty = Partitioning.Partition.make ~n_parts:2 [] in
-  match Core.Bus_plan.build Core.Model.Model1 g2 empty with
-  | exception Invalid_argument _ -> ()
+  (* A partition of another graph leaves fig2's objects unassigned. *)
+  match
+    Core.Bus_plan.build Core.Model.Model1 g2 Workloads.Smallspecs.fig1_partition
+  with
+  | exception Invalid_argument msg ->
+    Alcotest.(check bool) "names the plan" true
+      (String.starts_with ~prefix:"Bus_plan.build: unassigned behavior B1" msg)
   | _ -> Alcotest.fail "expected Invalid_argument"
 
 (* --- Control_refine ----------------------------------------------------------- *)
@@ -307,13 +311,16 @@ let test_control_nonleaf_scheme_shape () =
 
 let test_control_nothing_moves_when_together () =
   let part =
-    Partitioning.Partition.make ~n_parts:2
-      [
-        (Partitioning.Partition.Obj_behavior "A", 0);
-        (Partitioning.Partition.Obj_behavior "B", 0);
-        (Partitioning.Partition.Obj_behavior "C", 0);
-        (Partitioning.Partition.Obj_variable "x", 1);
-      ]
+    Result.get_ok
+      (Partitioning.Partition.make
+         (Agraph.Access_graph.of_program fig1)
+         ~n_parts:2
+         [
+           (Partitioning.Partition.Obj_behavior "A", 0);
+           (Partitioning.Partition.Obj_behavior "B", 0);
+           (Partitioning.Partition.Obj_behavior "C", 0);
+           (Partitioning.Partition.Obj_variable "x", 1);
+         ])
   in
   let r = run_control fig1 part in
   Alcotest.(check int) "nothing moved" 0
@@ -625,12 +632,13 @@ let test_refiner_proc_access_rejected () =
   in
   let g = Agraph.Access_graph.of_program bad in
   let part =
-    Partitioning.Partition.make ~n_parts:2
-      [
-        (Partitioning.Partition.Obj_behavior "L1", 0);
-        (Partitioning.Partition.Obj_behavior "L2", 1);
-        (Partitioning.Partition.Obj_variable "v", 0);
-      ]
+    Result.get_ok
+      (Partitioning.Partition.make g ~n_parts:2
+         [
+           (Partitioning.Partition.Obj_behavior "L1", 0);
+           (Partitioning.Partition.Obj_behavior "L2", 1);
+           (Partitioning.Partition.Obj_variable "v", 0);
+         ])
   in
   match Core.Refiner.refine bad g part Core.Model.Model1 with
   | exception Core.Refiner.Refine_error msg ->

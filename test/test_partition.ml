@@ -26,26 +26,40 @@ let test_members () =
     (Partition.variables_in part 1)
 
 let test_make_errors () =
-  let b = Partition.Obj_behavior "A" in
-  Alcotest.check_raises "out of range"
-    (Invalid_argument "Partition.make: A assigned to partition 3 of 2")
-    (fun () -> ignore (Partition.make ~n_parts:2 [ (b, 3) ]));
-  Alcotest.check_raises "duplicate"
-    (Invalid_argument "Partition.make: duplicate object A") (fun () ->
-      ignore (Partition.make ~n_parts:2 [ (b, 0); (b, 1) ]));
+  let b = Partition.Obj_behavior "B1" in
+  let make assocs =
+    Result.map Partition.objects (Partition.make g2 ~n_parts:2 assocs)
+  in
+  let error = Alcotest.(result reject string) in
+  Alcotest.check error "out of range"
+    (Error "B1 assigned to partition 3 of 2") (make [ (b, 3) ]);
+  Alcotest.check error "duplicate" (Error "duplicate object B1")
+    (make [ (b, 0); (b, 1) ]);
+  Alcotest.check error "incomplete"
+    (Error
+       "unassigned behavior B2; unassigned behavior B3; unassigned behavior \
+        B4; unassigned variable v1; unassigned variable v2; unassigned \
+        variable v3; unassigned variable v4; unassigned variable v5; \
+        unassigned variable v6; unassigned variable v7")
+    (make [ (b, 0) ]);
   Alcotest.check_raises "empty"
-    (Invalid_argument "Partition.make: n_parts < 1") (fun () ->
-      ignore (Partition.make ~n_parts:0 []))
+    (Invalid_argument "Partition: n_parts < 1") (fun () ->
+      ignore (Partition.make g2 ~n_parts:0 []))
 
-let test_assign () =
-  let part = Partition.make ~n_parts:2 [ (Partition.Obj_behavior "A", 0) ] in
-  let part = Partition.assign part (Partition.Obj_behavior "A") 1 in
-  Alcotest.(check (option int)) "moved" (Some 1)
-    (Partition.part_of_behavior part "A")
+(* A partition assigns exactly its graph's objects, so one the graph
+   lacks is refused by name. *)
+let test_unknown_object () =
+  let assocs =
+    (Partition.Obj_behavior "EXTRA", 0)
+    :: Partition.objects Workloads.Smallspecs.fig2_partition
+  in
+  Alcotest.(check (result reject string))
+    "extra behavior" (Error "unknown behavior EXTRA")
+    (Result.map Partition.objects (Partition.make g2 ~n_parts:2 assocs))
 
 let test_complete_for () =
-  let empty = Partition.make ~n_parts:2 [] in
-  (match Partition.complete_for g2 empty with
+  (* fig1's partition assigns none of fig2's objects. *)
+  (match Partition.complete_for g2 Workloads.Smallspecs.fig1_partition with
   | Ok () -> Alcotest.fail "expected missing objects"
   | Error msgs -> Alcotest.(check int) "4+7 missing" 11 (List.length msgs));
   match Partition.complete_for g2 Workloads.Smallspecs.fig2_partition with
@@ -55,7 +69,7 @@ let test_complete_for () =
 (* --- classification ------------------------------------------------------ *)
 
 let test_classify_fig2 () =
-  let r = Classify.report g2 Workloads.Smallspecs.fig2_partition in
+  let r = Classify.report Workloads.Smallspecs.fig2_partition in
   Alcotest.(check (list string)) "locals" [ "v1"; "v2"; "v3"; "v6" ] r.Classify.locals;
   Alcotest.(check (list string)) "globals" [ "v4"; "v5"; "v7" ] r.Classify.globals;
   Alcotest.(check (list string)) "unaccessed" [] r.Classify.unaccessed
@@ -63,7 +77,7 @@ let test_classify_fig2 () =
 let test_classify_designs () =
   let counts d =
     let r =
-      Classify.report medical_g d.Workloads.Designs.d_partition
+      Classify.report d.Workloads.Designs.d_partition
     in
     (List.length r.Classify.locals, List.length r.Classify.globals)
   in
@@ -77,7 +91,7 @@ let test_classify_designs () =
 let test_classify_single_partition () =
   (* With everything on one component, every variable is local. *)
   let part = Partition.of_graph g2 ~n_parts:1 (fun _ -> 0) in
-  let r = Classify.report g2 part in
+  let r = Classify.report part in
   Alcotest.(check int) "all local" 7 (List.length r.Classify.locals);
   Alcotest.(check int) "none global" 0 (List.length r.Classify.globals)
 
@@ -91,7 +105,7 @@ let test_classify_variable_away_from_users () =
         | Partition.Obj_variable _ -> 0)
   in
   Alcotest.(check bool) "v6 global" true
-    (Classify.classify g2 part "v6" = Classify.Global)
+    (List.mem "v6" (Classify.report part).Classify.globals)
 
 let test_ratio () =
   let r =
@@ -103,7 +117,7 @@ let test_ratio () =
 
 let test_comm_bits_zero_when_together () =
   let part = Partition.of_graph g2 ~n_parts:2 (fun _ -> 0) in
-  Alcotest.(check int) "no traffic" 0 (Cost.comm_bits g2 part)
+  Alcotest.(check int) "no traffic" 0 (Cost.comm_bits part)
 
 let test_comm_bits_counts_cross_edges () =
   let part = Workloads.Smallspecs.fig2_partition in
@@ -119,7 +133,7 @@ let test_comm_bits_counts_cross_edges () =
         if bp <> vp then acc + Agraph.Access_graph.edge_bits e else acc)
       0 g2.Agraph.Access_graph.g_data
   in
-  Alcotest.(check int) "matches definition" expected (Cost.comm_bits g2 part);
+  Alcotest.(check int) "matches definition" expected (Cost.comm_bits part);
   Alcotest.(check bool) "positive" true (expected > 0)
 
 let test_cost_total_monotone_in_comm () =
@@ -129,10 +143,10 @@ let test_cost_total_monotone_in_comm () =
   let split = Workloads.Smallspecs.fig2_partition in
   let w = { Cost.w_comm = 1.0; w_balance = 0.0 } in
   Alcotest.(check bool) "comm-only prefers together" true
-    (Cost.total ~weights:w g2 together < Cost.total ~weights:w g2 split);
+    (Cost.total ~weights:w together < Cost.total ~weights:w split);
   let w = { Cost.w_comm = 0.0; w_balance = 1.0 } in
   Alcotest.(check bool) "balance-only prefers split" true
-    (Cost.total ~weights:w g2 split < Cost.total ~weights:w g2 together)
+    (Cost.total ~weights:w split < Cost.total ~weights:w together)
 
 (* --- rng ------------------------------------------------------------------ *)
 
@@ -179,9 +193,9 @@ let test_greedy_complete () =
 
 let test_kl_improves_or_keeps () =
   let start = Greedy.run medical_g ~n_parts:2 in
-  let improved = Kl.run medical_g start in
+  let improved = Kl.run start in
   Alcotest.(check bool) "no worse" true
-    (Cost.total medical_g improved <= Cost.total medical_g start);
+    (Cost.total improved <= Cost.total start);
   Alcotest.(check bool) "complete" true (complete_and_valid medical_g improved)
 
 let test_annealing_deterministic () =
@@ -223,7 +237,7 @@ let test_partitioners_beat_random_on_comm () =
   let random = Workloads.Generator.random_partition ~seed:99 medical_g ~n_parts:2 in
   let smart = Kl.run_from_scratch medical_g ~n_parts:2 in
   Alcotest.(check bool) "smart <= random comm" true
-    (Cost.comm_bits medical_g smart <= Cost.comm_bits medical_g random)
+    (Cost.comm_bits smart <= Cost.comm_bits random)
 
 let test_design_search_deterministic () =
   let objects bias seed =
@@ -244,7 +258,7 @@ let test_design_search_bias_moves_balance () =
      majority of globals. *)
   let counts bias =
     let part = Design_search.run ~seed:5 ~steps:3000 medical_g ~n_parts:2 ~bias in
-    let r = Classify.report medical_g part in
+    let r = Classify.report part in
     (List.length r.Classify.locals, List.length r.Classify.globals)
   in
   let ll, lg = counts Design_search.Mostly_local in
@@ -267,7 +281,7 @@ let test_design_search_bias_moves_balance () =
 let test_design_search_biases () =
   let globals bias =
     let part = Design_search.run ~seed:5 ~steps:3000 medical_g ~n_parts:2 ~bias in
-    let r = Classify.report medical_g part in
+    let r = Classify.report part in
     List.length r.Classify.globals
   in
   let gl = globals Design_search.Mostly_local in
@@ -319,7 +333,7 @@ let test_constrained_prefers_low_comm_among_feasible () =
   let part = Constrained.run ~seed:3 ~steps:6000 medical_g ~problem ~n_parts:2 in
   let random = Workloads.Generator.random_partition ~seed:17 medical_g ~n_parts:2 in
   Alcotest.(check bool) "beats random comm" true
-    (Cost.comm_bits medical_g part <= Cost.comm_bits medical_g random)
+    (Cost.comm_bits part <= Cost.comm_bits random)
 
 let test_constrained_rejects_bad_limits () =
   let problem = { Constrained.pr_limits = [| 1 |]; pr_object_cost = (fun _ _ -> 1) } in
@@ -329,12 +343,53 @@ let test_constrained_rejects_bad_limits () =
 
 (* --- indexed scoring = the string-map definitions ------------------------ *)
 
-(* The partitioners' scoring before it moved onto [Index]: string-map
-   lookups per data edge, a fresh user map per report, a new
-   [Partition.t] per annealing step and per KL candidate.  Kept verbatim
-   as the oracle the indexed code must match exactly. *)
+(* The partitioners' scoring before it moved onto the graph's numbering:
+   string-map lookups per data edge, a fresh user map per report, a new
+   partition per annealing step and per KL candidate.  Kept verbatim as
+   the oracle the indexed code must match exactly. *)
 module Oracle = struct
   open Agraph
+
+  (* Inside the oracle, [Partition] is the former string-map partition:
+     its own obj -> int map, built from [Partitioning.Partition.objects]. *)
+  module Partition = struct
+    type obj = Partition.obj = Obj_behavior of string | Obj_variable of string
+
+    let compare_obj = Partition.compare_obj
+
+    module Omap = Map.Make (struct
+      type t = obj
+
+      let compare = compare_obj
+    end)
+
+    type t = { assignment : int Omap.t; parts : int }
+
+    let of_partition p =
+      {
+        assignment = Omap.of_seq (List.to_seq (Partition.objects p));
+        parts = Partition.n_parts p;
+      }
+
+    let of_graph g ~n_parts place =
+      of_partition (Partition.of_graph g ~n_parts place)
+
+    let n_parts t = t.parts
+    let part_of t o = Omap.find_opt o t.assignment
+    let part_of_behavior t n = part_of t (Obj_behavior n)
+    let part_of_variable t n = part_of t (Obj_variable n)
+    let assign t o i = { t with assignment = Omap.add o i t.assignment }
+    let objects t = Omap.bindings t.assignment
+
+    let behaviors_in t i =
+      Omap.fold
+        (fun o j acc ->
+          match o with
+          | Obj_behavior n when j = i -> n :: acc
+          | Obj_behavior _ | Obj_variable _ -> acc)
+        t.assignment []
+      |> List.rev
+  end
 
   let cost_part_of_behavior part b =
     match Partition.part_of_behavior part b with
@@ -551,19 +606,17 @@ module Oracle = struct
     go part (total ?weights g part) 0
 end
 
-(* A generated graph and a random partition of it; [extra] also assigns a
-   behavior the graph does not have, which the partition-level functions
-   must carry along exactly as the string maps did. *)
+(* A generated graph and a random partition of it. *)
 let gen_case =
   QCheck.(
     make
-      ~print:(fun (s, v, l, n, x) ->
-        Printf.sprintf "seed=%d vars=%d leaves=%d parts=%d extra=%b" s v l n x)
+      ~print:(fun (s, v, l, n) ->
+        Printf.sprintf "seed=%d vars=%d leaves=%d parts=%d" s v l n)
       Gen.(
-        tup5 (int_range 1 5000) (int_range 1 10) (int_range 1 10)
-          (int_range 1 4) bool))
+        quad (int_range 1 5000) (int_range 1 10) (int_range 1 10)
+          (int_range 1 4)))
 
-let case_graph (seed, vars, leaves, n_parts, extra) =
+let case_graph (seed, vars, leaves, n_parts) =
   let g =
     Agraph.Access_graph.of_program
       (Workloads.Generator.program
@@ -575,13 +628,7 @@ let case_graph (seed, vars, leaves, n_parts, extra) =
            gen_par_branches = seed mod 3;
          })
   in
-  let part = Workloads.Generator.random_partition ~seed g ~n_parts in
-  let part =
-    if extra then
-      Partition.assign part (Partition.Obj_behavior "EXTRA") (seed mod n_parts)
-    else part
-  in
-  (g, part)
+  (g, Workloads.Generator.random_partition ~seed g ~n_parts)
 
 let problem_of seed n_parts =
   {
@@ -593,42 +640,37 @@ let problem_of seed n_parts =
         | Partition.Obj_variable _ -> 1 + i);
   }
 
-let objects part =
-  List.map (fun (o, i) -> (Partition.obj_name o, i)) (Partition.objects part)
-
 let prop_indexed_scores =
   QCheck.Test.make ~count:300 ~name:"indexed scores = string-map scores" gen_case
-    (fun ((seed, _, _, n_parts, _) as case) ->
+    (fun ((seed, _, _, n_parts) as case) ->
       let g, part = case_graph case in
-      let idx, a = Index.make g part in
+      let old = Oracle.Partition.of_partition part in
       let w = { Cost.w_comm = 0.3 +. float_of_int (seed mod 7); w_balance = 0.7 } in
       let problem = problem_of seed n_parts in
-      Cost.total g part = Oracle.total g part
-      && Cost.total ~weights:w g part = Oracle.total ~weights:w g part
-      && Cost.total_at ~weights:w idx a = Oracle.total ~weights:w g part
-      && Cost.comm_bits g part = Oracle.comm_bits g part
-      && Cost.part_loads g part = Oracle.part_loads g part
-      && Cost.imbalance g part = Oracle.imbalance g part
-      && Classify.report g part = Oracle.report g part
+      Cost.total part = Oracle.total g old
+      && Cost.total ~weights:w part = Oracle.total ~weights:w g old
+      && Cost.comm_bits part = Oracle.comm_bits g old
+      && Cost.part_loads part = Oracle.part_loads g old
+      && Cost.imbalance part = Oracle.imbalance g old
+      && Classify.report part = Oracle.report g old
       && List.for_all
            (fun bias ->
-             Design_search.objective ~bias idx a
-             = Oracle.design_objective g ~bias part)
+             Design_search.objective ~bias part
+             = Oracle.design_objective g ~bias old)
            [ Design_search.Balanced; Design_search.Mostly_local;
              Design_search.Mostly_global ]
-      && Constrained.objective problem idx a
-         = Oracle.constrained_objective g problem part
-      && Constrained.loads problem part = Oracle.loads problem part
-      && Constrained.overrun problem part = Oracle.overrun problem part
-      && objects (Index.to_partition idx a) = objects part)
+      && Constrained.objective problem part
+         = Oracle.constrained_objective g problem old
+      && Constrained.loads problem part = Oracle.loads problem old
+      && Constrained.overrun problem part = Oracle.overrun problem old)
 
 let prop_indexed_searches =
   QCheck.Test.make ~count:40 ~name:"indexed searches = string-map searches"
-    gen_case (fun ((seed, _, _, n_parts, _) as case) ->
+    gen_case (fun ((seed, _, _, n_parts) as case) ->
       let g, part = case_graph case in
       let config = { Annealing.default_config with seed; steps = 300 } in
       let problem = problem_of seed n_parts in
-      let same a b = objects a = objects b in
+      let same a b = Partition.objects a = Oracle.Partition.objects b in
       same (Annealing.run ~config g ~n_parts)
         (Oracle.run_objective ~config ~objective:(Oracle.total g) g ~n_parts)
       && List.for_all
@@ -643,7 +685,7 @@ let prop_indexed_searches =
            (Constrained.run ~seed ~steps:300 g ~problem ~n_parts)
            (Oracle.run_objective ~config
               ~objective:(Oracle.constrained_objective g problem) g ~n_parts)
-      && same (Kl.run g part) (Oracle.kl g part))
+      && same (Kl.run part) (Oracle.kl g (Oracle.Partition.of_partition part)))
 
 let prop_partitioners_complete =
   QCheck.Test.make ~count:30 ~name:"all partitioners yield complete partitions"
@@ -673,7 +715,7 @@ let () =
           tc "make/query" test_make_and_query;
           tc "members" test_members;
           tc "make errors" test_make_errors;
-          tc "assign" test_assign;
+          tc "unknown object rejected" test_unknown_object;
           tc "complete_for" test_complete_for;
         ] );
       ( "classify",

@@ -38,8 +38,7 @@ let test_medical_computation_sane () =
 let test_design_balances () =
   let counts (d : Workloads.Designs.design) =
     let r =
-      Partitioning.Classify.report Workloads.Medical.graph
-        d.Workloads.Designs.d_partition
+      Partitioning.Classify.report d.Workloads.Designs.d_partition
     in
     ( List.length r.Partitioning.Classify.locals,
       List.length r.Partitioning.Classify.globals )
@@ -81,8 +80,7 @@ let test_designs_use_both_components () =
     Workloads.Designs.all
 
 let test_fig_specs_profiles () =
-  let g2 = Agraph.Access_graph.of_program Workloads.Smallspecs.fig2 in
-  let r = Partitioning.Classify.report g2 Workloads.Smallspecs.fig2_partition in
+  let r = Partitioning.Classify.report Workloads.Smallspecs.fig2_partition in
   (* The paper's Figure 2: v1 v2 v3 v6 local, v4 v5 v7 global. *)
   Alcotest.(check (list string)) "locals" [ "v1"; "v2"; "v3"; "v6" ]
     r.Partitioning.Classify.locals;
