@@ -42,8 +42,6 @@ val of_program :
 val default_objects : Ast.program -> string list
 (** The leaf behaviors of the program, in preorder. *)
 
-val data_edges_of_var : t -> string -> data_edge list
-
 val behaviors_accessing : t -> string -> string list
 (** Deduplicated object behaviors with an edge to the given variable. *)
 

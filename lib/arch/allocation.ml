@@ -9,29 +9,11 @@ let make parts =
   if parts = [] then invalid_arg "Allocation.make: empty allocation";
   { parts }
 
-(** Number of partitions [p] in the paper's bus-count formulas. *)
-let count t = List.length t.parts
-
 let component t i =
   match List.nth_opt t.parts i with
   | Some c -> c
   | None -> invalid_arg (Printf.sprintf "Allocation.component: no partition %d" i)
 
-let components t = t.parts
-
-let index_of t name =
-  let rec go i = function
-    | [] -> None
-    | c :: rest ->
-      if String.equal c.Component.c_name name then Some i else go (i + 1) rest
-  in
-  go 0 t.parts
-
 (** The paper's running allocation: one Intel8086-class processor and one
     10k-gate ASIC. *)
 let proc_asic () = make [ Catalog.i8086; Catalog.asic_10k ]
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>%a@]"
-    (Format.pp_print_list Component.pp)
-    t.parts

@@ -8,19 +8,9 @@ type t
 val make : Component.t list -> t
 (** @raise Invalid_argument on an empty allocation. *)
 
-val count : t -> int
-(** The number of partitions [p] in the paper's bus-count formulas. *)
-
 val component : t -> int -> Component.t
 (** @raise Invalid_argument on an out-of-range index. *)
-
-val components : t -> Component.t list
-
-val index_of : t -> string -> int option
-(** Partition index of the component with the given name. *)
 
 val proc_asic : unit -> t
 (** The paper's running allocation: one Intel8086-class processor (index
     0) and one 10k-gate ASIC (index 1). *)
-
-val pp : Format.formatter -> t -> unit

@@ -5,10 +5,6 @@ let i8086 =
   Component.processor ~name:"Intel8086" ~clock_mhz:10.0 ~cycles_assign:4.0
     ~cycles_branch:6.0 ~cycles_io:10.0 ()
 
-let mc68000 =
-  Component.processor ~name:"MC68000" ~clock_mhz:16.0 ~cycles_assign:3.0
-    ~cycles_branch:5.0 ~cycles_io:8.0 ()
-
 let sparc =
   Component.processor ~name:"SPARC" ~clock_mhz:40.0 ~cycles_assign:1.2
     ~cycles_branch:2.0 ~cycles_io:4.0 ()
@@ -17,14 +13,5 @@ let sparc =
     ASIC. *)
 let asic_10k =
   Component.asic ~name:"ASIC10k" ~gates:10_000 ~pins:75 ~clock_mhz:20.0
-    ~cycles_per_op:1.0 ()
-
-let asic_50k =
-  Component.asic ~name:"ASIC50k" ~gates:50_000 ~pins:120 ~clock_mhz:25.0
-    ~cycles_per_op:1.0 ()
 
 let sram_1k = Component.memory ~name:"SRAM1k" ~ports:1 ~width:16 ~words:1024
-
-let all = [ i8086; mc68000; sparc; asic_10k; asic_50k; sram_1k ]
-
-let find name = List.find_opt (fun c -> String.equal c.Component.c_name name) all

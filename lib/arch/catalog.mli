@@ -5,16 +5,9 @@
 val i8086 : Component.t
 (** The paper's processor: 10 MHz Intel8086 class. *)
 
-val mc68000 : Component.t
 val sparc : Component.t
 
 val asic_10k : Component.t
 (** The paper's running allocation: a 10 000-gate, 75-pin ASIC. *)
 
-val asic_50k : Component.t
 val sram_1k : Component.t
-
-val all : Component.t list
-
-val find : string -> Component.t option
-(** Look a part up by name. *)

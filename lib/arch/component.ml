@@ -35,7 +35,7 @@ let processor ?(cycles_assign = 4.0) ?(cycles_branch = 6.0) ?(cycles_io = 10.0)
         };
   }
 
-let asic ?(cycles_per_op = 1.0) ~name ~gates ~pins ~clock_mhz () =
+let asic ~name ~gates ~pins ~clock_mhz =
   {
     c_name = name;
     c_kind =
@@ -44,7 +44,7 @@ let asic ?(cycles_per_op = 1.0) ~name ~gates ~pins ~clock_mhz () =
           asic_gates = gates;
           asic_pins = pins;
           asic_clock_mhz = clock_mhz;
-          asic_cycles_per_op = cycles_per_op;
+          asic_cycles_per_op = 1.0;
         };
   }
 

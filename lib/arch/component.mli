@@ -37,14 +37,7 @@ val processor :
   unit ->
   t
 
-val asic :
-  ?cycles_per_op:float ->
-  name:string ->
-  gates:int ->
-  pins:int ->
-  clock_mhz:float ->
-  unit ->
-  t
+val asic : name:string -> gates:int -> pins:int -> clock_mhz:float -> t
 
 val memory : name:string -> ports:int -> width:int -> words:int -> t
 

@@ -38,5 +38,3 @@ let address t v =
   match List.assoc_opt v t.addr_of with
   | Some a -> a
   | None -> invalid_arg (Printf.sprintf "Address.address: unknown variable %s" v)
-
-let variables t = List.map fst t.addr_of

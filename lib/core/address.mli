@@ -15,6 +15,3 @@ val build : Spec.Ast.program -> t
 val address : t -> string -> int
 (** Base address of the variable (arrays: address of element 0).
     @raise Invalid_argument for a name that is not a program variable. *)
-
-val variables : t -> string list
-(** In address order. *)

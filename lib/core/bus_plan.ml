@@ -186,23 +186,3 @@ let bus_of_access t ~master ~variable =
   | Lmem h -> if master = h then Local h else Chain_request master
   | exception Not_found ->
     invalid_arg (Printf.sprintf "Bus_plan.bus_of_access: unknown variable %s" variable)
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>%s plan, %d partitions@," (Model.name t.bp_model)
-    t.bp_parts;
-  List.iter
-    (fun b ->
-      Format.fprintf ppf "bus %-8s: %d channels@," (role_label b.bus_role)
-        (List.length b.bus_edges))
-    t.bp_buses;
-  List.iter
-    (fun (v, m) ->
-      let ms =
-        match m with
-        | Gmem -> "Gmem"
-        | Gmem_part i -> Printf.sprintf "Gmem%d" i
-        | Lmem i -> Printf.sprintf "Lmem%d" i
-      in
-      Format.fprintf ppf "var %-10s -> %s@," v ms)
-    t.bp_memory_of;
-  Format.fprintf ppf "@]"

@@ -75,5 +75,3 @@ val bus_of_access : t -> master:int -> variable:string -> bus_role
 val role_label : bus_role -> string
 
 val equal_role : bus_role -> bus_role -> bool
-
-val pp : Format.formatter -> t -> unit

@@ -31,14 +31,6 @@ type ctx = {
           request/acknowledge pair. *)
 }
 
-val load_stmts : ctx -> region:string -> var:string -> tmp:string -> Ast.stmt list
-(** The acquire / [MST_receive] / release sequence loading [var] into
-    [tmp]. *)
-
-val store_stmts :
-  ctx -> region:string -> var:string -> value:Ast.expr -> Ast.stmt list
-(** The acquire / [MST_send] / release sequence writing [value]. *)
-
 val refine_behavior : ctx -> root_region:string -> Ast.behavior -> Ast.behavior
 (** Rewrite every access to a partitioned variable in the tree (leaf
     statements and TOC conditions), declaring the needed [tmp] variables.

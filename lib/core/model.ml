@@ -42,20 +42,3 @@ let max_buses t ~p =
 (** Maximum number of ports of a global memory. *)
 let global_memory_ports t ~p =
   match t with Model1 | Model2 -> 1 | Model3 -> p | Model4 -> 0
-
-(** Number of memory modules the model instantiates for [p] partitions
-    when both local and global variables exist (paper, Section 5 compares
-    2 modules for Model1/Model4 with 4 for Model2/Model3 at p = 2).
-    Model1 uses one global memory; the paper counts 2 modules for it
-    because the single-port global store is banked per component; we
-    follow the structural count of our refiner: one global memory for
-    Model1, [p] local + global memories for Model2/Model3, [p] local
-    memories for Model4. *)
-let memory_modules t ~p ~has_locals ~has_globals =
-  match t with
-  | Model1 -> 1
-  | Model2 -> (if has_locals then p else 0) + if has_globals then 1 else 0
-  | Model3 -> (if has_locals then p else 0) + if has_globals then p else 0
-  | Model4 -> p
-
-let pp ppf t = Format.fprintf ppf "%s (%s)" (name t) (description t)

@@ -23,8 +23,3 @@ val max_buses : t -> p:int -> int
 
 val global_memory_ports : t -> p:int -> int
 (** Maximum ports of a global memory (0 when the model has none). *)
-
-val memory_modules : t -> p:int -> has_locals:bool -> has_globals:bool -> int
-(** Number of memory modules the model instantiates. *)
-
-val pp : Format.formatter -> t -> unit

@@ -70,12 +70,6 @@ val hardening : Naming.t -> harden:bool -> harden_cfg option
 val tick_signals : harden_cfg option -> Ast.sig_decl list
 (** The declaration of the tick signal; none for a plain design. *)
 
-val retry_tag : string -> string
-(** [retry_tag label] is the [WDG_RETRY_<label>] marker tag. *)
-
-val abort_tag : string -> string
-(** [abort_tag label] is the [WDG_ABORT_<label>] marker tag. *)
-
 val reserved_tag_prefixes : string list
 (** Emit-tag prefixes reserved for generated recovery machinery
     ([WDG_], [FLT_], [MEM_UNMAPPED_]); equivalence judgements and fault
@@ -132,12 +126,6 @@ val slv_drive_data :
   ?harden:harden_cfg -> bus_signals -> Ast.expr -> Ast.stmt list
 (** Drive the data bus; hardened, the committed value is read back
     before the completion handshake. *)
-
-val slv_pending : ?style:style -> bus_signals -> Ast.expr
-(** A transaction is pending on the bus. *)
-
-val slv_idle : ?style:style -> bus_signals -> Ast.expr
-(** The current transaction (served by another slave) is over. *)
 
 val slave_loop :
   ?style:style -> ?harden:harden_cfg -> bus_signals ->

@@ -9,9 +9,6 @@
 
 type config = { while_iterations : int }
 
-val default_config : config
-(** 8 estimated iterations per [while] loop / non-constant [for] bound. *)
-
 val stmt_cycles :
   ?config:config -> Arch.Component.t -> Spec.Ast.stmt list -> float
 (** Estimated execution cycles of a statement list on the component.

@@ -2,25 +2,13 @@
     component its partition maps to.  Channel transfer rates divide bits
     by this lifetime (paper, Section 5 / its reference [13]). *)
 
-val behavior_cycles :
-  ?config:Cost_model.config -> Arch.Component.t -> Spec.Ast.behavior -> float
-(** Execution cycles of a behavior tree: leaves cost their statements,
-    sequential compositions sum their arms, parallel compositions take the
-    slowest child. *)
-
-val behavior_seconds :
-  ?config:Cost_model.config ->
-  Spec.Ast.program ->
-  Arch.Component.t ->
-  string ->
-  float
+val behavior_seconds : Spec.Ast.program -> Arch.Component.t -> string -> float
 (** Lifetime in seconds of the named behavior on the given component,
     floored at one clock cycle.
     @raise Invalid_argument on an unknown behavior or a clockless
     component. *)
 
 val partitioned_behavior_seconds :
-  ?config:Cost_model.config ->
   Spec.Ast.program ->
   Arch.Allocation.t ->
   Partitioning.Partition.t ->

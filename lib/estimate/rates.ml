@@ -12,17 +12,15 @@ type env = {
   program : Spec.Ast.program;
   alloc : Arch.Allocation.t;
   part : Partitioning.Partition.t;
-  config : Cost_model.config;
 }
 
-let make_env ?(config = Cost_model.default_config) program alloc part =
-  { program; alloc; part; config }
+let make_env program alloc part = { program; alloc; part }
 
 (** Transfer rate of one data channel in Mbit/s. *)
 let channel_rate_mbps env (e : Access_graph.data_edge) =
   let lifetime =
-    Lifetime.partitioned_behavior_seconds ~config:env.config env.program
-      env.alloc env.part e.Access_graph.de_behavior
+    Lifetime.partitioned_behavior_seconds env.program env.alloc env.part
+      e.Access_graph.de_behavior
   in
   let bits = float_of_int (Access_graph.edge_bits e) in
   bits /. lifetime /. 1e6

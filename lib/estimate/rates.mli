@@ -11,15 +11,10 @@ type env = {
   program : Spec.Ast.program;
   alloc : Arch.Allocation.t;
   part : Partitioning.Partition.t;
-  config : Cost_model.config;
 }
 
 val make_env :
-  ?config:Cost_model.config ->
-  Spec.Ast.program ->
-  Arch.Allocation.t ->
-  Partitioning.Partition.t ->
-  env
+  Spec.Ast.program -> Arch.Allocation.t -> Partitioning.Partition.t -> env
 
 val channel_rate_mbps : env -> Agraph.Access_graph.data_edge -> float
 (** Transfer rate of one data channel in Mbit/s. *)

@@ -76,5 +76,3 @@ let compare a b =
   match List.find_opt (fun c -> c <> 0) cmp with Some c -> c | None -> 0
 
 let equal a b = compare a b = 0
-
-let pp ppf c = Format.pp_print_string ppf (label c)

@@ -44,4 +44,3 @@ val compare : t -> t -> int
     candidate space. *)
 
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

@@ -13,7 +13,4 @@
 
 exception Unsupported of string
 
-val emit_program_exn : Spec.Ast.program -> string
-(** @raise Unsupported on signals, waits or parallel composition. *)
-
 val emit_program : Spec.Ast.program -> (string, string) result

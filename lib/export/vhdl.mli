@@ -9,8 +9,4 @@
 
 exception Unsupported of string
 
-val emit_program_exn : Spec.Ast.program -> string
-(** @raise Unsupported on parallel composition nested below sequential
-    composition. *)
-
 val emit_program : Spec.Ast.program -> (string, string) result

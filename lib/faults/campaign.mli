@@ -31,7 +31,6 @@ type outcome =
           first such run. *)
 
 val outcome_name : outcome -> string
-val all_outcomes : outcome list
 
 type run = {
   run_seed : int;
@@ -128,9 +127,6 @@ val run :
     @raise Campaign_error when the golden run does not complete (including
     a deadline firing during the golden run) or raises
     [Spec.Expr.Eval_error]. *)
-
-val summary : report -> (Fault.cls * (outcome * int) list) list
-(** Outcome counts per fault class, every outcome present. *)
 
 val survival_fraction : report -> Fault.cls -> float
 (** Fraction of the class's runs classified survived or recovered

@@ -142,14 +142,6 @@ let defs n =
 let sig_defs n =
   match n.n_kind with Nstmt (Signal_assign (s, _)) -> [ s ] | _ -> []
 
-(** Whether the node can suspend the executing process: the leaves run
-    to their next blocking point, so these nodes are where concurrent
-    siblings may interleave. *)
-let blocks n =
-  match n.n_kind with
-  | Nstmt (Wait_until _) | Nstmt (Call _) -> true
-  | _ -> false
-
 (* ------------------------------------------------------------------ *)
 (* Rendering, for the golden tests.                                    *)
 

@@ -55,11 +55,6 @@ val defs : node -> string list
 val sig_defs : node -> string list
 (** Signals the node drives. *)
 
-val blocks : node -> bool
-(** Whether the node can suspend the process ([wait until], or a call —
-    protocol procedures block internally); concurrent siblings may
-    interleave at exactly these points. *)
-
 val to_string : t -> string
 (** One line per node: [id[*] kind -> succ,succ…], with [*] marking
     synthesized nodes and [t:]/[f:] labeling branch edges — the golden

@@ -379,7 +379,5 @@ module Names = struct
   let mem = S.mem
   let of_list = S.of_list
   let add = S.add
-  let remove = S.remove
-  let elements = S.elements
   let diff = S.diff
 end

@@ -66,14 +66,9 @@ module Interval : sig
       saturates far below them and never wraps. *)
 
   val top : itv
-  val is_top : itv -> bool
   val const : int -> itv
   val of_value : value -> itv
-  val itv_bool : itv  (** [0, 1] *)
-
-  val join_itv : itv -> itv -> itv
   val widen_itv : itv -> itv -> itv
-  val meet_itv : itv -> itv -> itv option  (** [None] = empty *)
 
   val definitely_true : itv -> bool
   val definitely_false : itv -> bool
@@ -110,10 +105,8 @@ module Names : sig
   val empty : t
   val of_list : string list -> t
   val add : string -> t -> t
-  val remove : string -> t -> t
   val union : t -> t -> t
   val diff : t -> t -> t
   val equal : t -> t -> bool
   val mem : string -> t -> bool
-  val elements : t -> string list
 end

@@ -54,7 +54,6 @@ type summary = {
 }
 
 let leaf s name = List.assoc_opt name s.fl_leaves
-let proc s name = List.assoc_opt name s.fl_procs
 
 let leaf_at s path =
   Option.map snd

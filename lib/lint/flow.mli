@@ -69,7 +69,6 @@ val of_program : program -> summary
 (** Compute (or fetch from the domain-local digest cache). *)
 
 val leaf : summary -> string -> leaf_info option
-val proc : summary -> string -> proc_info option
 
 val leaf_at : summary -> string list -> leaf_info option
 (** Look a leaf up by its full behavior path (unambiguous even when

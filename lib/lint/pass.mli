@@ -58,10 +58,6 @@ val waits_of_stmts : expr list -> stmt list -> expr list
 (** All [wait until] conditions, including nested ones, prepended in
     reverse source order. *)
 
-val calls_of_stmts :
-  (string * arg list) list -> stmt list -> (string * arg list) list
-(** All procedure calls, including nested ones. *)
-
 val is_signal : t -> string -> bool
 (** [x] is a signal the program declares. *)
 

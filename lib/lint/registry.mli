@@ -4,14 +4,6 @@ open Spec
 
 type phase = Pass.phase = Pre | Post
 
-val all : Pass.pass list
-(** Every default pass: race, conformance, liveness, contention,
-    width. *)
-
-val contextual : Pass.pass list
-(** Passes registered (findable, in the code table) but not run by
-    default: currently the fault-campaign [robust] pass. *)
-
 val find_pass : string -> Pass.pass option
 (** Finds default and contextual passes alike. *)
 
@@ -29,12 +21,6 @@ type override = Severity of Diagnostic.severity | Off
 val parse_override : string -> (string * override, string) result
 (** Parse a ["CODE=error|warning|info|off"] override.  The code must be
     in {!code_table}; the level is case-insensitive. *)
-
-val apply_overrides :
-  (string * override) list -> Diagnostic.t list -> Diagnostic.t list
-(** Apply per-code overrides (first binding of a code wins): [Off] drops
-    the diagnostic, [Severity] remaps it; the result is re-sorted into
-    stable order. *)
 
 val run :
   ?phase:phase ->

@@ -6,9 +6,6 @@
     narrowing transfer is suppressed when interval analysis proves the
     value fits the destination. *)
 
-val bits_for : int -> int
-(** Bits needed to represent the magnitude of [n] (at least 1). *)
-
 val width_of : (string -> Spec.Ast.ty option) -> Spec.Ast.expr -> int option
 (** Structural width inference against a lookup of declared types (the
     innermost binding of each name): constants take the bits they need,

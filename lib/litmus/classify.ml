@@ -16,8 +16,6 @@ let to_string = function
   | Deadlock -> "deadlock"
   | Corruption -> "corruption"
 
-let all = [ Sc_consistent; Weak_allowed; Forbidden; Deadlock; Corruption ]
-
 (** The observed variables' final values, in [sh_observed] order. *)
 let observed (shape : Shape.t) (r : Sim.Engine.result) =
   List.map

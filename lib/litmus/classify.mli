@@ -14,8 +14,6 @@ val to_string : verdict -> string
 (** The stable report spelling: ["sc-consistent"], ["weak-allowed"],
     ["forbidden"], ["deadlock"], ["corruption"]. *)
 
-val all : verdict list
-
 val observed :
   Shape.t -> Sim.Engine.result -> (string * Ast.value option) list
 (** The observed variables' final values, in [sh_observed] order;

@@ -31,7 +31,6 @@ val port_of : t -> string -> string option
 
 val store_buffering : unit -> t
 val message_passing : unit -> t
-val load_buffering : unit -> t
 val coherence : unit -> t
 
 val memory : harden:bool -> unit -> t

@@ -40,13 +40,7 @@ type report = {
   rp_kernel_mismatches : int;
 }
 
-val fault_plans : Shape.t -> Faults.Fault.spec list list
-(** The canned plans [cf_faults] enables: an out-of-domain bit flip on
-    an observed register and a dropped first handshake edge. *)
-
 val run : config -> report
-
-val race003_code : string
 
 val race_diagnostics : report -> Diagnostic.t list
 (** [RACE003] for every shape whose fault-free runs are sc-consistent

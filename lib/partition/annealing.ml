@@ -49,5 +49,5 @@ let run_objective ?(config = default_config) ~objective g ~n_parts =
   done;
   Partition.with_parts work best
 
-let run ?config ?weights g ~n_parts =
-  run_objective ?config ~objective:(Cost.total ?weights) g ~n_parts
+let run ?config g ~n_parts =
+  run_objective ?config ~objective:Cost.total g ~n_parts

@@ -1,6 +1,6 @@
 (** Simulated-annealing partitioner with a caller-supplied objective;
-    fully deterministic given the seed.  {!Design_search} and
-    {!Constrained} reuse the engine with their own objectives. *)
+    fully deterministic given the seed.  {!Design_search} reuses the
+    engine with its own objective. *)
 
 type config = {
   seed : int;
@@ -21,7 +21,5 @@ val run_objective :
     best state visited.  [objective] scores the search's working
     partition, which it must not keep or modify. *)
 
-val run :
-  ?config:config -> ?weights:Cost.weights -> Agraph.Access_graph.t ->
-  n_parts:int -> Partition.t
+val run : ?config:config -> Agraph.Access_graph.t -> n_parts:int -> Partition.t
 (** Anneal under the default {!Cost.total} objective. *)

@@ -29,7 +29,9 @@ let connectivity tbl o =
   | Some l -> List.fold_left (fun acc (_, bits) -> acc + bits) 0 l
   | None -> 0
 
-let run ?(balance_weight = 0.25) (g : Access_graph.t) ~n_parts =
+let balance_weight = 0.25
+
+let run (g : Access_graph.t) ~n_parts =
   let adj = adjacency g in
   let objs =
     List.map (fun b -> Partition.Obj_behavior b) g.Access_graph.g_objects

@@ -2,6 +2,5 @@
     decreasing order of connectivity, each on the partition that minimizes
     the traffic to already-placed neighbours while keeping loads even. *)
 
-val run :
-  ?balance_weight:float -> Agraph.Access_graph.t -> n_parts:int -> Partition.t
+val run : Agraph.Access_graph.t -> n_parts:int -> Partition.t
 (** Always yields a complete partition of the graph's objects. *)

@@ -6,7 +6,7 @@
 
 (* The cheapest move of an unlocked object of [work] to another part:
    objects in number order, parts ascending, the first of equal costs. *)
-let best_move ?weights (work : Partition.t) locked =
+let best_move (work : Partition.t) locked =
   let a = work.Partition.parts in
   let best = ref None in
   for o = 0 to Array.length a - 1 do
@@ -15,7 +15,7 @@ let best_move ?weights (work : Partition.t) locked =
       for i = 0 to work.Partition.n_parts - 1 do
         if i <> cur then begin
           a.(o) <- i;
-          let c = Cost.total ?weights work in
+          let c = Cost.total work in
           match !best with
           | Some (bc, _, _) when not (c < bc) -> ()
           | Some _ | None -> best := Some (c, o, i)
@@ -29,14 +29,16 @@ let best_move ?weights (work : Partition.t) locked =
 (* One KL pass from [a] (cost [cost]): greedily apply best moves (even
    cost-increasing ones, locking each moved object), remember the best
    intermediate state, and return it with its cost. *)
-let one_pass ?weights ?(max_moves = 64) part a cost =
+let max_moves = 64
+
+let one_pass part a cost =
   let work = Partition.with_parts part (Array.copy a) in
   let cur = work.Partition.parts in
   let locked = Array.make (Array.length a) false in
   let rec go best best_cost moves =
     if moves >= max_moves then (best, best_cost)
     else
-      match best_move ?weights work locked with
+      match best_move work locked with
       | None -> (best, best_cost)
       | Some (c, o, i) ->
         cur.(o) <- i;
@@ -46,16 +48,17 @@ let one_pass ?weights ?(max_moves = 64) part a cost =
   in
   go a cost 0
 
-let run ?weights ?(max_passes = 8) part =
+let max_passes = 8
+
+let run part =
   let rec go a cost pass =
     if pass >= max_passes then a
     else
-      let a', cost' = one_pass ?weights part a cost in
+      let a', cost' = one_pass part a cost in
       if cost' < cost then go a' cost' (pass + 1) else a
   in
   Partition.with_parts part
-    (go part.Partition.parts (Cost.total ?weights part) 0)
+    (go part.Partition.parts (Cost.total part) 0)
 
 (** Convenience: greedy construction followed by KL refinement. *)
-let run_from_scratch ?weights g ~n_parts =
-  run ?weights (Greedy.run g ~n_parts)
+let run_from_scratch g ~n_parts = run (Greedy.run g ~n_parts)

@@ -2,10 +2,9 @@
     of single-object moves with per-pass locking; each pass keeps its best
     prefix of moves, and passes repeat until no improvement. *)
 
-val run : ?weights:Cost.weights -> ?max_passes:int -> Partition.t -> Partition.t
+val run : Partition.t -> Partition.t
 (** Improve an existing partition; the result never costs more than the
     input under {!Cost.total}. *)
 
-val run_from_scratch :
-  ?weights:Cost.weights -> Agraph.Access_graph.t -> n_parts:int -> Partition.t
+val run_from_scratch : Agraph.Access_graph.t -> n_parts:int -> Partition.t
 (** Greedy construction followed by KL refinement. *)

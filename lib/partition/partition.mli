@@ -16,7 +16,6 @@ type obj =
 
 val obj_name : obj -> string
 val compare_obj : obj -> obj -> int
-val pp_obj : Format.formatter -> obj -> unit
 
 type t = private {
   n_parts : int;

@@ -36,10 +36,6 @@ type t
 val elab_entries : int
 (** The elaboration cache's bound (64 entries, LRU-evicted). *)
 
-val refined_entries : int
-(** The bound of each elaboration's refinement memo (8 designs,
-    LRU-evicted). *)
-
 val create :
   ?cache_dir:string -> ?cache_entries:int -> ?cache_bytes:int -> unit -> t
 (** A fresh session.  [cache_dir] / [cache_entries] / [cache_bytes] feed

@@ -68,10 +68,9 @@ let has_prefix prefixes tag =
       && String.equal (String.sub tag 0 (String.length p)) p)
     prefixes
 
-let check ?config ?(trace_mode = Total) ?(ignore_prefixes = []) ~original
-    ~refined () =
-  let ro = Engine.run ?config original in
-  let rr = Engine.run ?config refined in
+let check ?(trace_mode = Total) ?(ignore_prefixes = []) ~original ~refined () =
+  let ro = Engine.run original in
+  let rr = Engine.run refined in
   (* Hardened refinements emit reserved watchdog/recovery markers
      (WDG_/FLT_ prefixed) that have no counterpart in the original;
      callers filter them out of the equivalence judgement by prefix. *)

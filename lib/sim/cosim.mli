@@ -17,7 +17,6 @@ type trace_mode =
           scheduling-dependent and not preserved by refinement *)
 
 val check :
-  ?config:Engine.config ->
   ?trace_mode:trace_mode ->
   ?ignore_prefixes:string list ->
   original:Spec.Ast.program ->

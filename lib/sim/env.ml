@@ -76,13 +76,6 @@ let rec find_cell f name =
 
 let lookup f name = Option.map (fun cell -> !cell) (find_cell f name)
 
-let assign f name v =
-  match find_cell f name with
-  | Some cell ->
-    cell := v;
-    true
-  | None -> false
-
 (** The innermost array binding for the name, walking the parent chain. *)
 let rec find_array f name =
   match Hashtbl.find f.f_memo_arr name with

@@ -30,8 +30,5 @@ val find_array : frame -> string -> Ast.value array option
 
 val lookup : frame -> string -> Ast.value option
 
-val assign : frame -> string -> Ast.value -> bool
-(** False when the name is unbound in the whole chain. *)
-
 val reinitialize : frame -> Ast.var_decl list -> unit
 (** Re-run the initializers of the given declarations in this frame. *)

@@ -125,7 +125,6 @@ let make ~policy ~seed ~port_of =
     mo_reordered = 0;
   }
 
-let policy t = t.mo_policy
 let pending t = t.mo_queued > 0
 let diverted t = t.mo_diverted
 let reordered t = t.mo_reordered

@@ -36,8 +36,6 @@ val make :
 (** [port_of] classifies a committed signal update: [Some port] diverts
     it into that port's FIFO, [None] passes it through untouched. *)
 
-val policy : t -> policy
-
 val capture : t -> delta:int -> string -> Ast.value -> bool
 (** Offer an update about to commit.  [true] = diverted (the kernel
     must drop the update); [false] = commit normally.  Updates captured

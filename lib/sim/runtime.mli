@@ -135,20 +135,9 @@ val reset_node : 'm node -> unit
     {!instantiate} without rebuilding any frame, table or compiled
     body. *)
 
-val is_done : 'm node -> bool
-
 val leaves : 'm node -> 'm list
 (** All live leaf machines, in preorder — the deterministic scheduling
     order of both kernels. *)
-
-val eval_cond : Interp.context -> Env.frame -> Ast.expr -> bool
-(** Evaluate a TOC-arc condition in a behavior's frame.
-    @raise Interp.Run_error when the condition is not boolean. *)
-
-val advance : Interp.context -> 'm node -> bool
-(** One structural step: finished leaves become done, completed [seq]
-    children take their TOC arc, completed [par] compositions close.
-    True when anything changed. *)
 
 val advance_fixpoint : Interp.context -> 'm node -> bool
 (** Iterate {!advance} to quiescence; true when anything changed at all.
@@ -158,10 +147,6 @@ val advance_fixpoint : Interp.context -> 'm node -> bool
 val effectively_done : string list -> 'm node -> bool
 (** Completion up to registered servers: done, a server, or a parallel
     composition of effectively done children. *)
-
-val waited_signals : Interp.context -> Env.frame -> Ast.expr -> string list
-(** ["name=value"] for every signal {e and frame variable} a blocked wait
-    condition reads — deadlock reports are built from these. *)
 
 val blocked_descriptions :
   Interp.context -> string list -> 'm node -> string list

@@ -103,7 +103,6 @@ let restore t sv =
 let n_signals t = Array.length t.names
 let id_of t name = Hashtbl.find_opt t.ids name
 let name_of t id = t.names.(id)
-let is_signal t name = Hashtbl.mem t.ids name
 
 let read_id t id = t.current.(id)
 
@@ -225,9 +224,6 @@ let commit_ids t =
     changed (sorted by name). *)
 let commit_changes t =
   List.map (fun id -> (t.names.(id), t.current.(id))) (commit_ids t)
-
-(** Apply all scheduled updates; true iff any signal value changed. *)
-let commit t = commit_ids t <> []
 
 (** Current value of every signal, sorted by name — id order and name
     order coincide, so this is a single pass over the value array. *)

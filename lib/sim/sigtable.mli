@@ -20,8 +20,6 @@ val reset : t -> unit
     update queue, no intercept or notify hooks.  Observably a fresh
     {!make} of the same declarations. *)
 
-val is_signal : t -> string -> bool
-
 type saved
 
 val save : t -> saved
@@ -95,9 +93,6 @@ val commit_iter : t -> (int -> unit) -> unit
 val commit_changes : t -> (string * Ast.value) list
 (** Apply all scheduled updates; returns the signals whose value actually
     changed, sorted by name. *)
-
-val commit : t -> bool
-(** Apply all scheduled updates; true iff any signal value changed. *)
 
 val snapshot : t -> (string * Ast.value) list
 (** Current value of every signal, sorted by name. *)

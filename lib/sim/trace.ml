@@ -37,12 +37,6 @@ let equivalent a b =
   let strip evs = List.map (fun e -> (e.ev_tag, e.ev_value)) evs in
   strip a = strip b
 
-let pp_event ppf e =
-  Format.fprintf ppf "@%d %s=%a" e.ev_delta e.ev_tag Expr.pp_value e.ev_value
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>%a@]" (Format.pp_print_list pp_event) (events t)
-
 (** Per-tag projection: the ordered value sequence of each tag.  Two
     traces are projection-equivalent when every tag carries the same
     value sequence — the right notion for programs with parallel

@@ -42,6 +42,3 @@ val projection_equivalent : event list -> event list -> bool
 
 val first_divergence : event list -> event list -> int option
 (** Index of the first differing event, for diagnostics. *)
-
-val pp_event : Format.formatter -> event -> unit
-val pp : Format.formatter -> t -> unit

@@ -140,15 +140,15 @@ let behavior_accesses ?(while_iterations = 8) (p : program) :
 
 (** Accesses of one named behavior (leaf statement accesses plus the TOC
     reads attributed to it). *)
-let accesses_of ?while_iterations p name =
-  match List.assoc_opt name (behavior_accesses ?while_iterations p) with
+let accesses_of p name =
+  match List.assoc_opt name (behavior_accesses p) with
   | Some acc -> acc
   | None -> []
 
 (** For every program variable, the behaviors that read or write it
     (deduplicated, in tree preorder). *)
-let var_users ?while_iterations p =
-  let per_behavior = behavior_accesses ?while_iterations p in
+let var_users p =
+  let per_behavior = behavior_accesses p in
   List.map
     (fun v ->
       let users =

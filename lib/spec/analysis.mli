@@ -22,8 +22,8 @@ val behavior_accesses :
     conditions are attributed to the arm's child behavior, mirroring where
     the refinement inserts the protocol call (Figure 6). *)
 
-val accesses_of : ?while_iterations:int -> program -> string -> access list
+val accesses_of : program -> string -> access list
 (** Accesses of one named behavior. *)
 
-val var_users : ?while_iterations:int -> program -> (string * string list) list
+val var_users : program -> (string * string list) list
 (** For every program variable, the behaviors accessing it. *)

@@ -1,7 +1,7 @@
 open Ast
 
 let leaf ?(vars = []) name stmts = { b_name = name; b_vars = vars; b_body = Leaf stmts }
-let seq ?(vars = []) name arms = { b_name = name; b_vars = vars; b_body = Seq arms }
+let seq name arms = { b_name = name; b_vars = []; b_body = Seq arms }
 let par ?(vars = []) name children =
   { b_name = name; b_vars = vars; b_body = Par children }
 

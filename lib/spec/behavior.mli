@@ -7,7 +7,7 @@ open Ast
 val leaf : ?vars:var_decl list -> string -> stmt list -> behavior
 (** Build a leaf behavior. *)
 
-val seq : ?vars:var_decl list -> string -> seq_arm list -> behavior
+val seq : string -> seq_arm list -> behavior
 (** Build a sequential composition. *)
 
 val par : ?vars:var_decl list -> string -> behavior list -> behavior

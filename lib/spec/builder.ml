@@ -30,7 +30,7 @@ let proc ?(params = []) ?(vars = []) name body =
 (** [goto "B"] — unconditional transition. *)
 let goto ?cond target = { t_cond = cond; t_target = Goto target }
 
-let complete ?cond () = { t_cond = cond; t_target = Complete }
+let complete () = { t_cond = None; t_target = Complete }
 
 (** Statement shorthands. *)
 let ( <-- ) x e = Assign (x, e)
@@ -39,5 +39,4 @@ let ( <== ) s e = Signal_assign (s, e)
 let if_ c then_ else_ = If ([ (c, then_) ], else_)
 let while_ c body = While (c, body)
 let wait_until c = Wait_until c
-let call name args = Call (name, args)
 let emit tag e = Emit (tag, e)

@@ -24,7 +24,7 @@ val proc :
 val goto : ?cond:expr -> string -> transition
 (** TOC arc to a sibling arm. *)
 
-val complete : ?cond:expr -> unit -> transition
+val complete : unit -> transition
 
 val ( <-- ) : string -> expr -> stmt
 (** Variable assignment, [x <-- e] is [x := e]. *)
@@ -35,5 +35,4 @@ val ( <== ) : string -> expr -> stmt
 val if_ : expr -> stmt list -> stmt list -> stmt
 val while_ : expr -> stmt list -> stmt
 val wait_until : expr -> stmt
-val call : string -> arg list -> stmt
 val emit : string -> expr -> stmt

@@ -89,8 +89,4 @@ let count sev ds =
   List.length (List.filter (fun d -> d.d_severity = sev) ds)
 
 let errors ds = List.filter (fun d -> d.d_severity = Error) ds
-let warnings ds = List.filter (fun d -> d.d_severity = Warning) ds
 let has_errors ds = List.exists (fun d -> d.d_severity = Error) ds
-
-let at_least sev ds =
-  List.filter (fun d -> severity_rank d.d_severity <= severity_rank sev) ds

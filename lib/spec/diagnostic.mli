@@ -65,8 +65,4 @@ val to_json : t -> Json.t
 
 val count : severity -> t list -> int
 val errors : t list -> t list
-val warnings : t list -> t list
 val has_errors : t list -> bool
-
-val at_least : severity -> t list -> t list
-(** Diagnostics whose severity is at least the given one. *)

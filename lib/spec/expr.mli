@@ -62,9 +62,6 @@ val eval_const : expr -> value option
 (** [eval_const e] is [Some v] when [e] contains no references and
     evaluates without error. *)
 
-val as_bool : value -> bool
-(** @raise Eval_error if the value is not a boolean. *)
-
 val as_int : value -> int
 (** @raise Eval_error if the value is not an integer. *)
 

@@ -384,13 +384,12 @@ let int_field ?default key j =
   | None, Some d -> Ok d
   | None, None -> Error (Printf.sprintf "missing field %S" key)
 
-let float_field ?default key j =
+let float_field key j =
   match member key j with
   | Some (Float f) -> Ok (Some f)
   | Some (Int n) -> Ok (Some (float_of_int n))
-  | Some Null -> Ok None
+  | Some Null | None -> Ok None
   | Some _ -> Error (Printf.sprintf "field %S must be a number" key)
-  | None -> Ok (match default with Some d -> Some d | None -> None)
 
 let bool_field ?default key j =
   match (member key j, default) with

@@ -56,7 +56,7 @@ val member : string -> t -> t option
 
 val string_field : ?default:string -> string -> t -> (string, string) result
 val int_field : ?default:int -> string -> t -> (int, string) result
-val float_field : ?default:float -> string -> t -> (float option, string) result
+val float_field : string -> t -> (float option, string) result
 val bool_field : ?default:bool -> string -> t -> (bool, string) result
 
 val string_list_field :

@@ -147,14 +147,13 @@ let emit_program ctx p =
       emit_behavior ctx p.p_top);
   line ctx "end program"
 
-let run ?(indent = 0) f =
-  let ctx = { buf = Buffer.create 1024; indent } in
+let run f =
+  let ctx = { buf = Buffer.create 1024; indent = 0 } in
   f ctx;
   Buffer.contents ctx.buf
 
 let program_to_string p = run (fun ctx -> emit_program ctx p)
-let behavior_to_string ?indent b = run ?indent (fun ctx -> emit_behavior ctx b)
-let stmts_to_string ?indent stmts = run ?indent (fun ctx -> emit_stmts ctx stmts)
+let stmts_to_string stmts = run (fun ctx -> emit_stmts ctx stmts)
 
 (* One pass: a line counts once it holds a byte [String.trim] would
    keep. *)

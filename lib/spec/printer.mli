@@ -12,9 +12,7 @@ val string_of_ty : ty -> string
 
 val program_to_string : program -> string
 
-val behavior_to_string : ?indent:int -> behavior -> string
-
-val stmts_to_string : ?indent:int -> stmt list -> string
+val stmts_to_string : stmt list -> string
 
 val line_count : program -> int
 (** Number of non-empty lines in [program_to_string]. *)

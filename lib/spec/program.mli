@@ -21,8 +21,6 @@ val lookup_signal : program -> string -> sig_decl option
 
 val lookup_behavior : program -> string -> behavior option
 
-val behavior_names : program -> string list
-
 val var_names : program -> string list
 (** Names of program-level variables, in declaration order. *)
 

@@ -5,9 +5,6 @@
     implementation model.  The source is [examples/specs/fir.sc], loaded
     through {!Builtin}. *)
 
-val taps : int
-(** The length of the [coeff] and [delay] arrays. *)
-
 val spec : Spec.Ast.program
 val graph : Agraph.Access_graph.t
 

@@ -18,4 +18,3 @@ val objects : string list
 
 val leaf_names : string list
 val variable_names : string list
-val variables : Spec.Ast.var_decl list

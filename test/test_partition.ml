@@ -293,54 +293,6 @@ let test_design_search_biases () =
     (gl <= gb && gb <= gg);
   Alcotest.(check bool) "spread" true (gl < gg)
 
-let test_constrained_respects_limits () =
-  (* Behaviors cost 10, variables 1; partition 0 can hold only three
-     behaviors' worth.  A feasible split exists, so the result must be
-     feasible. *)
-  let cost _i = function
-    | Partition.Obj_behavior _ -> 10
-    | Partition.Obj_variable _ -> 1
-  in
-  let problem =
-    { Constrained.pr_limits = [| 44; 1000 |]; pr_object_cost = cost }
-  in
-  let part = Constrained.run ~seed:7 medical_g ~problem ~n_parts:2 in
-  Alcotest.(check bool) "complete" true (complete_and_valid medical_g part);
-  Alcotest.(check bool) "feasible" true (Constrained.is_feasible problem part);
-  Alcotest.(check bool) "P0 actually bounded" true
-    (List.length (Partition.behaviors_in part 0) <= 4)
-
-let test_constrained_minimizes_overrun_when_infeasible () =
-  (* Total demand exceeds total capacity: the result cannot be feasible,
-     but the overrun must not exceed the unavoidable excess by much. *)
-  let cost _ _ = 10 in
-  let problem =
-    { Constrained.pr_limits = [| 50; 50 |]; pr_object_cost = cost }
-  in
-  let part = Constrained.run ~seed:7 medical_g ~problem ~n_parts:2 in
-  let demand = 10 * (16 + 14) in
-  let unavoidable = demand - 100 in
-  Alcotest.(check bool) "over-run bounded" true
-    (Constrained.overrun problem part <= unavoidable + 20)
-
-let test_constrained_prefers_low_comm_among_feasible () =
-  (* With generous limits the constraint is void, so the result should be
-     at least as good as a random partition on communication. *)
-  let cost _ _ = 1 in
-  let problem =
-    { Constrained.pr_limits = [| 1000; 1000 |]; pr_object_cost = cost }
-  in
-  let part = Constrained.run ~seed:3 ~steps:6000 medical_g ~problem ~n_parts:2 in
-  let random = Workloads.Generator.random_partition ~seed:17 medical_g ~n_parts:2 in
-  Alcotest.(check bool) "beats random comm" true
-    (Cost.comm_bits part <= Cost.comm_bits random)
-
-let test_constrained_rejects_bad_limits () =
-  let problem = { Constrained.pr_limits = [| 1 |]; pr_object_cost = (fun _ _ -> 1) } in
-  Alcotest.check_raises "arity"
-    (Invalid_argument "Constrained.run: one limit per partition required")
-    (fun () -> ignore (Constrained.run medical_g ~problem ~n_parts:2))
-
 (* --- indexed scoring = the string-map definitions ------------------------ *)
 
 (* The partitioners' scoring before it moved onto the graph's numbering:
@@ -488,30 +440,6 @@ module Oracle = struct
     +. (10000.0 *. float_of_int empty_parts)
     +. (0.001 *. float_of_int (comm_bits g part))
 
-  let loads problem part =
-    let n = Partition.n_parts part in
-    let loads = Array.make n 0 in
-    List.iter
-      (fun (o, i) ->
-        loads.(i) <- loads.(i) + problem.Constrained.pr_object_cost i o)
-      (Partition.objects part);
-    loads
-
-  let overrun problem part =
-    let loads = loads problem part in
-    let total = ref 0 in
-    Array.iteri
-      (fun i load ->
-        if i < Array.length problem.Constrained.pr_limits then
-          total := !total + max 0 (load - problem.Constrained.pr_limits.(i)))
-      loads;
-    !total
-
-  let constrained_objective g problem part =
-    let comm = float_of_int (comm_bits g part) in
-    let over = float_of_int (overrun problem part) in
-    comm +. (1.0e6 *. over)
-
   let random_partition rng g ~n_parts =
     Partition.of_graph g ~n_parts (fun _ -> Rng.int rng n_parts)
 
@@ -630,23 +558,12 @@ let case_graph (seed, vars, leaves, n_parts) =
   in
   (g, Workloads.Generator.random_partition ~seed g ~n_parts)
 
-let problem_of seed n_parts =
-  {
-    Constrained.pr_limits = Array.init n_parts (fun i -> 5 + ((seed + i) mod 17));
-    pr_object_cost =
-      (fun i o ->
-        match o with
-        | Partition.Obj_behavior b -> 1 + ((String.length b + i + seed) mod 5)
-        | Partition.Obj_variable _ -> 1 + i);
-  }
-
 let prop_indexed_scores =
   QCheck.Test.make ~count:300 ~name:"indexed scores = string-map scores" gen_case
-    (fun ((seed, _, _, n_parts) as case) ->
+    (fun ((seed, _, _, _) as case) ->
       let g, part = case_graph case in
       let old = Oracle.Partition.of_partition part in
       let w = { Cost.w_comm = 0.3 +. float_of_int (seed mod 7); w_balance = 0.7 } in
-      let problem = problem_of seed n_parts in
       Cost.total part = Oracle.total g old
       && Cost.total ~weights:w part = Oracle.total ~weights:w g old
       && Cost.comm_bits part = Oracle.comm_bits g old
@@ -658,18 +575,13 @@ let prop_indexed_scores =
              Design_search.objective ~bias part
              = Oracle.design_objective g ~bias old)
            [ Design_search.Balanced; Design_search.Mostly_local;
-             Design_search.Mostly_global ]
-      && Constrained.objective problem part
-         = Oracle.constrained_objective g problem old
-      && Constrained.loads problem part = Oracle.loads problem old
-      && Constrained.overrun problem part = Oracle.overrun problem old)
+             Design_search.Mostly_global ])
 
 let prop_indexed_searches =
   QCheck.Test.make ~count:40 ~name:"indexed searches = string-map searches"
     gen_case (fun ((seed, _, _, n_parts) as case) ->
       let g, part = case_graph case in
       let config = { Annealing.default_config with seed; steps = 300 } in
-      let problem = problem_of seed n_parts in
       let same a b = Partition.objects a = Oracle.Partition.objects b in
       same (Annealing.run ~config g ~n_parts)
         (Oracle.run_objective ~config ~objective:(Oracle.total g) g ~n_parts)
@@ -681,10 +593,6 @@ let prop_indexed_searches =
                   ~objective:(Oracle.design_objective g ~bias) g ~n_parts))
            [ Design_search.Balanced; Design_search.Mostly_local;
              Design_search.Mostly_global ]
-      && same
-           (Constrained.run ~seed ~steps:300 g ~problem ~n_parts)
-           (Oracle.run_objective ~config
-              ~objective:(Oracle.constrained_objective g problem) g ~n_parts)
       && same (Kl.run part) (Oracle.kl g (Oracle.Partition.of_partition part)))
 
 let prop_partitioners_complete =
@@ -750,10 +658,6 @@ let () =
           tc "design search biases" test_design_search_biases;
           tc "design search deterministic" test_design_search_deterministic;
           tc "design search moves balance" test_design_search_bias_moves_balance;
-          tc "constrained: feasible" test_constrained_respects_limits;
-          tc "constrained: infeasible" test_constrained_minimizes_overrun_when_infeasible;
-          tc "constrained: low comm" test_constrained_prefers_low_comm_among_feasible;
-          tc "constrained: bad limits" test_constrained_rejects_bad_limits;
           QCheck_alcotest.to_alcotest prop_partitioners_complete;
           QCheck_alcotest.to_alcotest prop_indexed_scores;
           QCheck_alcotest.to_alcotest prop_indexed_searches;
