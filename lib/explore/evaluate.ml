@@ -121,8 +121,10 @@ let quality_totals (q : Core.Quality.t) =
 
 (* A small fixed fault campaign per candidate: two seeds over the two
    cheapest-to-classify classes.  Deterministic (seeded), so it belongs
-   in the memoized tail; designs that cannot complete a golden run score
-   0.0 rather than failing the evaluation.  [poll] threads the
+   in the memoized tail; designs that cannot complete a golden run
+   ([Campaign_error]) score 0.0 rather than failing the evaluation; any
+   other exception is a bug and propagates, so the candidate ends
+   [Crashed].  [poll] threads the
    candidate's deadline into the simulation kernels — a runaway refined
    design is cancelled mid-run and surfaces as {!Deadline} rather than
    stalling the worker until the step limit. *)
@@ -146,7 +148,8 @@ let probe_robustness ?poll (r : Core.Refiner.t) =
     then raise Deadline
     else report.Faults.Campaign.rp_robustness
   | exception Deadline -> raise Deadline
-  | exception _ -> if expired () then raise Deadline else 0.0
+  | exception Faults.Campaign.Campaign_error _ ->
+    if expired () then raise Deadline else 0.0
 
 (* Lint pass results memoized by the *output* text: different partitions
    of the same spec routinely refine to structurally identical model

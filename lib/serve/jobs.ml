@@ -286,8 +286,9 @@ let run ~session ~poll job =
   let* kind = Protocol.string_field "kind" job in
   let with_spec f =
     let* source = Protocol.string_field "spec" job in
-    let* elab = Session.elaborate session ~source in
-    guarded (fun () -> f ~session ~poll elab job)
+    guarded (fun () ->
+        let* elab = Session.elaborate session ~source in
+        f ~session ~poll elab job)
   in
   match kind with
   | "litmus" -> guarded (fun () -> run_litmus ~poll job)

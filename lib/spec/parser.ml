@@ -17,6 +17,7 @@ type state = {
   mutable l_behaviors : (string * int) list;
   mutable l_procedures : (string * int) list;
   mutable l_decls : (string * int) list;
+  mutable array_elements : int;  (** declared so far, program-wide *)
 }
 
 let cur st = st.toks.(st.pos)
@@ -291,6 +292,23 @@ and parse_stmt st =
 
 (* --- declarations ------------------------------------------------------ *)
 
+(* The simulator allocates every declared array element up front, so a
+   program's arrays together may hold at most 2^20 elements. *)
+let max_array_elements = 1 lsl 20
+
+let count_array_elements st ~lnum name = function
+  | TArray (_, n) ->
+    if n > max_array_elements - st.array_elements then
+      raise
+        (Parse_error
+           ( Printf.sprintf
+               "array %s: %d elements take the program's arrays past %d \
+                elements"
+               name n max_array_elements,
+             lnum ));
+    st.array_elements <- st.array_elements + n
+  | TBool | TInt _ -> ()
+
 let parse_var_decl st =
   (* "var" already consumed by the caller *)
   let lnum = (cur st).Lexer.lnum in
@@ -298,6 +316,7 @@ let parse_var_decl st =
   st.l_decls <- (name, lnum) :: st.l_decls;
   expect st Lexer.COLON;
   let ty = parse_ty st in
+  count_array_elements st ~lnum name ty;
   let init = if accept st Lexer.ASSIGN then Some (parse_literal st) else None in
   expect st Lexer.SEMI;
   { v_name = name; v_ty = ty; v_init = init }
@@ -315,6 +334,7 @@ let parse_signal_decl st =
   st.l_decls <- (name, lnum) :: st.l_decls;
   expect st Lexer.COLON;
   let ty = parse_ty st in
+  count_array_elements st ~lnum name ty;
   let init = if accept st Lexer.ASSIGN then Some (parse_literal st) else None in
   expect st Lexer.SEMI;
   { s_name = name; s_ty = ty; s_init = init }
@@ -477,6 +497,7 @@ let state_of_string src =
     l_behaviors = [];
     l_procedures = [];
     l_decls = [];
+    array_elements = 0;
   }
 
 let locations_of st =

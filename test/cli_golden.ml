@@ -77,6 +77,8 @@ let invocations =
       (* an integer literal past max_int; a fault-free run that divides
          by zero *)
       [ "parse"; "fixtures/big_literal.sc" ];
+      [ "parse"; "fixtures/big_array.sc" ];
+      [ "simulate"; "fixtures/big_array.sc" ];
       [ "simulate"; "fixtures/div_zero.sc" ];
       [ "cosim"; "fixtures/div_zero.sc"; "-p"; "2" ];
       [ "faults"; "fixtures/div_zero.sc"; "--seeds"; "1"; "-p"; "2" ];

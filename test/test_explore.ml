@@ -772,6 +772,23 @@ let test_evaluate_deadline_times_out_uncached () =
   Alcotest.(check bool) "recomputes fine without a deadline" true
     (Result.is_ok r2.Evaluate.r_outcome)
 
+(* div_zero.sc's fault-free run divides by zero, so its robustness
+   campaign is refused with [Campaign_error]: the candidate still
+   evaluates, with robustness 0.0. *)
+let test_uncampaignable_design_reads_zero_robustness () =
+  let spec =
+    match Spec.Parser.program_of_string (read_bytes "fixtures/div_zero.sc") with
+    | Ok p -> p
+    | Error e -> Alcotest.fail e
+  in
+  let c =
+    { Candidate.c_seed = 1; c_bias = Partitioning.Design_search.Balanced;
+      c_model = Core.Model.Model1; c_n_parts = 2; c_steps = 10 }
+  in
+  match (Evaluate.run (Evaluate.make_ctx spec) c).Evaluate.r_outcome with
+  | Ok m -> Alcotest.(check (float 0.0)) "robustness" 0.0 m.Evaluate.e_robustness
+  | Error f -> Alcotest.fail (Evaluate.failure_message f)
+
 let test_sweep_deadline_degrades_not_aborts () =
   let config = { (small_config 2) with Sweep.deadline_s = Some 0.0 } in
   let sw = Sweep.run config fig2 in
@@ -978,6 +995,8 @@ let () =
         [
           tc "deadline times out uncached"
             test_evaluate_deadline_times_out_uncached;
+          tc "uncampaignable design reads robustness 0"
+            test_uncampaignable_design_reads_zero_robustness;
           tc "sweep deadline degrades" test_sweep_deadline_degrades_not_aborts;
           tc "sweep survives crash" test_sweep_survives_crashing_candidate;
           tc "journals only definitive" test_sweep_journals_only_definitive;

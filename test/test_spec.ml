@@ -576,6 +576,27 @@ let test_parse_errors () =
   bad "";
   bad "program p is behavior b : leaf is begin skip; end behavior end program trailing"
 
+(* A program's arrays together hold at most 2^20 elements; the
+   declaration that passes the bound is reported with its line. *)
+let test_array_element_bound () =
+  let spec n =
+    Printf.sprintf
+      "program p is\n\
+      \  var a : int<8>[524288];\n\
+      \  behavior T : leaf is\n\
+      \    var b : int<8>[%d];\n\
+      \  begin skip; end behavior\n\
+       end program\n"
+      n
+  in
+  Alcotest.(check bool) "2^20 in total parse" true
+    (Result.is_ok (Parser.program_of_string (spec 524288)));
+  Alcotest.(check (result reject string)) "one more is refused"
+    (Error
+       "parse error at line 4: array b: 524289 elements take the program's \
+        arrays past 1048576 elements")
+    (Parser.program_of_string (spec 524289))
+
 let test_located_parse () =
   let src =
     "program locs is\n\
@@ -929,6 +950,7 @@ let () =
           tc "refined emit tag simulates" test_refined_emit_tag_simulates;
           QCheck_alcotest.to_alcotest prop_generated_roundtrip;
           tc "parse errors" test_parse_errors;
+          tc "array element bound" test_array_element_bound;
           tc "located parse" test_located_parse;
           tc "line count" test_line_count;
           tc "string_of_ty" test_string_of_ty;
