@@ -69,7 +69,7 @@ let max_reg = function
     Array.fold_left
       (fun acc -> function Bin (_, r) -> max acc r | Bout _ -> acc)
       (-1) site.vs_bindings
-  | Ijmp _ | Ifail_run _ | Ifail_eval _ | Icharge | Iend_jmp _
+  | Ijmp _ | Icmp_br _ | Ifail_run _ | Ifail_eval _ | Icharge | Iend_jmp _
   | Istore_cell_const _ | Istore_sig_const _ | Iemit_const _ | Iwait_sig _
   | Iwait_sig_eq _ | Iwait_never _ | Iret | Ihalt ->
     -1
@@ -310,6 +310,78 @@ let rec emit_expr b env ~dst ~sp e : folded =
     end
 
 (* ------------------------------------------------------------------ *)
+(* Jumping conditions.                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* A condition is statically boolean when it is [and]/[or]/[not] over
+   boolean constants and comparisons of atoms: cells and signals that
+   resolve here, and constants.  Its value is then always a boolean, its
+   one possible failure is an ordering compare of a non-integer, which
+   the branch raises with {!Spec.Expr.apply_binop}'s message, and name
+   reads cannot fail or have effects, so jumping code evaluates it
+   exactly as the tree-walker does.  A statically boolean condition that
+   reads no name is a constant, which the value path folds. *)
+let atom env = function
+  | Const v -> Some (Oconst (intern v))
+  | Ref x ->
+    begin match Env.find_cell env.frame x with
+    | Some cell -> Some (Ocell (cell, x))
+    | None ->
+      Option.map (fun id -> Osig (id, x)) (Sigtable.id_of env.signals x)
+    end
+  | _ -> None
+
+let rec static_bool env = function
+  | Const (VBool _) -> true
+  | Unop (Not, a) -> static_bool env a
+  | Binop ((And | Or), l, r) -> static_bool env l && static_bool env r
+  | Binop ((Eq | Neq | Lt | Le | Gt | Ge), l, r) ->
+    Option.is_some (atom env l) && Option.is_some (atom env r)
+  | _ -> false
+
+let jumps env c = static_bool env c && Expr.refs c <> []
+
+(* Point the jumps at [jumps] (branches, or [reserve]d placeholders) at
+   [target]. *)
+let retarget b jumps target =
+  List.iter
+    (fun at ->
+      patch b at
+        (match b.b_code.(at) with
+        | Icmp_br (op, l, r, sense, _) -> Icmp_br (op, l, r, sense, target)
+        | _ -> Ijmp target))
+    jumps
+
+(* [emit_branch b env ~sense c] lowers a statically boolean [c] to code
+   that jumps when [c] is [sense] and falls through otherwise; it returns
+   the jumps' pcs, to [retarget] once the target is known.  The
+   operands of [and]/[or] keep their short-circuit order: a left operand
+   that decides the result skips the right one. *)
+let rec emit_branch b env ~sense c =
+  match c with
+  | Const (VBool v) -> if v = sense then [ reserve b ] else []
+  | Unop (Not, a) -> emit_branch b env ~sense:(not sense) a
+  | Binop (((And | Or) as op), (Const (VBool v) as l), r) ->
+    if v = (op = Or) then emit_branch b env ~sense l
+    else emit_branch b env ~sense r
+  | Binop (((And | Or) as op), l, r) ->
+    let decider = op = Or in
+    if sense = decider then
+      let jl = emit_branch b env ~sense l in
+      jl @ emit_branch b env ~sense r
+    else begin
+      let skip = emit_branch b env ~sense:decider l in
+      let jr = emit_branch b env ~sense r in
+      retarget b skip (here b);
+      jr
+    end
+  | Binop (op, l, r) ->
+    let operand e = Option.get (atom env e) in
+    emit b (Icmp_br (op, operand l, operand r, sense, -1));
+    [ here b - 1 ]
+  | _ -> invalid_arg "Compile.emit_branch: not statically boolean"
+
+(* ------------------------------------------------------------------ *)
 (* Wait sites.                                                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -456,8 +528,9 @@ let rec emit_stmt b env ~sp s =
        commits to its branch, a statically-false one disappears, a
        statically-ill-typed (or raising) one ends the chain.  Dynamic
        branch bodies are placed after the trunk; the whole dispatch
-       charges exactly once — at the taken [Iif_jmp] or at the else
-       entry's [Icharge]. *)
+       charges exactly once — at the taken [Iif_jmp], at the [Icharge]
+       heading a body that jumping code enters, or at the else entry's
+       [Icharge]. *)
     let ends = ref [] in
     let deferred = ref [] in
     let rec trunk = function
@@ -465,6 +538,12 @@ let rec emit_stmt b env ~sp s =
         emit b Icharge;
         emit_stmts b env ~sp els;
         ends := reserve b :: !ends
+      | (c, body) :: rest when jumps env c ->
+        begin match emit_branch b env ~sense:true c with
+        | [] -> ()  (* never true: the body is dead *)
+        | js -> deferred := (`Jumps js, body) :: !deferred
+        end;
+        trunk rest
       | (c, body) :: rest ->
         begin match emit_expr b env ~dst:sp ~sp:(sp + 1) c with
         | Fv (VBool true) ->
@@ -476,19 +555,34 @@ let rec emit_stmt b env ~sp s =
         | Fraise -> ()
         | Fcode ->
           let p = reserve b in
-          deferred := (p, msg_not_bool_cond env c, body) :: !deferred;
+          deferred := (`Value (p, msg_not_bool_cond env c), body) :: !deferred;
           trunk rest
         end
     in
     trunk branches;
     List.iter
-      (fun (p, msg, body) ->
-        patch b p (Iif_jmp (sp, here b, msg));
+      (fun (entry, body) ->
+        begin match entry with
+        | `Value (p, msg) -> patch b p (Iif_jmp (sp, here b, msg))
+        | `Jumps js ->
+          retarget b js (here b);
+          emit b Icharge
+        end;
         emit_stmts b env ~sp body;
         ends := reserve b :: !ends)
       (List.rev !deferred);
     let lend = here b in
     List.iter (fun p -> patch b p (Iend_jmp lend)) !ends
+  | While (c, body) when jumps env c ->
+    (* The loop check's step: at body entry, or at the exit. *)
+    emit b Icharge;
+    let head = here b in
+    let exits = emit_branch b env ~sense:false c in
+    emit b Icharge;
+    emit_stmts b env ~sp body;
+    emit b (Iend_jmp head);
+    retarget b exits (here b);
+    emit b Icharge
   | While (c, body) ->
     emit b Icharge;
     let head = here b in
@@ -565,7 +659,15 @@ let rec emit_stmt b env ~sp s =
         end
       | _ -> false
     in
-    if not fused then begin
+    if (not fused) && jumps env c then begin
+      (* A false condition falls through to the block, which resumes at
+         the condition; a true one charges past it. *)
+      let js = emit_branch b env ~sense:true c in
+      emit b (Iwait_never (make_site env c ~resume));
+      retarget b js (here b);
+      emit b Icharge
+    end
+    else if not fused then begin
       match emit_expr b env ~dst:sp ~sp:(sp + 1) c with
       | Fv (VBool true) -> emit b Icharge
       | Fv (VBool false) -> emit b (Iwait_never (make_site env c ~resume))

@@ -6,6 +6,10 @@
     interned ids, expression temporaries to indices into a small
     per-activation register file.  Control flow is jump-patched —
     if/while/for lower to conditional branches with explicit targets.
+    An if/while/wait condition that is statically boolean (see
+    {!Compile}) lowers to jumping code instead: [Icmp_br] instructions
+    that compare their operands in place and branch, writing no
+    register.
 
     Step accounting is carried by the instructions themselves: every
     instruction that completes one tree-walker step ({!Interp}) is a
@@ -43,6 +47,12 @@ type wait_site = {
           park from the same slot is then a bare state flip, while a
           revived machine under a fresh slot re-registers *)
 }
+
+(** An operand of a compare-and-branch, resolved at compile time. *)
+type operand =
+  | Ocell of value ref * string  (** a frame variable's cell, and its name *)
+  | Osig of int * string  (** an interned signal id, and its name *)
+  | Oconst of value
 
 type for_site = {
   fs_cur : int;  (** register holding the current index value *)
@@ -116,6 +126,11 @@ and instr =
   | Iand_jmp of int * int  (** short-circuit: [r] false jumps, keeps false *)
   | Ior_jmp of int * int  (** short-circuit: [r] true jumps, keeps true *)
   | Ijmp of int
+  | Icmp_br of binop * operand * operand * bool * int
+      (** jumping conditions: [Icmp_br (op, a, b, sense, t)] jumps to [t]
+          when [a op b] is [sense] and falls through otherwise.  [op] is
+          a comparison; an ordering compare of a non-integer raises
+          {!Spec.Expr.apply_binop}'s error *)
   | Icheck_int_run of int * string  (** [ce_int]: Run_error unless VInt *)
   | Icheck_int_eval of int  (** [as_int]: Eval_error unless VInt *)
   | Ifail_run of string  (** raise Run_error when executed *)
@@ -146,7 +161,9 @@ and instr =
           blocks at the site, uncharged *)
   | Iwait_sig of int * wait_site * string  (** fused [wait until s] *)
   | Iwait_sig_eq of int * value * wait_site  (** fused [wait until s = k] *)
-  | Iwait_never of wait_site  (** constant-false condition: always blocks *)
+  | Iwait_never of wait_site
+      (** always blocks, uncharged: a constant-false condition, or the
+          false exit of a jumping wait condition *)
   | Icall of call_site  (** push the callee activation; charges *)
   | Iret  (** pop the activation; charges *)
   | Ihalt  (** leaf body finished; uncharged *)
@@ -159,6 +176,11 @@ let value_to_string = function
   | VBool true -> "true"
   | VBool false -> "false"
   | VInt n -> string_of_int n
+
+let operand_to_string = function
+  | Ocell (_, x) -> x
+  | Osig (id, x) -> Printf.sprintf "%s#%d" x id
+  | Oconst v -> value_to_string v
 
 let instr_to_string = function
   | Iconst (d, v) -> Printf.sprintf "const      r%d <- %s" d (value_to_string v)
@@ -187,6 +209,10 @@ let instr_to_string = function
   | Iand_jmp (r, t) -> Printf.sprintf "and_jmp    r%d false -> %d" r t
   | Ior_jmp (r, t) -> Printf.sprintf "or_jmp     r%d true -> %d" r t
   | Ijmp t -> Printf.sprintf "jmp        %d" t
+  | Icmp_br (op, a, b, sense, t) ->
+    Printf.sprintf "%s %s %s %s -> %d"
+      (if sense then "br_if     " else "br_ifnot  ")
+      (operand_to_string a) (Expr.binop_symbol op) (operand_to_string b) t
   | Icheck_int_run (r, _) -> Printf.sprintf "check_int  r%d" r
   | Icheck_int_eval r -> Printf.sprintf "as_int     r%d" r
   | Ifail_run msg -> Printf.sprintf "fail_run   %S" msg
@@ -226,13 +252,14 @@ let instr_to_string = function
 let charges = function
   | Iconst _ | Iload_cell _ | Iload_sig _ | Iload_arr _ | Iload_arr_cond _
   | Ibinop _ | Ibinop_rc _ | Ibinop_cr _ | Ibinop_cell _ | Ibinop_sig _
-  | Iunop _ | Iand_jmp _ | Ior_jmp _ | Ijmp _ | Icheck_int_run _
-  | Icheck_int_eval _ | Ifail_run _ | Ifail_eval _ | Iyield _ | Ihalt ->
+  | Iunop _ | Iand_jmp _ | Ior_jmp _ | Ijmp _ | Icmp_br _ | Icheck_int_run _
+  | Icheck_int_eval _ | Ifail_run _ | Ifail_eval _ | Iyield _ | Iwait_never _
+  | Ihalt ->
     false
   | Icharge | Iend_jmp _ | Istore_cell _ | Istore_cell_const _ | Istore_arr _
   | Istore_sig _ | Istore_sig_const _ | Iemit _ | Iemit_const _ | Iif_jmp _
   | Iwhile_jmp _ | Ifor_test _ | Ifor_end _ | Iwait _ | Iwait_sig _
-  | Iwait_sig_eq _ | Iwait_never _ | Icall _ | Iret ->
+  | Iwait_sig_eq _ | Icall _ | Iret ->
     true
 
 let to_string prog =

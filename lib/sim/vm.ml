@@ -169,6 +169,25 @@ let[@inline] apply_fast op va vb =
   | Neq, _, _ -> Expr.vbool (not (equal_value va vb))
   | _ -> Expr.apply_binop op va vb
 
+(* A compare-and-branch's operands and test.  The test returns the
+   boolean itself rather than [apply_fast]'s boxed value; an ordering
+   compare of a non-integer raises through the shared applier, as on the
+   value path. *)
+let[@inline] operand sigs = function
+  | Ocell (cell, _) -> !cell
+  | Osig (id, _) -> Sigtable.read_id sigs id
+  | Oconst v -> v
+
+let[@inline] test op va vb =
+  match (op, va, vb) with
+  | Ast.Eq, _, _ -> equal_value va vb
+  | Neq, _, _ -> not (equal_value va vb)
+  | Lt, VInt x, VInt y -> x < y
+  | Le, VInt x, VInt y -> x <= y
+  | Gt, VInt x, VInt y -> x > y
+  | Ge, VInt x, VInt y -> x >= y
+  | _ -> Expr.apply_binop op va vb == Expr.vbool true
+
 let fresh_regs prog = Array.make (max prog.pr_nregs 1) (Expr.vbool false)
 
 let ensure_cur cx t =
@@ -312,6 +331,10 @@ let rec exec cx sigs t fuel act (code : instr array) (regs : value array)
         | VInt _ -> raise (Expr.Eval_error "expected a boolean value")
         end
       | Ijmp target -> exec cx sigs t fuel act code regs target steps
+      | Icmp_br (op, a, b, sense, target) ->
+        if test op (operand sigs a) (operand sigs b) = sense then
+          exec cx sigs t fuel act code regs target steps
+        else exec cx sigs t fuel act code regs (pc + 1) steps
       | Icheck_int_run (r, msg) ->
         begin match regs.(r) with
         | VInt _ -> exec cx sigs t fuel act code regs (pc + 1) steps
